@@ -1,7 +1,7 @@
 //! Serving-layer benches: the latency of one cached request over a real
-//! socket, ETag revalidation, and a multi-client loadgen throughput number
-//! (requests/sec) for `/v1/report` served from the memoized `Study` — the
-//! serving datapoint of the perf trajectory in CHANGES.md.
+//! socket, ETag revalidation, and the open-loop tail latency of
+//! `/v1/report` served from the memoized `Study`. Closed-loop throughput
+//! is measured end to end by `perfbench`.
 //!
 //! The roundtrip benches run with observability fully on (per-route and
 //! per-stage histograms, request-id minting), so their numbers *are* the
@@ -17,7 +17,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, Criterion};
 use datagen::CalibratedGenerator;
 use osdiv_core::{obs, FlightRecorder, LatencyHistogram, SpanKind, Study};
-use osdiv_serve::loadgen::{read_response, run_loadgen, run_open_loop, write_request};
+use osdiv_serve::loadgen::{read_response, run_open_loop, write_request};
 use osdiv_serve::{OpenLoopConfig, Router, RouterOptions, Server, ServerHandle, ServerOptions};
 
 fn start_server() -> ServerHandle {
@@ -130,20 +130,6 @@ fn bench_serving(c: &mut Criterion) {
         })
     });
     drop(reader);
-
-    // Multi-client throughput: the requests/sec figure of the suite.
-    for clients in [1, 4, 8] {
-        let report = run_loadgen(addr, clients, 500, "/v1/report?format=json");
-        println!(
-            "serve/loadgen_report_json/{clients}_clients: {:.0} req/s \
-             ({} ok, {} errors, {:.2?} elapsed)",
-            report.requests_per_sec(),
-            report.ok,
-            report.errors,
-            report.elapsed,
-        );
-        assert_eq!(report.errors, 0, "loadgen must not drop requests");
-    }
 
     // Open-loop tail latency: arrivals fire on a Poisson schedule whether
     // or not earlier responses came back, so the p99/p999 include any

@@ -1,10 +1,10 @@
-//! Session benches: the cost of warming a full `Study` cache sequentially
-//! (one analysis after another) vs in parallel (`Study::run_all` fanning the
-//! registry out across scoped threads), the marginal cost of a memoized
-//! lookup, and the zeta-transform `CountIndex`: its one-time build cost and
-//! the k-way analysis running against it vs against naive full-store scans
-//! (the pre-index implementation, preserved below as the baseline). The
-//! measured numbers are recorded per PR in CHANGES.md.
+//! Session benches: the cost of warming a full `Study` cache (one analysis
+//! after another, as `Study::run_all` does) and rendering the report, the
+//! marginal cost of a memoized lookup, and the zeta-transform `CountIndex`:
+//! its one-time build cost and the k-way analysis running against it vs
+//! against naive full-store scans (the pre-index implementation, preserved
+//! below as the baseline). The measured numbers are recorded per PR in
+//! CHANGES.md.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use datagen::CalibratedGenerator;
@@ -27,13 +27,6 @@ fn bench_full_report(c: &mut Criterion) {
             for entry in registry() {
                 (entry.prime)(&study).unwrap();
             }
-            study.report(Format::Text).unwrap()
-        })
-    });
-    c.bench_function("study/full_report_parallel_run_all", |b| {
-        b.iter(|| {
-            let study = Study::new(dataset.clone());
-            study.run_all().unwrap();
             study.report(Format::Text).unwrap()
         })
     });

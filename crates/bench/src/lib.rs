@@ -8,8 +8,8 @@
 //!   analyses appear automatically, with `--format text|csv|json` exports
 //!   through the pluggable renderers;
 //! * Criterion benches (`benches/*`) that measure the cost of the full
-//!   analysis pipeline, each individual experiment, and the sequential vs
-//!   parallel `Study::run_all` session warm-up.
+//!   analysis pipeline, each individual experiment, and the `Study`
+//!   session warm-up.
 //!
 //! The library portion only re-exports small helpers shared by the CLI and
 //! the benches.

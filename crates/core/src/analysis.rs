@@ -5,8 +5,8 @@
 //!
 //! An analysis is a pure function from a study dataset (plus a typed
 //! [`Analysis::Config`]) to an output value. The [`Study`] session runs
-//! analyses on demand, memoizes their default-config results and can fan the
-//! whole registry out across threads — see [`Study::run_all`].
+//! analyses on demand, memoizes their default-config results and can warm
+//! the whole registry at once — see [`Study::run_all`].
 
 use std::fmt;
 

@@ -161,8 +161,8 @@ impl StudyDataset {
     /// The memoized [`CountIndex`] of the dataset, building it on first
     /// use. The build happens under the write lock, so concurrent first
     /// calls wait for (and then share) one build instead of redundantly
-    /// transforming the same tables — `Study::run_all` fans eight
-    /// analyses out at once and all of them want the index immediately.
+    /// transforming the same tables — server workers cold-rendering the
+    /// same tenant all want the index immediately.
     pub fn count_index(&self) -> Arc<CountIndex> {
         if let Some(index) = self.index.read().as_ref() {
             return Arc::clone(index);

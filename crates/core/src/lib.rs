@@ -7,8 +7,8 @@
 //! a vulnerability dataset, through a small session API:
 //!
 //! * [`Study`] wraps a [`StudyDataset`] and runs analyses on demand,
-//!   **memoizing** each default-configuration result and fanning the whole
-//!   registry out across threads with [`Study::run_all`];
+//!   **memoizing** each default-configuration result; [`Study::run_all`]
+//!   warms the whole registry in turn;
 //! * [`Analysis`] is the trait every deliverable implements: a typed
 //!   `Config` (whose `Default` is the paper's setup), an `Output`, and a
 //!   pure `run` over the session. Analyses compose — the Section IV-E
@@ -51,7 +51,7 @@
 //!     .unwrap();
 //! assert_eq!(window.last_year(), 2005);
 //!
-//! // The whole report, in any format, computed in parallel.
+//! // The whole report, in any format, from a warmed cache.
 //! study.run_all().unwrap();
 //! let json = study.report(Format::Json).unwrap();
 //! assert!(json.starts_with("{\"sections\":["));

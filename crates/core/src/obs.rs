@@ -29,9 +29,9 @@
 //! # The event log
 //!
 //! [`EventLog`] writes one JSON object per line (built with [`JsonLine`],
-//! escaped by [`json_escape_into`]) to a file or stdout. Request-derived
-//! strings pass through the escaper, so a hostile path or header can never
-//! break the line framing of the log.
+//! escaped by [`tabular::json_escape_into`]) to a file or stdout.
+//! Request-derived strings pass through the escaper, so a hostile path or
+//! header can never break the line framing of the log.
 //!
 //! # The flight recorder
 //!
@@ -62,6 +62,7 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use parking_lot::Mutex;
+use tabular::json_escape_into;
 
 /// The histogram range cap in microseconds (60 s). Longer values clamp
 /// into the final bucket; `_sum` keeps the exact total.
@@ -347,28 +348,6 @@ fn push_seconds(out: &mut String, us: u64) {
     } else {
         let digits = format!("{frac:06}");
         let _ = write!(out, "{whole}.{}", digits.trim_end_matches('0'));
-    }
-}
-
-/// Escapes `value` into `out` as the interior of a JSON string literal:
-/// quotes and backslashes are escaped, control characters become `\uXXXX`
-/// (with the conventional short forms for `\n`, `\r`, `\t`). Multi-byte
-/// UTF-8 passes through unchanged — the output is valid JSON whatever the
-/// (request-derived) input was.
-pub fn json_escape_into(out: &mut String, value: &str) {
-    use fmt::Write as _;
-    for ch in value.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            control if control < ' ' => {
-                let _ = write!(out, "\\u{:04x}", control as u32);
-            }
-            other => out.push(other),
-        }
     }
 }
 
@@ -911,8 +890,7 @@ pub fn span(kind: SpanKind, label: &str) -> SpanGuard {
 }
 
 /// Opens a span under an explicit parent/trace — for work handed to
-/// another thread (e.g. `run_all`'s scoped workers), where thread-local
-/// context does not carry over.
+/// another thread, where thread-local context does not carry over.
 pub fn span_with_parent(kind: SpanKind, label: &str, parent: u64, trace: u64) -> SpanGuard {
     let recorder = FlightRecorder::global();
     let id = recorder.next_span_id();

@@ -6,8 +6,8 @@
 //! the default configuration are cached behind a `parking_lot` lock and
 //! shared via [`Arc`], so repeated lookups — and the composed analyses that
 //! reuse each other's outputs — pay for each computation once.
-//! [`Study::run_all`] fans the whole registry out across scoped threads to
-//! warm the cache in parallel.
+//! [`Study::run_all`] warms the cache with the whole registry, one analysis
+//! after another.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -126,40 +126,17 @@ impl Study {
     }
 
     /// Runs **every** registered analysis under its default configuration,
-    /// fanning out across scoped threads so independent analyses compute in
-    /// parallel. After this returns `Ok`, every [`AnalysisId`] is memoized
-    /// and later `get` calls are lock-read cheap.
+    /// in registry order on the calling thread, each under an
+    /// [`Analysis`](crate::obs::SpanKind::Analysis) span nested in the
+    /// caller's current span. Stops at the first error. After this returns
+    /// `Ok`, every [`AnalysisId`] is memoized and later `get` calls are
+    /// lock-read cheap.
     pub fn run_all(&self) -> Result<(), AnalysisError> {
-        let mut first_error = None;
-        // Scoped workers have fresh thread-local span stacks, so the
-        // per-analysis spans take their parent (the caller's current span,
-        // if any) explicitly.
-        let (parent, trace) = crate::obs::current_context();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = registry()
-                .iter()
-                .map(|entry| {
-                    scope.spawn(move || {
-                        let _span = crate::obs::span_with_parent(
-                            crate::obs::SpanKind::Analysis,
-                            entry.id.name(),
-                            parent,
-                            trace,
-                        );
-                        (entry.prime)(self)
-                    })
-                })
-                .collect();
-            for handle in handles {
-                if let Err(error) = handle.join().expect("analysis threads do not panic") {
-                    first_error.get_or_insert(error);
-                }
-            }
-        });
-        match first_error {
-            Some(error) => Err(error),
-            None => Ok(()),
+        for entry in registry() {
+            let _span = crate::obs::span(crate::obs::SpanKind::Analysis, entry.id.name());
+            (entry.prime)(self)?;
         }
+        Ok(())
     }
 
     /// The section sequence of the combined report (see

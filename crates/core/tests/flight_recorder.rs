@@ -1,11 +1,13 @@
 //! Integration tests for the span-tracing flight recorder: wrap-around
 //! retention, concurrent multi-writer integrity, parent/child nesting
-//! reconstruction, and the Chrome-trace dump format.
+//! reconstruction, the `Study::run_all` span tree, and the Chrome-trace
+//! dump format.
 
 use std::thread;
 
+use datagen::CalibratedGenerator;
 use osdiv_core::obs::{self, LABEL_BYTES};
-use osdiv_core::{FlightRecorder, SpanKind, SpanRecord};
+use osdiv_core::{registry, FlightRecorder, SpanKind, SpanRecord, Study};
 
 /// A record whose payload fields all derive from its id, so a torn write
 /// (fields from two different writers in one slot) is detectable.
@@ -139,6 +141,33 @@ fn nested_spans_reconstruct_their_parent_chain_from_the_dump() {
         outer.start_us <= inner.start_us,
         "the parent starts before the child"
     );
+}
+
+#[test]
+fn run_all_nests_one_analysis_span_per_registry_entry_under_the_caller() {
+    let dataset = CalibratedGenerator::new(1).generate();
+    let study = Study::from_entries(dataset.entries());
+    let boot = obs::span(SpanKind::Recovery, "fr_run_all_boot");
+    let boot_id = boot.id();
+    study.run_all().unwrap();
+    drop(boot);
+
+    let snapshot = FlightRecorder::global().snapshot();
+    let children: Vec<&SpanRecord> = snapshot
+        .records
+        .iter()
+        .filter(|r| r.parent == boot_id)
+        .collect();
+    assert!(
+        children.iter().all(|r| r.kind == SpanKind::Analysis),
+        "only analysis spans nest directly under the caller's span"
+    );
+    let labels: Vec<String> = children.iter().map(|r| r.label_str()).collect();
+    let expected: Vec<String> = registry()
+        .iter()
+        .map(|entry| entry.id.name().to_string())
+        .collect();
+    assert_eq!(labels, expected, "one span per entry, in registry order");
 }
 
 #[test]

@@ -49,7 +49,6 @@ pub const PARAM_SURFACES: &[&str] = &["crates/core/src/params.rs", "crates/serve
 pub const LOCK_SURFACES: &[&str] = &[
     "crates/registry/src/registry.rs",
     "crates/serve/src/router.rs",
-    "crates/vulnstore/src/concurrent.rs",
 ];
 
 /// Every `(path, rules)` assignment the tree check runs.

@@ -11,12 +11,11 @@
 use nvd_model::{
     AffectedProduct, Cpe, CpePart, CveId, CvssV2, Date, OsDistribution, VulnerabilityEntry,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::{FeedError, NameNormalizer};
 
 /// Metadata about a parsed feed document.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FeedMetadata {
     /// The `nvd_xml_version` attribute of the root element, if present.
     pub xml_version: Option<String>,
@@ -30,7 +29,7 @@ pub struct FeedMetadata {
 ///
 /// NVD 2.0 feeds carry full CPE URIs; 1.2 feeds carry `(vendor, product,
 /// versions)` triples. Both are normalized into this struct.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawProduct {
     /// The CPE part code if known (`h`, `o` or `a`); 1.2 feeds do not carry
     /// it, in which case the product is assumed to be an OS when it clusters
@@ -109,7 +108,7 @@ impl RawProduct {
 /// A raw NVD entry: the fields of interest of Section III of the paper
 /// (name, publication date, summary, CVSS access information and the list of
 /// affected configurations), before validation.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RawEntry {
     /// The CVE name, e.g. `CVE-2008-1447`.
     pub name: String,

@@ -8,7 +8,6 @@
 use std::fs;
 use std::path::Path;
 
-use bytes::{BufMut, BytesMut};
 use nvd_model::{AccessComplexity, AccessVector, Authentication, ImpactMetric, VulnerabilityEntry};
 
 use crate::xml::XmlWriter;
@@ -77,18 +76,6 @@ impl FeedWriter {
         }
         w.close("nvd");
         Ok(w.finish())
-    }
-
-    /// Serializes the entries into a byte buffer (UTF-8 XML).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FeedWriter::write_to_string`].
-    pub fn write_to_bytes(&self, entries: &[VulnerabilityEntry]) -> Result<BytesMut, FeedError> {
-        let text = self.write_to_string(entries)?;
-        let mut buf = BytesMut::with_capacity(text.len());
-        buf.put_slice(text.as_bytes());
-        Ok(buf)
     }
 
     /// Serializes the entries and writes them to a file.
@@ -247,14 +234,6 @@ mod tests {
         assert!(xml.contains("&lt;multiple&gt;"));
         assert!(xml.contains("&amp; resolvers"));
         assert!(!xml.contains("<multiple>"));
-    }
-
-    #[test]
-    fn write_to_bytes_matches_string() {
-        let entries = sample_entries();
-        let text = FeedWriter::new().write_to_string(&entries).unwrap();
-        let bytes = FeedWriter::new().write_to_bytes(&entries).unwrap();
-        assert_eq!(text.as_bytes(), &bytes[..]);
     }
 
     #[test]

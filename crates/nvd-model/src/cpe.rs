@@ -8,8 +8,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ModelError;
 
 /// The *part* component of a CPE URI: hardware, operating system or
@@ -17,7 +15,7 @@ use crate::ModelError;
 ///
 /// The paper filters on `Operating System` ("`/o` on its CPE",
 /// Section III-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CpePart {
     /// `h` — a hardware platform.
     Hardware,
@@ -80,7 +78,7 @@ impl fmt::Display for CpePart {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Cpe {
     part: CpePart,
     vendor: String,

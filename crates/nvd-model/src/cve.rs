@@ -3,8 +3,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ModelError;
 
 /// A Common Vulnerabilities and Exposures identifier, e.g. `CVE-2008-4609`.
@@ -27,7 +25,7 @@ use crate::ModelError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CveId {
     year: u16,
     number: u32,

@@ -9,13 +9,11 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ModelError;
 
 /// The CVSS v2 *Access Vector* metric: where an attacker must be located to
 /// exploit the vulnerability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AccessVector {
     /// `AV:L` — requires local access to the machine.
     Local,
@@ -89,7 +87,7 @@ impl FromStr for AccessVector {
 }
 
 /// The CVSS v2 *Access Complexity* metric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AccessComplexity {
     /// `AC:H` — specialized access conditions exist.
     High,
@@ -118,7 +116,7 @@ impl AccessComplexity {
 }
 
 /// The CVSS v2 *Authentication* metric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Authentication {
     /// `Au:M` — multiple authentications required.
     Multiple,
@@ -148,7 +146,7 @@ impl Authentication {
 
 /// The CVSS v2 impact level shared by the confidentiality, integrity and
 /// availability metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ImpactMetric {
     /// `N` — no impact.
     None,
@@ -178,7 +176,7 @@ impl ImpactMetric {
 
 /// Qualitative severity rating derived from the CVSS v2 base score using the
 /// NVD thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// Base score in `[0.0, 4.0)`.
     Low,
@@ -213,7 +211,7 @@ impl fmt::Display for Severity {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CvssV2 {
     access_vector: AccessVector,
     access_complexity: AccessComplexity,

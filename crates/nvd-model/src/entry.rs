@@ -8,8 +8,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{AccessVector, Cpe, CveId, CvssV2, Date, ModelError, OsDistribution, OsSet};
 
 /// The OS component class a vulnerability belongs to (Section III-B).
@@ -17,7 +15,7 @@ use crate::{AccessVector, Cpe, CveId, CvssV2, Date, ModelError, OsDistribution, 
 /// The paper manually classified all 1887 valid entries into these four
 /// classes; Table II reports the per-OS distribution and Table IV the
 /// per-class breakdown of shared vulnerabilities.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OsPart {
     /// Drivers for network/video/audio cards, web cams, UPnP devices, …
     Driver,
@@ -92,9 +90,7 @@ impl FromStr for OsPart {
 /// Entries whose description contains *Unknown* or *Unspecified* tags, or the
 /// `**DISPUTED**` marker, were excluded from the paper's analysis
 /// (Section III-A).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Validity {
     /// A valid vulnerability, included in the study.
     #[default]
@@ -172,7 +168,7 @@ impl fmt::Display for Validity {
 /// One affected platform of a vulnerability: the raw CPE, the clustered OS
 /// distribution (if the CPE is one of the 11 studied OSes) and the affected
 /// version strings.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AffectedProduct {
     cpe: Cpe,
     os: Option<OsDistribution>,
@@ -266,7 +262,7 @@ impl AffectedProduct {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VulnerabilityEntry {
     id: CveId,
     published: Date,

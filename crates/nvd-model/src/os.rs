@@ -11,12 +11,10 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Cpe, ModelError};
 
 /// One of the four operating-system families studied in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OsFamily {
     /// OpenBSD, NetBSD and FreeBSD.
     Bsd,
@@ -99,7 +97,7 @@ impl FromStr for OsFamily {
 ///
 /// The discriminants are used as bit positions by [`OsSet`], so the enum is
 /// `repr(u8)` and the order matches Table I of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum OsDistribution {
     /// OpenBSD.
@@ -373,7 +371,7 @@ impl FromStr for OsDistribution {
 /// A specific release of an OS distribution, e.g. Debian 4.0 (2007).
 ///
 /// Used by the per-release diversity analysis (Section IV-D, Table VI).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OsRelease {
     distribution: OsDistribution,
     version: &'static str,
@@ -441,9 +439,7 @@ impl fmt::Display for OsRelease {
 /// let bsd = OsSet::family(nvd_model::OsFamily::Bsd);
 /// assert_eq!(set1.intersection(bsd).len(), 1);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct OsSet(u16);
 
 impl OsSet {

@@ -22,7 +22,7 @@
 //! let pairwise = study.get::<PairwiseAnalysis>().unwrap();
 //! assert_eq!(pairwise.rows().len(), 55);
 //!
-//! // Run the whole registry in parallel, then render the combined report.
+//! // Warm the whole registry, then render the combined report.
 //! study.run_all().unwrap();
 //! let report = study.report(Format::Text).unwrap();
 //! assert!(report.contains("== Table III: pairwise common vulnerabilities =="));

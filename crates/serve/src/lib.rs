@@ -24,10 +24,10 @@
 //!   thread pool, with graceful shutdown from inside (the shutdown route)
 //!   or outside ([`ServerHandle::shutdown`]);
 //! * [`loadgen`] — a std-`TcpStream` client (GET/HEAD, bodies, chunked
-//!   uploads), a multi-threaded closed-loop load generator and an
-//!   open-loop Poisson-arrival harness ([`run_open_loop`]) whose p99s
-//!   are immune to coordinated omission (used by the criterion serving
-//!   bench and CI smoke test);
+//!   uploads) and an open-loop Poisson-arrival harness
+//!   ([`run_open_loop`]) whose p99s are immune to coordinated omission
+//!   (used by the criterion serving bench and CI smoke test; closed-loop
+//!   serving load comes from `perfbench`);
 //! * [`metrics`] — per-route and per-stage latency histograms
 //!   ([`osdiv_core::LatencyHistogram`]) exposed at `GET /metrics` in
 //!   Prometheus exposition format, request-id minting, build info and
@@ -88,9 +88,7 @@ pub use http::{
     Body, BodyError, BodyFraming, BufferedBody, ChunkedDecoder, EmptyBody, Request, RequestParser,
     Response, StreamBody,
 };
-pub use loadgen::{
-    run_loadgen, run_open_loop, ClientResponse, LoadReport, OpenLoopConfig, OpenLoopReport,
-};
+pub use loadgen::{run_open_loop, ClientResponse, OpenLoopConfig, OpenLoopReport};
 pub use metrics::{RouteClass, ServeMetrics, Stage};
 pub use router::{RequestTrace, Router, RouterOptions, DEFAULT_SLOW_REQUEST_US};
 pub use server::{default_threads, Server, ServerHandle, ServerOptions};

@@ -1,11 +1,9 @@
-//! A minimal HTTP client and two load generators — a closed-loop
-//! hammer ([`run_loadgen`]) and an open-loop Poisson-arrival harness
-//! ([`run_open_loop`]) — all over std `TcpStream` only. Used by the
-//! criterion serving bench, the CI smoke binary and the end-to-end
-//! tests.
+//! A minimal HTTP client and an open-loop Poisson-arrival load generator
+//! ([`run_open_loop`]), over std `TcpStream` only. Used by the criterion
+//! serving bench, the CI smoke binary and the end-to-end tests; closed-loop
+//! serving load comes from `perfbench`.
 //!
-//! The open-loop harness measures what the closed loop structurally
-//! cannot: each request has a *scheduled* arrival time drawn from a
+//! Each open-loop request has a *scheduled* arrival time drawn from a
 //! Poisson process at the target rate, and its latency is measured from
 //! that schedule — so queueing delay under overload counts against the
 //! server instead of silently throttling the offered load (the
@@ -236,29 +234,6 @@ pub fn request_chunked(
     read_response_for(&mut reader, method == "HEAD")
 }
 
-/// The outcome of a load-generation run.
-#[derive(Debug, Clone)]
-pub struct LoadReport {
-    /// Requests attempted (`clients * requests_per_client`).
-    pub total: usize,
-    /// Responses with status 200.
-    pub ok: usize,
-    /// Requests that errored or returned a non-200 status.
-    pub errors: usize,
-    /// Wall-clock duration of the whole run.
-    pub elapsed: Duration,
-}
-
-impl LoadReport {
-    /// Successful requests per wall-clock second.
-    pub fn requests_per_sec(&self) -> f64 {
-        if self.elapsed.is_zero() {
-            return 0.0;
-        }
-        self.ok as f64 / self.elapsed.as_secs_f64()
-    }
-}
-
 /// Transport-error retries per request before it counts as an error.
 const RETRY_ATTEMPTS: usize = 3;
 
@@ -271,81 +246,20 @@ fn retry_backoff(state: &mut u64, attempt: usize) -> Duration {
     Duration::from_millis(base + jitter)
 }
 
+/// Whether the server announced that it closes the connection after this
+/// response (`Connection: close`, e.g. on its keep-alive cap).
+fn closes_connection(response: &ClientResponse) -> bool {
+    response
+        .header("connection")
+        .is_some_and(|value| value.eq_ignore_ascii_case("close"))
+}
+
 /// A fresh keep-alive client connection (10 s read timeout, no Nagle).
 fn connect_client(addr: SocketAddr) -> Option<BufReader<TcpStream>> {
     let stream = TcpStream::connect(addr).ok()?;
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let _ = stream.set_nodelay(true);
     Some(BufReader::new(stream))
-}
-
-/// Hammers `path` with `clients` concurrent keep-alive connections, each
-/// sending `requests_per_client` sequential GETs, and reports throughput.
-///
-/// A transport error (`ECONNREFUSED`, `ECONNRESET`, a torn response)
-/// retries with jittered backoff up to [`RETRY_ATTEMPTS`] times before
-/// counting one error and *continuing the schedule* — a chaos run
-/// produces an error count, not an aborted client. A non-200 response is
-/// a real answer (e.g. an overload 503) and counts as an error without
-/// retrying.
-pub fn run_loadgen(
-    addr: SocketAddr,
-    clients: usize,
-    requests_per_client: usize,
-    path: &str,
-) -> LoadReport {
-    let started = Instant::now();
-    let counts: Vec<(usize, usize)> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|client| {
-                scope.spawn(move || {
-                    let mut ok = 0usize;
-                    let mut errors = 0usize;
-                    let mut rng = (client as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-                    let mut connection: Option<BufReader<TcpStream>> = None;
-                    for _ in 0..requests_per_client {
-                        let mut outcome = None;
-                        for attempt in 0..RETRY_ATTEMPTS {
-                            if attempt > 0 {
-                                thread::sleep(retry_backoff(&mut rng, attempt));
-                            }
-                            if connection.is_none() {
-                                connection = connect_client(addr);
-                            }
-                            let result = connection.as_mut().and_then(|reader| {
-                                write_request(reader.get_mut(), "GET", path, &[]).ok()?;
-                                read_response(reader).ok()
-                            });
-                            match result {
-                                Some(response) => {
-                                    outcome = Some(response);
-                                    break;
-                                }
-                                None => connection = None, // broken: retry
-                            }
-                        }
-                        match outcome {
-                            Some(response) if response.status == 200 => ok += 1,
-                            _ => errors += 1,
-                        }
-                    }
-                    (ok, errors)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().unwrap_or((0, requests_per_client)))
-            .collect()
-    });
-    let ok = counts.iter().map(|(ok, _)| ok).sum();
-    let errors = counts.iter().map(|(_, errors)| errors).sum();
-    LoadReport {
-        total: clients * requests_per_client,
-        ok,
-        errors,
-        elapsed: started.elapsed(),
-    }
 }
 
 /// Configuration of an open-loop (Poisson-arrival) load run.
@@ -466,7 +380,8 @@ pub fn poisson_schedule(config: &OpenLoopConfig) -> Vec<Duration> {
 /// Poisson schedule regardless of how fast responses come back, and
 /// every latency sample is measured from the scheduled arrival.
 /// Connections reconnect after an error, so one broken socket does not
-/// fail the rest of its schedule share.
+/// fail the rest of its schedule share, and right away after a response
+/// announcing `Connection: close`, which is a planned close, not an error.
 pub fn run_open_loop(addr: SocketAddr, config: &OpenLoopConfig) -> OpenLoopReport {
     let arrivals = poisson_schedule(config);
     let latency = Arc::new(LatencyHistogram::new());
@@ -508,6 +423,9 @@ pub fn run_open_loop(addr: SocketAddr, config: &OpenLoopConfig) -> OpenLoopRepor
                         });
                         match result {
                             Some(response) => {
+                                if closes_connection(&response) {
+                                    connection = None;
+                                }
                                 outcome = Some(response);
                                 break;
                             }
@@ -539,24 +457,6 @@ pub fn run_open_loop(addr: SocketAddr, config: &OpenLoopConfig) -> OpenLoopRepor
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn report_throughput_is_ok_over_elapsed() {
-        let report = LoadReport {
-            total: 100,
-            ok: 50,
-            errors: 50,
-            elapsed: Duration::from_secs(2),
-        };
-        assert!((report.requests_per_sec() - 25.0).abs() < 1e-9);
-        let empty = LoadReport {
-            total: 0,
-            ok: 0,
-            errors: 0,
-            elapsed: Duration::ZERO,
-        };
-        assert_eq!(empty.requests_per_sec(), 0.0);
-    }
 
     #[test]
     fn poisson_schedule_is_deterministic_and_tracks_the_rate() {

@@ -10,16 +10,23 @@
 //! [`osdiv_core::obs::LatencyHistogram`] — wait-free, allocation-free
 //! recording; the numbers are operator telemetry, not synchronization.
 //!
+//! All exposition text is written in this module: [`ServeMetrics::render`]
+//! writes the server's families, and the router appends the values it
+//! gathers (body-cache and tenant gauges, persistence counters) through
+//! `write_families` and `write_persistence_families`.
+//!
 //! [`ServeMetrics`] also mints the `X-Request-Id` values: a per-process
 //! random prefix plus a monotonic sequence number, unique across every
 //! connection of one server for the life of the process.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use osdiv_core::obs::LatencyHistogram;
-use osdiv_core::FlightRecorder;
+use osdiv_core::{FlightRecorder, HistogramSnapshot};
+use osdiv_registry::PersistMetrics;
 
 /// The route classes whole-request latency is attributed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -506,11 +513,7 @@ impl ServeMetrics {
                 osdiv_core::fault::injected_total(),
             ),
         ];
-        for (name, help, value) in counters {
-            body.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-            ));
-        }
+        write_families(&mut body, "counter", &counters);
 
         let gauges = [
             (
@@ -539,11 +542,7 @@ impl ServeMetrics {
                 self.ingest_queue_depth.load(Ordering::Relaxed),
             ),
         ];
-        for (name, help, value) in gauges {
-            body.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"
-            ));
-        }
+        write_families(&mut body, "gauge", &gauges);
 
         let recorder = FlightRecorder::global();
         let trace_counters = [
@@ -558,57 +557,132 @@ impl ServeMetrics {
                 recorder.dropped(),
             ),
         ];
-        for (name, help, value) in trace_counters {
-            body.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-            ));
-        }
+        write_families(&mut body, "counter", &trace_counters);
 
-        body.push_str(&format!(
-            "# HELP osdiv_build_info build metadata (constant 1)\n\
-             # TYPE osdiv_build_info gauge\n\
-             osdiv_build_info{{version=\"{}\"}} 1\n",
+        write_family_header(
+            &mut body,
+            "osdiv_build_info",
+            "build metadata (constant 1)",
+            "gauge",
+        );
+        let _ = writeln!(
+            body,
+            "osdiv_build_info{{version=\"{}\"}} 1",
             env!("CARGO_PKG_VERSION")
-        ));
-        body.push_str(&format!(
-            "# HELP osdiv_uptime_seconds seconds since the process started\n\
-             # TYPE osdiv_uptime_seconds gauge\n\
-             osdiv_uptime_seconds {}\n",
-            self.started.elapsed().as_secs()
-        ));
-
-        body.push_str(
-            "# HELP osdiv_request_duration_seconds whole-request latency by route class\n\
-             # TYPE osdiv_request_duration_seconds histogram\n",
         );
-        for class in RouteClass::ALL {
-            let snap = self.routes.of(class).snapshot();
-            if snap.is_empty() {
-                continue;
-            }
-            snap.render_prometheus(
-                "osdiv_request_duration_seconds",
-                &format!("route=\"{}\"", class.as_str()),
-                &mut body,
-            );
-        }
-
-        body.push_str(
-            "# HELP osdiv_stage_duration_seconds pipeline-stage latency (request and ingestion stages)\n\
-             # TYPE osdiv_stage_duration_seconds histogram\n",
+        write_families(
+            &mut body,
+            "gauge",
+            &[(
+                "osdiv_uptime_seconds",
+                "seconds since the process started",
+                self.started.elapsed().as_secs(),
+            )],
         );
-        for stage in Stage::ALL {
-            let snap = self.stages.of(stage).snapshot();
-            if snap.is_empty() {
-                continue;
-            }
-            snap.render_prometheus(
-                "osdiv_stage_duration_seconds",
-                &format!("stage=\"{}\"", stage.as_str()),
-                &mut body,
-            );
-        }
+        write_histogram_family(
+            &mut body,
+            "osdiv_request_duration_seconds",
+            "whole-request latency by route class",
+            RouteClass::ALL.map(|class| {
+                let labels = format!("route=\"{}\"", class.as_str());
+                (labels, self.routes.of(class).snapshot())
+            }),
+        );
+        write_histogram_family(
+            &mut body,
+            "osdiv_stage_duration_seconds",
+            "pipeline-stage latency (request and ingestion stages)",
+            Stage::ALL.map(|stage| {
+                let labels = format!("stage=\"{}\"", stage.as_str());
+                (labels, self.stages.of(stage).snapshot())
+            }),
+        );
         body
+    }
+}
+
+/// Appends the `# HELP` and `# TYPE` lines of one metric family.
+fn write_family_header(out: &mut String, name: &str, help: &str, kind: &str) {
+    let _ = write!(out, "# HELP {name} {help}\n# TYPE {name} {kind}\n");
+}
+
+/// Appends single-sample families of one `kind` (`counter` or `gauge`) to
+/// a `/metrics` body: each `(name, help, value)` becomes its header and
+/// one `name value` line. Every counter and gauge family of the
+/// exposition is written here.
+pub(crate) fn write_families(out: &mut String, kind: &str, families: &[(&str, &str, u64)]) {
+    for (name, help, value) in families {
+        write_family_header(out, name, help, kind);
+        let _ = writeln!(out, "{name} {value}");
+    }
+}
+
+/// Appends one histogram family: its header, then each non-empty
+/// `(labels, snapshot)` series.
+fn write_histogram_family(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    series: impl IntoIterator<Item = (String, HistogramSnapshot)>,
+) {
+    write_family_header(out, name, help, "histogram");
+    for (labels, snapshot) in series {
+        if !snapshot.is_empty() {
+            snapshot.render_prometheus(name, &labels, out);
+        }
+    }
+}
+
+/// Appends the persistence families, present when the registry has durable
+/// storage attached: the snapshot and journal counters, then the write and
+/// append latency histograms once they hold a sample.
+pub(crate) fn write_persistence_families(out: &mut String, metrics: &PersistMetrics) {
+    write_families(
+        out,
+        "counter",
+        &[
+            (
+                "osdiv_snapshot_writes",
+                "tenant snapshots written to the data directory",
+                metrics.snapshot_writes(),
+            ),
+            (
+                "osdiv_snapshot_loads",
+                "tenant snapshots read back into live sessions",
+                metrics.snapshot_loads(),
+            ),
+            (
+                "osdiv_spills",
+                "evictions that kept the snapshot and dropped only memory",
+                metrics.spills(),
+            ),
+            (
+                "osdiv_journal_replays",
+                "orphaned ingestion journals replayed at boot",
+                metrics.journal_replays(),
+            ),
+            (
+                "osdiv_journal_truncations",
+                "journal replays that truncated a torn tail",
+                metrics.journal_truncations(),
+            ),
+        ],
+    );
+    for (name, help, snapshot) in [
+        (
+            "osdiv_snapshot_write_duration_seconds",
+            "latency of durable snapshot writes (temp file + rename)",
+            metrics.snapshot_write_latency().snapshot(),
+        ),
+        (
+            "osdiv_journal_append_duration_seconds",
+            "latency of ingestion-journal record appends",
+            metrics.journal_append_latency().snapshot(),
+        ),
+    ] {
+        if !snapshot.is_empty() {
+            write_histogram_family(out, name, help, [(String::new(), snapshot)]);
+        }
     }
 }
 

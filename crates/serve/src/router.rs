@@ -49,7 +49,7 @@ use parking_lot::Mutex;
 use tabular::TextTable;
 
 use crate::http::{Body, BodyError, EmptyBody, Request, Response};
-use crate::metrics::{RouteClass, ServeMetrics, Stage};
+use crate::metrics::{self, RouteClass, ServeMetrics, Stage};
 
 /// Router configuration.
 #[derive(Debug, Clone)]
@@ -378,9 +378,9 @@ impl Router {
                 Err(response) => response,
                 Ok(()) => {
                     let mut body = self.metrics.render();
-                    body.push_str(&self.saturation_metrics());
+                    metrics::write_families(&mut body, "gauge", &self.saturation_gauges());
                     if let Some(store) = self.registry.persistence() {
-                        body.push_str(&persistence_metrics(store.metrics()));
+                        metrics::write_persistence_families(&mut body, store.metrics());
                     }
                     Response::new(200).with_body("text/plain; version=0.0.4", body.into_bytes())
                 }
@@ -465,7 +465,7 @@ impl Router {
     /// The saturation gauges only the router can compute — body-cache
     /// occupancy versus its budgets and tenant lifecycle states —
     /// appended to `GET /metrics` after the [`ServeMetrics`] families.
-    fn saturation_metrics(&self) -> String {
+    fn saturation_gauges(&self) -> [(&'static str, &'static str, u64); 11] {
         let (cache_entries, cache_bytes, cache_byte_budget, cache_capacity) = {
             let cache = self.cache.lock();
             (
@@ -491,7 +491,7 @@ impl Router {
                 lazy += 1;
             }
         }
-        let gauges = [
+        [
             (
                 "osdiv_body_cache_entries",
                 "rendered bodies held by the response LRU",
@@ -547,14 +547,7 @@ impl Router {
                 "resident-byte budget that triggers eviction",
                 self.registry.options().max_total_bytes as u64,
             ),
-        ];
-        let mut body = String::with_capacity(2048);
-        for (name, help, value) in gauges {
-            body.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"
-            ));
-        }
-        body
+        ]
     }
 
     /// Emits one structured event line when an access log is configured
@@ -1035,65 +1028,6 @@ fn registry_error_response(error: &RegistryError) -> Response {
         RegistryError::Persistence { .. } => 500,
     };
     Response::text(status, format!("error: {error}"))
-}
-
-/// The persistence counters appended to `GET /metrics` when the registry
-/// has durable storage attached (same exposition format as
-/// [`ServeMetrics::render`]).
-fn persistence_metrics(metrics: &osdiv_registry::PersistMetrics) -> String {
-    let counters = [
-        (
-            "osdiv_snapshot_writes",
-            "tenant snapshots written to the data directory",
-            metrics.snapshot_writes(),
-        ),
-        (
-            "osdiv_snapshot_loads",
-            "tenant snapshots read back into live sessions",
-            metrics.snapshot_loads(),
-        ),
-        (
-            "osdiv_spills",
-            "evictions that kept the snapshot and dropped only memory",
-            metrics.spills(),
-        ),
-        (
-            "osdiv_journal_replays",
-            "orphaned ingestion journals replayed at boot",
-            metrics.journal_replays(),
-        ),
-        (
-            "osdiv_journal_truncations",
-            "journal replays that truncated a torn tail",
-            metrics.journal_truncations(),
-        ),
-    ];
-    let mut body = String::with_capacity(512);
-    for (name, help, value) in counters {
-        body.push_str(&format!(
-            "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-        ));
-    }
-    let latencies = [
-        (
-            "osdiv_snapshot_write_duration_seconds",
-            "latency of durable snapshot writes (temp file + rename)",
-            metrics.snapshot_write_latency().snapshot(),
-        ),
-        (
-            "osdiv_journal_append_duration_seconds",
-            "latency of ingestion-journal record appends",
-            metrics.journal_append_latency().snapshot(),
-        ),
-    ];
-    for (name, help, snapshot) in latencies {
-        if snapshot.is_empty() {
-            continue;
-        }
-        body.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
-        snapshot.render_prometheus(name, "", &mut body);
-    }
-    body
 }
 
 /// Maps an ingestion failure: budget violations are 413, malformed feeds

@@ -559,12 +559,31 @@ fn rejected_bodies_never_run_the_route_side_effect() {
 }
 
 #[test]
-fn loadgen_drives_concurrent_clients_to_completion() {
+fn four_keep_alive_clients_complete_a_hundred_concurrent_requests() {
     let (_, handle) = start_server(false);
-    let report = loadgen::run_loadgen(handle.addr(), 4, 25, "/v1/report?format=json");
-    assert_eq!(report.total, 100);
-    assert_eq!(report.ok, 100, "errors: {}", report.errors);
-    assert!(report.requests_per_sec() > 0.0);
+    let addr = handle.addr();
+    let ok: usize = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..4)
+            .map(|_| {
+                scope.spawn(move || {
+                    let stream = TcpStream::connect(addr).unwrap();
+                    stream
+                        .set_read_timeout(Some(Duration::from_secs(5)))
+                        .unwrap();
+                    let mut reader = BufReader::new(stream);
+                    let mut ok = 0;
+                    for _ in 0..25 {
+                        write_request(reader.get_mut(), "GET", "/v1/report?format=json", &[])
+                            .unwrap();
+                        ok += usize::from(read_response(&mut reader).unwrap().status == 200);
+                    }
+                    ok
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().unwrap()).sum()
+    });
+    assert_eq!(ok, 100);
     handle.shutdown().unwrap();
 }
 
@@ -845,6 +864,45 @@ fn open_loop_loadgen_completes_against_a_live_server() {
     assert_eq!(report.ok, report.total);
     assert_eq!(report.latency.total(), report.ok as u64);
     assert!(report.quantile_us(0.99) >= report.quantile_us(0.50));
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn open_loop_reconnects_at_once_after_the_keep_alive_cap() {
+    // The server answers every 4th request on a connection with
+    // `Connection: close`. That close is planned, so the client must
+    // reconnect for the next request at once instead of treating it as
+    // a transport error and sleeping through a retry backoff (≥ 20 ms).
+    let router = Arc::new(Router::with_study(
+        study(),
+        RouterOptions {
+            seed: SEED,
+            ..RouterOptions::default()
+        },
+    ));
+    let server = Server::bind(
+        "127.0.0.1:0",
+        router,
+        ServerOptions {
+            threads: 2,
+            max_keep_alive_requests: 4,
+            ..ServerOptions::default()
+        },
+    )
+    .expect("an ephemeral loop-back port is bindable");
+    let handle = server.spawn();
+    let report = loadgen::run_open_loop(
+        handle.addr(),
+        &OpenLoopConfig {
+            rate_per_sec: 400.0,
+            duration: Duration::from_millis(250),
+            connections: 1,
+            path: "/v1/healthz".to_string(),
+            ..OpenLoopConfig::default()
+        },
+    );
+    assert_eq!(report.errors, 0, "{}", report.summary());
+    assert!(report.quantile_us(0.50) < 20_000, "{}", report.summary());
     handle.shutdown().unwrap();
 }
 

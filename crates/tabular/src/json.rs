@@ -1,9 +1,39 @@
-//! Minimal JSON encoding helpers shared by the table and series exporters.
+//! Minimal JSON encoding helpers shared by the table and series exporters
+//! and the structured event log.
 //!
-//! The workspace has no JSON serializer (the vendored `serde` is a marker
-//! stub, see `vendor/README.md`), so the few JSON documents the renderers
-//! emit are written by hand. Only encoding is provided; the grammar emitted
-//! is plain RFC 8259 JSON.
+//! The workspace has no JSON serializer, so the documents the renderers and
+//! the event log emit are written by hand on these helpers. Only encoding is
+//! provided; the grammar emitted is plain RFC 8259 JSON.
+
+/// Escapes `value` into `out` as the interior of a JSON string literal:
+/// quotes and backslashes are escaped, control characters become `\uXXXX`
+/// (with the conventional short forms for `\n`, `\r`, `\t`). Multi-byte
+/// UTF-8 passes through unchanged — the output is valid JSON whatever the
+/// (possibly request-derived) input was.
+///
+/// # Example
+///
+/// ```
+/// let mut out = String::from("\"");
+/// tabular::json_escape_into(&mut out, "tab\there");
+/// assert_eq!(out, "\"tab\\there");
+/// ```
+pub fn json_escape_into(out: &mut String, value: &str) {
+    use std::fmt::Write as _;
+    for ch in value.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            control if control < ' ' => {
+                let _ = write!(out, "\\u{:04x}", control as u32);
+            }
+            other => out.push(other),
+        }
+    }
+}
 
 /// Escapes a string for inclusion in a JSON document and wraps it in double
 /// quotes.
@@ -17,17 +47,7 @@
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    json_escape_into(&mut out, s);
     out.push('"');
     out
 }

@@ -12,8 +12,7 @@
 //! * [`agg`] — counting and grouping helpers (frequency counters, per-year
 //!   histograms, ratio helpers);
 //! * [`json`] — the hand-rolled JSON encoding helpers behind the `to_json`
-//!   exporters (the vendored `serde` is a marker stub, so JSON is written
-//!   directly).
+//!   exporters, including the JSON string escaper the event log shares.
 //!
 //! # Example
 //!
@@ -38,6 +37,6 @@ pub mod series;
 pub mod table;
 
 pub use agg::{Counter, YearHistogram};
-pub use json::{json_array, json_number, json_string};
+pub use json::{json_array, json_escape_into, json_number, json_string};
 pub use series::{Series, SeriesSet};
 pub use table::TextTable;

@@ -2,11 +2,9 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// One labelled series of `(x, y)` points, e.g. "FreeBSD vulnerabilities per
 /// year".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     label: String,
     points: Vec<(i64, f64)>,
@@ -75,7 +73,7 @@ impl FromIterator<(i64, f64)> for Series {
 /// A group of series sharing the same x axis — the shape of each sub-plot of
 /// Figure 2 (one series per OS of a family) and of Figure 3 (history vs
 /// observed bars per configuration).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SeriesSet {
     title: String,
     series: Vec<Series>,

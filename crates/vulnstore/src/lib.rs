@@ -14,9 +14,7 @@
 //! * [`store`] — [`VulnStore`], the facade that ingests
 //!   [`nvd_model::VulnerabilityEntry`] values and exposes the relational
 //!   queries the analysis crates need (joins between `os_vuln` and
-//!   `vulnerability`, filtered counts, grouped aggregations);
-//! * [`concurrent`] — [`SharedStore`](concurrent::SharedStore), a cheap
-//!   clone-able, thread-safe handle used by the Monte-Carlo simulator.
+//!   `vulnerability`, filtered counts, grouped aggregations).
 //!
 //! # Example
 //!
@@ -43,14 +41,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod concurrent;
 pub mod error;
 pub mod schema;
 pub mod snapshot;
 pub mod store;
 pub mod table;
 
-pub use concurrent::SharedStore;
 pub use error::StoreError;
 pub use schema::{CvssRow, OsRow, OsVulnRow, VulnId, VulnerabilityRow};
 pub use snapshot::{decode_store, encode_store, RowCodecError, STORE_SECTION_VERSION};
