@@ -3,31 +3,30 @@
 //!
 //! ```text
 //! osdiv <command> [--format text|csv|json] [--seed N] [--profile fat|thin|isolated]
-//!                 [--first-year Y] [--last-year Y] [--trials N]
+//!                 [--first-year Y] [--last-year Y] [--oses a,b,..] [--max-k N] [--trials N]
 //! ```
 //!
-//! The default invocation of each table/figure command reproduces the
-//! corresponding historical binary byte for byte (text format, seed 2011);
-//! `--format csv` and `--format json` export the same deliverables through
-//! the [`osdiv_core::render`] sinks. Every **registry analysis id**
-//! (`validity`, `pairwise`, `kway`, …) is also a command, rendered through
-//! [`osdiv_core::analysis_sections`] — byte-identical to what
-//! `osdiv serve` answers at `GET /v1/analyses/{id}`. `osdiv list` prints
-//! the registry, so newly registered analyses appear in `report`, the help
-//! text and the HTTP API without touching the dispatcher.
+//! Every **registry analysis id** (`validity`, `pairwise`, `kway`, …) is a
+//! command, rendered through [`osdiv_core::analysis_sections`] —
+//! byte-identical to what `osdiv serve` answers at `GET /v1/analyses/{id}`.
+//! The paper's commands (`table1`…`table6`, `figure2`, `figure3`,
+//! `summary`) are aliases: each picks sections of one analysis and renders
+//! them the same way. The five analysis flags reach the analysis as a raw
+//! [`Params`] list, like an HTTP query string, so only its `FromParams`
+//! accepts or rejects them; every other command takes none. `osdiv list`
+//! prints the registry, so newly registered analyses appear in `report`,
+//! the help text and the HTTP API without touching the dispatcher.
 
 use std::io::{Read as _, Write as _};
 use std::str::FromStr;
 use std::sync::Arc;
 
 use bft_sim::{ReplicaSet, SimulationConfig, Simulator};
-use nvd_model::{OsDistribution, OsFamily};
+use nvd_model::OsDistribution;
 use osdiv_bench::harness::{study_session_with_seed, EXPERIMENT_SEED};
 use osdiv_core::{
-    analysis_sections, figure3_configurations, renderer, AnalysisError, AnalysisId, Format, Params,
-    ReleaseAnalysis, ReleaseConfig, Render, Section, SelectionAnalysis, SelectionConfig,
-    ServerProfile, Snapshot, SplitConfig, SplitMatrix, Study, TemporalAnalysis, TemporalConfig,
-    TextRenderer,
+    analysis_sections, figure3_configurations, registry_section, renderer, AnalysisError,
+    AnalysisId, Format, Params, Section, Snapshot, Study,
 };
 use osdiv_registry::persist::source_meta;
 use osdiv_registry::{
@@ -37,33 +36,69 @@ use osdiv_registry::{
 use osdiv_serve::{Router, RouterOptions, Server, ServerOptions};
 use tabular::TextTable;
 
-/// The dispatcher's command table: `(name, summary)`. The per-analysis
-/// registry behind `report` and `list` lives in `osdiv_core::registry`.
-const COMMANDS: &[(&str, &str)] = &[
+/// The paper's commands, each an alias of one registry analysis:
+/// `(command, analysis, section, summary)`. `section` picks one of the
+/// analysis's sections by index; `None` keeps all of them.
+const ALIASES: &[(&str, AnalysisId, Option<usize>, &str)] = &[
     (
         "table1",
+        AnalysisId::Validity,
+        None,
         "Table I: distribution of OS vulnerabilities by validity",
     ),
-    ("table2", "Table II: vulnerabilities per OS component class"),
-    ("table3", "Table III: pairwise common vulnerabilities"),
+    (
+        "table2",
+        AnalysisId::Classes,
+        None,
+        "Table II: vulnerabilities per OS component class",
+    ),
+    (
+        "table3",
+        AnalysisId::Pairwise,
+        Some(0),
+        "Table III: pairwise common vulnerabilities",
+    ),
     (
         "table4",
+        AnalysisId::Pairwise,
+        Some(1),
         "Table IV: isolated thin server per-class breakdown",
     ),
     (
+        "summary",
+        AnalysisId::Pairwise,
+        Some(2),
+        "Section IV-E: summary of the findings",
+    ),
+    (
         "table5",
+        AnalysisId::Split,
+        None,
         "Table V: history vs observed common vulnerabilities",
     ),
     (
         "table6",
+        AnalysisId::Releases,
+        None,
         "Table VI: common vulnerabilities between OS releases",
     ),
-    ("figure2", "Figure 2: per-family temporal series"),
+    (
+        "figure2",
+        AnalysisId::Temporal,
+        None,
+        "Figure 2: per-family temporal series",
+    ),
     (
         "figure3",
+        AnalysisId::Selection,
+        None,
         "Figure 3: replica selection validated on the observed period",
     ),
-    ("summary", "Section IV-E: summary of the findings"),
+];
+
+/// The commands that are not analyses: `(name, summary)`. The per-analysis
+/// registry behind `report` and `list` lives in `osdiv_core::registry`.
+const COMMANDS: &[(&str, &str)] = &[
     ("survival", "Monte-Carlo survival of replica configurations"),
     ("report", "every table and figure in one document"),
     (
@@ -86,16 +121,23 @@ const COMMANDS: &[(&str, &str)] = &[
     ("help", "show this help"),
 ];
 
+/// The flags that carry an analysis parameter, each stored under its
+/// query-string key (`--first-year` → `first_year`).
+const ANALYSIS_FLAGS: [&str; 5] = [
+    "--profile",
+    "--first-year",
+    "--last-year",
+    "--oses",
+    "--max-k",
+];
+
 #[derive(Debug, Clone)]
 struct Options {
     format: Format,
     seed: u64,
-    profile: Option<ServerProfile>,
-    first_year: Option<u16>,
-    last_year: Option<u16>,
+    /// The analysis flags, unparsed: the analysis's `FromParams` checks them.
+    params: Params,
     trials: usize,
-    oses: Option<String>,
-    max_k: Option<usize>,
     addr: String,
     threads: usize,
     enable_shutdown: bool,
@@ -121,12 +163,8 @@ impl Default for Options {
         Options {
             format: Format::Text,
             seed: EXPERIMENT_SEED,
-            profile: None,
-            first_year: None,
-            last_year: None,
+            params: Params::new(),
             trials: 400,
-            oses: None,
-            max_k: None,
             addr: "127.0.0.1:8080".to_string(),
             threads: osdiv_serve::default_threads(),
             enable_shutdown: false,
@@ -146,38 +184,6 @@ impl Default for Options {
             slow_request_ms: None,
             files: Vec::new(),
         }
-    }
-}
-
-impl Options {
-    /// The analysis parameter list of the generic `osdiv <analysis>`
-    /// commands — the exact key/value pairs a `GET /v1/analyses/{id}`
-    /// query string would carry, so both paths render identical bytes.
-    fn params(&self) -> Params {
-        let mut params = Params::new();
-        if let Some(profile) = self.profile {
-            params.insert(
-                "profile",
-                match profile {
-                    ServerProfile::FatServer => "fat",
-                    ServerProfile::ThinServer => "thin",
-                    ServerProfile::IsolatedThinServer => "isolated",
-                },
-            );
-        }
-        if let Some(first_year) = self.first_year {
-            params.insert("first_year", first_year.to_string());
-        }
-        if let Some(last_year) = self.last_year {
-            params.insert("last_year", last_year.to_string());
-        }
-        if let Some(oses) = &self.oses {
-            params.insert("oses", oses.clone());
-        }
-        if let Some(max_k) = self.max_k {
-            params.insert("max_k", max_k.to_string());
-        }
-        params
     }
 }
 
@@ -228,8 +234,13 @@ fn run(args: &[String]) -> Result<String, CliError> {
     if command == "help" || command == "--help" || command == "-h" {
         return Ok(usage());
     }
-    let is_analysis = AnalysisId::from_name(command).is_ok();
-    if !is_analysis && !COMMANDS.iter().any(|(name, _)| name == command) {
+    // `osdiv <analysis>` and the paper aliases: an analysis plus the
+    // sections to keep.
+    let analysis = match ALIASES.iter().find(|(name, ..)| name == command) {
+        Some(&(_, id, section, _)) => Some((id, section)),
+        None => AnalysisId::from_name(command).ok().map(|id| (id, None)),
+    };
+    if analysis.is_none() && !COMMANDS.iter().any(|(name, _)| name == command) {
         return Err(CliError::Usage(format!(
             "unknown command {command:?}\n\n{}",
             usage()
@@ -241,9 +252,12 @@ fn run(args: &[String]) -> Result<String, CliError> {
     if command == "debug" {
         return debug_command(&args[1..]);
     }
-    let opts = parse_options(&args[1..])?;
+    let opts = match analysis {
+        Some(_) => parse_options(&args[1..])?,
+        None => plain_options(&args[1..])?,
+    };
     if command == "list" {
-        return Ok(list_analyses(opts.format));
+        return Ok(renderer(opts.format).document(&[registry_section()]));
     }
     if command == "ingest" {
         return ingest(&opts);
@@ -255,17 +269,20 @@ fn run(args: &[String]) -> Result<String, CliError> {
         )));
     }
     let study = study_session_with_seed(opts.seed);
-    if command == "serve" {
-        return serve(study, &opts);
+    match (command.as_str(), analysis) {
+        (_, Some((id, section))) => {
+            // The sections `GET /v1/analyses/{id}` renders, byte for byte.
+            let mut sections = analysis_sections(&study, id, &opts.params)?;
+            if let Some(index) = section {
+                sections = vec![sections.swap_remove(index)];
+            }
+            Ok(renderer(opts.format).document(&sections))
+        }
+        ("serve", _) => serve(study, &opts),
+        ("survival", _) => Ok(survival(&study, &opts)),
+        ("report", _) => Ok(study.report(opts.format)?),
+        (other, _) => unreachable!("command {other} is filtered above"),
     }
-    if is_analysis {
-        // The generic registry path: `osdiv <analysis>` renders the same
-        // sections as `GET /v1/analyses/{id}`, byte for byte.
-        let id = AnalysisId::from_name(command)?;
-        let sections = analysis_sections(&study, id, &opts.params())?;
-        return Ok(renderer(opts.format).document(&sections));
-    }
-    dispatch(command, &study, &opts).map_err(CliError::from)
 }
 
 /// `osdiv ingest <file>...`: stream NVD XML feed files through the
@@ -294,11 +311,8 @@ fn ingest(opts: &Options) -> Result<String, CliError> {
         "Estimated bytes".to_string(),
         study.estimated_bytes().to_string(),
     ]);
-    let title = "Feed ingestion summary";
-    let sections = [Section::table(title, table.clone())];
-    Ok(emit(opts.format, &sections, || {
-        format!("{}{}", header(title), table.render())
-    }))
+    let section = Section::table("Feed ingestion summary", table);
+    Ok(renderer(opts.format).document(&[section]))
 }
 
 /// Streams every `opts.files` feed through the bounded ingester (64 KiB
@@ -344,7 +358,7 @@ fn snapshot_command(args: &[String]) -> Result<String, CliError> {
             usage()
         )));
     };
-    let opts = parse_options(&args[1..])?;
+    let opts = plain_options(&args[1..])?;
     match sub.as_str() {
         "save" => snapshot_save(&opts),
         "load" => snapshot_load(&opts),
@@ -410,11 +424,8 @@ fn snapshot_save(opts: &Options) -> Result<String, CliError> {
     for (key, value) in source_meta(&source) {
         table.push_row([format!("meta:{key}"), value]);
     }
-    let title = "Snapshot written";
-    let sections = [Section::table(title, table.clone())];
-    Ok(emit(opts.format, &sections, || {
-        format!("{}{}", header(title), table.render())
-    }))
+    let section = Section::table("Snapshot written", table);
+    Ok(renderer(opts.format).document(&[section]))
 }
 
 /// `osdiv snapshot load <file.osdv>`: decode the snapshot completely
@@ -447,11 +458,8 @@ fn snapshot_load(opts: &Options) -> Result<String, CliError> {
     for (key, value) in meta {
         table.push_row([format!("meta:{key}"), value]);
     }
-    let title = "Snapshot contents";
-    let sections = [Section::table(title, table.clone())];
-    Ok(emit(opts.format, &sections, || {
-        format!("{}{}", header(title), table.render())
-    }))
+    let section = Section::table("Snapshot contents", table);
+    Ok(renderer(opts.format).document(&[section]))
 }
 
 /// `osdiv snapshot inspect <file.osdv>`: dump the header and section
@@ -482,10 +490,7 @@ fn snapshot_inspect(opts: &Options) -> Result<String, CliError> {
         info.total_bytes,
         info.sections.len()
     );
-    let sections = [Section::table(title.clone(), table.clone())];
-    Ok(emit(opts.format, &sections, || {
-        format!("{}{}", header(&title), table.render())
-    }))
+    Ok(renderer(opts.format).document(&[Section::table(title, table)]))
 }
 
 /// `osdiv debug <spans|registry>`: the `/v1/debug` introspection views
@@ -502,7 +507,7 @@ fn debug_command(args: &[String]) -> Result<String, CliError> {
             usage()
         )));
     };
-    let opts = parse_options(&args[1..])?;
+    let opts = plain_options(&args[1..])?;
     match sub.as_str() {
         "spans" => debug_boot(&opts, true).map(|_| osdiv_serve::debug::spans_json()),
         "registry" => {
@@ -683,6 +688,14 @@ fn serve(study: Study, opts: &Options) -> Result<String, CliError> {
     Ok("osdiv-serve: shutdown complete\n".to_string())
 }
 
+/// Parses the options of a command that takes no analysis parameter: like
+/// `GET /v1/report?profile=fat`, it rejects an analysis flag.
+fn plain_options(args: &[String]) -> Result<Options, CliError> {
+    let opts = parse_options(args)?;
+    opts.params.check_known(&[])?;
+    Ok(opts)
+}
+
 fn parse_options(args: &[String]) -> Result<Options, CliError> {
     let mut opts = Options::default();
     let mut iter = args.iter();
@@ -700,34 +713,15 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
                     .parse()
                     .map_err(|_| CliError::Usage(format!("invalid --seed {raw:?}")))?;
             }
-            "--profile" => opts.profile = Some(ServerProfile::from_str(&value("--profile")?)?),
-            "--first-year" => {
-                let raw = value("--first-year")?;
-                opts.first_year = Some(
-                    raw.parse()
-                        .map_err(|_| CliError::Usage(format!("invalid --first-year {raw:?}")))?,
-                );
-            }
-            "--last-year" => {
-                let raw = value("--last-year")?;
-                opts.last_year = Some(
-                    raw.parse()
-                        .map_err(|_| CliError::Usage(format!("invalid --last-year {raw:?}")))?,
-                );
+            analysis if ANALYSIS_FLAGS.contains(&analysis) => {
+                let key = analysis.trim_start_matches("--").replace('-', "_");
+                opts.params.insert(key, value(analysis)?);
             }
             "--trials" => {
                 let raw = value("--trials")?;
                 opts.trials = raw
                     .parse()
                     .map_err(|_| CliError::Usage(format!("invalid --trials {raw:?}")))?;
-            }
-            "--oses" => opts.oses = Some(value("--oses")?),
-            "--max-k" => {
-                let raw = value("--max-k")?;
-                opts.max_k = Some(
-                    raw.parse()
-                        .map_err(|_| CliError::Usage(format!("invalid --max-k {raw:?}")))?,
-                );
             }
             "--addr" => opts.addr = value("--addr")?,
             "--threads" => {
@@ -802,8 +796,17 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
 fn usage() -> String {
     let mut out = String::from(
         "osdiv — reproduce the tables and figures of \"OS diversity for intrusion \
-         tolerance\" (DSN 2011)\n\nUsage: osdiv <command> [options]\n\nCommands:\n",
+         tolerance\" (DSN 2011)\n\nUsage: osdiv <command> [options]\n\nPaper commands \
+         (each renders sections of the named analysis, as `osdiv <analysis>` does):\n",
     );
+    for (name, id, section, summary) in ALIASES {
+        let analysis = match section {
+            None => id.name().to_string(),
+            Some(index) => format!("{id} section {}", index + 1),
+        };
+        out.push_str(&format!("  {name:<10} = {analysis:<20} {summary}\n"));
+    }
+    out.push_str("\nCommands:\n");
     for (name, summary) in COMMANDS {
         out.push_str(&format!("  {name:<10} {summary}\n"));
     }
@@ -811,12 +814,14 @@ fn usage() -> String {
         "\nOptions:\n  \
          --format <text|csv|json>         output format (default: text)\n  \
          --seed <N>                       dataset generator seed (default: 2011)\n  \
-         --profile <fat|thin|isolated>    server profile for kway/table5/table6/figure3\n  \
-         --first-year <Y>                 figure2: first year of the series (default: 1993)\n  \
-         --last-year <Y>                  figure2: last year of the series (default: 2010)\n  \
+         --profile <fat|thin|isolated>    split, releases, kway, selection: server profile\n  \
+         --first-year <Y>                 temporal: first year of the series (default: 1993)\n  \
+         --last-year <Y>                  temporal: last year of the series (default: 2010)\n  \
+         --oses <a,b,..>                  pairwise, split, releases, selection: restrict the OS pool\n  \
+         --max-k <N>                      kway: largest group size\n                                   \
+         (the five flags above are analysis parameters; every\n                                   \
+         command that is not an analysis or alias rejects them)\n  \
          --trials <N>                     survival: Monte-Carlo trials (default: 400)\n  \
-         --oses <a,b,..>                  analysis commands: restrict the OS pool\n  \
-         --max-k <N>                      kway: largest group size\n  \
          --addr <host:port>               serve: bind address (default: 127.0.0.1:8080; port 0 = ephemeral)\n  \
          --threads <N>                    serve: worker threads\n  \
          --enable-shutdown                serve: honour POST /v1/shutdown\n  \
@@ -828,8 +833,8 @@ fn usage() -> String {
          --max-datasets <N>               serve: dataset registry name cap (default: 16)\n  \
          --max-dataset-bytes <BYTES>      serve/ingest: dataset byte budget (default: 256 MiB)\n  \
          --name <name>                    ingest: label of the summarized dataset\n  \
-         --data-dir <dir>                 serve: persist ingested tenants as .osdv snapshots;\n  \
-                                          journals crash-recover and snapshots warm-restart at boot\n  \
+         --data-dir <dir>                 serve: persist ingested tenants as .osdv snapshots;\n                                   \
+         journals crash-recover and snapshots warm-restart at boot\n  \
          --no-persist                     serve: open --data-dir read-only (serve snapshots, write nothing)\n  \
          --durability <rename|full>       serve: snapshot durability policy (default: rename;\n                                   \
          full fsyncs snapshots, the data dir and journal appends — see docs/SNAPSHOT_FORMAT.md)\n  \
@@ -862,253 +867,35 @@ fn usage() -> String {
     out
 }
 
-fn list_analyses(format: Format) -> String {
-    let mut table = TextTable::new(["Analysis", "Deliverables", "Description"]);
-    for entry in osdiv_core::registry() {
+/// `osdiv survival`: the Monte-Carlo survival of the homogeneous Debian
+/// baseline and the four diverse configurations of Figure 3.
+fn survival(study: &Study, opts: &Options) -> String {
+    let config = SimulationConfig::default()
+        .with_trials(opts.trials)
+        .with_seed(7);
+    let simulator = Simulator::new(study.dataset(), config);
+    let mut configurations = vec![ReplicaSet::homogeneous(OsDistribution::Debian, 4)];
+    for (_, oses) in figure3_configurations() {
+        configurations.push(ReplicaSet::diverse(oses));
+    }
+    let mut table = TextTable::new([
+        "Configuration",
+        "P(system compromised)",
+        "Mean time to failure (days)",
+        "Mean peak compromised replicas",
+    ]);
+    for set in &configurations {
+        let outcome = simulator.run(set);
         table.push_row([
-            entry.id.name().to_string(),
-            entry.id.deliverables().to_string(),
-            entry.id.describe().to_string(),
+            outcome.label().to_string(),
+            format!("{:.2}", outcome.failure_probability()),
+            outcome
+                .mean_time_to_failure_days()
+                .map(|d| format!("{d:.0}"))
+                .unwrap_or_else(|| "never failed".to_string()),
+            format!("{:.2}", outcome.mean_peak_compromised()),
         ]);
     }
-    let sections = [Section::table("Analysis registry", table.clone())];
-    emit(format, &sections, || table.render())
-}
-
-/// Replicates the header style of the historical experiment binaries.
-fn header(title: &str) -> String {
-    let width = title.len().max(8);
-    let bar = "=".repeat(width);
-    format!("{bar}\n{title}\n{bar}\n")
-}
-
-/// Renders a command's sections: the historical text layout for
-/// `Format::Text`, the pluggable sinks otherwise.
-fn emit(format: Format, sections: &[Section], text: impl FnOnce() -> String) -> String {
-    match format {
-        Format::Text => text(),
-        other => renderer(other).document(sections),
-    }
-}
-
-/// Renders one section's body in the text style (aligned table / CSV
-/// series), without its heading.
-fn body(section: &Section) -> String {
-    TextRenderer.artifact(&section.artifact)
-}
-
-/// The registry sections of an analysis (used for the CSV/JSON exports so
-/// every entry point emits the same section titles as the combined report).
-fn registry_sections(study: &Study, id: AnalysisId) -> Result<Vec<Section>, AnalysisError> {
-    (osdiv_core::registry_entry(id).sections)(study)
-}
-
-fn dispatch(command: &str, study: &Study, opts: &Options) -> Result<String, AnalysisError> {
-    match command {
-        "table1" => {
-            let sections = registry_sections(study, AnalysisId::Validity)?;
-            Ok(emit(opts.format, &sections, || {
-                format!(
-                    "{}{}",
-                    header("Table I: distribution of OS vulnerabilities in NVD"),
-                    body(&sections[0])
-                )
-            }))
-        }
-        "table2" => {
-            let sections = registry_sections(study, AnalysisId::Classes)?;
-            Ok(emit(opts.format, &sections, || {
-                format!(
-                    "{}{}",
-                    header("Table II: vulnerabilities per OS component class"),
-                    body(&sections[0])
-                )
-            }))
-        }
-        "table3" => {
-            // The pairwise registry entry builds [Table III, Table IV, summary].
-            let sections = vec![registry_sections(study, AnalysisId::Pairwise)?.swap_remove(0)];
-            Ok(emit(opts.format, &sections, || {
-                format!(
-                    "{}{}",
-                    header("Table III: pairwise common vulnerabilities (1994 - Sept. 2010)"),
-                    body(&sections[0])
-                )
-            }))
-        }
-        "table4" => {
-            let sections = vec![registry_sections(study, AnalysisId::Pairwise)?.swap_remove(1)];
-            Ok(emit(opts.format, &sections, || {
-                format!(
-                    "{}{}",
-                    header("Table IV: common vulnerabilities on Isolated Thin Servers"),
-                    body(&sections[0])
-                )
-            }))
-        }
-        "table5" => {
-            let sections = match opts.profile {
-                None => registry_sections(study, AnalysisId::Split)?,
-                Some(profile) => {
-                    let matrix = study.get_with::<SplitMatrix>(&SplitConfig {
-                        profile,
-                        ..SplitConfig::default()
-                    })?;
-                    vec![Section::table(
-                        "Table V: history vs observed",
-                        matrix.to_table(),
-                    )]
-                }
-            };
-            Ok(emit(opts.format, &sections, || {
-                format!(
-                    "{}{}",
-                    header(
-                        "Table V: history (above diagonal) vs observed (below) common \
-                         vulnerabilities"
-                    ),
-                    body(&sections[0])
-                )
-            }))
-        }
-        "table6" => {
-            let analysis = match opts.profile {
-                None => study.get::<ReleaseAnalysis>()?,
-                Some(profile) => {
-                    std::sync::Arc::new(study.get_with::<ReleaseAnalysis>(&ReleaseConfig {
-                        profile,
-                        ..ReleaseConfig::default()
-                    })?)
-                }
-            };
-            let sections = match opts.profile {
-                None => registry_sections(study, AnalysisId::Releases)?,
-                Some(_) => vec![Section::table("Table VI: OS releases", analysis.to_table())],
-            };
-            Ok(emit(opts.format, &sections, || {
-                format!(
-                    "{}{}{} of {} release pairs share no vulnerability at all\n",
-                    header("Table VI: common vulnerabilities between OS releases"),
-                    body(&sections[0]),
-                    analysis.disjoint_pairs(),
-                    analysis.rows().len()
-                )
-            }))
-        }
-        "figure2" => {
-            let sections = match (opts.first_year, opts.last_year) {
-                (None, None) => registry_sections(study, AnalysisId::Temporal)?,
-                (first, last) => {
-                    let defaults = TemporalConfig::default();
-                    let temporal = study.get_with::<TemporalAnalysis>(&TemporalConfig {
-                        first_year: first.unwrap_or(defaults.first_year),
-                        last_year: last.unwrap_or(defaults.last_year),
-                    })?;
-                    OsFamily::ALL
-                        .into_iter()
-                        .map(|family| {
-                            Section::series(
-                                format!("Figure 2 ({family} family)"),
-                                temporal.family_series(family),
-                            )
-                        })
-                        .collect()
-                }
-            };
-            Ok(emit(opts.format, &sections, || {
-                let mut out = String::new();
-                for (family, section) in OsFamily::ALL.into_iter().zip(&sections) {
-                    out.push_str(&header(&format!(
-                        "Figure 2: {family} family (vulnerabilities per year)"
-                    )));
-                    out.push_str(&body(section));
-                    out.push('\n');
-                }
-                out
-            }))
-        }
-        "figure3" => {
-            let analysis = match opts.profile {
-                None => study.get::<SelectionAnalysis>()?,
-                Some(profile) => {
-                    std::sync::Arc::new(study.get_with::<SelectionAnalysis>(&SelectionConfig {
-                        profile,
-                        ..SelectionConfig::default()
-                    })?)
-                }
-            };
-            let sections = match opts.profile {
-                None => registry_sections(study, AnalysisId::Selection)?,
-                Some(_) => vec![
-                    Section::table("Figure 3: replica configurations", analysis.to_table()),
-                    Section::table(
-                        "Best four-OS groups ranked from history data",
-                        analysis.ranking_table(),
-                    ),
-                ],
-            };
-            Ok(emit(opts.format, &sections, || {
-                let mut out = String::new();
-                out.push_str(&header(
-                    "Figure 3: replica configurations (history vs observed common vulnerabilities)",
-                ));
-                out.push_str(&body(&sections[0]));
-                out.push('\n');
-                out.push_str(&header("Best four-OS groups ranked from history data"));
-                for (group, score) in analysis.ranked_groups() {
-                    out.push_str(&format!("{group}  history score = {score}\n"));
-                }
-                out
-            }))
-        }
-        // `kway` is dispatched through the generic registry path in `run`
-        // (like every analysis id), so its output is byte-identical to
-        // `GET /v1/analyses/kway`. The pre-0.3 dual-profile comparison is
-        // two invocations now: `--profile fat` and `--profile isolated`.
-        "summary" => {
-            let sections = vec![registry_sections(study, AnalysisId::Pairwise)?.swap_remove(2)];
-            Ok(emit(opts.format, &sections, || {
-                format!(
-                    "{}{}",
-                    header("Section IV-E: summary of the findings"),
-                    body(&sections[0])
-                )
-            }))
-        }
-        "survival" => {
-            let config = SimulationConfig::default()
-                .with_trials(opts.trials)
-                .with_seed(7);
-            let simulator = Simulator::new(study.dataset(), config);
-            let mut configurations = vec![ReplicaSet::homogeneous(OsDistribution::Debian, 4)];
-            for (_, oses) in figure3_configurations() {
-                configurations.push(ReplicaSet::diverse(oses));
-            }
-            let mut table = TextTable::new([
-                "Configuration",
-                "P(system compromised)",
-                "Mean time to failure (days)",
-                "Mean peak compromised replicas",
-            ]);
-            for set in &configurations {
-                let outcome = simulator.run(set);
-                table.push_row([
-                    outcome.label().to_string(),
-                    format!("{:.2}", outcome.failure_probability()),
-                    outcome
-                        .mean_time_to_failure_days()
-                        .map(|d| format!("{d:.0}"))
-                        .unwrap_or_else(|| "never failed".to_string()),
-                    format!("{:.2}", outcome.mean_peak_compromised()),
-                ]);
-            }
-            let title = "Survival of replica configurations over 2006-2010 (Monte-Carlo)";
-            let sections = [Section::table(title, table.clone())];
-            Ok(emit(opts.format, &sections, || {
-                format!("{}{}", header(title), table.render())
-            }))
-        }
-        "report" => study.report(opts.format),
-        other => unreachable!("command {other} is filtered by the dispatcher"),
-    }
+    let title = "Survival of replica configurations over 2006-2010 (Monte-Carlo)";
+    renderer(opts.format).document(&[Section::table(title, table)])
 }

@@ -26,22 +26,9 @@ pub fn study_session_with_seed(seed: u64) -> Study {
     Study::from_entries(dataset.entries())
 }
 
-/// Prints a section header in the style used by all experiment binaries.
-pub fn print_header(title: &str) {
-    let width = title.len().max(8);
-    println!("{}", "=".repeat(width));
-    println!("{title}");
-    println!("{}", "=".repeat(width));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn print_header_does_not_panic() {
-        print_header("Table I");
-    }
 
     #[test]
     fn calibrated_study_has_the_expected_scale() {

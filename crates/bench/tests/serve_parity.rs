@@ -1,7 +1,8 @@
 //! Byte-identity of the serving layer and the CLI: for every registered
 //! analysis and every output format, `GET /v1/analyses/{id}?format=f`
 //! must serve exactly the bytes `osdiv {id} --format f` prints for the
-//! same seed — plus the combined report and a parameterized request.
+//! same seed — plus the combined report, the registry listing and
+//! parameterized requests.
 
 use std::process::Command;
 use std::sync::{Arc, OnceLock};
@@ -163,12 +164,9 @@ fn default_dataset_urls_render_byte_identical_to_the_cli_with_and_without_the_pa
 }
 
 #[test]
-fn the_analyses_listing_matches_osdiv_list_in_machine_formats() {
+fn the_analyses_listing_matches_osdiv_list_in_every_format() {
     let addr = server().addr();
-    // `osdiv list --format text` prints the bare table (historical CLI
-    // layout); the machine formats go through the same section renderers
-    // as the server.
-    for format in [Format::Csv, Format::Json] {
+    for format in Format::ALL {
         let cli = osdiv(&["list", "--format", format.name()]);
         let http = loadgen::get(addr, &format!("/v1/analyses?format={}", format.name())).unwrap();
         assert_eq!(http.body_string(), cli, "list format {format}");

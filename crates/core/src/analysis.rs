@@ -12,6 +12,7 @@ use std::fmt;
 
 use tabular::{SeriesSet, TextTable};
 
+use crate::params::{FromParams, Params};
 use crate::study::Study;
 
 /// Identifies one of the registered analyses. The registry (see
@@ -198,12 +199,14 @@ impl std::error::Error for AnalysisError {}
 /// Self`), so a session lookup reads naturally:
 /// `study.get::<PairwiseAnalysis>()`.
 ///
-/// `run` receives the whole [`Study`] session rather than the bare dataset,
-/// so analyses can compose: the pairwise summary, for instance, reuses the
-/// memoized class distribution instead of recomputing it.
+/// `run` and `sections` receive the whole [`Study`] session rather than the
+/// bare dataset, so analyses can compose: the pairwise summary, for
+/// instance, reuses the memoized class distribution instead of recomputing
+/// it.
 pub trait Analysis {
-    /// Analysis parameters. `Default` must yield the paper's configuration.
-    type Config: Clone + Default + Send + Sync;
+    /// Analysis parameters. `Default` must yield the paper's configuration;
+    /// [`FromParams`] parses it from a CLI flag list or an HTTP query string.
+    type Config: Clone + Default + Send + Sync + FromParams;
     /// The computed result (also the implementing type, by convention).
     type Output: Clone + Send + Sync + 'static;
 
@@ -212,6 +215,10 @@ pub trait Analysis {
 
     /// Runs the analysis over the session's dataset.
     fn run(study: &Study, config: &Self::Config) -> Result<Self::Output, AnalysisError>;
+
+    /// Presents one computed output as the analysis's titled sections, the
+    /// same for the default and every parameterized configuration.
+    fn sections(study: &Study, output: &Self::Output) -> Result<Vec<Section>, AnalysisError>;
 }
 
 /// The body of a rendered section: either an aligned table or a set of
@@ -259,11 +266,8 @@ pub type SectionsFn = fn(&Study) -> Result<Vec<Section>, AnalysisError>;
 pub type SectionFn = fn(&Study) -> Result<Section, AnalysisError>;
 
 /// A registry hook building the sections of one analysis under an untyped
-/// parameter list (see [`crate::params::FromParams`]). An empty list is the
-/// memoized default configuration; a non-empty list is parsed into the
-/// analysis's `Config` and run through [`Study::get_with`].
-pub type ParamSectionsFn =
-    fn(&Study, &crate::params::Params) -> Result<Vec<Section>, AnalysisError>;
+/// parameter list (see [`FromParams`]).
+pub type ParamSectionsFn = fn(&Study, &Params) -> Result<Vec<Section>, AnalysisError>;
 
 /// One registry row: an [`AnalysisId`] plus the type-erased hooks the
 /// dispatcher needs — forcing the memoized computation, building the
@@ -273,10 +277,8 @@ pub struct AnalysisEntry {
     pub id: AnalysisId,
     /// Runs (and memoizes) the analysis under its default configuration.
     pub prime: fn(&Study) -> Result<(), AnalysisError>,
-    /// Builds every section of the analysis (used by per-analysis exports).
-    pub sections: SectionsFn,
-    /// Builds the analysis's sections under an explicit parameter list
-    /// (the parameterized CLI commands and the HTTP query-string path).
+    /// Builds every section of the analysis under a parameter list (see
+    /// [`analysis_sections`]).
     pub sections_with: ParamSectionsFn,
     /// The sections the analysis contributes to the *body* of the combined
     /// report, or `None` to stay out of it (the selection analysis predates
@@ -292,72 +294,85 @@ fn prime<A: Analysis>(study: &Study) -> Result<(), AnalysisError> {
     study.get::<A>().map(|_| ())
 }
 
+/// The sections of an analysis's memoized default run.
+fn default_sections<A: Analysis>(study: &Study) -> Result<Vec<Section>, AnalysisError> {
+    A::sections(study, &*study.get::<A>()?)
+}
+
+/// The one params→sections policy of every registry entry: an empty list
+/// renders the memoized default run ([`Study::get`]); any other list is
+/// parsed by the configuration's [`FromParams`] — so unknown keys and bad
+/// values are errors — and run uncached through [`Study::get_with`].
+fn sections_with<A: Analysis>(
+    study: &Study,
+    params: &Params,
+) -> Result<Vec<Section>, AnalysisError> {
+    if params.is_empty() {
+        return default_sections::<A>(study);
+    }
+    let config = A::Config::from_params(params)?;
+    A::sections(study, &study.get_with::<A>(&config)?)
+}
+
 /// The analysis registry, in report order. `Study::run_all`, the combined
 /// report and the CLI dispatcher are all driven by this table, so adding an
 /// entry makes a new analysis appear everywhere at once.
 pub fn registry() -> &'static [AnalysisEntry] {
+    use crate::{classes, kway, pairwise, releases, selection, split, temporal};
     const REGISTRY: &[AnalysisEntry] = &[
         AnalysisEntry {
             id: AnalysisId::Validity,
-            prime: prime::<crate::classes::ValidityDistribution>,
-            sections: crate::classes::validity_sections,
-            sections_with: crate::classes::validity_sections_with,
-            report_sections: Some(crate::classes::validity_sections),
+            prime: prime::<classes::ValidityDistribution>,
+            sections_with: sections_with::<classes::ValidityDistribution>,
+            report_sections: Some(default_sections::<classes::ValidityDistribution>),
             epilogue: None,
         },
         AnalysisEntry {
             id: AnalysisId::Classes,
-            prime: prime::<crate::classes::ClassDistribution>,
-            sections: crate::classes::class_sections,
-            sections_with: crate::classes::class_sections_with,
-            report_sections: Some(crate::classes::class_sections),
+            prime: prime::<classes::ClassDistribution>,
+            sections_with: sections_with::<classes::ClassDistribution>,
+            report_sections: Some(default_sections::<classes::ClassDistribution>),
             epilogue: None,
         },
         AnalysisEntry {
             id: AnalysisId::Pairwise,
-            prime: prime::<crate::pairwise::PairwiseAnalysis>,
-            sections: crate::pairwise::sections,
-            sections_with: crate::pairwise::sections_with,
-            report_sections: Some(crate::pairwise::table_sections),
-            epilogue: Some(crate::pairwise::summary_section),
+            prime: prime::<pairwise::PairwiseAnalysis>,
+            sections_with: sections_with::<pairwise::PairwiseAnalysis>,
+            report_sections: Some(pairwise::table_sections),
+            epilogue: Some(pairwise::summary_section),
         },
         AnalysisEntry {
             id: AnalysisId::Split,
-            prime: prime::<crate::split::SplitMatrix>,
-            sections: crate::split::sections,
-            sections_with: crate::split::sections_with,
-            report_sections: Some(crate::split::sections),
+            prime: prime::<split::SplitMatrix>,
+            sections_with: sections_with::<split::SplitMatrix>,
+            report_sections: Some(default_sections::<split::SplitMatrix>),
             epilogue: None,
         },
         AnalysisEntry {
             id: AnalysisId::Releases,
-            prime: prime::<crate::releases::ReleaseAnalysis>,
-            sections: crate::releases::sections,
-            sections_with: crate::releases::sections_with,
-            report_sections: Some(crate::releases::sections),
+            prime: prime::<releases::ReleaseAnalysis>,
+            sections_with: sections_with::<releases::ReleaseAnalysis>,
+            report_sections: Some(default_sections::<releases::ReleaseAnalysis>),
             epilogue: None,
         },
         AnalysisEntry {
             id: AnalysisId::Temporal,
-            prime: prime::<crate::temporal::TemporalAnalysis>,
-            sections: crate::temporal::sections,
-            sections_with: crate::temporal::sections_with,
-            report_sections: Some(crate::temporal::sections),
+            prime: prime::<temporal::TemporalAnalysis>,
+            sections_with: sections_with::<temporal::TemporalAnalysis>,
+            report_sections: Some(default_sections::<temporal::TemporalAnalysis>),
             epilogue: None,
         },
         AnalysisEntry {
             id: AnalysisId::KWay,
-            prime: prime::<crate::kway::KWayAnalysis>,
-            sections: crate::kway::sections,
-            sections_with: crate::kway::sections_with,
-            report_sections: Some(crate::kway::sections),
+            prime: prime::<kway::KWayAnalysis>,
+            sections_with: sections_with::<kway::KWayAnalysis>,
+            report_sections: Some(default_sections::<kway::KWayAnalysis>),
             epilogue: None,
         },
         AnalysisEntry {
             id: AnalysisId::Selection,
-            prime: prime::<crate::selection::SelectionAnalysis>,
-            sections: crate::selection::sections,
-            sections_with: crate::selection::sections_with,
+            prime: prime::<selection::SelectionAnalysis>,
+            sections_with: sections_with::<selection::SelectionAnalysis>,
             report_sections: None,
             epilogue: None,
         },
@@ -366,13 +381,14 @@ pub fn registry() -> &'static [AnalysisEntry] {
 }
 
 /// Builds the sections of one analysis under an untyped parameter list: the
-/// entry point shared by the parameterized `osdiv <analysis>` CLI commands
-/// and the HTTP `GET /v1/analyses/{id}` route, so both emit byte-identical
-/// documents for the same id, parameters and format.
+/// entry point shared by the `osdiv <analysis>` CLI commands (and the paper
+/// commands aliasing them) and the HTTP `GET /v1/analyses/{id}` route, so
+/// all emit byte-identical documents for the same id, parameters and
+/// format.
 pub fn analysis_sections(
     study: &Study,
     id: AnalysisId,
-    params: &crate::params::Params,
+    params: &Params,
 ) -> Result<Vec<Section>, AnalysisError> {
     (registry_entry(id).sections_with)(study, params)
 }

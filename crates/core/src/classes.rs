@@ -5,7 +5,6 @@ use tabular::TextTable;
 
 use crate::analysis::{Analysis, AnalysisError, AnalysisId, Section};
 use crate::dataset::StudyDataset;
-use crate::params::{FromParams, Params};
 use crate::study::Study;
 
 /// The Table I reproduction: per-OS counts by validity flag, plus the
@@ -99,24 +98,13 @@ impl Analysis for ValidityDistribution {
     fn run(study: &Study, _config: &()) -> Result<Self, AnalysisError> {
         Ok(Self::compute_impl(study.dataset()))
     }
-}
 
-/// The Table I section of the combined report.
-pub(crate) fn validity_sections(study: &Study) -> Result<Vec<Section>, AnalysisError> {
-    Ok(vec![Section::table(
-        "Table I: validity distribution",
-        study.get::<ValidityDistribution>()?.to_table(),
-    )])
-}
-
-/// Parameterized Table I sections (the analysis takes no parameters, so
-/// any key is rejected).
-pub(crate) fn validity_sections_with(
-    study: &Study,
-    params: &Params,
-) -> Result<Vec<Section>, AnalysisError> {
-    <() as FromParams>::from_params(params)?;
-    validity_sections(study)
+    fn sections(_study: &Study, distribution: &Self) -> Result<Vec<Section>, AnalysisError> {
+        Ok(vec![Section::table(
+            "Table I: validity distribution",
+            distribution.to_table(),
+        )])
+    }
 }
 
 /// The Table II reproduction: per-OS counts by component class, plus the
@@ -249,29 +237,20 @@ impl Analysis for ClassDistribution {
     fn run(study: &Study, _config: &()) -> Result<Self, AnalysisError> {
         Ok(Self::compute_impl(study.dataset()))
     }
-}
 
-/// The Table II section of the combined report.
-pub(crate) fn class_sections(study: &Study) -> Result<Vec<Section>, AnalysisError> {
-    Ok(vec![Section::table(
-        "Table II: component classes",
-        study.get::<ClassDistribution>()?.to_table(),
-    )])
-}
-
-/// Parameterized Table II sections (the analysis takes no parameters, so
-/// any key is rejected).
-pub(crate) fn class_sections_with(
-    study: &Study,
-    params: &Params,
-) -> Result<Vec<Section>, AnalysisError> {
-    <() as FromParams>::from_params(params)?;
-    class_sections(study)
+    fn sections(_study: &Study, distribution: &Self) -> Result<Vec<Section>, AnalysisError> {
+        Ok(vec![Section::table(
+            "Table II: component classes",
+            distribution.to_table(),
+        )])
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::analysis_sections;
+    use crate::params::Params;
     use datagen::calibration::{table1_row, table2_row};
     use datagen::CalibratedGenerator;
 
@@ -367,10 +346,10 @@ mod tests {
     fn sections_with_reject_any_parameter() {
         let study = calibrated_study();
         let empty = Params::new();
-        assert_eq!(validity_sections_with(&study, &empty).unwrap().len(), 1);
-        assert_eq!(class_sections_with(&study, &empty).unwrap().len(), 1);
         let params = Params::from_pairs([("profile", "fat")]);
-        assert!(validity_sections_with(&study, &params).is_err());
-        assert!(class_sections_with(&study, &params).is_err());
+        for id in [AnalysisId::Validity, AnalysisId::Classes] {
+            assert_eq!(analysis_sections(&study, id, &empty).unwrap().len(), 1);
+            assert!(analysis_sections(&study, id, &params).is_err());
+        }
     }
 }

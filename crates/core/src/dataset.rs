@@ -245,24 +245,6 @@ impl StudyDataset {
         }
     }
 
-    /// The valid rows that survive a profile, an optional period restriction
-    /// and affect **all** members of `group`.
-    pub fn common_vulnerabilities(
-        &self,
-        group: OsSet,
-        profile: ServerProfile,
-        period: Period,
-    ) -> Vec<&VulnerabilityRow> {
-        self.store
-            .rows()
-            .filter(|row| {
-                self.retains(row, profile)
-                    && period.contains(row.year())
-                    && group.is_subset_of(&row.os_set)
-            })
-            .collect()
-    }
-
     /// Number of vulnerabilities common to every member of `group` under a
     /// profile, over the whole study period.
     pub fn count_common(&self, group: OsSet, profile: ServerProfile) -> usize {

@@ -14,7 +14,6 @@ use tabular::TextTable;
 
 use crate::analysis::{Analysis, AnalysisError, AnalysisId, Section};
 use crate::dataset::{Period, ServerProfile, StudyDataset};
-use crate::params::{FromParams, Params};
 use crate::study::Study;
 
 /// Configuration of the combination analysis: the server profile and the
@@ -171,32 +170,20 @@ impl Analysis for KWayAnalysis {
             config.max_k,
         ))
     }
-}
 
-/// The Section IV-B section of the combined report.
-pub(crate) fn sections(study: &Study) -> Result<Vec<Section>, AnalysisError> {
-    Ok(vec![Section::table(
-        "Section IV-B: k-OS combinations",
-        study.get::<KWayAnalysis>()?.to_table(),
-    )])
-}
-
-/// Parameterized Section IV-B sections: `profile=` and `max_k=` select the
-/// enumeration.
-pub(crate) fn sections_with(study: &Study, params: &Params) -> Result<Vec<Section>, AnalysisError> {
-    if params.is_empty() {
-        return sections(study);
+    fn sections(_study: &Study, analysis: &Self) -> Result<Vec<Section>, AnalysisError> {
+        Ok(vec![Section::table(
+            "Section IV-B: k-OS combinations",
+            analysis.to_table(),
+        )])
     }
-    let config = KWayConfig::from_params(params)?;
-    Ok(vec![Section::table(
-        "Section IV-B: k-OS combinations",
-        study.get_with::<KWayAnalysis>(&config)?.to_table(),
-    )])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::analysis_sections;
+    use crate::params::Params;
     use datagen::CalibratedGenerator;
     use nvd_model::CveId;
 
@@ -299,11 +286,12 @@ mod tests {
     fn sections_with_parses_profile_and_max_k() {
         let study = calibrated_study();
         let params = Params::from_pairs([("profile", "isolated"), ("max_k", "3")]);
-        let sections = sections_with(&study, &params).unwrap();
+        let sections = analysis_sections(&study, AnalysisId::KWay, &params).unwrap();
         match &sections[0].artifact {
             crate::analysis::Artifact::Table(table) => assert_eq!(table.row_count(), 2),
             other => panic!("expected a table, got {other:?}"),
         }
-        assert!(sections_with(&study, &Params::from_pairs([("k", "3")])).is_err());
+        let typo = Params::from_pairs([("k", "3")]);
+        assert!(analysis_sections(&study, AnalysisId::KWay, &typo).is_err());
     }
 }

@@ -10,12 +10,15 @@
 //!   **memoizing** each default-configuration result; [`Study::run_all`]
 //!   warms the whole registry in turn;
 //! * [`Analysis`] is the trait every deliverable implements: a typed
-//!   `Config` (whose `Default` is the paper's setup), an `Output`, and a
-//!   pure `run` over the session. Analyses compose — the Section IV-E
-//!   summary reuses the memoized pairwise and class results;
+//!   `Config` (whose `Default` is the paper's setup and which parses from
+//!   [`Params`]), an `Output`, a pure `run` over the session, and
+//!   `sections`, which presents an output to the renderers. Analyses
+//!   compose — the Section IV-E summary reuses the memoized pairwise and
+//!   class results;
 //! * [`AnalysisId`] names the eight registered analyses; the
-//!   [`analysis::registry`] drives the combined report and the `osdiv` CLI,
-//!   so a new analysis plugs into both with one entry;
+//!   [`analysis::registry`] drives the combined report, the HTTP API and
+//!   the `osdiv` CLI through [`analysis_sections`], so a new analysis plugs
+//!   into all three with one entry;
 //! * [`render`] holds the pluggable output sinks: every table and figure
 //!   renders as aligned text, CSV or JSON through the
 //!   [`Render`](render::Render) trait.

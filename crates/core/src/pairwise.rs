@@ -7,7 +7,6 @@ use tabular::TextTable;
 use crate::analysis::{Analysis, AnalysisError, AnalysisId, Section};
 use crate::classes::ClassDistribution;
 use crate::dataset::{Period, ServerProfile, StudyDataset};
-use crate::params::{FromParams, Params};
 use crate::study::Study;
 
 /// One row of the Table III reproduction: an OS pair with its per-OS totals
@@ -338,6 +337,13 @@ impl Analysis for PairwiseAnalysis {
     fn run(study: &Study, config: &PairwiseConfig) -> Result<Self, AnalysisError> {
         Ok(Self::compute_impl(study.dataset(), &config.oses))
     }
+
+    /// Tables III and IV plus the Section IV-E summary.
+    fn sections(study: &Study, analysis: &Self) -> Result<Vec<Section>, AnalysisError> {
+        let mut sections = tables_of(analysis);
+        sections.push(summary_of(study, analysis)?);
+        Ok(sections)
+    }
 }
 
 /// The Table III and Table IV sections of one analysis value.
@@ -377,25 +383,6 @@ pub(crate) fn table_sections(study: &Study) -> Result<Vec<Section>, AnalysisErro
 pub(crate) fn summary_section(study: &Study) -> Result<Section, AnalysisError> {
     let pairwise = study.get::<PairwiseAnalysis>()?;
     summary_of(study, &pairwise)
-}
-
-/// Every pairwise deliverable: Tables III and IV plus the summary.
-pub(crate) fn sections(study: &Study) -> Result<Vec<Section>, AnalysisError> {
-    let mut sections = table_sections(study)?;
-    sections.push(summary_section(study)?);
-    Ok(sections)
-}
-
-/// Parameterized pairwise sections: `oses=a,b,…` restricts the pairs.
-pub(crate) fn sections_with(study: &Study, params: &Params) -> Result<Vec<Section>, AnalysisError> {
-    if params.is_empty() {
-        return sections(study);
-    }
-    let config = PairwiseConfig::from_params(params)?;
-    let analysis = study.get_with::<PairwiseAnalysis>(&config)?;
-    let mut sections = tables_of(&analysis);
-    sections.push(summary_of(study, &analysis)?);
-    Ok(sections)
 }
 
 fn per_profile_totals(study: &StudyDataset, group: OsSet) -> (usize, usize, usize) {

@@ -12,7 +12,6 @@ use tabular::TextTable;
 
 use crate::analysis::{Analysis, AnalysisError, AnalysisId, Section};
 use crate::dataset::{ServerProfile, StudyDataset};
-use crate::params::{FromParams, Params};
 use crate::study::Study;
 
 /// Configuration of the per-release analysis: the releases to pair up and
@@ -138,27 +137,13 @@ impl Analysis for ReleaseAnalysis {
             config.profile,
         ))
     }
-}
 
-/// The Table VI section of the combined report.
-pub(crate) fn sections(study: &Study) -> Result<Vec<Section>, AnalysisError> {
-    Ok(vec![Section::table(
-        "Table VI: OS releases",
-        study.get::<ReleaseAnalysis>()?.to_table(),
-    )])
-}
-
-/// Parameterized Table VI sections: `oses=` selects whose studied releases
-/// are paired, `profile=` the filter.
-pub(crate) fn sections_with(study: &Study, params: &Params) -> Result<Vec<Section>, AnalysisError> {
-    if params.is_empty() {
-        return sections(study);
+    fn sections(_study: &Study, analysis: &Self) -> Result<Vec<Section>, AnalysisError> {
+        Ok(vec![Section::table(
+            "Table VI: OS releases",
+            analysis.to_table(),
+        )])
     }
-    let config = ReleaseConfig::from_params(params)?;
-    Ok(vec![Section::table(
-        "Table VI: OS releases",
-        study.get_with::<ReleaseAnalysis>(&config)?.to_table(),
-    )])
 }
 
 /// Whether a vulnerability affects a given release *with explicit version
@@ -179,6 +164,8 @@ fn affects_release_explicitly(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::analysis_sections;
+    use crate::params::Params;
     use datagen::CalibratedGenerator;
     use nvd_model::{CveId, CvssV2, Date, OsPart, VulnerabilityEntry};
 
@@ -323,7 +310,7 @@ mod tests {
     fn sections_with_restricts_the_release_pool() {
         let study = calibrated_study();
         let params = Params::from_pairs([("oses", "debian")]);
-        let sections = sections_with(&study, &params).unwrap();
+        let sections = analysis_sections(&study, AnalysisId::Releases, &params).unwrap();
         match &sections[0].artifact {
             crate::analysis::Artifact::Table(table) => {
                 // 3 Debian releases -> 3 pairs.
@@ -331,6 +318,7 @@ mod tests {
             }
             other => panic!("expected a table, got {other:?}"),
         }
-        assert!(sections_with(&study, &Params::from_pairs([("releases", "x")])).is_err());
+        let typo = Params::from_pairs([("releases", "x")]);
+        assert!(analysis_sections(&study, AnalysisId::Releases, &typo).is_err());
     }
 }

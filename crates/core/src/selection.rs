@@ -277,6 +277,17 @@ impl Analysis for SelectionAnalysis {
             ranked_groups: selection.best_groups(config.group_size, config.top),
         })
     }
+
+    /// The configuration outcomes plus the group ranking.
+    fn sections(_study: &Study, analysis: &Self) -> Result<Vec<Section>, AnalysisError> {
+        Ok(vec![
+            Section::table("Figure 3: replica configurations", analysis.to_table()),
+            Section::table(
+                "Best four-OS groups ranked from history data",
+                analysis.ranking_table(),
+            ),
+        ])
+    }
 }
 
 /// Renders Figure 3 (replica configurations, history vs observed counts).
@@ -296,37 +307,6 @@ pub fn figure3_table(outcomes: &[ConfigurationOutcome]) -> TextTable {
         ]);
     }
     table
-}
-
-/// The Figure 3 sections of one analysis value.
-fn sections_of(analysis: &SelectionAnalysis) -> Vec<Section> {
-    vec![
-        Section::table("Figure 3: replica configurations", analysis.to_table()),
-        Section::table(
-            "Best four-OS groups ranked from history data",
-            analysis.ranking_table(),
-        ),
-    ]
-}
-
-/// The Figure 3 sections (configuration outcomes plus the group ranking).
-pub(crate) fn sections(study: &Study) -> Result<Vec<Section>, AnalysisError> {
-    let analysis = study.get::<SelectionAnalysis>()?;
-    Ok(sections_of(&analysis))
-}
-
-/// Parameterized Figure 3 sections: `profile=`, `criterion=`, `oses=`
-/// (candidate pool), `group_size=` and `top=` select the search.
-pub(crate) fn sections_with(
-    study: &Study,
-    params: &crate::params::Params,
-) -> Result<Vec<Section>, AnalysisError> {
-    use crate::params::FromParams;
-    if params.is_empty() {
-        return sections(study);
-    }
-    let config = SelectionConfig::from_params(params)?;
-    Ok(sections_of(&study.get_with::<SelectionAnalysis>(&config)?))
 }
 
 /// The four diverse replica configurations of Figure 3 of the paper

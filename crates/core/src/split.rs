@@ -11,7 +11,6 @@ use tabular::TextTable;
 
 use crate::analysis::{Analysis, AnalysisError, AnalysisId, Section};
 use crate::dataset::{Period, ServerProfile, StudyDataset};
-use crate::params::{FromParams, Params};
 use crate::study::Study;
 
 /// The eight OSes of Table V (Ubuntu, OpenSolaris and Windows 2008 are
@@ -182,32 +181,20 @@ impl Analysis for SplitMatrix {
             config.profile,
         ))
     }
-}
 
-/// The Table V section of the combined report.
-pub(crate) fn sections(study: &Study) -> Result<Vec<Section>, AnalysisError> {
-    Ok(vec![Section::table(
-        "Table V: history vs observed",
-        study.get::<SplitMatrix>()?.to_table(),
-    )])
-}
-
-/// Parameterized Table V sections: `oses=a,b,…` and `profile=` select the
-/// matrix.
-pub(crate) fn sections_with(study: &Study, params: &Params) -> Result<Vec<Section>, AnalysisError> {
-    if params.is_empty() {
-        return sections(study);
+    fn sections(_study: &Study, matrix: &Self) -> Result<Vec<Section>, AnalysisError> {
+        Ok(vec![Section::table(
+            "Table V: history vs observed",
+            matrix.to_table(),
+        )])
     }
-    let config = SplitConfig::from_params(params)?;
-    Ok(vec![Section::table(
-        "Table V: history vs observed",
-        study.get_with::<SplitMatrix>(&config)?.to_table(),
-    )])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::analysis_sections;
+    use crate::params::Params;
     use datagen::calibration::table5_cell;
     use datagen::CalibratedGenerator;
 
@@ -335,12 +322,13 @@ mod tests {
     fn sections_with_parses_oses_and_profile() {
         let study = calibrated_study();
         let params = Params::from_pairs([("oses", "debian,redhat"), ("profile", "fat")]);
-        let sections = sections_with(&study, &params).unwrap();
+        let sections = analysis_sections(&study, AnalysisId::Split, &params).unwrap();
         assert_eq!(sections.len(), 1);
         match &sections[0].artifact {
             crate::analysis::Artifact::Table(table) => assert_eq!(table.row_count(), 2),
             other => panic!("expected a table, got {other:?}"),
         }
-        assert!(sections_with(&study, &Params::from_pairs([("nope", "1")])).is_err());
+        let typo = Params::from_pairs([("nope", "1")]);
+        assert!(analysis_sections(&study, AnalysisId::Split, &typo).is_err());
     }
 }

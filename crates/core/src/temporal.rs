@@ -5,7 +5,6 @@ use tabular::{Series, SeriesSet, YearHistogram};
 
 use crate::analysis::{Analysis, AnalysisError, AnalysisId, Section};
 use crate::dataset::{ServerProfile, StudyDataset};
-use crate::params::{FromParams, Params};
 use crate::study::Study;
 
 /// Configuration of the temporal analysis: the inclusive year range of the
@@ -149,35 +148,19 @@ impl Analysis for TemporalAnalysis {
             config.last_year,
         ))
     }
-}
 
-/// The four Figure 2 sections of one analysis value.
-fn sections_of(temporal: &TemporalAnalysis) -> Vec<Section> {
-    OsFamily::ALL
-        .into_iter()
-        .map(|family| {
-            Section::series(
-                format!("Figure 2 ({family} family)"),
-                temporal.family_series(family),
-            )
-        })
-        .collect()
-}
-
-/// The four Figure 2 sections (one per OS family, in the paper's order).
-pub(crate) fn sections(study: &Study) -> Result<Vec<Section>, AnalysisError> {
-    let temporal = study.get::<TemporalAnalysis>()?;
-    Ok(sections_of(&temporal))
-}
-
-/// Parameterized Figure 2 sections: `first_year=`/`last_year=` select the
-/// (validated) year range.
-pub(crate) fn sections_with(study: &Study, params: &Params) -> Result<Vec<Section>, AnalysisError> {
-    if params.is_empty() {
-        return sections(study);
+    /// The four Figure 2 sections (one per OS family, in the paper's order).
+    fn sections(_study: &Study, temporal: &Self) -> Result<Vec<Section>, AnalysisError> {
+        Ok(OsFamily::ALL
+            .into_iter()
+            .map(|family| {
+                Section::series(
+                    format!("Figure 2 ({family} family)"),
+                    temporal.family_series(family),
+                )
+            })
+            .collect())
     }
-    let config = TemporalConfig::from_params(params)?;
-    Ok(sections_of(&study.get_with::<TemporalAnalysis>(&config)?))
 }
 
 /// Pearson correlation coefficient of two equally long samples.
@@ -205,6 +188,8 @@ fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::analysis_sections;
+    use crate::params::Params;
     use datagen::CalibratedGenerator;
 
     fn calibrated_study() -> Study {
@@ -314,11 +299,11 @@ mod tests {
     fn sections_with_selects_and_validates_the_year_range() {
         let study = calibrated_study();
         let params = Params::from_pairs([("first_year", "2000"), ("last_year", "2005")]);
-        let sections = sections_with(&study, &params).unwrap();
+        let sections = analysis_sections(&study, AnalysisId::Temporal, &params).unwrap();
         assert_eq!(sections.len(), OsFamily::ALL.len());
         let inverted = Params::from_pairs([("first_year", "2010"), ("last_year", "1993")]);
         assert_eq!(
-            sections_with(&study, &inverted).unwrap_err(),
+            analysis_sections(&study, AnalysisId::Temporal, &inverted).unwrap_err(),
             AnalysisError::InvalidYearRange {
                 first: 2010,
                 last: 1993

@@ -465,12 +465,6 @@ impl FeedIngester {
         self
     }
 
-    /// Fragments currently in flight on the worker pool (submitted, not
-    /// yet harvested).
-    pub fn queue_depth(&self) -> u64 {
-        self.queue_gauge.held
-    }
-
     /// Bytes examined by the entry-boundary scanner so far. Linear in
     /// [`feed_bytes`](FeedIngester::feed_bytes) by construction; the
     /// complexity-guard tests pin that property.
@@ -481,11 +475,6 @@ impl FeedIngester {
     /// Feed bytes consumed so far.
     pub fn feed_bytes(&self) -> usize {
         self.feed_bytes
-    }
-
-    /// Entry elements processed so far (parsed or skipped).
-    pub fn entries_seen(&self) -> usize {
-        self.seen
     }
 
     /// Bytes currently buffered — bounded by one entry element, never the

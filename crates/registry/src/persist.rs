@@ -315,37 +315,22 @@ pub enum VfsOp {
     },
 }
 
-/// What the chaos plan says about one operation index.
-#[derive(Debug, Clone, Copy)]
-enum Plan {
-    Pass,
-    Fail,
-    Short(usize),
-}
-
 #[derive(Debug, Default)]
 struct ChaosState {
     trace: Mutex<Vec<VfsOp>>,
     fail_op: Mutex<Option<usize>>,
-    short_write: Mutex<Option<(usize, usize)>>,
     next_op: AtomicUsize,
 }
 
 impl ChaosState {
-    fn next(&self) -> usize {
-        self.next_op.fetch_add(1, Ordering::Relaxed)
-    }
-
-    fn plan(&self, op: usize) -> Plan {
+    /// Claims the next operation index and fails it if it is the planned
+    /// one.
+    fn admit(&self) -> io::Result<()> {
+        let op = self.next_op.fetch_add(1, Ordering::Relaxed);
         if *self.fail_op.lock() == Some(op) {
-            return Plan::Fail;
+            return Err(chaos_error(op));
         }
-        if let Some((at, keep)) = *self.short_write.lock() {
-            if at == op {
-                return Plan::Short(keep);
-            }
-        }
-        Plan::Pass
+        Ok(())
     }
 
     fn record(&self, entry: VfsOp) {
@@ -359,9 +344,9 @@ fn chaos_error(op: usize) -> io::Error {
 }
 
 /// A [`Vfs`] that performs every operation through [`RealVfs`] while
-/// recording the exact write trace, and can be planned to fail or
-/// short-write any single operation by index — the engine behind the
-/// crash-consistency torture harness and the registry fault proptests.
+/// recording the exact write trace, and can be planned to fail any single
+/// operation by index — the engine behind the crash-consistency torture
+/// harness and the registry fault proptests.
 ///
 /// Clones share state: hand one clone to
 /// [`TenantStore::open_with`] and keep the other to inspect the trace.
@@ -381,134 +366,79 @@ impl ChaosVfs {
         self.state.trace.lock().clone()
     }
 
-    /// How many operations have been *attempted* (failed ones count —
-    /// plan indices are in this sequence).
-    pub fn ops_attempted(&self) -> usize {
-        self.state.next_op.load(Ordering::Relaxed)
-    }
-
-    /// Plans operation `op` (0-based attempt index) to fail without
-    /// touching the filesystem. `None` clears the plan.
+    /// Plans operation `op` (0-based attempt index; failed attempts count)
+    /// to fail without touching the filesystem. `None` clears the plan.
     pub fn set_fail_op(&self, op: Option<usize>) {
         *self.state.fail_op.lock() = op;
     }
 
-    /// Plans operation `op` to write only the first `keep` bytes and then
-    /// fail — a torn write. Only byte-carrying operations (whole-file
-    /// writes and appends) can tear; on any other operation the plan
-    /// degrades to a plain failure. `None` clears the plan.
-    pub fn set_short_write(&self, plan: Option<(usize, usize)>) {
-        *self.state.short_write.lock() = plan;
-    }
-
-    /// Clears the trace, the attempt counter and every planned failure.
+    /// Clears the trace, the attempt counter and the planned failure.
     pub fn reset(&self) {
         self.state.trace.lock().clear();
         *self.state.fail_op.lock() = None;
-        *self.state.short_write.lock() = None;
         self.state.next_op.store(0, Ordering::Relaxed);
     }
 }
 
 impl Vfs for ChaosVfs {
     fn write_file(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let op = self.state.next();
-        match self.state.plan(op) {
-            Plan::Fail => Err(chaos_error(op)),
-            Plan::Short(keep) => {
-                let keep = keep.min(bytes.len());
-                let kept = bytes.get(..keep).unwrap_or(bytes);
-                RealVfs.write_file(path, kept)?;
-                self.state.record(VfsOp::Write {
-                    path: path.to_path_buf(),
-                    bytes: kept.to_vec(),
-                });
-                Err(chaos_error(op))
-            }
-            Plan::Pass => {
-                RealVfs.write_file(path, bytes)?;
-                self.state.record(VfsOp::Write {
-                    path: path.to_path_buf(),
-                    bytes: bytes.to_vec(),
-                });
-                Ok(())
-            }
-        }
+        self.state.admit()?;
+        RealVfs.write_file(path, bytes)?;
+        self.state.record(VfsOp::Write {
+            path: path.to_path_buf(),
+            bytes: bytes.to_vec(),
+        });
+        Ok(())
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        let op = self.state.next();
-        match self.state.plan(op) {
-            Plan::Pass => {
-                RealVfs.rename(from, to)?;
-                self.state.record(VfsOp::Rename {
-                    from: from.to_path_buf(),
-                    to: to.to_path_buf(),
-                });
-                Ok(())
-            }
-            _ => Err(chaos_error(op)),
-        }
+        self.state.admit()?;
+        RealVfs.rename(from, to)?;
+        self.state.record(VfsOp::Rename {
+            from: from.to_path_buf(),
+            to: to.to_path_buf(),
+        });
+        Ok(())
     }
 
     fn remove_file(&self, path: &Path) -> io::Result<()> {
-        let op = self.state.next();
-        match self.state.plan(op) {
-            Plan::Pass => {
-                RealVfs.remove_file(path)?;
-                self.state.record(VfsOp::Remove {
-                    path: path.to_path_buf(),
-                });
-                Ok(())
-            }
-            _ => Err(chaos_error(op)),
-        }
+        self.state.admit()?;
+        RealVfs.remove_file(path)?;
+        self.state.record(VfsOp::Remove {
+            path: path.to_path_buf(),
+        });
+        Ok(())
     }
 
     fn create(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
-        let op = self.state.next();
-        match self.state.plan(op) {
-            Plan::Pass => {
-                let inner = RealVfs.create(path)?;
-                self.state.record(VfsOp::Create {
-                    path: path.to_path_buf(),
-                });
-                Ok(Box::new(ChaosFile {
-                    inner,
-                    path: path.to_path_buf(),
-                    state: Arc::clone(&self.state),
-                }))
-            }
-            _ => Err(chaos_error(op)),
-        }
+        self.state.admit()?;
+        let inner = RealVfs.create(path)?;
+        self.state.record(VfsOp::Create {
+            path: path.to_path_buf(),
+        });
+        Ok(Box::new(ChaosFile {
+            inner,
+            path: path.to_path_buf(),
+            state: Arc::clone(&self.state),
+        }))
     }
 
     fn sync_file(&self, path: &Path) -> io::Result<()> {
-        let op = self.state.next();
-        match self.state.plan(op) {
-            Plan::Pass => {
-                RealVfs.sync_file(path)?;
-                self.state.record(VfsOp::SyncFile {
-                    path: path.to_path_buf(),
-                });
-                Ok(())
-            }
-            _ => Err(chaos_error(op)),
-        }
+        self.state.admit()?;
+        RealVfs.sync_file(path)?;
+        self.state.record(VfsOp::SyncFile {
+            path: path.to_path_buf(),
+        });
+        Ok(())
     }
 
     fn sync_dir(&self, path: &Path) -> io::Result<()> {
-        let op = self.state.next();
-        match self.state.plan(op) {
-            Plan::Pass => {
-                RealVfs.sync_dir(path)?;
-                self.state.record(VfsOp::SyncDir {
-                    path: path.to_path_buf(),
-                });
-                Ok(())
-            }
-            _ => Err(chaos_error(op)),
-        }
+        self.state.admit()?;
+        RealVfs.sync_dir(path)?;
+        self.state.record(VfsOp::SyncDir {
+            path: path.to_path_buf(),
+        });
+        Ok(())
     }
 }
 
@@ -521,42 +451,22 @@ struct ChaosFile {
 
 impl VfsFile for ChaosFile {
     fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-        let op = self.state.next();
-        match self.state.plan(op) {
-            Plan::Fail => Err(chaos_error(op)),
-            Plan::Short(keep) => {
-                let keep = keep.min(bytes.len());
-                let kept = bytes.get(..keep).unwrap_or(bytes);
-                self.inner.append(kept)?;
-                self.state.record(VfsOp::Append {
-                    path: self.path.clone(),
-                    bytes: kept.to_vec(),
-                });
-                Err(chaos_error(op))
-            }
-            Plan::Pass => {
-                self.inner.append(bytes)?;
-                self.state.record(VfsOp::Append {
-                    path: self.path.clone(),
-                    bytes: bytes.to_vec(),
-                });
-                Ok(())
-            }
-        }
+        self.state.admit()?;
+        self.inner.append(bytes)?;
+        self.state.record(VfsOp::Append {
+            path: self.path.clone(),
+            bytes: bytes.to_vec(),
+        });
+        Ok(())
     }
 
     fn sync_all(&mut self) -> io::Result<()> {
-        let op = self.state.next();
-        match self.state.plan(op) {
-            Plan::Pass => {
-                self.inner.sync_all()?;
-                self.state.record(VfsOp::SyncFile {
-                    path: self.path.clone(),
-                });
-                Ok(())
-            }
-            _ => Err(chaos_error(op)),
-        }
+        self.state.admit()?;
+        self.inner.sync_all()?;
+        self.state.record(VfsOp::SyncFile {
+            path: self.path.clone(),
+        });
+        Ok(())
     }
 }
 

@@ -461,11 +461,6 @@ impl ServeMetrics {
         self.routes.of(class).total()
     }
 
-    /// Observations recorded under a stage (test hook).
-    pub fn stage_observations(&self, stage: Stage) -> u64 {
-        self.stages.of(stage).total()
-    }
-
     /// The `GET /metrics` body: the counters, build/uptime gauges, and
     /// the per-route / per-stage latency histograms, Prometheus text
     /// exposition format.
