@@ -120,6 +120,22 @@ fn a_flag_the_command_cannot_use_exits_1_naming_the_key() {
 }
 
 #[test]
+fn a_repeated_os_exits_1_naming_the_key() {
+    let command = "table3 --oses debian,debian";
+    let output = osdiv(command);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "osdiv {command}: {stderr}");
+    assert!(
+        stderr.contains("for parameter oses"),
+        "osdiv {command}: {stderr}"
+    );
+    assert!(
+        output.stdout.is_empty(),
+        "osdiv {command} printed a document"
+    );
+}
+
+#[test]
 fn table5_honours_oses_like_split() {
     let flags = "--oses debian,redhat,openbsd --format csv";
     let table5 = stdout(&format!("table5 {flags}"));

@@ -122,10 +122,14 @@ impl PairwiseAnalysis {
         for (i, os) in oses.iter().enumerate() {
             position[os.index()] = Some(i);
         }
+        let configured: OsSet = oses.iter().copied().collect();
         let n = oses.len();
         let mut part_counts = vec![[0usize; 3]; n * n];
         for row in study.store().rows() {
-            if !study.retains(row, ServerProfile::IsolatedThinServer)
+            // A row meeting fewer than two configured OSes credits no
+            // pair: skip it before the costlier `retains` lookup.
+            if row.os_set.intersection(configured).len() < 2
+                || !study.retains(row, ServerProfile::IsolatedThinServer)
                 || !Period::Whole.contains(row.year())
             {
                 continue;

@@ -164,11 +164,11 @@ impl Params {
         }
     }
 
-    /// Parses a comma-separated list value (when present). An empty value
-    /// or empty list items are invalid.
+    /// Parses a comma-separated list value (when present). An empty value,
+    /// empty list items and an item listed twice are invalid.
     pub fn parse_list<T>(&self, key: &str) -> Result<Option<Vec<T>>, AnalysisError>
     where
-        T: FromStr,
+        T: FromStr + PartialEq,
         T::Err: Display,
     {
         let Some(raw) = self.get(key) else {
@@ -185,7 +185,11 @@ impl Params {
             if piece.is_empty() {
                 return Err(invalid("empty list item".to_string()));
             }
-            items.push(piece.parse().map_err(|e: T::Err| invalid(e.to_string()))?);
+            let item = piece.parse().map_err(|e: T::Err| invalid(e.to_string()))?;
+            if items.contains(&item) {
+                return Err(invalid(format!("{piece} is listed more than once")));
+            }
+            items.push(item);
         }
         Ok(Some(items))
     }
@@ -388,6 +392,24 @@ mod tests {
         assert!(PairwiseConfig::from_params(&params).is_err());
         let params = Params::from_pairs([("oses", "debian,atari")]);
         assert!(PairwiseConfig::from_params(&params).is_err());
+        // A repeated OS is rejected, not paired with itself.
+        for oses in ["debian,debian", "debian,redhat,Debian"] {
+            let params = Params::from_pairs([("oses", oses)]);
+            for err in [
+                PairwiseConfig::from_params(&params).unwrap_err(),
+                SplitConfig::from_params(&params).unwrap_err(),
+                ReleaseConfig::from_params(&params).unwrap_err(),
+                SelectionConfig::from_params(&params).unwrap_err(),
+            ] {
+                match err {
+                    AnalysisError::InvalidParam { name, value, .. } => {
+                        assert_eq!(name, "oses");
+                        assert_eq!(value, oses);
+                    }
+                    other => panic!("unexpected error {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

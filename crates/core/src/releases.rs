@@ -7,7 +7,7 @@
 //! version information contribute (the rest could not be correlated by the
 //! paper either).
 
-use nvd_model::{OsDistribution, OsRelease};
+use nvd_model::{OsDistribution, OsRelease, OsSet};
 use tabular::TextTable;
 
 use crate::analysis::{Analysis, AnalysisError, AnalysisId, Section};
@@ -68,19 +68,53 @@ pub struct ReleaseAnalysis {
 
 impl ReleaseAnalysis {
     fn compute_impl(study: &StudyDataset, releases: &[OsRelease], profile: ServerProfile) -> Self {
+        // One pass over the store: find the list positions each retained
+        // row explicitly affects (its `os_vuln` row for the distribution
+        // lists the version; an empty list, "all versions", does not
+        // count) and credit every pair among them in an n×n matrix.
+        // Positions, not releases, so a release listed twice pairs with
+        // itself exactly as the per-pair definition does.
+        let distributions: OsSet = releases.iter().map(|r| r.distribution()).collect();
+        let n = releases.len();
+        let mut counts = vec![0usize; n * n];
+        let mut affected = Vec::with_capacity(n);
+        for row in study.store().rows() {
+            // A row can only tag a release through its `os_vuln` row for
+            // that release's distribution, and the store keeps `os_set`
+            // equal to the set of those rows (`VulnStore::from_rows`
+            // rejects any other), so a row meeting none of the configured
+            // distributions affects no release and is skipped before the
+            // costlier `retains` lookup.
+            if !row.os_set.intersects(&distributions) || !study.retains(row, profile) {
+                continue;
+            }
+            affected.clear();
+            for tags in study.store().os_vuln_rows_for(row.id) {
+                affected.extend(
+                    releases
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, r)| {
+                            r.distribution() == tags.os
+                                && tags.versions.iter().any(|v| v == r.version())
+                        })
+                        .map(|(i, _)| i),
+                );
+            }
+            for (k, &i) in affected.iter().enumerate() {
+                for &j in &affected[k + 1..] {
+                    counts[i.min(j) * n + i.max(j)] += 1;
+                }
+            }
+        }
         let mut rows = Vec::new();
         for (i, &a) in releases.iter().enumerate() {
-            for &b in releases.iter().skip(i + 1) {
-                let common = study
-                    .store()
-                    .rows()
-                    .filter(|row| {
-                        study.retains(row, profile)
-                            && affects_release_explicitly(study, row.id, a)
-                            && affects_release_explicitly(study, row.id, b)
-                    })
-                    .count();
-                rows.push(ReleasePairRow { a, b, common });
+            for (j, &b) in releases.iter().enumerate().skip(i + 1) {
+                rows.push(ReleasePairRow {
+                    a,
+                    b,
+                    common: counts[i * n + j],
+                });
             }
         }
         ReleaseAnalysis { rows, profile }
@@ -144,21 +178,6 @@ impl Analysis for ReleaseAnalysis {
             analysis.to_table(),
         )])
     }
-}
-
-/// Whether a vulnerability affects a given release *with explicit version
-/// information* (vulnerabilities without per-release data are skipped, like
-/// the entries the paper could not correlate with the security trackers).
-fn affects_release_explicitly(
-    study: &StudyDataset,
-    id: vulnstore::VulnId,
-    release: OsRelease,
-) -> bool {
-    study.store().os_vuln_rows_for(id).iter().any(|row| {
-        row.os == release.distribution()
-            && !row.versions.is_empty()
-            && row.versions.iter().any(|v| v == release.version())
-    })
 }
 
 #[cfg(test)]

@@ -809,35 +809,42 @@ impl Response {
     /// `head_only` suppresses the body (HEAD requests) while keeping the
     /// `Content-Length` of the full representation; 304 responses never
     /// carry a body.
+    ///
+    /// Head and body go out in one `write_all`: a socket write can wake
+    /// the peer, and one that shares the CPU would otherwise be woken
+    /// twice per response.
     pub fn write_to(
         &self,
         writer: &mut impl Write,
         keep_alive: bool,
         head_only: bool,
     ) -> io::Result<usize> {
-        let mut head = format!(
+        let body: &[u8] = if head_only || self.status == 304 {
+            &[]
+        } else {
+            &self.body
+        };
+        let mut out = Vec::with_capacity(body.len().saturating_add(256));
+        write!(
+            out,
             "HTTP/1.1 {} {}\r\nServer: osdiv-serve/{}\r\n",
             self.status,
             reason(self.status),
             env!("CARGO_PKG_VERSION"),
-        );
+        )?;
         for (name, value) in &self.headers {
-            head.push_str(&format!("{name}: {value}\r\n"));
+            write!(out, "{name}: {value}\r\n")?;
         }
-        head.push_str(&format!("Content-Length: {}\r\n", self.body.len()));
-        head.push_str(if keep_alive {
-            "Connection: keep-alive\r\n\r\n"
+        write!(out, "Content-Length: {}\r\n", self.body.len())?;
+        out.extend_from_slice(if keep_alive {
+            b"Connection: keep-alive\r\n\r\n"
         } else {
-            "Connection: close\r\n\r\n"
+            b"Connection: close\r\n\r\n"
         });
-        writer.write_all(head.as_bytes())?;
-        let mut written = head.len();
-        if !head_only && self.status != 304 && !self.body.is_empty() {
-            writer.write_all(&self.body)?;
-            written += self.body.len();
-        }
+        out.extend_from_slice(body);
+        writer.write_all(&out)?;
         writer.flush()?;
-        Ok(written)
+        Ok(out.len())
     }
 }
 
@@ -1024,6 +1031,41 @@ mod tests {
         assert!(text.contains("Content-Length: 2\r\n"));
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("\r\n\r\n"));
+
+        // Every response leaves in one write call, and the returned count
+        // is exactly what was written.
+        #[derive(Default)]
+        struct CountingWriter {
+            bytes: Vec<u8>,
+            writes: usize,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let not_modified = Response::new(304)
+            .with_body(tabular::mime::APPLICATION_JSON, b"{}".to_vec())
+            .with_header("ETag", "\"abc\"");
+        for (response, head_only, body) in [
+            (&response, false, &b"{}"[..]),
+            (&response, true, &b""[..]),
+            (&not_modified, false, &b""[..]),
+        ] {
+            let mut out = CountingWriter::default();
+            let written = response.write_to(&mut out, true, head_only).unwrap();
+            assert_eq!(out.writes, 1, "{} head_only={head_only}", response.status);
+            assert_eq!(written, out.bytes.len());
+            let text = String::from_utf8(out.bytes).unwrap();
+            assert!(text.contains("Content-Length: 2\r\n"));
+            let (_, sent_body) = text.split_once("\r\n\r\n").unwrap();
+            assert_eq!(sent_body.as_bytes(), body);
+        }
     }
 
     /// Encodes a payload as chunked framing with the given chunk sizes.

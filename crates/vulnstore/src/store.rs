@@ -388,21 +388,14 @@ impl VulnStore {
         self.cvss.iter()
     }
 
-    /// The `os_vuln` rows of a vulnerability (one per affected OS).
-    pub fn os_vuln_rows_for(&self, id: VulnId) -> Vec<&OsVulnRow> {
+    /// The `os_vuln` rows of a vulnerability (one per affected OS), in
+    /// insertion order.
+    pub fn os_vuln_rows_for(&self, id: VulnId) -> impl Iterator<Item = &OsVulnRow> + '_ {
         self.os_vuln_by_vuln
             .get(&id)
-            .map(|rows| rows.iter().filter_map(|r| self.os_vuln.get(*r)).collect())
-            .unwrap_or_default()
-    }
-
-    /// Whether a vulnerability affects a specific release of a distribution.
-    /// A vulnerability with no version information for that OS is counted as
-    /// affecting every release.
-    pub fn affects_release(&self, id: VulnId, os: OsDistribution, version: &str) -> bool {
-        self.os_vuln_rows_for(id)
-            .iter()
-            .any(|row| row.os == os && row.affects_version(version))
+            .into_iter()
+            .flatten()
+            .filter_map(|r| self.os_vuln.get(*r))
     }
 
     /// Updates the OS-part classification of a vulnerability (the manual
@@ -690,10 +683,18 @@ mod tests {
             .build()
             .unwrap();
         let id = store.insert_entry(&e);
-        assert!(store.affects_release(id, OsDistribution::Debian, "4.0"));
-        assert!(!store.affects_release(id, OsDistribution::Debian, "3.0"));
-        assert!(store.affects_release(id, OsDistribution::RedHat, "5.0"));
-        assert!(!store.affects_release(id, OsDistribution::Ubuntu, "8.04"));
+        let tags = |os| store.os_vuln_rows_for(id).find(|row| row.os == os);
+        let debian = tags(OsDistribution::Debian).unwrap();
+        assert_eq!(debian.versions, ["4.0"]);
+        assert!(debian.affects_version("4.0"));
+        assert!(!debian.affects_version("3.0"));
+        // No version information: every release of the OS.
+        let redhat = tags(OsDistribution::RedHat).unwrap();
+        assert!(redhat.versions.is_empty());
+        assert!(redhat.affects_version("5.0"));
+        assert!(tags(OsDistribution::Ubuntu).is_none());
+        assert_eq!(store.os_vuln_rows_for(id).count(), 2);
+        assert_eq!(store.os_vuln_rows_for(VulnId(999)).count(), 0);
     }
 
     #[test]
@@ -768,7 +769,7 @@ mod tests {
                     let id = store.insert_entry(&e);
                     let row = store.get(id).unwrap();
                     prop_assert_eq!(row.os_set, *set);
-                    prop_assert_eq!(store.os_vuln_rows_for(id).len(), set.len());
+                    prop_assert_eq!(store.os_vuln_rows_for(id).count(), set.len());
                 }
                 // The per-OS index is consistent with the row os_sets.
                 for os in OsDistribution::ALL {
