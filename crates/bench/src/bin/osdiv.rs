@@ -660,19 +660,7 @@ fn serve(study: Study, opts: &Options) -> Result<String, CliError> {
                 .unwrap_or(osdiv_serve::DEFAULT_SLOW_REQUEST_US),
         },
     ));
-    let server = Server::bind(opts.addr.as_str(), router, {
-        let mut server_options = ServerOptions {
-            threads: opts.threads,
-            ..ServerOptions::default()
-        };
-        if let Some(ms) = opts.io_timeout_ms {
-            server_options.io_timeout = std::time::Duration::from_millis(ms.max(1));
-        }
-        if let Some(depth) = opts.shed_queue_depth {
-            server_options.shed_queue_depth = depth.max(1);
-        }
-        server_options
-    })?;
+    let server = Server::bind(opts.addr.as_str(), router, server_options(opts))?;
     // Flushed eagerly so wrapper scripts watching a redirected stdout see
     // the bound (possibly ephemeral) port immediately.
     println!(
@@ -686,6 +674,19 @@ fn serve(study: Study, opts: &Options) -> Result<String, CliError> {
     std::io::stdout().flush()?;
     server.run()?;
     Ok("osdiv-serve: shutdown complete\n".to_string())
+}
+
+/// The server tuning of `osdiv serve`: `--threads` workers, and unless
+/// `--shed-queue-depth` says otherwise, a shed depth of 16 per worker.
+fn server_options(opts: &Options) -> ServerOptions {
+    let mut server_options = ServerOptions::for_threads(opts.threads);
+    if let Some(ms) = opts.io_timeout_ms {
+        server_options.io_timeout = std::time::Duration::from_millis(ms.max(1));
+    }
+    if let Some(depth) = opts.shed_queue_depth {
+        server_options.shed_queue_depth = depth.max(1);
+    }
+    server_options
 }
 
 /// Parses the options of a command that takes no analysis parameter: like
@@ -826,7 +827,7 @@ fn usage() -> String {
          --threads <N>                    serve: worker threads\n  \
          --enable-shutdown                serve: honour POST /v1/shutdown\n  \
          --enable-dataset-delete          serve: honour DELETE /v1/datasets/{name}\n  \
-         --enable-debug                   serve: honour GET /v1/debug/* (spans, registry, pool;\n                                   \
+         --enable-debug                   serve: honour GET /v1/debug/* (spans, registry;\n                                   \
          requires the ingest token when one is set)\n  \
          --ingest-token <TOKEN>           serve: require `Authorization: Bearer <TOKEN>` on\n                                   \
          mutating dataset routes (env: OSDIV_INGEST_TOKEN)\n  \
@@ -898,4 +899,26 @@ fn survival(study: &Study, opts: &Options) -> String {
     }
     let title = "Survival of replica configurations over 2006-2010 (Monte-Carlo)";
     renderer(opts.format).document(&[Section::table(title, table)])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn options(args: &[&str]) -> Options {
+        let args: Vec<String> = args.iter().map(|arg| arg.to_string()).collect();
+        match parse_options(&args) {
+            Ok(opts) => opts,
+            Err(_) => panic!("{args:?} should parse"),
+        }
+    }
+
+    #[test]
+    fn the_shed_depth_defaults_to_sixteen_per_configured_thread() {
+        let tuned = server_options(&options(&["--threads", "64"]));
+        assert_eq!(tuned.threads, 64);
+        assert_eq!(tuned.shed_queue_depth, 1024);
+        let explicit = server_options(&options(&["--threads", "64", "--shed-queue-depth", "5"]));
+        assert_eq!(explicit.shed_queue_depth, 5);
+    }
 }

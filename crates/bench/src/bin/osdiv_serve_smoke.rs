@@ -462,7 +462,6 @@ fn run(addr: SocketAddr) -> Result<(), String> {
         "osdiv_workers_busy",
         "osdiv_dispatch_queue_depth",
         "osdiv_connections_active",
-        "osdiv_ingest_queue_depth",
         "osdiv_body_cache_entries",
         "osdiv_body_cache_bytes",
         "osdiv_body_cache_byte_budget",

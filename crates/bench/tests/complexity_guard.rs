@@ -43,10 +43,10 @@ fn feed_xml(entries: u32) -> Vec<u8> {
         .into_bytes()
 }
 
-/// Pushes `xml` into a fresh inline ingester in `piece`-byte chunks and
-/// returns the boundary scanner's work counter.
+/// Pushes `xml` into a fresh ingester in `piece`-byte chunks and returns
+/// the boundary scanner's work counter.
 fn scan_work(xml: &[u8], piece: usize) -> u64 {
-    let mut ingester = FeedIngester::with_workers(IngestBudget::default(), 0);
+    let mut ingester = FeedIngester::new(IngestBudget::default());
     for chunk in xml.chunks(piece) {
         ingester.push(chunk).expect("valid feed ingests");
     }

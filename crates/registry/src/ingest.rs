@@ -15,26 +15,13 @@
 //! Section III-B step, mirroring the `feed_pipeline` example) and returns
 //! the [`StudyDataset`] ready to wrap in a [`Study`].
 //!
-//! # Parallel entry parsing
-//!
-//! The boundary scanner is inherently sequential, but XML parsing — the
-//! dominant cost of an ingestion — is not: on a multi-core host the
-//! carved `<entry>` strings are fanned out to a small worker pool over a
-//! **bounded** [`mpsc`] channel (the carver blocks once `PIPELINE_DEPTH`
-//! fragments are in flight, so transient memory stays at "a few entries"
-//! even when a caller pushes the whole feed in one chunk) and parsed
-//! concurrently, while the scanner keeps carving the next chunk. Results
-//! carry their carve sequence number and are re-ordered before
-//! insertion — harvested between fragments, not at the end of a push —
-//! so the loaded store is **identical** to a sequential ingestion
-//! (insertion order determines row ids and duplicate-merge semantics). One consequence of pipelining: a
-//! malformed-XML error discovered by a worker may surface on a *later*
-//! [`push`](FeedIngester::push) than the chunk that carried the broken
-//! entry, or at [`finish`](FeedIngester::finish) — always the error of
-//! the **first** broken entry in feed order, deterministically. Budget
-//! violations are still detected synchronously at carve time. On a
-//! single-core host (or with [`FeedIngester::with_workers`] `== 0`)
-//! parsing stays inline and errors surface exactly as before.
+//! Every entry is parsed and inserted inline, on the calling thread, by
+//! the [`push`](FeedIngester::push) that completes it. A malformed entry
+//! therefore fails exactly that push, the first error in feed order is
+//! the one reported, and rows are inserted in feed order (which fixes row
+//! ids and duplicate-merge semantics). An ingestion runs on the calling
+//! thread and spawns none; uploads run in parallel only as the caller's
+//! threads do (the server gives each one its own worker).
 //!
 //! Known limitation: entry boundaries are recognized textually (with
 //! quote-aware tag scanning), so a literal `</entry>` *inside a CDATA
@@ -42,17 +29,11 @@
 //! and is counted as skipped, never mis-attributed. NVD feeds escape
 //! character data and do not hit this.
 
-use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::thread;
 use std::time::Instant;
 
 use classify::Classifier;
 use nvd_feed::{FeedError, FeedReader};
-use nvd_model::VulnerabilityEntry;
 use osdiv_core::fault;
 use osdiv_core::obs::{self, SpanKind};
 use osdiv_core::{Study, StudyDataset};
@@ -160,10 +141,9 @@ impl From<FeedError> for IngestError {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IngestStageMicros {
     /// Carving `<entry>` boundaries out of the byte stream (everything in
-    /// `push`/`finish` not attributed to the other two stages).
+    /// `push` not attributed to the other two stages).
     pub carve_us: u64,
-    /// Parsing carved fragments: inline parse time, or — pipelined — the
-    /// time the coordinator spent blocked on the worker pool.
+    /// Parsing carved fragments.
     pub parse_us: u64,
     /// Inserting parsed entries into the store, in feed order.
     pub insert_us: u64,
@@ -219,133 +199,6 @@ struct EntryScan {
     quote: Option<u8>,
 }
 
-/// One parse result travelling back from the worker pool, tagged with its
-/// carve sequence number so insertion can be re-ordered to feed order.
-type ParseResult = (u64, Result<Option<VulnerabilityEntry>, FeedError>);
-
-/// How many carved fragments may sit in the job queue before the
-/// coordinator blocks. The bound is what keeps a pipelined ingestion's
-/// transient memory at "a few entries" instead of "the whole feed": a fast
-/// producer (one giant `push`, or 64 KiB file reads) would otherwise
-/// outrun the workers and queue every fragment at once.
-const PIPELINE_DEPTH: usize = 16;
-
-/// The worker-pool half of a pipelined ingestion (see the module docs).
-#[derive(Debug)]
-struct ParsePipeline {
-    /// Carved fragments travel to the pool over a **bounded** channel
-    /// (backpressure, see [`PIPELINE_DEPTH`]); dropping the sender closes
-    /// it.
-    sender: Option<mpsc::SyncSender<(u64, String)>>,
-    results: mpsc::Receiver<ParseResult>,
-    workers: Vec<thread::JoinHandle<()>>,
-}
-
-impl ParsePipeline {
-    fn start(workers: usize) -> ParsePipeline {
-        let (sender, jobs) = mpsc::sync_channel::<(u64, String)>(PIPELINE_DEPTH);
-        let (result_sender, results) = mpsc::channel::<ParseResult>();
-        let jobs = Arc::new(Mutex::new(jobs));
-        let workers = (0..workers)
-            .map(|_| {
-                let jobs = Arc::clone(&jobs);
-                let results = result_sender.clone();
-                thread::spawn(move || {
-                    // A worker-local lenient reader: skip bookkeeping is
-                    // done by the coordinator from the `Ok(None)` results.
-                    let mut reader = FeedReader::new();
-                    loop {
-                        let job = match jobs.lock() {
-                            Ok(jobs) => jobs.recv(),
-                            // A sibling worker panicked holding the lock;
-                            // exit rather than propagate the poison.
-                            Err(_) => return,
-                        };
-                        match job {
-                            Err(_) => return, // channel closed: ingestion over
-                            Ok((seq, fragment)) => {
-                                let parsed = reader.read_entry_str(&fragment);
-                                if results.send((seq, parsed)).is_err() {
-                                    return; // coordinator gone
-                                }
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        ParsePipeline {
-            sender: Some(sender),
-            results,
-            workers,
-        }
-    }
-
-    fn submit(&self, seq: u64, fragment: String) {
-        // Blocks when PIPELINE_DEPTH jobs are in flight — the workers are
-        // always draining, so this is backpressure, not a deadlock (the
-        // result channel is never full). A send only fails after every
-        // worker exited, which cannot happen while the job channel is
-        // open.
-        let Some(sender) = self.sender.as_ref() else {
-            return; // submit is never called after close
-        };
-        let _ = sender.send((seq, fragment));
-    }
-
-    /// Closes the job channel and collects every outstanding result.
-    fn drain(mut self) -> Vec<ParseResult> {
-        self.sender = None;
-        let mut collected = Vec::new();
-        while let Ok(result) = self.results.recv() {
-            collected.push(result);
-        }
-        for worker in self.workers {
-            let _ = worker.join();
-        }
-        collected
-    }
-}
-
-/// An optional shared depth gauge over the pipelined parse queue: `add`
-/// on submit, `sub` on harvest. A struct (not methods on the ingester) so
-/// its `Drop` can return this ingester's outstanding contribution when an
-/// ingestion is abandoned mid-flight — `FeedIngester` itself cannot
-/// implement `Drop` because `finish` moves fields out of it.
-#[derive(Debug, Default)]
-struct QueueGauge {
-    shared: Option<Arc<AtomicU64>>,
-    held: u64,
-}
-
-impl QueueGauge {
-    fn add(&mut self) {
-        if let Some(shared) = &self.shared {
-            shared.fetch_add(1, Ordering::Relaxed);
-            self.held += 1;
-        }
-    }
-
-    fn sub(&mut self) {
-        if self.held > 0 {
-            if let Some(shared) = &self.shared {
-                shared.fetch_sub(1, Ordering::Relaxed);
-            }
-            self.held = self.held.saturating_sub(1);
-        }
-    }
-}
-
-impl Drop for QueueGauge {
-    fn drop(&mut self) {
-        if self.held > 0 {
-            if let Some(shared) = &self.shared {
-                shared.fetch_sub(self.held, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
 /// The push-based streaming feed ingester (see the module docs).
 ///
 /// # Example
@@ -381,31 +234,17 @@ pub struct FeedIngester {
     inserted: usize,
     /// Entry elements the lenient reader dropped as malformed.
     skipped: usize,
-    /// The worker pool (`None`: inline parsing).
-    pipeline: Option<ParsePipeline>,
-    /// Results parsed out of order, waiting for their predecessors.
-    pending: BTreeMap<u64, Result<Option<VulnerabilityEntry>, FeedError>>,
-    /// The carve sequence number of the next entry to insert.
-    next_insert: u64,
-    /// The first (in feed order) parse error, once everything before it
-    /// was inserted.
-    failed: Option<FeedError>,
     /// Bytes examined by the boundary scanner — a work counter for the
     /// complexity-guard tests. Scanning must stay linear in feed size no
     /// matter how finely the network slices the stream.
     scan_work: u64,
-    /// Wall-clock µs spent inside `push`/`finish` overall; carve time is
-    /// this minus the parse and insert attributions below.
+    /// Wall-clock µs spent inside `push` overall; carve time is this
+    /// minus the parse and insert attributions below.
     push_us: u64,
-    /// Wall-clock µs spent parsing fragments — inline parse time, or the
-    /// coordinator blocked on the worker pool (submit backpressure,
-    /// result waits, final drain).
+    /// Wall-clock µs spent parsing fragments.
     parse_us: u64,
-    /// Wall-clock µs spent settling parsed entries into the store.
+    /// Wall-clock µs spent inserting parsed entries into the store.
     insert_us: u64,
-    /// Fragments submitted to the worker pool and not yet harvested,
-    /// mirrored into a shared serving gauge when one is attached.
-    queue_gauge: QueueGauge,
     /// Flight-recorder clock at construction — the base the aggregate
     /// carve/parse/insert spans are laid out from at `finish`.
     started_us: u64,
@@ -418,20 +257,7 @@ fn micros_since(started: Instant) -> u64 {
 
 impl FeedIngester {
     /// An empty ingester with the given budget and a lenient reader.
-    /// Parsing is pipelined over a small worker pool when the host has
-    /// more than one core (see [`FeedIngester::with_workers`]).
     pub fn new(budget: IngestBudget) -> Self {
-        let workers = thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .saturating_sub(1)
-            .min(4);
-        Self::with_workers(budget, workers)
-    }
-
-    /// An empty ingester parsing on exactly `workers` pool threads
-    /// (`0`: inline, strictly sequential parsing).
-    pub fn with_workers(budget: IngestBudget, workers: usize) -> Self {
         FeedIngester {
             budget,
             reader: FeedReader::new(),
@@ -442,27 +268,19 @@ impl FeedIngester {
             seen: 0,
             inserted: 0,
             skipped: 0,
-            pipeline: (workers > 0).then(|| ParsePipeline::start(workers)),
-            pending: BTreeMap::new(),
-            next_insert: 0,
-            failed: None,
             scan_work: 0,
             push_us: 0,
             parse_us: 0,
             insert_us: 0,
-            queue_gauge: QueueGauge::default(),
             started_us: obs::monotonic_us(),
         }
     }
 
-    /// Attaches a shared parse-queue depth gauge (the serving layer's
-    /// `osdiv_ingest_queue_depth`): incremented when a fragment is
-    /// submitted to the worker pool, decremented when its result is
-    /// harvested, and zeroed back out if the ingestion is dropped
-    /// mid-flight. Inline (zero-worker) ingestions never touch it.
-    pub fn with_queue_gauge(mut self, shared: Arc<AtomicU64>) -> Self {
-        self.queue_gauge.shared = Some(shared);
-        self
+    /// The same as [`FeedIngester::new`]: `workers` is ignored, because
+    /// every ingestion parses inline.
+    #[doc(hidden)]
+    pub fn with_workers(budget: IngestBudget, _workers: usize) -> Self {
+        Self::new(budget)
     }
 
     /// Bytes examined by the entry-boundary scanner so far. Linear in
@@ -483,18 +301,16 @@ impl FeedIngester {
         self.buffer.len()
     }
 
-    /// Pushes the next chunk of feed bytes, processing every entry element
-    /// it completes.
+    /// Pushes the next chunk of feed bytes, parsing and inserting every
+    /// entry element it completes.
     ///
     /// # Errors
     ///
     /// Budget violations ([`IngestError::BodyTooLarge`],
     /// [`IngestError::TooManyEntries`], [`IngestError::EntryTooLarge`]) and
     /// malformed-XML [`IngestError::Feed`] errors abort the ingestion; the
-    /// ingester must be discarded afterwards. With a worker pool, a
-    /// malformed-XML error may surface on a later `push` than the chunk
-    /// that carried the broken entry, or at
-    /// [`finish`](FeedIngester::finish) (see the module docs).
+    /// ingester must be discarded afterwards. A malformed entry fails the
+    /// push that completes it.
     pub fn push(&mut self, chunk: &[u8]) -> Result<(), IngestError> {
         let started = Instant::now();
         let pushed = self.push_chunk(chunk);
@@ -505,7 +321,6 @@ impl FeedIngester {
     /// The body of [`push`](FeedIngester::push), wrapped so the public
     /// entry point can attribute its wall-clock time to the carve stage.
     fn push_chunk(&mut self, chunk: &[u8]) -> Result<(), IngestError> {
-        self.take_failure()?;
         if fault::failpoint("ingest.carve") {
             return Err(IngestError::Feed(FeedError::schema(
                 None,
@@ -514,116 +329,22 @@ impl FeedIngester {
         }
         self.feed_bytes += chunk.len();
         if self.feed_bytes > self.budget.max_bytes {
-            return Err(self.budget_error(IngestError::BodyTooLarge {
+            return Err(IngestError::BodyTooLarge {
                 limit: self.budget.max_bytes,
-            }));
+            });
         }
         self.buffer.extend_from_slice(chunk);
-        self.scan()?;
-        self.drain_ready()
+        self.scan()
     }
 
     /// Where this ingestion's wall-clock time has gone so far. Carve time
-    /// is everything inside `push`/`finish` not spent parsing or
-    /// inserting, so the three stages sum to the total ingest time.
+    /// is everything inside `push` not spent parsing or inserting, so the
+    /// three stages sum to the total ingest time.
     pub fn stage_micros(&self) -> IngestStageMicros {
         IngestStageMicros {
             carve_us: self.push_us.saturating_sub(self.parse_us + self.insert_us),
             parse_us: self.parse_us,
             insert_us: self.insert_us,
-        }
-    }
-
-    /// Pulls every already finished worker result (without blocking) and
-    /// settles what arrived in feed order.
-    fn drain_ready(&mut self) -> Result<(), IngestError> {
-        self.collect_ready();
-        self.take_failure()
-    }
-
-    /// The non-failing half of [`FeedIngester::drain_ready`]: harvest
-    /// finished results and fold the in-order prefix into the store. Also
-    /// called after every carved fragment, so parsed entries never pile up
-    /// behind a long-running `push`.
-    fn collect_ready(&mut self) {
-        if let Some(pipeline) = &self.pipeline {
-            while let Ok((seq, result)) = pipeline.results.try_recv() {
-                self.queue_gauge.sub();
-                self.pending.insert(seq, result);
-            }
-        }
-        self.settle_pending();
-    }
-
-    /// Inserts pending results whose predecessors have all been applied,
-    /// strictly in carve order — the loaded store is identical to a
-    /// sequential ingestion.
-    fn settle_pending(&mut self) {
-        let started = Instant::now();
-        while self.failed.is_none() {
-            let Some(result) = self.pending.remove(&self.next_insert) else {
-                break;
-            };
-            self.next_insert += 1;
-            match result {
-                Ok(Some(entry)) => {
-                    if fault::failpoint("ingest.insert") {
-                        self.failed =
-                            Some(FeedError::schema(None, "injected fault at ingest.insert"));
-                        continue;
-                    }
-                    self.store.insert_entry(&entry);
-                    self.inserted += 1;
-                }
-                Ok(None) => self.skipped += 1,
-                Err(error) => self.failed = Some(error),
-            }
-        }
-        self.insert_us += micros_since(started);
-    }
-
-    /// Surfaces the first-in-feed-order parse failure, once.
-    fn take_failure(&mut self) -> Result<(), IngestError> {
-        match self.failed.take() {
-            Some(error) => Err(IngestError::Feed(error)),
-            None => Ok(()),
-        }
-    }
-
-    /// Blocks until every already submitted fragment has settled (or a
-    /// failure surfaced). Called before reporting a budget violation:
-    /// everything in flight was carved *earlier* in the feed, so an
-    /// in-flight parse error there must win over the budget error —
-    /// exactly what a sequential ingestion would have reported.
-    fn await_in_flight(&mut self) {
-        loop {
-            self.settle_pending();
-            if self.failed.is_some() || self.next_insert >= self.seen as u64 {
-                return;
-            }
-            let waited = Instant::now();
-            let received = match &self.pipeline {
-                Some(pipeline) => pipeline.results.recv().ok(),
-                None => None,
-            };
-            self.parse_us += micros_since(waited);
-            match received {
-                Some((seq, result)) => {
-                    self.queue_gauge.sub();
-                    self.pending.insert(seq, result);
-                }
-                None => return,
-            }
-        }
-    }
-
-    /// Resolves a budget violation against the in-flight parses: an
-    /// earlier (feed-order) parse failure takes precedence.
-    fn budget_error(&mut self, violation: IngestError) -> IngestError {
-        self.await_in_flight();
-        match self.failed.take() {
-            Some(error) => IngestError::Feed(error),
-            None => violation,
         }
     }
 
@@ -652,81 +373,69 @@ impl FeedIngester {
                     self.state = ScanState::InEntry(entry_scan);
                     let Some(end) = end else {
                         if self.buffer.len() > self.budget.max_entry_bytes {
-                            return Err(self.budget_error(IngestError::EntryTooLarge {
+                            return Err(IngestError::EntryTooLarge {
                                 limit: self.budget.max_entry_bytes,
-                            }));
+                            });
                         }
                         return Ok(());
                     };
                     if end > self.budget.max_entry_bytes {
-                        return Err(self.budget_error(IngestError::EntryTooLarge {
+                        return Err(IngestError::EntryTooLarge {
                             limit: self.budget.max_entry_bytes,
-                        }));
+                        });
                     }
                     self.process_fragment(end)?;
                     self.buffer.drain(..end);
                     self.state = ScanState::Scanning;
-                    // Harvest finished parses between fragments so a large
-                    // single push cannot pile every parsed entry up in
-                    // `pending` — transient memory stays at pipeline depth.
-                    self.collect_ready();
-                    if self.failed.is_some() {
-                        // A parse failure is already settled: stop carving
-                        // (and budget-counting) the rest of the chunk, so
-                        // the feed-order-first error reaches the caller
-                        // instead of being masked by a later budget
-                        // violation — and nothing parses for nothing.
-                        return Ok(());
-                    }
                 }
             }
         }
     }
 
-    /// Parses `self.buffer[..end]` as one entry element — on the worker
-    /// pool when one is running, inline otherwise.
+    /// Parses `self.buffer[..end]` as one entry element and inserts it
+    /// into the store (or counts it skipped, when the lenient reader drops
+    /// it).
     fn process_fragment(&mut self, end: usize) -> Result<(), IngestError> {
         if self.seen >= self.budget.max_entries {
-            return Err(self.budget_error(IngestError::TooManyEntries {
+            return Err(IngestError::TooManyEntries {
                 limit: self.budget.max_entries,
-            }));
+            });
         }
-        if std::str::from_utf8(self.buffer.get(..end).unwrap_or_default()).is_err() {
-            // Resolve against in-flight parses before surfacing: an entry
-            // *earlier* in the feed may still be parsing on a worker, and
-            // its error must win — exactly as a sequential ingestion
-            // would report it. (Checked before a seq is allocated, so
-            // `await_in_flight` never waits on a never-submitted parse.)
-            let error = IngestError::Feed(FeedError::schema(None, "entry is not valid UTF-8"));
-            return Err(self.budget_error(error));
-        }
+        let Ok(fragment) = std::str::from_utf8(self.buffer.get(..end).unwrap_or_default()) else {
+            return Err(IngestError::Feed(FeedError::schema(
+                None,
+                "entry is not valid UTF-8",
+            )));
+        };
         if fault::failpoint("ingest.parse") {
-            let error =
-                IngestError::Feed(FeedError::schema(None, "injected fault at ingest.parse"));
-            return Err(self.budget_error(error));
+            return Err(IngestError::Feed(FeedError::schema(
+                None,
+                "injected fault at ingest.parse",
+            )));
         }
-        let seq = self.seen as u64;
         self.seen += 1;
-        let fragment =
-            std::str::from_utf8(self.buffer.get(..end).unwrap_or_default()).unwrap_or_default();
         let parse_started = Instant::now();
-        match &self.pipeline {
-            Some(pipeline) => {
-                pipeline.submit(seq, fragment.to_string());
-                self.queue_gauge.add();
-            }
-            None => {
-                let parsed = self.reader.read_entry_str(fragment);
-                self.pending.insert(seq, parsed);
-            }
-        }
+        let parsed = self.reader.read_entry_str(fragment);
         self.parse_us += micros_since(parse_started);
+        let Some(entry) = parsed? else {
+            self.skipped += 1;
+            return Ok(());
+        };
+        if fault::failpoint("ingest.insert") {
+            return Err(IngestError::Feed(FeedError::schema(
+                None,
+                "injected fault at ingest.insert",
+            )));
+        }
+        let insert_started = Instant::now();
+        self.store.insert_entry(&entry);
+        self.inserted += 1;
+        self.insert_us += micros_since(insert_started);
         Ok(())
     }
 
-    /// Finishes the ingestion: waits for the worker pool to drain, fails
-    /// on a parse error, a truncated or an empty feed, classifies
-    /// unlabelled rows, and returns the loaded dataset.
+    /// Finishes the ingestion: fails on a truncated or an empty feed,
+    /// classifies unlabelled rows, and returns the loaded dataset.
     pub fn finish(self) -> Result<IngestOutcome, IngestError> {
         self.finish_inner(false).map(|(outcome, _)| outcome)
     }
@@ -736,26 +445,15 @@ impl FeedIngester {
     /// instead of failing — the semantics of replaying a crash-truncated
     /// ingestion journal, where everything up to the last complete entry
     /// is trustworthy and the torn tail is not. The returned flag reports
-    /// whether a partial entry was dropped. Parse errors and empty feeds
-    /// still fail: a journal holding a feed the original `PUT` would have
-    /// rejected must not materialize a dataset.
+    /// whether a partial entry was dropped. Empty feeds still fail here,
+    /// as malformed entries already failed their push: a journal holding
+    /// a feed the original `PUT` would have rejected must not materialize
+    /// a dataset.
     pub fn finish_lossy(self) -> Result<(IngestOutcome, bool), IngestError> {
         self.finish_inner(true)
     }
 
-    fn finish_inner(mut self, lossy: bool) -> Result<(IngestOutcome, bool), IngestError> {
-        let finish_started = Instant::now();
-        if let Some(pipeline) = self.pipeline.take() {
-            let drain_started = Instant::now();
-            for (seq, result) in pipeline.drain() {
-                self.queue_gauge.sub();
-                self.pending.insert(seq, result);
-            }
-            self.parse_us += micros_since(drain_started);
-        }
-        self.settle_pending();
-        self.push_us += micros_since(finish_started);
-        self.take_failure()?;
+    fn finish_inner(self, lossy: bool) -> Result<(IngestOutcome, bool), IngestError> {
         let dropped_tail = matches!(self.state, ScanState::InEntry(_));
         if dropped_tail && !lossy {
             return Err(IngestError::Truncated);
@@ -766,10 +464,10 @@ impl FeedIngester {
         let stages = self.stage_micros();
         // Three aggregate flight-recorder spans, laid out sequentially
         // from the ingestion's start so a trace shows where the time went
-        // without flooding the ring with per-entry records. `finish` runs
-        // on the request's thread, so these nest under the request span
-        // when a trace scope is active. The parse span includes time the
-        // coordinator spent blocked on the worker queue (backpressure).
+        // without flooding the ring with per-entry records. The stages
+        // really interleave entry by entry; each span carries its stage's
+        // total. `finish` runs on the request's thread, so these nest
+        // under the request span when a trace scope is active.
         let carve_end = self.started_us + stages.carve_us;
         let parse_end = carve_end + stages.parse_us;
         obs::record_span(SpanKind::IngestCarve, "", self.started_us, stages.carve_us);
@@ -1067,21 +765,10 @@ mod tests {
 
     #[test]
     fn malformed_xml_inside_an_entry_is_a_feed_error() {
-        // Inline (workers == 0): the error surfaces on the push itself.
-        let mut ingester = FeedIngester::with_workers(IngestBudget::default(), 0);
+        let mut ingester = FeedIngester::new(IngestBudget::default());
         let error = ingester
             .push(b"<nvd><entry id=unquoted>x</entry></nvd>")
             .unwrap_err();
-        assert!(matches!(error, IngestError::Feed(_)));
-        assert_eq!(error.http_status(), 400);
-
-        // Pipelined: the same error surfaces on a push or at finish,
-        // whichever comes first.
-        let mut ingester = FeedIngester::with_workers(IngestBudget::default(), 2);
-        let error = ingester
-            .push(b"<nvd><entry id=unquoted>x</entry></nvd>")
-            .err()
-            .unwrap_or_else(|| ingester.finish().unwrap_err());
         assert!(matches!(error, IngestError::Feed(_)));
         assert_eq!(error.http_status(), 400);
     }
@@ -1089,9 +776,8 @@ mod tests {
     #[test]
     fn an_earlier_parse_error_beats_a_later_budget_violation() {
         // One malformed entry followed by more entries than the remaining
-        // budget: a sequential ingestion reports the parse error (400),
-        // never the budget violation (413) — and so must the pipeline, no
-        // matter how the workers are scheduled.
+        // budget: the ingestion reports the parse error (400), never the
+        // budget violation (413).
         let mut xml = String::from("<nvd><entry id=unquoted>broken</entry>");
         for i in 0..10 {
             xml.push_str(&format!(
@@ -1100,95 +786,47 @@ mod tests {
             ));
         }
         xml.push_str("</nvd>");
-        for workers in [0, 3] {
-            for _ in 0..4 {
-                let mut ingester = FeedIngester::with_workers(
-                    IngestBudget {
-                        max_entries: 4,
-                        ..IngestBudget::default()
-                    },
-                    workers,
-                );
-                let error = ingester
-                    .push(xml.as_bytes())
-                    .err()
-                    .unwrap_or_else(|| ingester.finish().unwrap_err());
-                assert!(
-                    matches!(error, IngestError::Feed(_)),
-                    "workers {workers}: expected the feed-order-first parse error, got {error}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pipelined_error_reporting_is_deterministic_by_feed_order() {
-        // Two broken entries: the reported error is always the FIRST one
-        // in feed order, no matter which worker finishes first. The first
-        // broken fragment has mismatched quotes (unterminated attribute),
-        // the second an unclosed tag soup — distinguishable messages.
-        let xml = br#"<nvd>
-          <entry id="CVE-2008-1"><vuln:summary>fine</vuln:summary></entry>
-          <entry id=broken-first>x</entry>
-          <entry id='broken"second>y</entry>
-        </nvd>"#;
-        let mut messages = std::collections::BTreeSet::new();
-        for _ in 0..8 {
-            let mut ingester = FeedIngester::with_workers(IngestBudget::default(), 3);
-            let error = ingester
-                .push(xml)
-                .err()
-                .unwrap_or_else(|| ingester.finish().unwrap_err());
-            messages.insert(error.to_string());
-        }
-        assert_eq!(
-            messages.len(),
-            1,
-            "error reporting must be deterministic: {messages:?}"
+        let mut ingester = FeedIngester::new(IngestBudget {
+            max_entries: 4,
+            ..IngestBudget::default()
+        });
+        let error = ingester.push(xml.as_bytes()).unwrap_err();
+        assert!(
+            matches!(error, IngestError::Feed(_)),
+            "expected the feed-order-first parse error, got {error}"
         );
     }
 
     #[test]
-    fn pipelined_ingestion_loads_an_identical_store() {
-        let xml = feed(120);
-        let sequential = {
-            let mut ingester = FeedIngester::with_workers(IngestBudget::default(), 0);
-            ingester.push(xml.as_bytes()).unwrap();
-            ingester.finish().unwrap()
-        };
-        for workers in [1, 2, 4] {
-            let mut ingester = FeedIngester::with_workers(IngestBudget::default(), workers);
-            for piece in xml.as_bytes().chunks(97) {
-                ingester.push(piece).unwrap();
-            }
-            let outcome = ingester.finish().unwrap();
-            assert_eq!(outcome.entries, sequential.entries, "workers {workers}");
-            assert_eq!(outcome.parsed, sequential.parsed);
-            assert_eq!(outcome.skipped, sequential.skipped);
-            assert_eq!(
-                outcome.dataset.store().vulnerability_count(),
-                sequential.dataset.store().vulnerability_count()
-            );
-            // Row ids are assigned in insertion order: identical iteration
-            // proves the pipeline preserved feed order.
-            for (parallel, reference) in outcome
-                .dataset
-                .store()
-                .rows()
-                .zip(sequential.dataset.store().rows())
-            {
-                assert_eq!(parallel.cve, reference.cve, "workers {workers}");
-                assert_eq!(parallel.os_set, reference.os_set);
+    fn a_malformed_entry_fails_exactly_the_push_that_completes_it() {
+        const BROKEN: &str = "<entry id=unquoted>x</entry>";
+        let valid = feed(6);
+        let starts: Vec<usize> = valid.match_indices("<entry ").map(|(at, _)| at).collect();
+        assert_eq!(starts.len(), 6);
+        for k in [0, 2, 5] {
+            // Replace the k-th entry element with a malformed one.
+            let start = starts[k];
+            let end = start + valid[start..].find("</entry>").unwrap() + "</entry>".len();
+            let xml = format!("{}{BROKEN}{}", &valid[..start], &valid[end..]);
+            // The byte that completes the broken entry is its final `>`.
+            let last = start + BROKEN.len() - 1;
+            for chunk in [1usize, 7, 64] {
+                let mut ingester = FeedIngester::new(IngestBudget::default());
+                let failing = last / chunk;
+                for (index, piece) in xml.as_bytes().chunks(chunk).enumerate() {
+                    let pushed = ingester.push(piece);
+                    if index < failing {
+                        assert!(
+                            pushed.is_ok(),
+                            "entry {k}, chunk {chunk}: push {index} failed"
+                        );
+                    } else {
+                        let error = pushed.expect_err("the completing push fails");
+                        assert!(matches!(error, IngestError::Feed(_)), "{error}");
+                        break;
+                    }
+                }
             }
         }
-
-        // A single whole-feed push: the carver runs far ahead of the
-        // workers, exercising the bounded job queue's backpressure and the
-        // between-fragment result harvesting.
-        let mut ingester = FeedIngester::with_workers(IngestBudget::default(), 2);
-        ingester.push(xml.as_bytes()).unwrap();
-        let outcome = ingester.finish().unwrap();
-        assert_eq!(outcome.entries, sequential.entries);
-        assert_eq!(outcome.parsed, sequential.parsed);
     }
 }

@@ -1,6 +1,6 @@
 //! The gated `GET /v1/debug/*` introspection surface.
 //!
-//! Three read-only views, each answering in one pass over a bounded
+//! Two read-only views, each answering in one pass over a bounded
 //! structure — never proportional to request history:
 //!
 //! * `/v1/debug/spans` — the flight-recorder ring as Chrome trace-event
@@ -8,8 +8,6 @@
 //!   Perfetto / `chrome://tracing`. O(ring capacity).
 //! * `/v1/debug/registry` — one JSON object per tenant: name, generation,
 //!   lifecycle state, resident bytes, provenance. O(registered tenants).
-//! * `/v1/debug/pool` — worker-pool occupancy and queue depths, the same
-//!   numbers `/metrics` exposes, as a single JSON object. O(1).
 //!
 //! The routes are off by default (`--enable-debug`) and sit behind the
 //! same bearer token as the mutating dataset routes: span labels carry
@@ -19,8 +17,6 @@
 
 use osdiv_core::{FlightRecorder, JsonLine};
 use osdiv_registry::{DatasetSource, StudyRegistry};
-
-use crate::metrics::ServeMetrics;
 
 /// The flight-recorder ring as a Chrome trace-event JSON document.
 ///
@@ -86,25 +82,6 @@ pub fn registry_json(registry: &StudyRegistry) -> String {
     body
 }
 
-/// Worker-pool occupancy as JSON: pool size, busy workers, dispatch-queue
-/// depth, active connections and the ingest-pipeline depth.
-pub fn pool_json(metrics: &ServeMetrics) -> String {
-    let mut line = JsonLine::new();
-    line.u64_field("workers_total", metrics.workers_total());
-    line.u64_field("workers_busy", metrics.workers_busy());
-    line.u64_field("dispatch_queue_depth", metrics.dispatch_queue_depth());
-    line.u64_field("connections_active", metrics.connections_active());
-    line.u64_field(
-        "ingest_queue_depth",
-        metrics
-            .ingest_queue_depth()
-            .load(std::sync::atomic::Ordering::Relaxed),
-    );
-    let mut body = line.finish();
-    body.push('\n');
-    body
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,16 +111,5 @@ mod tests {
         assert!(body.contains("\"generation\":"), "{body}");
         assert!(body.contains("\"total\":2"), "{body}");
         assert!(body.contains("\"byte_budget\":"), "{body}");
-    }
-
-    #[test]
-    fn pool_json_mirrors_the_metrics_gauges() {
-        let metrics = ServeMetrics::new();
-        metrics.set_workers_total(3);
-        metrics.worker_busy();
-        let body = pool_json(&metrics);
-        assert!(body.contains("\"workers_total\":3"), "{body}");
-        assert!(body.contains("\"workers_busy\":1"), "{body}");
-        assert!(body.contains("\"dispatch_queue_depth\":0"), "{body}");
     }
 }

@@ -17,7 +17,8 @@
 //!   routes, `POST /v1/shutdown`) over a shared
 //!   [`osdiv_registry::StudyRegistry`]: every analysis route takes
 //!   `?dataset={name}`, feed bodies stream through
-//!   [`osdiv_registry::FeedIngester`] into new queryable datasets, and
+//!   [`osdiv_registry::FeedIngester`] into new queryable datasets (each
+//!   entry parsed on the worker serving the upload), and
 //!   rendered bodies live in a bounded LRU **with their precomputed
 //!   ETag** (dataset+seed+hash keyed, `If-None-Match` → 304);
 //! * [`server`] — a `TcpListener` accept loop feeding a fixed worker
@@ -37,9 +38,9 @@
 //! * [`debug`] — the gated `GET /v1/debug/*` introspection surface
 //!   (`--enable-debug` + the ingest bearer token): the flight-recorder
 //!   ring as Chrome trace-event JSON (`/v1/debug/spans`, Perfetto-
-//!   loadable, joined to responses by `X-Request-Id`), per-tenant
-//!   lifecycle state (`/v1/debug/registry`) and worker-pool occupancy
-//!   (`/v1/debug/pool`).
+//!   loadable, joined to responses by `X-Request-Id`) and per-tenant
+//!   lifecycle state (`/v1/debug/registry`). Worker-pool occupancy is
+//!   on `GET /metrics`.
 //!
 //! `GET /v1/analyses/{id}` responses are byte-identical to
 //! `osdiv {id} --format <f>` for the same seed, because both call

@@ -21,7 +21,6 @@
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use osdiv_core::obs::LatencyHistogram;
@@ -112,7 +111,7 @@ pub enum Stage {
     Write,
     /// Ingestion: carving `<entry>` elements out of the feed stream.
     IngestCarve,
-    /// Ingestion: parsing carved entries (pipelined wait included).
+    /// Ingestion: parsing carved entries.
     IngestParse,
     /// Ingestion: inserting parsed entries into the store, in feed order.
     IngestInsert,
@@ -227,10 +226,6 @@ pub struct ServeMetrics {
     shed_total: AtomicU64,
     /// Connections closed for exhausting the per-request I/O budget (408).
     io_timeouts_total: AtomicU64,
-    /// Feed-ingestion pipeline entries submitted to parser workers and not
-    /// yet harvested (shared with every in-flight [`FeedIngester`] via
-    /// [`ServeMetrics::ingest_queue_depth`]).
-    ingest_queue_depth: Arc<AtomicU64>,
     /// Whole-request latency per route class.
     routes: RouteHistograms,
     /// Per-stage latency across the request and ingestion pipelines.
@@ -273,7 +268,6 @@ impl ServeMetrics {
             connections_active: AtomicU64::new(0),
             shed_total: AtomicU64::new(0),
             io_timeouts_total: AtomicU64::new(0),
-            ingest_queue_depth: Arc::new(AtomicU64::new(0)),
             routes: RouteHistograms::default(),
             stages: StageHistograms::default(),
             id_seed: seed ^ (seed >> 33),
@@ -347,13 +341,6 @@ impl ServeMetrics {
                 .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |held| {
                     held.checked_sub(1)
                 });
-    }
-
-    /// The shared ingest-pipeline depth gauge, handed to every
-    /// [`osdiv_registry::FeedIngester`] the router builds (via
-    /// `FeedIngester::with_queue_gauge`).
-    pub fn ingest_queue_depth(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.ingest_queue_depth)
     }
 
     /// Worker threads in the pool.
@@ -530,11 +517,6 @@ impl ServeMetrics {
                 "osdiv_connections_active",
                 "connections currently held open by workers",
                 self.connections_active(),
-            ),
-            (
-                "osdiv_ingest_queue_depth",
-                "feed entries submitted to parser workers and not yet harvested",
-                self.ingest_queue_depth.load(Ordering::Relaxed),
             ),
         ];
         write_families(&mut body, "gauge", &gauges);
@@ -749,7 +731,6 @@ mod tests {
         metrics.dispatch_enqueued();
         metrics.dispatch_dequeued();
         metrics.connection_opened();
-        metrics.ingest_queue_depth().store(7, Ordering::Relaxed);
         assert_eq!(metrics.workers_total(), 4);
         assert_eq!(metrics.workers_busy(), 1);
         assert_eq!(metrics.dispatch_queue_depth(), 1);
@@ -759,7 +740,6 @@ mod tests {
         assert!(body.contains("osdiv_workers_busy 1\n"));
         assert!(body.contains("osdiv_dispatch_queue_depth 1\n"));
         assert!(body.contains("osdiv_connections_active 1\n"));
-        assert!(body.contains("osdiv_ingest_queue_depth 7\n"));
         assert!(body.contains("# TYPE osdiv_trace_spans_recorded_total counter\n"));
         assert!(body.contains("# TYPE osdiv_trace_spans_dropped_total counter\n"));
         // Decrements saturate at zero instead of wrapping to u64::MAX.

@@ -385,12 +385,10 @@ impl Router {
                     Response::new(200).with_body("text/plain; version=0.0.4", body.into_bytes())
                 }
             },
-            "/v1/debug/spans" | "/v1/debug/registry" | "/v1/debug/pool" => {
-                match self.check_get(request) {
-                    Err(response) => response,
-                    Ok(()) => self.debug_route(path, request),
-                }
-            }
+            "/v1/debug/spans" | "/v1/debug/registry" => match self.check_get(request) {
+                Err(response) => response,
+                Ok(()) => self.debug_route(path, request),
+            },
             "/v1/shutdown" => {
                 if request.method != "POST" {
                     return method_not_allowed("POST");
@@ -454,8 +452,7 @@ impl Router {
         }
         let body = match path {
             "/v1/debug/spans" => crate::debug::spans_json(),
-            "/v1/debug/registry" => crate::debug::registry_json(&self.registry),
-            _ => crate::debug::pool_json(&self.metrics),
+            _ => crate::debug::registry_json(&self.registry),
         };
         Response::new(200)
             .with_body(tabular::mime::APPLICATION_JSON, body.into_bytes())
@@ -730,8 +727,7 @@ impl Router {
         let mut journal_first_us: Option<u64> = None;
         let mut journal_spent_us: u64 = 0;
         let streamed = (|| -> Result<_, Response> {
-            let mut ingester = FeedIngester::new(self.options.ingest_budget.clone())
-                .with_queue_gauge(self.metrics.ingest_queue_depth());
+            let mut ingester = FeedIngester::new(self.options.ingest_budget.clone());
             let mut chunk = Vec::new();
             loop {
                 match body.next_chunk(&mut chunk) {

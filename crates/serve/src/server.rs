@@ -44,15 +44,23 @@ pub struct ServerOptions {
     pub shed_queue_depth: usize,
 }
 
-impl Default for ServerOptions {
-    fn default() -> Self {
+impl ServerOptions {
+    /// The default tuning for a pool of `threads` workers: admission
+    /// control sheds once 16 connections per worker wait.
+    pub fn for_threads(threads: usize) -> Self {
         ServerOptions {
-            threads: default_threads(),
+            threads,
             read_timeout: Duration::from_secs(5),
             max_keep_alive_requests: 1000,
             io_timeout: Duration::from_secs(10),
-            shed_queue_depth: default_threads() * 16,
+            shed_queue_depth: threads.saturating_mul(16),
         }
+    }
+}
+
+impl Default for ServerOptions {
+    fn default() -> Self {
+        ServerOptions::for_threads(default_threads())
     }
 }
 

@@ -751,7 +751,7 @@ fn debug_routes_are_gated_by_flag_and_bearer_token() {
     // same 401 the ingest routes give; the right bearer token dumps JSON.
     let handle = start_debug_server(Some("s3cret"));
     let addr = handle.addr();
-    for path in ["/v1/debug/spans", "/v1/debug/registry", "/v1/debug/pool"] {
+    for path in ["/v1/debug/spans", "/v1/debug/registry"] {
         let anon = loadgen::get(addr, path).unwrap();
         assert_eq!(anon.status, 401, "{path}");
         assert_eq!(
@@ -776,8 +776,9 @@ fn debug_routes_are_gated_by_flag_and_bearer_token() {
     assert!(spans.body_string().contains("\"traceEvents\":["));
     let registry = loadgen::get_with_headers(addr, "/v1/debug/registry", &auth).unwrap();
     assert!(registry.body_string().contains("\"tenants\":["));
+    // There is no pool view: worker-pool gauges are on /metrics.
     let pool = loadgen::get_with_headers(addr, "/v1/debug/pool", &auth).unwrap();
-    assert!(pool.body_string().contains("\"workers_total\":"));
+    assert_eq!(pool.status, 404);
     // GET-only, like every other read route.
     assert_eq!(
         loadgen::request(addr, "POST", "/v1/debug/spans", &auth)
@@ -845,6 +846,48 @@ fn debug_span_dump_joins_ingest_stages_to_the_request_id() {
         "the root request span is missing from the dump:\n{body}"
     );
 
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn a_malformed_first_entry_answers_400_mid_body_and_the_server_keeps_serving() {
+    let (_, handle) = start_server(false);
+    let addr = handle.addr();
+
+    // The first entry is malformed and more than 1 MB of valid entries
+    // follow it, so the ingester fails while most of the body is still
+    // on the wire.
+    let mut xml = b"<nvd><entry id=unquoted>broken</entry>".to_vec();
+    let mut number = 0u32;
+    while xml.len() < 1024 * 1024 + 64 * 1024 {
+        number += 1;
+        xml.extend_from_slice(
+            format!("<entry id=\"CVE-2009-{number}\"><vuln:summary>fine</vuln:summary></entry>\n")
+                .as_bytes(),
+        );
+    }
+    xml.extend_from_slice(b"</nvd>");
+    let chunks: Vec<&[u8]> = xml.chunks(16 * 1024).collect();
+    let rejected =
+        loadgen::request_chunked(addr, "PUT", "/v1/datasets/broken", &[], &chunks).unwrap();
+    assert_eq!(rejected.status, 400, "{}", rejected.body_string());
+    assert!(
+        rejected.body_string().starts_with("error: feed error:"),
+        "the diagnostic arrives intact: {}",
+        rejected.body_string()
+    );
+    assert_eq!(
+        rejected.header("connection"),
+        Some("close"),
+        "an unread body rules out keep-alive"
+    );
+
+    // Nothing was registered, and a new connection is served normally.
+    assert_eq!(
+        loadgen::get(addr, "/v1/datasets/broken").unwrap().status,
+        404
+    );
+    assert_eq!(loadgen::get(addr, "/v1/healthz").unwrap().status, 200);
     handle.shutdown().unwrap();
 }
 
