@@ -559,14 +559,6 @@ fn debug_boot(opts: &Options, warm: bool) -> Result<StudyRegistry, CliError> {
 /// the same directory read-only (recovered snapshots serve, nothing is
 /// written).
 fn serve(study: Study, opts: &Options) -> Result<String, CliError> {
-    // Arm chaos failpoints from `OSDIV_FAILPOINTS`, refusing to start on
-    // a typo'd spec — a chaos drill that silently runs without its
-    // faults is worse than one that fails loudly.
-    match osdiv_core::fault::init_from_env() {
-        Ok(0) => {}
-        Ok(armed) => println!("osdiv-serve: {armed} failpoint(s) armed from OSDIV_FAILPOINTS"),
-        Err(error) => return Err(CliError::Usage(format!("OSDIV_FAILPOINTS: {error}"))),
-    }
     let study = Arc::new(study);
     let warmup = std::time::Instant::now();
     study.run_all()?;

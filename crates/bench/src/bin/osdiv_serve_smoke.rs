@@ -26,13 +26,14 @@
 //!
 //! The `chaos` mode drives the resilience drill
 //! (`osdiv-serve-smoke ADDR chaos [out-file] [io-timeout-ms]`) against a
-//! deliberately tiny, failpoint-armed server — see [`run_chaos`] for the
-//! required server flags. It asserts the armed failpoint fails exactly
-//! one `PUT` (and the retry lands), a slow-loris connection is cut off
-//! with a 408 within twice the I/O budget, an overload burst sheds with
-//! `503 Retry-After: 1` while cached reads keep answering, and an
-//! open-loop run at twice the offered rate stays bounded — then writes a
-//! `BENCH_chaos.json` artifact with the shed/timeout/fault counters.
+//! deliberately tiny server — see [`run_chaos`] for the required server
+//! flags. It asserts an upload whose first entry is malformed is refused
+//! with a 400 and registers nothing (and a valid retry under the same
+//! name lands), a slow-loris connection is cut off with a 408 within
+//! twice the I/O budget, an overload burst sheds with `503 Retry-After:
+//! 1` while cached reads keep answering, and an open-loop run at twice
+//! the offered rate stays bounded — then writes a `BENCH_chaos.json`
+//! artifact with the shed/timeout counters.
 //!
 //! The persistence pair drives the kill-and-restart leg against a server
 //! started with `--data-dir`: `persist-ingest` streams a deterministic
@@ -696,28 +697,28 @@ fn run_loadgen_bench(
     Ok(())
 }
 
-/// `chaos`: the fault-injection and overload drill. The server must run
-/// small and armed:
+/// `chaos`: the fault and overload drill. The server must run small:
 ///
 /// ```sh
-/// OSDIV_FAILPOINTS=ingest.parse=nth:1 osdiv serve --threads 2 \
-///     --io-timeout-ms <io-timeout-ms> --shed-queue-depth 4 \
-///     --enable-shutdown ...
+/// osdiv serve --threads 2 --io-timeout-ms <io-timeout-ms> \
+///     --shed-queue-depth 4 --enable-shutdown ...
 /// ```
 ///
-/// Legs, in order: the armed failpoint fails exactly one `PUT` and the
-/// fault-free retry succeeds; a one-byte-at-a-time slow loris is answered
-/// 408 and cut off within twice the I/O budget; an overload burst against
-/// two pinned workers sheds `503 Retry-After: 1` while cached reads keep
-/// answering; an open-loop run at twice the sustainable rate completes
-/// with bounded p99 over the successes. The final `/metrics` scrape must
-/// count sheds, I/O timeouts and injected faults, and the counters land
-/// in the `BENCH_chaos.json` artifact.
+/// Legs, in order: a chunked `PUT` whose first entry is malformed is
+/// answered 400 and leaves the name unregistered (404), and a valid
+/// retry under the same name is answered 201; a one-byte-at-a-time slow
+/// loris is answered 408 and cut off within twice the I/O budget; an
+/// overload burst against two pinned workers sheds `503 Retry-After: 1`
+/// while cached reads keep answering; an open-loop run at twice the
+/// sustainable rate completes with bounded p99 over the successes. The
+/// final `/metrics` scrape must count sheds and I/O timeouts, and the
+/// counters land in the `BENCH_chaos.json` artifact.
 fn run_chaos(addr: SocketAddr, out_file: &str, io_timeout_ms: u64) -> Result<(), String> {
     use std::io::{Read, Write};
     let io = |error: std::io::Error| format!("FAILED: io error: {error}");
 
-    // 1. The armed ingest.parse failpoint: first PUT fails, retry lands.
+    // 1. A malformed first entry: the PUT fails, the name stays free and
+    //    a valid retry under it lands.
     let feed = ParametricGenerator::new(ParametricConfig {
         vulnerability_count: 80,
         seed: 13,
@@ -726,30 +727,37 @@ fn run_chaos(addr: SocketAddr, out_file: &str, io_timeout_ms: u64) -> Result<(),
     .generate()
     .to_feed_xml()
     .map_err(|error| format!("FAILED: feed generation: {error}"))?;
-    let chunks: Vec<&[u8]> = feed.as_bytes().chunks(1024).collect();
-    let faulted =
+    let first_entry = feed
+        .find("<entry")
+        .ok_or("FAILED: the generated feed has no entry")?;
+    let mut malformed = feed.clone();
+    malformed.insert_str(first_entry, "<entry id=unquoted>broken</entry>\n");
+    let chunks: Vec<&[u8]> = malformed.as_bytes().chunks(1024).collect();
+    let rejected =
         loadgen::request_chunked(addr, "PUT", "/v1/datasets/chaos", &[], &chunks).map_err(io)?;
     check(
-        faulted.status >= 400,
+        rejected.status == 400,
         &format!(
-            "the armed ingest.parse failpoint fails the first PUT (got {})",
-            faulted.status
+            "a malformed first entry fails the PUT with 400 (got {}: {})",
+            rejected.status,
+            rejected.body_string().trim()
         ),
     )?;
+    let absent = loadgen::get(addr, "/v1/datasets/chaos").map_err(io)?;
+    check(
+        absent.status == 404,
+        &format!("the failed PUT registers nothing (got {})", absent.status),
+    )?;
+    let chunks: Vec<&[u8]> = feed.as_bytes().chunks(1024).collect();
     let retried =
         loadgen::request_chunked(addr, "PUT", "/v1/datasets/chaos", &[], &chunks).map_err(io)?;
     check(
         retried.status == 201,
         &format!(
-            "the retry after the one-shot fault succeeds (got {}: {})",
+            "a valid retry under the same name succeeds (got {}: {})",
             retried.status,
             retried.body_string().trim()
         ),
-    )?;
-    let metrics = loadgen::get(addr, "/metrics").map_err(io)?;
-    check(
-        scrape_value(&metrics.body_string(), "osdiv_faults_injected_total").unwrap_or(0.0) >= 1.0,
-        "/metrics counts the injected fault",
     )?;
 
     // 2. Slow loris: trickle a request head one byte at a time and time
@@ -886,7 +894,7 @@ fn run_chaos(addr: SocketAddr, out_file: &str, io_timeout_ms: u64) -> Result<(),
     let histogram_series = lint_exposition(&exposition)?;
     println!("ok: /metrics exposition lints clean ({histogram_series} histogram series)");
     let mut line = JsonLine::new();
-    line.str_field("schema", "osdiv-bench-chaos/1");
+    line.str_field("schema", "osdiv-bench-chaos/2");
     line.u64_field("io_timeout_ms", io_timeout_ms);
     line.u64_field("burst_served", served as u64);
     line.u64_field("burst_shed", shed as u64);
@@ -903,10 +911,6 @@ fn run_chaos(addr: SocketAddr, out_file: &str, io_timeout_ms: u64) -> Result<(),
     line.f64_field(
         "io_timeouts_total",
         scrape_value(&exposition, "osdiv_io_timeouts_total").unwrap_or(0.0),
-    );
-    line.f64_field(
-        "faults_injected_total",
-        scrape_value(&exposition, "osdiv_faults_injected_total").unwrap_or(0.0),
     );
     let mut payload = line.finish();
     payload.push('\n');

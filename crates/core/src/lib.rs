@@ -66,7 +66,6 @@
 pub mod analysis;
 pub mod classes;
 pub mod dataset;
-pub mod fault;
 pub mod index;
 pub mod kway;
 pub mod obs;

@@ -523,7 +523,7 @@ pub enum SpanKind {
     IndexBuild,
     /// Ingestion: carving `<entry>` elements from the feed stream.
     IngestCarve,
-    /// Ingestion: parsing carved entries (worker-queue wait included).
+    /// Ingestion: parsing carved entries.
     IngestParse,
     /// Ingestion: inserting parsed entries in feed order.
     IngestInsert,
@@ -541,8 +541,6 @@ pub enum SpanKind {
     CacheLookup,
     /// Rendering an analysis document (cache miss).
     Render,
-    /// An injected fault fired at a failpoint site (`osdiv_core::fault`).
-    Fault,
 }
 
 impl SpanKind {
@@ -562,7 +560,6 @@ impl SpanKind {
             SpanKind::Recovery => "recovery",
             SpanKind::CacheLookup => "cache_lookup",
             SpanKind::Render => "render",
-            SpanKind::Fault => "fault",
         }
     }
 
@@ -577,7 +574,6 @@ impl SpanKind {
             | SpanKind::JournalAppend
             | SpanKind::JournalReplay
             | SpanKind::Recovery => "persist",
-            SpanKind::Fault => "fault",
         }
     }
 }

@@ -36,7 +36,6 @@ pub const ATTACKER_SURFACES: &[&str] = &[
     "crates/vulnstore/src/snapshot.rs",
     "crates/registry/src/persist.rs",
     "crates/registry/src/ingest.rs",
-    "crates/core/src/fault.rs",
 ];
 
 /// Files that turn HTTP query parameters into numbers: the `clamp` rule

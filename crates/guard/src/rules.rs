@@ -128,7 +128,7 @@ const LENGTH_SEGMENTS: &[&str] = &[
 
 /// Call-name fragments that the lock rule treats as attacker-paced work
 /// (parsing, ingestion, replay) or blocking IO.
-const LOCK_HAZARDS: &[&str] = &["ingest", "parse", "decode", "replay", "failpoint"];
+const LOCK_HAZARDS: &[&str] = &["ingest", "parse", "decode", "replay"];
 const LOCK_HAZARDS_EXACT: &[&str] = &[
     "flush",
     "write_all",

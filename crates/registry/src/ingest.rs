@@ -34,7 +34,6 @@ use std::time::Instant;
 
 use classify::Classifier;
 use nvd_feed::{FeedError, FeedReader};
-use osdiv_core::fault;
 use osdiv_core::obs::{self, SpanKind};
 use osdiv_core::{Study, StudyDataset};
 use vulnstore::VulnStore;
@@ -321,12 +320,6 @@ impl FeedIngester {
     /// The body of [`push`](FeedIngester::push), wrapped so the public
     /// entry point can attribute its wall-clock time to the carve stage.
     fn push_chunk(&mut self, chunk: &[u8]) -> Result<(), IngestError> {
-        if fault::failpoint("ingest.carve") {
-            return Err(IngestError::Feed(FeedError::schema(
-                None,
-                "injected fault at ingest.carve",
-            )));
-        }
         self.feed_bytes += chunk.len();
         if self.feed_bytes > self.budget.max_bytes {
             return Err(IngestError::BodyTooLarge {
@@ -407,12 +400,6 @@ impl FeedIngester {
                 "entry is not valid UTF-8",
             )));
         };
-        if fault::failpoint("ingest.parse") {
-            return Err(IngestError::Feed(FeedError::schema(
-                None,
-                "injected fault at ingest.parse",
-            )));
-        }
         self.seen += 1;
         let parse_started = Instant::now();
         let parsed = self.reader.read_entry_str(fragment);
@@ -421,12 +408,6 @@ impl FeedIngester {
             self.skipped += 1;
             return Ok(());
         };
-        if fault::failpoint("ingest.insert") {
-            return Err(IngestError::Feed(FeedError::schema(
-                None,
-                "injected fault at ingest.insert",
-            )));
-        }
         let insert_started = Instant::now();
         self.store.insert_entry(&entry);
         self.inserted += 1;

@@ -37,7 +37,6 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use osdiv_core::fault;
 use osdiv_core::obs::{self, SpanKind};
 use osdiv_core::snapshot::crc32;
 use osdiv_core::{LatencyHistogram, Snapshot, SnapshotError, Study};
@@ -155,24 +154,6 @@ impl std::str::FromStr for Durability {
     }
 }
 
-/// Failpoint sites the persistence layer evaluates (`osdiv_core::fault`):
-/// one per mutating [`Vfs`] operation in [`RealVfs`], plus the
-/// journal-append site checked by [`JournalWriter::append`]. Documented
-/// in `docs/RESILIENCE.md`.
-pub const FAILPOINT_SITES: [&str; 6] = [
-    "persist.snapshot_write",
-    "persist.rename",
-    "persist.remove",
-    "persist.journal_create",
-    "persist.journal_append",
-    "persist.fsync",
-];
-
-/// The error an armed failpoint injects.
-fn injected(site: &'static str) -> io::Error {
-    io::Error::other(format!("injected fault at {site}"))
-}
-
 /// The mutating filesystem operations the store performs, behind a trait
 /// so fault-injection tests can interpose ([`ChaosVfs`]) without touching
 /// the read paths (plain `fs::read` — torn reads are safe by format
@@ -202,52 +183,32 @@ pub trait VfsFile: fmt::Debug + Send {
     fn sync_all(&mut self) -> io::Result<()>;
 }
 
-/// The production [`Vfs`]: thin wrappers over `std::fs`, each behind a
-/// named failpoint so chaos runs can fail any operation
-/// deterministically.
+/// The production [`Vfs`]: thin wrappers over `std::fs`.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RealVfs;
 
 impl Vfs for RealVfs {
     fn write_file(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        if fault::failpoint("persist.snapshot_write") {
-            return Err(injected("persist.snapshot_write"));
-        }
         fs::write(path, bytes)
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        if fault::failpoint("persist.rename") {
-            return Err(injected("persist.rename"));
-        }
         fs::rename(from, to)
     }
 
     fn remove_file(&self, path: &Path) -> io::Result<()> {
-        if fault::failpoint("persist.remove") {
-            return Err(injected("persist.remove"));
-        }
         fs::remove_file(path)
     }
 
     fn create(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
-        if fault::failpoint("persist.journal_create") {
-            return Err(injected("persist.journal_create"));
-        }
         Ok(Box::new(RealFile(File::create(path)?)))
     }
 
     fn sync_file(&self, path: &Path) -> io::Result<()> {
-        if fault::failpoint("persist.fsync") {
-            return Err(injected("persist.fsync"));
-        }
         File::open(path)?.sync_all()
     }
 
     fn sync_dir(&self, path: &Path) -> io::Result<()> {
-        if fault::failpoint("persist.fsync") {
-            return Err(injected("persist.fsync"));
-        }
         // fsync on a read-only directory handle flushes the entry
         // metadata on POSIX — exactly what makes a rename durable.
         File::open(path)?.sync_all()
@@ -935,14 +896,10 @@ impl JournalWriter {
     ///
     /// # Errors
     ///
-    /// I/O failure (including an injected `persist.journal_append`
-    /// fault).
+    /// I/O failure.
     pub fn append(&mut self, chunk: &[u8]) -> io::Result<()> {
         if chunk.is_empty() {
             return Ok(());
-        }
-        if fault::failpoint("persist.journal_append") {
-            return Err(injected("persist.journal_append"));
         }
         let mut frame = Vec::with_capacity(JOURNAL_RECORD_HEADER_BYTES + chunk.len());
         frame.extend_from_slice(&(chunk.len() as u32).to_le_bytes());

@@ -106,23 +106,37 @@ impl Request {
         }
     }
 
-    /// The declared body length (0 when absent). A malformed
-    /// `Content-Length` is a 400.
+    /// The declared body length (0 when absent). A `Content-Length` that
+    /// is not all ASCII digits, or repeated with differing values, is a
+    /// 400: every header occurrence is checked, not just the last.
     pub fn content_length(&self) -> Result<usize, HttpViolation> {
-        match self.header("content-length") {
-            None => Ok(0),
-            Some(raw) => raw
-                .trim()
-                .parse()
-                .map_err(|_| HttpViolation::BadRequest(format!("invalid Content-Length {raw:?}"))),
+        let mut length = None;
+        for (_, raw) in self.headers.iter().filter(|(n, _)| n == "content-length") {
+            let invalid = || HttpViolation::BadRequest(format!("invalid Content-Length {raw:?}"));
+            if !raw.bytes().all(|b| b.is_ascii_digit()) {
+                return Err(invalid());
+            }
+            let value = raw.parse::<usize>().map_err(|_| invalid())?;
+            if length.is_some_and(|seen| seen != value) {
+                return Err(HttpViolation::BadRequest(
+                    "conflicting Content-Length values".to_string(),
+                ));
+            }
+            length = Some(value);
         }
+        Ok(length.unwrap_or(0))
     }
 
     /// The body framing the head declares: `Transfer-Encoding: chunked`
-    /// wins over `Content-Length`; any other transfer coding is a 400
-    /// (this server implements only chunked).
+    /// or `Content-Length`. A head declaring both is a 400, as is any
+    /// other transfer coding (this server implements only chunked): a
+    /// proxy that framed such a message differently could smuggle a
+    /// second request past it (RFC 9112 §6.3).
     pub fn body_framing(&self) -> Result<BodyFraming, HttpViolation> {
         match self.header("transfer-encoding") {
+            Some(_) if self.header("content-length").is_some() => Err(HttpViolation::BadRequest(
+                "both Transfer-Encoding and Content-Length".to_string(),
+            )),
             Some(coding) if coding.trim().eq_ignore_ascii_case("chunked") => {
                 Ok(BodyFraming::Chunked)
             }
@@ -1241,6 +1255,37 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(request.body_framing().unwrap_err().status(), 400);
+    }
+
+    #[test]
+    fn ambiguous_body_framing_is_400() {
+        // Heads a proxy could frame differently from this server, which
+        // would let a second request ride inside the first one's body.
+        for raw in [
+            // Chunked ends the body at `0\r\n\r\n`; the length 44 bytes on.
+            &b"POST /v1/report HTTP/1.1\r\nContent-Length: 44\r\nTransfer-Encoding: chunked\r\n\r\n"[..],
+            b"POST /v1/report HTTP/1.1\r\nTransfer-Encoding: chunked\r\nContent-Length: 44\r\n\r\n",
+            // Which length wins would depend on header order.
+            b"POST /x HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 25\r\n\r\n",
+            b"POST /x HTTP/1.1\r\nContent-Length: 25\r\nContent-Length: 0\r\n\r\n",
+            // Not all ASCII digits.
+            b"POST /x HTTP/1.1\r\nContent-Length: +5\r\n\r\n",
+        ] {
+            let request = parse_all(raw).unwrap().unwrap();
+            let framing = request.body_framing();
+            assert_eq!(
+                framing.as_ref().map_err(HttpViolation::status),
+                Err(400),
+                "{:?} -> {framing:?}",
+                String::from_utf8_lossy(raw)
+            );
+        }
+        // One length repeated frames the body unambiguously.
+        let request =
+            parse_all(b"POST /x HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\n")
+                .unwrap()
+                .unwrap();
+        assert_eq!(request.body_framing().unwrap(), BodyFraming::Length(5));
     }
 
     #[test]

@@ -489,11 +489,6 @@ impl ServeMetrics {
                 "connections closed for exhausting the per-request I/O budget",
                 self.io_timeouts_total(),
             ),
-            (
-                "osdiv_faults_injected_total",
-                "faults injected at armed failpoint sites",
-                osdiv_core::fault::injected_total(),
-            ),
         ];
         write_families(&mut body, "counter", &counters);
 

@@ -1105,9 +1105,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::{BufferedBody, RequestParser};
+    use crate::http::{BodyFraming, BufferedBody, RequestParser, StreamBody};
     use nvd_feed::FeedWriter;
     use nvd_model::{CveId, OsDistribution, VulnerabilityEntry};
+    use osdiv_registry::{ChaosVfs, Durability, TenantStore, VfsOp};
 
     fn request(raw: &str) -> Request {
         RequestParser::new()
@@ -1131,8 +1132,8 @@ mod tests {
         )
     }
 
-    fn small_feed() -> Vec<u8> {
-        let entries: Vec<_> = (0..6u32)
+    fn feed_of(count: u32) -> Vec<u8> {
+        let entries: Vec<_> = (0..count)
             .map(|i| {
                 VulnerabilityEntry::builder(CveId::new(2006, i + 1))
                     .summary(format!("Buffer overflow number {i} in the TCP/IP stack"))
@@ -1263,7 +1264,7 @@ mod tests {
         let router = test_router();
         let created = router.handle_with_body(
             &request("PUT /v1/datasets/feed HTTP/1.1\r\n\r\n"),
-            &mut BufferedBody::new(small_feed()),
+            &mut BufferedBody::new(feed_of(6)),
         );
         assert_eq!(
             created.status(),
@@ -1310,7 +1311,7 @@ mod tests {
         let path = "GET /v1/analyses/validity?dataset=feed&format=csv HTTP/1.1\r\n\r\n";
         router.handle_with_body(
             &request("PUT /v1/datasets/feed HTTP/1.1\r\n\r\n"),
-            &mut BufferedBody::new(small_feed()),
+            &mut BufferedBody::new(feed_of(6)),
         );
         let first = router.handle(&request(path));
         assert_eq!(first.status(), 200);
@@ -1404,6 +1405,73 @@ mod tests {
                 .status(),
             404
         );
+    }
+
+    #[test]
+    fn a_put_under_any_single_vfs_fault_answers_500_or_lands_whole() {
+        // In 1 KiB wire chunks the feed takes several 4 KiB stream reads,
+        // so the route journals it in several appends.
+        let mut wire = Vec::new();
+        for piece in feed_of(40).chunks(1024) {
+            wire.extend_from_slice(format!("{:x}\r\n", piece.len()).as_bytes());
+            wire.extend_from_slice(piece);
+            wire.extend_from_slice(b"\r\n");
+        }
+        wire.extend_from_slice(b"0\r\n\r\n");
+        let put = |router: &Router| {
+            let mut parser = RequestParser::new();
+            let head = "PUT /v1/datasets/t HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n";
+            let put = parser.feed(head.as_bytes()).unwrap().unwrap();
+            let mut stream = std::io::Cursor::new(&wire);
+            let mut body = StreamBody::new(&mut parser, &mut stream, BodyFraming::Chunked);
+            router.handle_with_body(&put, &mut body).status()
+        };
+        let report = |router: &Router| {
+            let get = request("GET /v1/report?dataset=t&format=json HTTP/1.1\r\n\r\n");
+            router.handle(&get).body().to_vec()
+        };
+        let dir = std::env::temp_dir().join(format!("osdiv-router-faults-{}", std::process::id()));
+        let router_on = |durability, chaos: &ChaosVfs| {
+            let _ = std::fs::remove_dir_all(&dir);
+            let store = TenantStore::open_with(&dir, durability, Arc::new(chaos.clone())).unwrap();
+            let registry =
+                StudyRegistry::new(RegistryOptions::default()).with_persistence(Arc::new(store));
+            Router::new(Arc::new(registry), RouterOptions::default())
+        };
+        for durability in [Durability::Rename, Durability::Full] {
+            let chaos = ChaosVfs::new();
+            let router = router_on(durability, &chaos);
+            assert_eq!(put(&router), 201);
+            let (expected, trace) = (report(&router), chaos.trace());
+            assert!(
+                trace
+                    .iter()
+                    .filter(|op| matches!(op, VfsOp::Append { .. }))
+                    .count()
+                    > 2
+            );
+            let mut failed = 0;
+            for k in 0..trace.len() {
+                let chaos = ChaosVfs::new();
+                chaos.set_fail_op(Some(k));
+                let router = router_on(durability, &chaos);
+                let status = put(&router);
+                if status == 500 {
+                    failed += 1;
+                    let info = router.handle(&request("GET /v1/datasets/t HTTP/1.1\r\n\r\n"));
+                    assert_eq!(info.status(), 404, "{durability:?}, op {k}");
+                    chaos.set_fail_op(None);
+                    assert_eq!(put(&router), 201, "{durability:?}, op {k}");
+                } else {
+                    assert_eq!(status, 201, "{durability:?}, op {k}");
+                }
+                assert_eq!(report(&router), expected, "{durability:?}, op {k}");
+            }
+            // Only deleting the journal, after the snapshot is durable,
+            // may fail without failing the upload.
+            assert_eq!(failed, trace.len() - 1, "{durability:?}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1559,7 +1627,7 @@ mod tests {
         router.handle(&request("PUT /v1/datasets/alt?seed=5 HTTP/1.1\r\n\r\n"));
         router.handle_with_body(
             &request("PUT /v1/datasets/feed HTTP/1.1\r\n\r\n"),
-            &mut BufferedBody::new(small_feed()),
+            &mut BufferedBody::new(feed_of(6)),
         );
         router.handle(&request("DELETE /v1/datasets/feed HTTP/1.1\r\n\r\n"));
         log.flush();

@@ -559,6 +559,36 @@ fn rejected_bodies_never_run_the_route_side_effect() {
 }
 
 #[test]
+fn a_request_smuggled_behind_ambiguous_framing_is_never_served() {
+    use std::io::Write;
+    let (_, handle) = start_server(false);
+    // Read by its Content-Length, the GET is the POST's body; read as
+    // chunked, it is a second request. A proxy and the server could
+    // disagree, so the server answers 400 and closes (RFC 9112 §6.3).
+    let smuggled = "GET /v1/nope HTTP/1.1\r\nHost: x\r\n\r\n";
+    let body = format!("0\r\n\r\n{smuggled}");
+    let wire = format!(
+        "POST /v1/report HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\nTransfer-Encoding: chunked\r\n\r\n{body}",
+        body.len()
+    );
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream.write_all(wire.as_bytes()).unwrap();
+    let mut reply = Vec::new();
+    let mut buf = [0u8; 4096];
+    // Until the server closes (or resets) the connection.
+    while let Ok(n @ 1..) = stream.read(&mut buf) {
+        reply.extend_from_slice(&buf[..n]);
+    }
+    let reply = String::from_utf8_lossy(&reply);
+    assert!(reply.starts_with("HTTP/1.1 400 "), "{reply}");
+    assert_eq!(reply.matches("HTTP/1.1 ").count(), 1, "one answer: {reply}");
+    handle.shutdown().unwrap();
+}
+
+#[test]
 fn four_keep_alive_clients_complete_a_hundred_concurrent_requests() {
     let (_, handle) = start_server(false);
     let addr = handle.addr();
