@@ -539,10 +539,7 @@ fn debug_boot(opts: &Options, warm: bool) -> Result<StudyRegistry, CliError> {
     if let Some(dir) = &opts.data_dir {
         let store = TenantStore::open_read_only(dir);
         registry = registry.with_persistence(Arc::new(store));
-        let recovery = registry.recover(&IngestBudget {
-            max_bytes: opts.max_dataset_bytes.max(1),
-            ..IngestBudget::default()
-        });
+        let recovery = registry.recover();
         for (name, error) in &recovery.errors {
             eprintln!("osdiv debug: recovery of {name:?}: {error}");
         }
@@ -554,10 +551,9 @@ fn debug_boot(opts: &Options, warm: bool) -> Result<StudyRegistry, CliError> {
 }
 
 /// `osdiv serve`: pre-warm the session, bind, and run until shutdown.
-/// With `--data-dir`, ingested tenants persist as `.osdv` snapshots and
-/// crash-recover from ingestion journals at boot; `--no-persist` opens
-/// the same directory read-only (recovered snapshots serve, nothing is
-/// written).
+/// With `--data-dir`, ingested tenants persist as `.osdv` snapshots that
+/// warm-restart at boot; `--no-persist` opens the same directory
+/// read-only (recovered snapshots serve, nothing is written).
 fn serve(study: Study, opts: &Options) -> Result<String, CliError> {
     let study = Arc::new(study);
     let warmup = std::time::Instant::now();
@@ -594,7 +590,7 @@ fn serve(study: Study, opts: &Options) -> Result<String, CliError> {
                 .map_err(|error| std::io::Error::other(format!("--data-dir {dir}: {error}")))?
         };
         registry = registry.with_persistence(Arc::new(store));
-        let recovery = registry.recover(&ingest_budget);
+        let recovery = registry.recover();
         for (name, error) in &recovery.errors {
             eprintln!("osdiv-serve: recovery of {name:?}: {error}");
         }
@@ -612,22 +608,13 @@ fn serve(study: Study, opts: &Options) -> Result<String, CliError> {
             for name in &recovery.recovered {
                 emit("tenant_recovered", name, None);
             }
-            for name in &recovery.replayed {
-                emit("journal_replayed", name, None);
-            }
-            for name in &recovery.discarded_journals {
-                emit("journal_discarded", name, None);
-            }
             for (name, error) in &recovery.errors {
                 emit("recovery_error", name, Some(&error.to_string()));
             }
         }
         println!(
-            "osdiv-serve: data dir {dir}: {} tenants recovered, {} journals replayed, {} \
-             redundant journals discarded",
-            recovery.recovered.len() + recovery.replayed.len(),
-            recovery.replayed.len(),
-            recovery.discarded_journals.len(),
+            "osdiv-serve: data dir {dir}: {} tenants recovered",
+            recovery.recovered.len()
         );
     }
     let router = Arc::new(Router::new(
@@ -826,11 +813,11 @@ fn usage() -> String {
          --max-datasets <N>               serve: dataset registry name cap (default: 16)\n  \
          --max-dataset-bytes <BYTES>      serve/ingest: dataset byte budget (default: 256 MiB)\n  \
          --name <name>                    ingest: label of the summarized dataset\n  \
-         --data-dir <dir>                 serve: persist ingested tenants as .osdv snapshots;\n                                   \
-         journals crash-recover and snapshots warm-restart at boot\n  \
-         --no-persist                     serve: open --data-dir read-only (serve snapshots, write nothing)\n  \
+         --data-dir <dir>                 serve: persist ingested tenants as .osdv snapshots that\n                                   \
+         warm-restart at boot; boot deletes leftover .osdv.tmp and .journal files\n  \
+         --no-persist                     serve: open --data-dir read-only (serve snapshots, write or delete nothing)\n  \
          --durability <rename|full>       serve: snapshot durability policy (default: rename;\n                                   \
-         full fsyncs snapshots, the data dir and journal appends — see docs/SNAPSHOT_FORMAT.md)\n  \
+         full also fsyncs each snapshot and the data dir — see docs/SNAPSHOT_FORMAT.md)\n  \
          --io-timeout-ms <N>              serve: per-request head-transfer budget; slow-loris\n                                   \
          connections answer 408 and close (default: 10000)\n  \
          --shed-queue-depth <N>           serve: admission-control high-water mark — deeper dispatch\n                                   \

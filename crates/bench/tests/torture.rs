@@ -3,18 +3,18 @@
 //! Records every filesystem mutation a realistic tenant workload makes
 //! through [`ChaosVfs`], then simulates a crash at *every* point in that
 //! history: each operation prefix — plus torn byte-cuts inside every
-//! whole-file write and journal append — is replayed into a fresh
-//! directory and recovered cold. The invariants, for every crash image:
+//! whole-file write — is replayed into a fresh directory and recovered
+//! cold. The invariants, for every crash image:
 //!
-//! * recovery never errors (torn journals are truncated, orphans are
-//!   replayed or discarded, never fatal);
+//! * recovery never errors;
 //! * every surviving `.osdv` snapshot is byte-identical to a state the
 //!   workload actually committed — old or new, never a hybrid;
+//! * after the recovery the directory holds only `.osdv` files: torn
+//!   temp files and an earlier build's upload journal are deleted;
 //! * the pre-existing tenant always loads and serves a byte-identical
 //!   report for either its old or its new contents.
 
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -83,9 +83,9 @@ struct Recording {
 
 /// Runs the workload under [`ChaosVfs`] and captures the trace:
 ///
-/// 1. (untraced) save tenant `keep` — the pre-state;
-/// 2. journal a streaming `PUT` for new tenant `fresh` (create + two
-///    record appends), snapshot it, retire the journal;
+/// 1. (untraced) save tenant `keep` — the pre-state — beside the upload
+///    journal an earlier build left for a crashed `PUT`;
+/// 2. snapshot new tenant `fresh`, as its `PUT` does;
 /// 3. overwrite `keep`'s snapshot with new contents — the post-state.
 fn record(durability: Durability) -> Recording {
     let src = temp_dir("src");
@@ -99,6 +99,7 @@ fn record(durability: Durability) -> Recording {
         let store = TenantStore::open_durable(&src, durability).unwrap();
         store.save("keep", &keep_old, &keep_old_source).unwrap();
     }
+    fs::write(src.join("crashed.journal"), b"OSDJ\x01\x00").unwrap();
     let baseline = snapshot_files(&src);
     let pre_bytes = fs::read(src.join("keep.osdv")).unwrap();
     let pre_report = keep_old.report(Format::Json).unwrap();
@@ -108,23 +109,14 @@ fn record(durability: Durability) -> Recording {
     let store = TenantStore::open_with(&src, durability, Arc::new(chaos.clone())).unwrap();
 
     let (fresh, fresh_source) = ingest(&fresh_xml);
-    let mut journal = store.journal("fresh").unwrap();
-    let cut = fresh_xml.len() / 2;
-    journal
-        .append(fresh_xml.as_bytes().get(..cut).unwrap())
-        .unwrap();
-    journal
-        .append(fresh_xml.as_bytes().get(cut..).unwrap())
-        .unwrap();
     store.save("fresh", &fresh, &fresh_source).unwrap();
-    journal.finish().unwrap();
 
     let (keep_new, keep_new_source) = ingest(&keep_new_xml);
     store.save("keep", &keep_new, &keep_new_source).unwrap();
 
     let trace = chaos.trace();
     assert!(
-        trace.len() >= 6,
+        trace.len() >= 4,
         "the workload must record a meaningful trace, got {} ops",
         trace.len()
     );
@@ -162,16 +154,6 @@ fn apply(image: &Path, src: &Path, op: &VfsOp, cut: Option<usize>) {
         VfsOp::Remove { path } => {
             let _ = fs::remove_file(map(path));
         }
-        VfsOp::Create { path } => fs::write(map(path), b"").unwrap(),
-        VfsOp::Append { path, bytes } => {
-            let keep = cut.unwrap_or(bytes.len()).min(bytes.len());
-            let mut file = fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(map(path))
-                .unwrap();
-            file.write_all(bytes.get(..keep).unwrap()).unwrap();
-        }
         // A crash loses nothing a sync already made durable; replay-wise
         // both are no-ops on the image.
         VfsOp::SyncFile { .. } | VfsOp::SyncDir { .. } => {}
@@ -207,8 +189,8 @@ fn check_crash_image(recording: &Recording, prefix: usize, cut: Option<usize>) {
         let ok = match name.as_str() {
             "keep.osdv" => recording.keep_states.contains(&bytes),
             "fresh.osdv" => recording.fresh_state == bytes,
-            // Torn temp files and journals are expected debris; recovery
-            // must cope with them, byte equality is not required.
+            // Torn temp files and the old journal are expected debris;
+            // recovery must cope with them, byte equality is not required.
             _ => true,
         };
         assert!(
@@ -221,12 +203,20 @@ fn check_crash_image(recording: &Recording, prefix: usize, cut: Option<usize>) {
     let store = Arc::new(TenantStore::open(&image).unwrap());
     let registry =
         StudyRegistry::new(RegistryOptions::default()).with_persistence(Arc::clone(&store));
-    let recovery = registry.recover(&IngestBudget::default());
+    let recovery = registry.recover();
     assert!(
         recovery.errors.is_empty(),
         "{label}: recovery reported errors: {:?}",
         recovery.errors
     );
+
+    // Invariant: a writable recovery leaves nothing but snapshots.
+    let debris: Vec<String> = snapshot_files(&image)
+        .into_iter()
+        .map(|(name, _)| name)
+        .filter(|name| !name.ends_with(".osdv"))
+        .collect();
+    assert!(debris.is_empty(), "{label}: recovery left {debris:?}");
 
     // Invariant: the pre-existing tenant always loads and serves either
     // its old or its new report, byte-identically.
@@ -249,7 +239,7 @@ fn torture(durability: Durability) {
         check_crash_image(&recording, prefix, None);
         // Tear the next operation mid-write where it carries bytes.
         let torn_len = match recording.trace.get(prefix) {
-            Some(VfsOp::Write { bytes, .. }) | Some(VfsOp::Append { bytes, .. }) => bytes.len(),
+            Some(VfsOp::Write { bytes, .. }) => bytes.len(),
             _ => 0,
         };
         if torn_len > 1 {

@@ -531,10 +531,6 @@ pub enum SpanKind {
     SnapshotWrite,
     /// Loading a tenant snapshot from disk.
     SnapshotLoad,
-    /// Appending a request's feed bytes to the ingestion journal.
-    JournalAppend,
-    /// Replaying a journal at boot.
-    JournalReplay,
     /// Whole boot-recovery pass over a data directory.
     Recovery,
     /// Render-cache lookup on an analysis route.
@@ -555,8 +551,6 @@ impl SpanKind {
             SpanKind::IngestInsert => "ingest_insert",
             SpanKind::SnapshotWrite => "snapshot_write",
             SpanKind::SnapshotLoad => "snapshot_load",
-            SpanKind::JournalAppend => "journal_append",
-            SpanKind::JournalReplay => "journal_replay",
             SpanKind::Recovery => "recovery",
             SpanKind::CacheLookup => "cache_lookup",
             SpanKind::Render => "render",
@@ -569,11 +563,7 @@ impl SpanKind {
             SpanKind::Request | SpanKind::CacheLookup | SpanKind::Render => "serve",
             SpanKind::Analysis | SpanKind::IndexBuild => "compute",
             SpanKind::IngestCarve | SpanKind::IngestParse | SpanKind::IngestInsert => "ingest",
-            SpanKind::SnapshotWrite
-            | SpanKind::SnapshotLoad
-            | SpanKind::JournalAppend
-            | SpanKind::JournalReplay
-            | SpanKind::Recovery => "persist",
+            SpanKind::SnapshotWrite | SpanKind::SnapshotLoad | SpanKind::Recovery => "persist",
         }
     }
 }
@@ -1229,7 +1219,7 @@ mod tests {
         {
             let _scope = trace_scope(minted, 42);
             assert_eq!(current_context(), (minted, 42));
-            let child = record_span(SpanKind::JournalAppend, "t", 0, 1);
+            let child = record_span(SpanKind::SnapshotWrite, "t", 0, 1);
             let snap = recorder.snapshot();
             let rec = snap
                 .records

@@ -2,7 +2,7 @@
 //!
 //! The server parses attacker-controlled bytes on four surfaces (HTTP
 //! request heads, chunked transfer framing, NVD XML feeds, and the
-//! OSDV/OSDJ snapshot/journal decoders). This crate lexes those modules
+//! OSDV snapshot decoders). This crate lexes those modules
 //! with a small hand-rolled Rust tokenizer and enforces invariants the
 //! compiler can't:
 //!

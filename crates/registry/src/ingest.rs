@@ -418,25 +418,7 @@ impl FeedIngester {
     /// Finishes the ingestion: fails on a truncated or an empty feed,
     /// classifies unlabelled rows, and returns the loaded dataset.
     pub fn finish(self) -> Result<IngestOutcome, IngestError> {
-        self.finish_inner(false).map(|(outcome, _)| outcome)
-    }
-
-    /// Like [`finish`](FeedIngester::finish), but a feed that ends in the
-    /// middle of an entry element **drops the partial trailing entry**
-    /// instead of failing — the semantics of replaying a crash-truncated
-    /// ingestion journal, where everything up to the last complete entry
-    /// is trustworthy and the torn tail is not. The returned flag reports
-    /// whether a partial entry was dropped. Empty feeds still fail here,
-    /// as malformed entries already failed their push: a journal holding
-    /// a feed the original `PUT` would have rejected must not materialize
-    /// a dataset.
-    pub fn finish_lossy(self) -> Result<(IngestOutcome, bool), IngestError> {
-        self.finish_inner(true)
-    }
-
-    fn finish_inner(self, lossy: bool) -> Result<(IngestOutcome, bool), IngestError> {
-        let dropped_tail = matches!(self.state, ScanState::InEntry(_));
-        if dropped_tail && !lossy {
+        if matches!(self.state, ScanState::InEntry(_)) {
             return Err(IngestError::Truncated);
         }
         if self.seen == 0 {
@@ -457,17 +439,14 @@ impl FeedIngester {
         let entries = self.store.vulnerability_count();
         let mut dataset = StudyDataset::from_store(self.store);
         dataset.classify_unlabelled(&Classifier::with_default_rules());
-        Ok((
-            IngestOutcome {
-                dataset,
-                entries,
-                parsed: self.inserted,
-                skipped: self.skipped,
-                feed_bytes: self.feed_bytes,
-                stages,
-            },
-            dropped_tail,
-        ))
+        Ok(IngestOutcome {
+            dataset,
+            entries,
+            parsed: self.inserted,
+            skipped: self.skipped,
+            feed_bytes: self.feed_bytes,
+            stages,
+        })
     }
 }
 
@@ -623,32 +602,6 @@ mod tests {
     }
 
     #[test]
-    fn finish_lossy_drops_only_the_torn_trailing_entry() {
-        let xml = feed(10);
-        // A strict finish on a feed cut mid-entry fails…
-        let cut = xml.rfind("<entry").unwrap() + 20;
-        let mut ingester = FeedIngester::new(IngestBudget::default());
-        ingester.push(&xml.as_bytes()[..cut]).unwrap();
-        assert!(matches!(ingester.finish(), Err(IngestError::Truncated)));
-        // …a lossy finish keeps the nine complete entries.
-        let mut ingester = FeedIngester::new(IngestBudget::default());
-        ingester.push(&xml.as_bytes()[..cut]).unwrap();
-        let (outcome, dropped) = ingester.finish_lossy().unwrap();
-        assert!(dropped);
-        assert_eq!(outcome.entries, 9);
-        // A clean feed reports no drop.
-        let mut ingester = FeedIngester::new(IngestBudget::default());
-        ingester.push(xml.as_bytes()).unwrap();
-        let (outcome, dropped) = ingester.finish_lossy().unwrap();
-        assert!(!dropped);
-        assert_eq!(outcome.entries, 10);
-        // Still strict about feeds that never completed a single entry.
-        let mut ingester = FeedIngester::new(IngestBudget::default());
-        ingester.push(b"<nvd>").unwrap();
-        assert!(matches!(ingester.finish_lossy(), Err(IngestError::Empty)));
-    }
-
-    #[test]
     fn the_buffer_stays_bounded_by_one_entry() {
         let xml = feed(200);
         let mut ingester = FeedIngester::new(IngestBudget::default());
@@ -704,6 +657,12 @@ mod tests {
             ingester.finish().unwrap_err(),
             IngestError::Truncated
         ));
+        // Complete entries before the cut do not rescue a torn last one.
+        let xml = feed(10);
+        let cut = xml.rfind("<entry").unwrap() + 20;
+        let mut ingester = FeedIngester::new(IngestBudget::default());
+        ingester.push(&xml.as_bytes()[..cut]).unwrap();
+        assert!(matches!(ingester.finish(), Err(IngestError::Truncated)));
 
         let mut ingester = FeedIngester::new(IngestBudget::default());
         ingester

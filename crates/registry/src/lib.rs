@@ -20,12 +20,11 @@
 //!   [`StudyDataset`](osdiv_core::StudyDataset) — all under a configurable
 //!   [`IngestBudget`].
 //! * [`persist`] — [`TenantStore`], the durable side: `OSDV` snapshots
-//!   written the moment an ingested dataset registers, an append-only
-//!   `OSDJ` ingestion journal whose torn tails are truncated (never
-//!   trusted) on replay, and the counters `/metrics` reports. With a
-//!   store attached, eviction *spills* instead of tombstoning and
-//!   [`StudyRegistry::recover`] warm-restarts the whole tenant set from
-//!   disk.
+//!   written the moment an ingested dataset registers (an upload that
+//!   fails before then leaves nothing on disk), and the counters
+//!   `/metrics` reports. With a store attached, eviction *spills* instead
+//!   of tombstoning and [`StudyRegistry::recover`] warm-restarts the
+//!   whole tenant set from disk, deleting crash debris.
 //!
 //! The server (`osdiv-serve`), the CLI (`osdiv ingest`, `osdiv serve`) and
 //! the tests all share these types, closing the paper's Section III
@@ -41,8 +40,8 @@ pub mod registry;
 
 pub use ingest::{FeedIngester, IngestBudget, IngestError, IngestOutcome, IngestStageMicros};
 pub use persist::{
-    ChaosVfs, Durability, JournalReplay, JournalWriter, LoadedTenant, PersistError, PersistMetrics,
-    RealVfs, ScanReport, TenantStore, Vfs, VfsFile, VfsOp,
+    ChaosVfs, Durability, LoadedTenant, PersistError, PersistMetrics, RealVfs, ScanReport,
+    TenantStore, Vfs, VfsOp,
 };
 pub use registry::{
     build_synthetic, validate_name, DatasetInfo, DatasetSource, RecoveryReport, RegistryError,

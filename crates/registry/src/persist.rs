@@ -1,32 +1,18 @@
-//! Durable tenant storage: `OSDV` snapshots plus the `OSDJ` ingestion
-//! journal, both living under one data directory.
+//! Durable tenant storage: one `OSDV` snapshot per ingested tenant, all
+//! under one data directory.
 //!
 //! [`TenantStore`] owns the directory. Each tenant `name` (already
-//! path-safe — see [`validate_name`]) maps to at most two files:
+//! path-safe — see [`validate_name`]) maps to `<name>.osdv`, the
+//! versioned, checksummed snapshot written the moment an ingested dataset
+//! is registered (datasets are immutable after that, so no further writes
+//! are ever needed).
 //!
-//! * `<name>.osdv` — the versioned, checksummed snapshot written the
-//!   moment an ingested dataset is registered (datasets are immutable
-//!   after that, so no further writes are ever needed);
-//! * `<name>.journal` — the append-only raw-feed journal kept *during*
-//!   a streaming ingestion and deleted once the snapshot is durable. A
-//!   crash mid-`PUT` leaves only the journal; recovery replays it up to
-//!   the last complete record and **truncates — never trusts — a torn
-//!   tail**.
-//!
-//! The journal byte layout (specified in `docs/SNAPSHOT_FORMAT.md`):
-//!
-//! ```text
-//! offset 0  magic "OSDJ"
-//! offset 4  journal format version (u16 LE)
-//! offset 6  records, each:
-//!             +0  payload length (u32 LE)
-//!             +4  payload CRC-32 (u32 LE, IEEE polynomial)
-//!             +8  payload bytes (one ingestion chunk, raw feed XML)
-//! ```
-//!
-//! Snapshots are written to a `.tmp` sibling and atomically renamed into
-//! place, so a `<name>.osdv` file is either absent or complete — a crash
-//! can tear the journal but never the snapshot.
+//! Snapshots are written to a `<name>.osdv.tmp` sibling and atomically
+//! renamed into place, so a `<name>.osdv` file is either absent or
+//! complete. A save that fails before the rename deletes its temp file.
+//! A crash can still leave one behind, and earlier builds left
+//! `<name>.journal` upload journals; [`TenantStore::scan`] lists both as
+//! debris, which a writable boot deletes (`docs/SNAPSHOT_FORMAT.md`).
 
 use std::fmt;
 use std::fs::{self, File};
@@ -46,20 +32,11 @@ use crate::registry::{validate_name, DatasetSource};
 /// File extension of tenant snapshots.
 pub const SNAPSHOT_EXT: &str = "osdv";
 
-/// File extension of ingestion journals.
-pub const JOURNAL_EXT: &str = "journal";
+/// Suffix of the sibling a snapshot is written to before its rename.
+const TEMP_SUFFIX: &str = ".osdv.tmp";
 
-/// The four magic bytes every journal starts with.
-pub const JOURNAL_MAGIC: [u8; 4] = *b"OSDJ";
-
-/// The journal format version this module writes.
-pub const JOURNAL_VERSION: u16 = 1;
-
-/// Bytes before the first journal record (magic + format version).
-pub const JOURNAL_HEADER_BYTES: usize = 6;
-
-/// Bytes of framing before each record's payload (length + CRC-32).
-pub const JOURNAL_RECORD_HEADER_BYTES: usize = 8;
+/// Suffix of the upload journals earlier builds wrote.
+const JOURNAL_SUFFIX: &str = ".journal";
 
 /// META keys a tenant snapshot carries so the registry can rebuild the
 /// slot's [`DatasetSource`] without decoding the store payload.
@@ -130,15 +107,15 @@ impl From<SnapshotError> for PersistError {
 /// snapshot, but an *OS* crash may lose the most recent one — the rename
 /// and the data can still sit in the page cache. `Full` additionally
 /// fsyncs the snapshot bytes and the data directory before the save is
-/// acknowledged, and fsyncs every journal append, so the machine itself
-/// can lose power without losing an acknowledged write. The guarantee
-/// delta is specified in `docs/SNAPSHOT_FORMAT.md`.
+/// acknowledged, so the machine itself can lose power without losing an
+/// acknowledged write. The guarantee delta is specified in
+/// `docs/SNAPSHOT_FORMAT.md`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Durability {
     /// Temp file + atomic rename; no fsync (fast, the default).
     #[default]
     Rename,
-    /// Rename plus fsync of the file, its directory, and journal appends.
+    /// Rename plus fsync of the file and its directory.
     Full,
 }
 
@@ -166,21 +143,10 @@ pub trait Vfs: fmt::Debug + Send + Sync {
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
     /// Removes `path`.
     fn remove_file(&self, path: &Path) -> io::Result<()>;
-    /// Creates (truncating) `path`, open for appending.
-    fn create(&self, path: &Path) -> io::Result<Box<dyn VfsFile>>;
     /// Flushes `path`'s bytes to stable storage (`fsync`).
     fn sync_file(&self, path: &Path) -> io::Result<()>;
     /// Flushes a directory's entry metadata to stable storage.
     fn sync_dir(&self, path: &Path) -> io::Result<()>;
-}
-
-/// An open append-only file handle dispensed by [`Vfs::create`].
-pub trait VfsFile: fmt::Debug + Send {
-    /// Appends `bytes` completely or not at all — a short write surfaces
-    /// as an error, never as silent truncation.
-    fn append(&mut self, bytes: &[u8]) -> io::Result<()>;
-    /// Flushes the file's bytes to stable storage (`fsync`).
-    fn sync_all(&mut self) -> io::Result<()>;
 }
 
 /// The production [`Vfs`]: thin wrappers over `std::fs`.
@@ -200,10 +166,6 @@ impl Vfs for RealVfs {
         fs::remove_file(path)
     }
 
-    fn create(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
-        Ok(Box::new(RealFile(File::create(path)?)))
-    }
-
     fn sync_file(&self, path: &Path) -> io::Result<()> {
         File::open(path)?.sync_all()
     }
@@ -212,19 +174,6 @@ impl Vfs for RealVfs {
         // fsync on a read-only directory handle flushes the entry
         // metadata on POSIX — exactly what makes a rename durable.
         File::open(path)?.sync_all()
-    }
-}
-
-#[derive(Debug)]
-struct RealFile(File);
-
-impl VfsFile for RealFile {
-    fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.0.write_all(bytes)
-    }
-
-    fn sync_all(&mut self) -> io::Result<()> {
-        self.0.sync_all()
     }
 }
 
@@ -251,18 +200,6 @@ pub enum VfsOp {
     Remove {
         /// Removed path.
         path: PathBuf,
-    },
-    /// A create-truncate open for appending.
-    Create {
-        /// Created path.
-        path: PathBuf,
-    },
-    /// An append to an open file.
-    Append {
-        /// The file appended to.
-        path: PathBuf,
-        /// Bytes appended.
-        bytes: Vec<u8>,
     },
     /// An fsync of a file's bytes.
     SyncFile {
@@ -371,19 +308,6 @@ impl Vfs for ChaosVfs {
         Ok(())
     }
 
-    fn create(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
-        self.state.admit()?;
-        let inner = RealVfs.create(path)?;
-        self.state.record(VfsOp::Create {
-            path: path.to_path_buf(),
-        });
-        Ok(Box::new(ChaosFile {
-            inner,
-            path: path.to_path_buf(),
-            state: Arc::clone(&self.state),
-        }))
-    }
-
     fn sync_file(&self, path: &Path) -> io::Result<()> {
         self.state.admit()?;
         RealVfs.sync_file(path)?;
@@ -403,45 +327,14 @@ impl Vfs for ChaosVfs {
     }
 }
 
-#[derive(Debug)]
-struct ChaosFile {
-    inner: Box<dyn VfsFile>,
-    path: PathBuf,
-    state: Arc<ChaosState>,
-}
-
-impl VfsFile for ChaosFile {
-    fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.state.admit()?;
-        self.inner.append(bytes)?;
-        self.state.record(VfsOp::Append {
-            path: self.path.clone(),
-            bytes: bytes.to_vec(),
-        });
-        Ok(())
-    }
-
-    fn sync_all(&mut self) -> io::Result<()> {
-        self.state.admit()?;
-        self.inner.sync_all()?;
-        self.state.record(VfsOp::SyncFile {
-            path: self.path.clone(),
-        });
-        Ok(())
-    }
-}
-
-/// Monotonic persistence counters (and fsync-path latency histograms),
-/// surfaced verbatim on `/metrics`.
+/// Monotonic persistence counters (and the snapshot-write latency
+/// histogram), surfaced verbatim on `/metrics`.
 #[derive(Debug, Default)]
 pub struct PersistMetrics {
     snapshot_writes: AtomicU64,
     snapshot_loads: AtomicU64,
     spills: AtomicU64,
-    journal_replays: AtomicU64,
-    journal_truncations: AtomicU64,
     snapshot_write_latency: LatencyHistogram,
-    journal_append_latency: LatencyHistogram,
 }
 
 impl PersistMetrics {
@@ -461,33 +354,10 @@ impl PersistMetrics {
         self.spills.load(Ordering::Relaxed)
     }
 
-    /// Orphaned journals replayed at boot.
-    pub fn journal_replays(&self) -> u64 {
-        self.journal_replays.load(Ordering::Relaxed)
-    }
-
-    /// Replays that detected (and discarded) a torn trailing record.
-    pub fn journal_truncations(&self) -> u64 {
-        self.journal_truncations.load(Ordering::Relaxed)
-    }
-
     /// Latency of snapshot writes (temp-file write plus atomic rename),
     /// recorded once per durable save.
     pub fn snapshot_write_latency(&self) -> &LatencyHistogram {
         &self.snapshot_write_latency
-    }
-
-    /// Latency of journal record appends, recorded once per ingested
-    /// chunk by the serving layer.
-    pub fn journal_append_latency(&self) -> &LatencyHistogram {
-        &self.journal_append_latency
-    }
-
-    /// Records one journal append taking `micros`. Public because the
-    /// append goes through a standalone [`JournalWriter`], so the caller
-    /// owns the timing span.
-    pub fn record_journal_append_us(&self, micros: u64) {
-        self.journal_append_latency.record_us(micros);
     }
 
     pub(crate) fn record_spills(&self, n: u64) {
@@ -500,13 +370,6 @@ impl PersistMetrics {
 
     fn record_snapshot_load(&self) {
         self.snapshot_loads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_journal_replay(&self, truncated: bool) {
-        self.journal_replays.fetch_add(1, Ordering::Relaxed);
-        if truncated {
-            self.journal_truncations.fetch_add(1, Ordering::Relaxed);
-        }
     }
 }
 
@@ -523,34 +386,19 @@ pub struct LoadedTenant {
     pub index_loaded: bool,
 }
 
-/// What a directory scan found: tenants with snapshots, and orphaned
-/// journals left by a crash mid-ingestion.
+/// What a directory scan found: tenants with snapshots, and the debris a
+/// crash or an earlier build left beside them.
 #[derive(Debug, Default)]
 pub struct ScanReport {
     /// Names with a `<name>.osdv` snapshot, sorted.
     pub snapshots: Vec<String>,
-    /// Names with a `<name>.journal` file, sorted.
-    pub journals: Vec<String>,
+    /// File names of `<name>.osdv.tmp` temp files and earlier builds'
+    /// `<name>.journal` upload journals, sorted. Nothing reads them.
+    pub debris: Vec<String>,
 }
 
-/// A replayed journal: the trustworthy prefix of the feed bytes.
-#[derive(Debug)]
-pub struct JournalReplay {
-    /// The concatenated payloads of every complete, CRC-valid record.
-    pub feed: Vec<u8>,
-    /// Complete records recovered.
-    pub records: usize,
-    /// Whether the file ended in a torn (incomplete or CRC-failing)
-    /// record that was discarded.
-    pub truncated_tail: bool,
-    /// Bytes of journal examined during the replay — a work counter for
-    /// the complexity-guard tests (replay must stay linear in file size).
-    pub work: u64,
-}
-
-/// The on-disk side of the registry: snapshot save/load, journal
-/// write/replay and the persistence counters, all scoped to one data
-/// directory.
+/// The on-disk side of the registry: snapshot save/load, debris removal
+/// and the persistence counters, all scoped to one data directory.
 #[derive(Debug)]
 pub struct TenantStore {
     dir: PathBuf,
@@ -648,14 +496,10 @@ impl TenantStore {
         self.dir.join(format!("{name}.{SNAPSHOT_EXT}"))
     }
 
-    /// The journal path for a tenant name.
-    pub fn journal_path(&self, name: &str) -> PathBuf {
-        self.dir.join(format!("{name}.{JOURNAL_EXT}"))
-    }
-
     /// Writes `study` as `<name>.osdv`, annotated with `source`, via a
     /// temp file and an atomic rename — the file is either absent or
-    /// complete, never torn.
+    /// complete, never torn. A failure before the rename deletes the temp
+    /// file.
     ///
     /// # Errors
     ///
@@ -673,20 +517,26 @@ impl TenantStore {
         let dataset: &osdiv_core::StudyDataset = study;
         let bytes = Snapshot::to_bytes(dataset, &source_meta(source));
         let path = self.snapshot_path(name);
-        let tmp = self.dir.join(format!("{name}.{SNAPSHOT_EXT}.tmp"));
+        let tmp = self.dir.join(format!("{name}{TEMP_SUFFIX}"));
         let io = |what| move |error| PersistError::Io { what, error };
         let write_started = std::time::Instant::now();
-        self.vfs
-            .write_file(&tmp, &bytes)
-            .map_err(io("writing the snapshot temp file"))?;
-        if self.durability == Durability::Full {
+        let install = || {
             self.vfs
-                .sync_file(&tmp)
-                .map_err(io("syncing the snapshot temp file"))?;
+                .write_file(&tmp, &bytes)
+                .map_err(io("writing the snapshot temp file"))?;
+            if self.durability == Durability::Full {
+                self.vfs
+                    .sync_file(&tmp)
+                    .map_err(io("syncing the snapshot temp file"))?;
+            }
+            self.vfs
+                .rename(&tmp, &path)
+                .map_err(io("installing the snapshot"))
+        };
+        if let Err(error) = install() {
+            let _ = self.vfs.remove_file(&tmp);
+            return Err(error);
         }
-        self.vfs
-            .rename(&tmp, &path)
-            .map_err(io("installing the snapshot"))?;
         if self.durability == Durability::Full {
             self.vfs
                 .sync_dir(&self.dir)
@@ -742,9 +592,9 @@ impl TenantStore {
         })
     }
 
-    /// Lists the tenants (and orphaned journals) on disk. Files whose
-    /// stem is not a valid tenant name are ignored. A missing directory
-    /// answers an empty report.
+    /// Lists the tenants and the debris on disk. Files whose stem is not a
+    /// valid tenant name are ignored. A missing directory answers an
+    /// empty report.
     ///
     /// # Errors
     ///
@@ -761,235 +611,115 @@ impl TenantStore {
                 })
             }
         };
+        let snapshot_suffix = format!(".{SNAPSHOT_EXT}");
         for entry in entries {
             let entry = entry.map_err(|error| PersistError::Io {
                 what: "scanning the data directory",
                 error,
             })?;
-            let path = entry.path();
-            let (Some(stem), Some(ext)) = (
-                path.file_stem().and_then(|s| s.to_str()),
-                path.extension().and_then(|e| e.to_str()),
-            ) else {
+            let Ok(file) = entry.file_name().into_string() else {
                 continue;
             };
-            if validate_name(stem).is_err() {
-                continue;
-            }
-            match ext {
-                _ if ext == SNAPSHOT_EXT => report.snapshots.push(stem.to_string()),
-                _ if ext == JOURNAL_EXT => report.journals.push(stem.to_string()),
-                _ => {}
+            let stem = |suffix: &str| {
+                file.strip_suffix(suffix)
+                    .filter(|stem| validate_name(stem).is_ok())
+            };
+            if let Some(name) = stem(&snapshot_suffix) {
+                report.snapshots.push(name.to_string());
+            } else if stem(TEMP_SUFFIX).or(stem(JOURNAL_SUFFIX)).is_some() {
+                report.debris.push(file);
             }
         }
         report.snapshots.sort();
-        report.journals.sort();
+        report.debris.sort();
         Ok(report)
     }
 
-    /// Deletes `<name>.osdv` and `<name>.journal` (missing files are
-    /// fine).
+    /// Deletes `<name>.osdv` (a missing file is fine).
     ///
     /// # Errors
     ///
     /// [`PersistError::ReadOnly`] or I/O failure.
     pub fn remove(&self, name: &str) -> Result<(), PersistError> {
-        if self.read_only {
-            return Err(PersistError::ReadOnly);
-        }
-        for path in [self.snapshot_path(name), self.journal_path(name)] {
-            match self.vfs.remove_file(&path) {
-                Ok(()) => {}
-                Err(error) if error.kind() == io::ErrorKind::NotFound => {}
-                Err(error) => {
-                    return Err(PersistError::Io {
-                        what: "deleting tenant files",
-                        error,
-                    })
-                }
-            }
-        }
-        Ok(())
+        self.remove_file(&self.snapshot_path(name), "deleting the snapshot")
     }
 
-    /// Opens a fresh journal for `name`, truncating any leftover one (a
-    /// new `PUT` over a crashed one supersedes the orphan).
+    /// Deletes one file [`scan`](TenantStore::scan) listed as debris (a
+    /// missing file is fine).
     ///
     /// # Errors
     ///
     /// [`PersistError::ReadOnly`] or I/O failure.
+    pub(crate) fn remove_debris(&self, file: &str) -> Result<(), PersistError> {
+        self.remove_file(&self.dir.join(file), "deleting crash debris")
+    }
+
+    fn remove_file(&self, path: &Path, what: &'static str) -> Result<(), PersistError> {
+        if self.read_only {
+            return Err(PersistError::ReadOnly);
+        }
+        match self.vfs.remove_file(path) {
+            Ok(()) => Ok(()),
+            Err(error) if error.kind() == io::ErrorKind::NotFound => Ok(()),
+            Err(error) => Err(PersistError::Io { what, error }),
+        }
+    }
+
+    /// Opens `<name>.journal` for a [`JournalWriter`]. Only perfbench's
+    /// `persist.journal_append_us` probe calls it; the server writes no
+    /// journal.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::ReadOnly`] or I/O failure.
+    #[doc(hidden)]
     pub fn journal(&self, name: &str) -> Result<JournalWriter, PersistError> {
         if self.read_only {
             return Err(PersistError::ReadOnly);
         }
-        let path = self.journal_path(name);
-        let io = |what| move |error| PersistError::Io { what, error };
-        let mut file = self.vfs.create(&path).map_err(io("creating the journal"))?;
-        let mut header = Vec::with_capacity(JOURNAL_HEADER_BYTES);
-        header.extend_from_slice(&JOURNAL_MAGIC);
-        header.extend_from_slice(&JOURNAL_VERSION.to_le_bytes());
-        file.append(&header)
-            .map_err(io("writing the journal header"))?;
-        Ok(JournalWriter {
-            file,
-            path,
-            vfs: Arc::clone(&self.vfs),
-            fsync: self.durability == Durability::Full,
-        })
-    }
-
-    /// Replays `<name>.journal`, recovering every complete CRC-valid
-    /// record and discarding the torn tail (if any). Records the replay
-    /// in the metrics. A missing/garbled header yields zero records with
-    /// `truncated_tail` set — the journal never held trustworthy data.
-    ///
-    /// # Errors
-    ///
-    /// I/O failure reading the file.
-    pub fn replay_journal(&self, name: &str) -> Result<JournalReplay, PersistError> {
-        let _span = obs::span(SpanKind::JournalReplay, name);
-        let bytes = fs::read(self.journal_path(name)).map_err(|error| PersistError::Io {
-            what: "reading the journal",
+        let path = self.dir.join(format!("{name}{JOURNAL_SUFFIX}"));
+        let file = File::create(&path).map_err(|error| PersistError::Io {
+            what: "creating the journal",
             error,
         })?;
-        let replay = parse_journal(&bytes);
-        self.metrics.record_journal_replay(replay.truncated_tail);
-        Ok(replay)
-    }
-
-    /// Deletes `<name>.journal` (missing is fine). No-op when read-only:
-    /// a read-only boot must leave the orphan for a writable one.
-    ///
-    /// # Errors
-    ///
-    /// I/O failure.
-    pub fn discard_journal(&self, name: &str) -> Result<(), PersistError> {
-        if self.read_only {
-            return Ok(());
-        }
-        match self.vfs.remove_file(&self.journal_path(name)) {
-            Ok(()) => Ok(()),
-            Err(error) if error.kind() == io::ErrorKind::NotFound => Ok(()),
-            Err(error) => Err(PersistError::Io {
-                what: "deleting the journal",
-                error,
-            }),
-        }
+        Ok(JournalWriter { file, path })
     }
 }
 
-/// An open ingestion journal. Each [`append`](JournalWriter::append) goes
-/// straight to the kernel (no userspace buffering), so a `SIGKILL`
-/// between appends loses at most the record in flight — exactly the torn
-/// tail the replay path truncates. Under [`Durability::Full`] every
-/// append is also fsynced before it is acknowledged.
+/// The per-chunk work of the upload journal earlier builds kept: each
+/// [`append`](JournalWriter::append) frames the chunk with its length and
+/// CRC-32 and writes the frame in one call. Kept only for perfbench's
+/// `persist.journal_append_us` probe.
+#[doc(hidden)]
 #[derive(Debug)]
 pub struct JournalWriter {
-    file: Box<dyn VfsFile>,
+    file: File,
     path: PathBuf,
-    vfs: Arc<dyn Vfs>,
-    fsync: bool,
 }
 
 impl JournalWriter {
-    /// Appends one feed chunk as a framed, checksummed record.
+    /// Appends one chunk as a length + CRC-32 framed record.
     ///
     /// # Errors
     ///
     /// I/O failure.
     pub fn append(&mut self, chunk: &[u8]) -> io::Result<()> {
-        if chunk.is_empty() {
-            return Ok(());
-        }
-        let mut frame = Vec::with_capacity(JOURNAL_RECORD_HEADER_BYTES + chunk.len());
+        let mut frame = Vec::with_capacity(8 + chunk.len());
         frame.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(chunk).to_le_bytes());
         frame.extend_from_slice(chunk);
-        self.file.append(&frame)?;
-        if self.fsync {
-            self.file.sync_all()?;
-        }
-        Ok(())
+        self.file.write_all(&frame)
     }
 
-    /// The journal's path on disk.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Deletes the journal — either the ingestion's snapshot is durable
-    /// (commit) or the ingestion failed and there is nothing worth
-    /// replaying (discard). Consumes the writer.
+    /// Closes and deletes the journal.
     ///
     /// # Errors
     ///
     /// I/O failure deleting the file.
     pub fn finish(self) -> io::Result<()> {
-        let JournalWriter {
-            file, path, vfs, ..
-        } = self;
-        drop(file);
-        match vfs.remove_file(&path) {
-            Ok(()) => Ok(()),
-            Err(error) if error.kind() == io::ErrorKind::NotFound => Ok(()),
-            Err(error) => Err(error),
-        }
+        drop(self.file);
+        fs::remove_file(&self.path)
     }
-}
-
-/// Parses journal bytes into the trustworthy prefix (see the module docs
-/// for the framing).
-fn parse_journal(bytes: &[u8]) -> JournalReplay {
-    let mut replay = JournalReplay {
-        feed: Vec::new(),
-        records: 0,
-        truncated_tail: false,
-        work: 0,
-    };
-    let le_u32 = |pos: usize| -> Option<u32> {
-        bytes
-            .get(pos..pos.checked_add(4)?)
-            .and_then(|s| <[u8; 4]>::try_from(s).ok())
-            .map(u32::from_le_bytes)
-    };
-    let header_ok = bytes.get(..4) == Some(JOURNAL_MAGIC.as_slice())
-        && bytes
-            .get(4..JOURNAL_HEADER_BYTES)
-            .and_then(|s| <[u8; 2]>::try_from(s).ok())
-            .map(u16::from_le_bytes)
-            == Some(JOURNAL_VERSION);
-    if !header_ok {
-        replay.truncated_tail = true;
-        return replay;
-    }
-    replay.work = JOURNAL_HEADER_BYTES as u64;
-    let mut pos = JOURNAL_HEADER_BYTES;
-    while pos < bytes.len() {
-        let header = le_u32(pos).zip(pos.checked_add(4).and_then(&le_u32));
-        let Some((len, expected)) = header else {
-            replay.truncated_tail = true;
-            break;
-        };
-        let payload = pos
-            .checked_add(JOURNAL_RECORD_HEADER_BYTES)
-            .and_then(|start| start.checked_add(len as usize).map(|end| (start, end)))
-            .and_then(|(start, end)| bytes.get(start..end).map(|payload| (payload, end)));
-        let Some((payload, end)) = payload else {
-            replay.truncated_tail = true;
-            break;
-        };
-        replay.work += (JOURNAL_RECORD_HEADER_BYTES + payload.len()) as u64;
-        if crc32(payload) != expected {
-            // A failed checksum ends the trustworthy prefix: everything
-            // after it may be garbage from the same torn write.
-            replay.truncated_tail = true;
-            break;
-        }
-        replay.feed.extend_from_slice(payload);
-        replay.records += 1;
-        pos = end;
-    }
-    replay
 }
 
 /// The META annotations a tenant snapshot carries for `source`.
@@ -1086,60 +816,17 @@ mod tests {
         let source = DatasetSource::Synthetic { seed: 3 };
         store.save("b", &study, &source).unwrap();
         store.save("a", &study, &source).unwrap();
-        store.journal("crashed").unwrap();
-        fs::write(dir.join("README.txt"), b"not a tenant").unwrap();
-        fs::write(dir.join("UPPER.osdv"), b"bad name").unwrap();
+        for file in [
+            "crashed.journal",
+            "torn.osdv.tmp",
+            "README.txt",
+            "UPPER.osdv",
+        ] {
+            fs::write(dir.join(file), b"not a snapshot").unwrap();
+        }
         let report = store.scan().unwrap();
         assert_eq!(report.snapshots, ["a", "b"]);
-        assert_eq!(report.journals, ["crashed"]);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn journal_replays_complete_records_and_truncates_torn_tails() {
-        let dir = temp_dir("journal");
-        let store = TenantStore::open(&dir).unwrap();
-        let mut writer = store.journal("t").unwrap();
-        writer.append(b"<entry>one</entry>").unwrap();
-        writer.append(b"<entry>two</entry>").unwrap();
-        drop(writer); // simulate a crash: file left behind
-
-        // Clean journal: both records, no truncation.
-        let replay = store.replay_journal("t").unwrap();
-        assert_eq!(replay.records, 2);
-        assert!(!replay.truncated_tail);
-        assert_eq!(replay.feed, b"<entry>one</entry><entry>two</entry>");
-
-        // Torn tail: a record header promising more bytes than exist.
-        let path = store.journal_path("t");
-        let mut bytes = fs::read(&path).unwrap();
-        bytes.extend_from_slice(&1000u32.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        bytes.extend_from_slice(b"partial");
-        fs::write(&path, &bytes).unwrap();
-        let replay = store.replay_journal("t").unwrap();
-        assert_eq!(replay.records, 2, "the complete prefix survives");
-        assert!(replay.truncated_tail);
-
-        // Corrupted payload: CRC mismatch ends the trustworthy prefix.
-        let mut bytes = fs::read(&path).unwrap();
-        let flip = JOURNAL_HEADER_BYTES + JOURNAL_RECORD_HEADER_BYTES + 3;
-        bytes[flip] ^= 0xFF;
-        fs::write(&path, &bytes).unwrap();
-        let replay = store.replay_journal("t").unwrap();
-        assert_eq!(replay.records, 0, "corruption in record 1 distrusts all");
-        assert!(replay.truncated_tail);
-
-        // Garbage header: zero records, flagged.
-        fs::write(&path, b"garbage").unwrap();
-        let replay = store.replay_journal("t").unwrap();
-        assert_eq!(replay.records, 0);
-        assert!(replay.truncated_tail);
-
-        store.discard_journal("t").unwrap();
-        assert!(!path.exists());
-        assert_eq!(store.metrics().journal_replays(), 4);
-        assert_eq!(store.metrics().journal_truncations(), 3);
+        assert_eq!(report.debris, ["crashed.journal", "torn.osdv.tmp"]);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1166,8 +853,11 @@ mod tests {
             ),
             Err(PersistError::ReadOnly)
         ));
-        assert!(matches!(store.journal("nope"), Err(PersistError::ReadOnly)));
         assert!(matches!(store.remove("keep"), Err(PersistError::ReadOnly)));
+        assert!(matches!(
+            store.remove_debris("keep.osdv"),
+            Err(PersistError::ReadOnly)
+        ));
         assert!(store.snapshot_path("keep").exists(), "nothing was deleted");
         // A read-only store over a missing directory scans empty.
         let ghost = TenantStore::open_read_only(dir.join("missing"));
@@ -1182,11 +872,14 @@ mod tests {
         store
             .save("t", &sample_study(), &DatasetSource::Synthetic { seed: 1 })
             .unwrap();
-        store.journal("t").unwrap();
+        fs::write(dir.join("t.journal"), b"OSDJ").unwrap();
         store.remove("t").unwrap();
         assert!(!store.snapshot_path("t").exists());
-        assert!(!store.journal_path("t").exists());
-        store.remove("t").unwrap(); // idempotent
+        store.remove_debris("t.journal").unwrap();
+        assert!(!dir.join("t.journal").exists());
+        // Both are idempotent.
+        store.remove("t").unwrap();
+        store.remove_debris("t.journal").unwrap();
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -36,7 +36,6 @@ use osdiv_core::obs::{self, SpanKind};
 use osdiv_core::Study;
 use parking_lot::RwLock;
 
-use crate::ingest::{FeedIngester, IngestBudget};
 use crate::persist::TenantStore;
 
 /// The name of the boot-time dataset every deployment serves.
@@ -485,6 +484,12 @@ impl StudyRegistry {
                     .is_some_and(|slot| slot.generation == generation)
                 {
                     inner.slots.remove(name);
+                    // A save that failed after its rename (the directory
+                    // fsync under `full`) installed a snapshot the next
+                    // boot would recover. Deleting it under the lock, while
+                    // the slot still held this generation, cannot touch a
+                    // concurrent registration's snapshot.
+                    let _ = persist.remove(name);
                 }
                 Err(RegistryError::Persistence {
                     name: name.to_string(),
@@ -682,8 +687,8 @@ impl StudyRegistry {
         self.inner.read().slots.contains_key(name)
     }
 
-    /// Unregisters a dataset (tombstones too), deleting its snapshot and
-    /// journal when durable storage is attached and writable.
+    /// Unregisters a dataset (tombstones too), deleting its snapshot when
+    /// durable storage is attached and writable.
     ///
     /// # Errors
     ///
@@ -752,22 +757,20 @@ impl StudyRegistry {
     }
 
     /// Warm restart: scans the attached tenant store and brings the disk
-    /// state back into the registry.
+    /// state back into the registry. Call it before the registry serves:
+    /// it deletes `.osdv.tmp` files, and a save in flight writes one.
     ///
-    /// * **Orphaned journals** (a crash mid-`PUT` left `<name>.journal`
-    ///   but no snapshot) are replayed up to their last complete record,
-    ///   re-ingested under `budget`, snapshotted and deleted. A journal
-    ///   holding nothing the original `PUT` would have accepted is
-    ///   discarded. Skipped entirely when the store is read-only.
+    /// * **Debris** — `<name>.osdv.tmp` files a crash left mid-save and
+    ///   `<name>.journal` files earlier builds wrote — is deleted, unless
+    ///   the store is read-only. Nothing reads either.
     /// * **Snapshots** are registered as *spilled* tenants — listed
     ///   immediately, loaded lazily on first access — so boot cost does
     ///   not scale with dataset size. Names already registered (the
-    ///   pinned default, a tenant just replayed) keep their live
-    ///   registration.
+    ///   pinned default) keep their live registration.
     ///
-    /// Never fails as a whole: per-name problems are reported in
+    /// Never fails as a whole: per-file problems are reported in
     /// [`RecoveryReport::errors`] and the boot continues past them.
-    pub fn recover(&self, budget: &IngestBudget) -> RecoveryReport {
+    pub fn recover(&self) -> RecoveryReport {
         let _span = obs::span(SpanKind::Recovery, "boot");
         let mut report = RecoveryReport::default();
         let Some(persist) = self.persist.clone() else {
@@ -783,19 +786,9 @@ impl StudyRegistry {
             }
         };
         if !persist.read_only() {
-            for name in &scan.journals {
-                if scan.snapshots.contains(name) {
-                    // Snapshots are written atomically, so one that exists
-                    // is complete: the crash hit after the rename but
-                    // before the journal delete. The snapshot wins.
-                    let _ = persist.discard_journal(name);
-                    report.discarded_journals.push(name.clone());
-                    continue;
-                }
-                match self.replay_orphan(&persist, name, budget) {
-                    Ok(true) => report.replayed.push(name.clone()),
-                    Ok(false) => report.discarded_journals.push(name.clone()),
-                    Err(error) => report.errors.push((name.clone(), error.to_string())),
+            for file in scan.debris {
+                if let Err(error) = persist.remove_debris(&file) {
+                    report.errors.push((file, error.to_string()));
                 }
             }
         }
@@ -836,48 +829,6 @@ impl StudyRegistry {
         }
         report
     }
-
-    /// Replays one orphaned journal into a live tenant. `Ok(true)` means
-    /// a tenant was restored; `Ok(false)` means the journal held nothing
-    /// usable and was discarded.
-    fn replay_orphan(
-        &self,
-        persist: &TenantStore,
-        name: &str,
-        budget: &IngestBudget,
-    ) -> Result<bool, RegistryError> {
-        let replay = persist
-            .replay_journal(name)
-            .map_err(|error| RegistryError::Persistence {
-                name: name.to_string(),
-                detail: error.to_string(),
-            })?;
-        let ingested = (replay.records > 0).then(|| {
-            let mut ingester = FeedIngester::new(budget.clone());
-            ingester.push(&replay.feed)?;
-            ingester.finish_lossy()
-        });
-        match ingested {
-            Some(Ok((outcome, _dropped_tail))) => {
-                let source = DatasetSource::Ingested {
-                    entries: outcome.entries,
-                    skipped: outcome.skipped,
-                    feed_bytes: outcome.feed_bytes,
-                };
-                // insert() re-snapshots the tenant and marks it durable;
-                // only then is the journal safe to drop.
-                self.insert(name, Arc::new(outcome.into_study()), source)?;
-                let _ = persist.discard_journal(name);
-                Ok(true)
-            }
-            // Nothing trustworthy: the feed was rejected (or empty), so
-            // the original PUT would have failed too.
-            Some(Err(_)) | None => {
-                let _ = persist.discard_journal(name);
-                Ok(false)
-            }
-        }
-    }
 }
 
 /// What [`StudyRegistry::recover`] found and did at boot.
@@ -885,11 +836,8 @@ impl StudyRegistry {
 pub struct RecoveryReport {
     /// Snapshots registered as lazily-loading spilled tenants, sorted.
     pub recovered: Vec<String>,
-    /// Orphaned journals replayed into live (re-snapshotted) tenants.
-    pub replayed: Vec<String>,
-    /// Journals discarded as redundant or unusable.
-    pub discarded_journals: Vec<String>,
-    /// Per-name failures the boot continued past.
+    /// Per-file failures the boot continued past: a tenant name, or the
+    /// file name of debris that could not be deleted.
     pub errors: Vec<(String, String)>,
 }
 

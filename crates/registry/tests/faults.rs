@@ -1,12 +1,12 @@
 //! Fault-injection property: for *any* single injected [`Vfs`] failure
-//! during a tenant `PUT` (journal create, header/record appends, snapshot
-//! temp write, fsyncs, rename, journal retirement), under either
-//! durability policy:
+//! while a tenant's snapshot is overwritten (temp write, fsyncs, rename),
+//! under either durability policy:
 //!
 //! * reads keep answering — the snapshot on disk is always a complete
 //!   committed state (old or new), never a hybrid, and always loads;
-//! * cold recovery over the crash debris reports no errors;
-//! * the next fault-free `PUT` of the same payload fully recovers.
+//! * a failed save leaves no temp file behind;
+//! * cold recovery over what is left reports no errors;
+//! * the next fault-free save of the same payload fully recovers.
 //!
 //! [`Vfs`]: osdiv_registry::Vfs
 
@@ -63,36 +63,12 @@ fn ingest(xml: &str) -> (Arc<Study>, DatasetSource) {
     (Arc::new(outcome.into_study()), source)
 }
 
-/// The full streaming-`PUT` persistence flow, aborting at the first
-/// failure exactly like the registry does: journal the raw feed, snapshot
-/// the ingested study, retire the journal.
-fn put(
-    store: &TenantStore,
-    name: &str,
-    xml: &str,
-    study: &Arc<Study>,
-    source: &DatasetSource,
-) -> Result<(), String> {
-    let err = |error: &dyn std::fmt::Display| error.to_string();
-    let mut journal = store.journal(name).map_err(|e| err(&e))?;
-    let cut = xml.len() / 2;
-    journal
-        .append(&xml.as_bytes()[..cut])
-        .map_err(|e| err(&e))?;
-    journal
-        .append(&xml.as_bytes()[cut..])
-        .map_err(|e| err(&e))?;
-    store.save(name, study, source).map_err(|e| err(&e))?;
-    journal.finish().map_err(|e| err(&e))?;
-    Ok(())
-}
-
 proptest! {
     #[test]
     fn any_single_vfs_fault_leaves_reads_correct_and_a_retry_recovers(
-        // Large enough to cover every op of the longest (Full) flow;
-        // indices past the end simply mean no fault fires.
-        fail_op in 0usize..16,
+        // Covers every op of the longest (Full) save; an index past the
+        // end means no fault fires.
+        fail_op in 0usize..5,
         durability in prop_oneof![Just(Durability::Rename), Just(Durability::Full)],
     ) {
         let dir = temp_dir("put");
@@ -100,27 +76,25 @@ proptest! {
         let store =
             TenantStore::open_with(&dir, durability, Arc::new(chaos.clone())).unwrap();
 
-        // Fault-free baseline PUT: the old committed state.
-        let old_xml = feed(10, 2004);
-        let (old, old_source) = ingest(&old_xml);
-        put(&store, "t", &old_xml, &old, &old_source).unwrap();
+        // Fault-free baseline save: the old committed state.
+        let (old, old_source) = ingest(&feed(10, 2004));
+        store.save("t", &old, &old_source).unwrap();
         let old_report = old.report(Format::Json).unwrap();
 
-        // The faulted PUT: exactly one injected failure somewhere in the
-        // flow. The flow aborts at the failure, like a real request.
-        let new_xml = feed(14, 2006);
-        let (new, new_source) = ingest(&new_xml);
+        // The faulted save: exactly one injected failure somewhere in it.
+        let (new, new_source) = ingest(&feed(14, 2006));
         let new_report = new.report(Format::Json).unwrap();
         chaos.reset();
         chaos.set_fail_op(Some(fail_op));
-        let outcome = put(&store, "t", &new_xml, &new, &new_source);
+        let outcome = store.save("t", &new, &new_source);
         chaos.set_fail_op(None);
-        if let Err(detail) = &outcome {
+        if let Err(error) = &outcome {
             prop_assert!(
-                detail.contains("chaos"),
-                "the only allowed failure is the injected one, got: {detail}"
+                error.to_string().contains("chaos"),
+                "the only allowed failure is the injected one, got: {error}"
             );
         }
+        prop_assert!(!dir.join("t.osdv.tmp").exists(), "a failed save left its temp file");
 
         // Reads stay correct: the snapshot always loads and serves a
         // byte-identical old or new report — never a hybrid.
@@ -132,26 +106,21 @@ proptest! {
             "read served a state no successful PUT ever committed"
         );
 
-        // Cold recovery over the debris (possibly a leftover journal)
-        // reports no errors.
+        // Cold recovery over what is left reports no errors.
         let boot = Arc::new(TenantStore::open(&dir).unwrap());
         let registry =
             StudyRegistry::new(RegistryOptions::default()).with_persistence(Arc::clone(&boot));
-        let recovery = registry.recover(&IngestBudget::default());
+        let recovery = registry.recover();
         prop_assert!(
             recovery.errors.is_empty(),
             "recovery errored after a single fault: {:?}",
             recovery.errors
         );
 
-        // A fault-free retry of the same PUT fully recovers.
-        put(&store, "t", &new_xml, &new, &new_source).unwrap();
+        // A fault-free retry of the same save fully recovers.
+        store.save("t", &new, &new_source).unwrap();
         let report = store.load("t").unwrap().study.report(Format::Json).unwrap();
         prop_assert_eq!(report, new_report);
-        prop_assert!(
-            !store.journal_path("t").exists(),
-            "a completed PUT must retire its journal"
-        );
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,6 +1,6 @@
 //! Durable-tenant integration: spill-and-reload under memory pressure,
-//! warm restarts from snapshots, and crash-recovery via the ingestion
-//! journal — the registry-level guarantees behind `osdiv serve
+//! warm restarts from snapshots, and boot deleting the journals earlier
+//! builds left — the registry-level guarantees behind `osdiv serve
 //! --data-dir`.
 
 use std::path::PathBuf;
@@ -9,6 +9,7 @@ use std::sync::Arc;
 
 use nvd_feed::FeedWriter;
 use nvd_model::{CveId, OsDistribution, VulnerabilityEntry};
+use osdiv_core::snapshot::crc32;
 use osdiv_core::{Format, Study};
 use osdiv_registry::{
     DatasetSource, FeedIngester, IngestBudget, RegistryOptions, StudyRegistry, TenantStore,
@@ -108,7 +109,7 @@ fn warm_restart_serves_byte_identical_reports() {
     let store = Arc::new(TenantStore::open(&dir).unwrap());
     let registry =
         StudyRegistry::new(RegistryOptions::default()).with_persistence(Arc::clone(&store));
-    let recovery = registry.recover(&IngestBudget::default());
+    let recovery = registry.recover();
     assert_eq!(recovery.recovered, ["feed"]);
     assert!(recovery.errors.is_empty());
 
@@ -127,42 +128,36 @@ fn warm_restart_serves_byte_identical_reports() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn orphaned_journal_replays_up_to_the_last_complete_entry() {
-    let dir = temp_dir("journal");
-    let xml = feed(10);
-    // Simulate a crash mid-PUT: chunks journaled, the last record torn,
-    // no snapshot ever written.
-    {
-        let store = TenantStore::open(&dir).unwrap();
-        let mut journal = store.journal("crashed").unwrap();
-        let cut = xml.rfind("<entry").unwrap() + 25;
-        for chunk in xml.as_bytes()[..cut].chunks(512) {
-            journal.append(chunk).unwrap();
-        }
-        drop(journal); // no finish(): the file stays behind
-        let path = store.journal_path("crashed");
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.extend_from_slice(&9999u32.to_le_bytes()); // torn record
-        bytes.extend_from_slice(b"\0\0\0\0partial");
-        std::fs::write(&path, &bytes).unwrap();
-    }
+/// An upload journal as earlier builds wrote it: `OSDJ`, format version
+/// 1, then one record of length, CRC-32 and the complete feed.
+fn old_journal(xml: &str) -> Vec<u8> {
+    let mut bytes = b"OSDJ".to_vec();
+    bytes.extend_from_slice(&1u16.to_le_bytes());
+    bytes.extend_from_slice(&(xml.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&crc32(xml.as_bytes()).to_le_bytes());
+    bytes.extend_from_slice(xml.as_bytes());
+    bytes
+}
 
+#[test]
+fn boot_deletes_old_journals_so_an_unacknowledged_upload_can_be_retried() {
+    // An upload that was never acknowledged: an earlier build journaled
+    // the whole feed and crashed before its snapshot was installed.
+    let dir = temp_dir("old-journal");
+    let xml = feed(10);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("t.journal"), old_journal(&xml)).unwrap();
     let store = Arc::new(TenantStore::open(&dir).unwrap());
     let registry =
         StudyRegistry::new(RegistryOptions::default()).with_persistence(Arc::clone(&store));
-    let recovery = registry.recover(&IngestBudget::default());
-    assert_eq!(recovery.replayed, ["crashed"]);
-    assert!(recovery.errors.is_empty());
-    assert_eq!(store.metrics().journal_replays(), 1);
-    assert_eq!(store.metrics().journal_truncations(), 1);
-
-    // 9 complete entries survive; the torn tenth was never trusted.
-    let study = registry.get("crashed").unwrap();
-    assert_eq!(study.valid_count(), 9);
-    // The replay re-snapshots the tenant and retires the journal.
-    assert!(store.snapshot_path("crashed").exists());
-    assert!(!store.journal_path("crashed").exists());
+    let recovery = registry.recover();
+    assert!(recovery.recovered.is_empty() && recovery.errors.is_empty());
+    assert!(!dir.join("t.journal").exists());
+    assert!(!registry.contains("t"));
+    // The client's retry lands.
+    let (study, source) = ingest(&xml);
+    registry.insert("t", study, source).unwrap();
+    assert_eq!(registry.get("t").unwrap().valid_count(), 10);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -175,17 +170,18 @@ fn journal_beside_a_complete_snapshot_is_redundant() {
             StudyRegistry::new(RegistryOptions::default()).with_persistence(Arc::clone(&store));
         let (study, source) = ingest(&feed(6));
         registry.insert("t", study, source).unwrap();
-        // Crash after the snapshot rename but before the journal delete.
-        store.journal("t").unwrap();
     }
+    // An earlier build crashed after the snapshot rename but before it
+    // deleted the journal: the journal goes, the snapshot still recovers.
+    std::fs::write(dir.join("t.journal"), old_journal(&feed(4))).unwrap();
     let store = Arc::new(TenantStore::open(&dir).unwrap());
     let registry =
         StudyRegistry::new(RegistryOptions::default()).with_persistence(Arc::clone(&store));
-    let recovery = registry.recover(&IngestBudget::default());
-    assert_eq!(recovery.discarded_journals, ["t"]);
+    let recovery = registry.recover();
     assert_eq!(recovery.recovered, ["t"]);
-    assert!(!store.journal_path("t").exists());
-    assert!(registry.get("t").is_ok());
+    assert!(recovery.errors.is_empty());
+    assert!(!dir.join("t.journal").exists());
+    assert_eq!(registry.get("t").unwrap().valid_count(), 6);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -202,7 +198,7 @@ fn delete_removes_the_snapshot_so_restarts_stay_deleted() {
     assert!(!store.snapshot_path("gone").exists());
 
     let registry2 = StudyRegistry::new(RegistryOptions::default()).with_persistence(store);
-    let recovery = registry2.recover(&IngestBudget::default());
+    let recovery = registry2.recover();
     assert!(recovery.recovered.is_empty());
     assert!(!registry2.contains("gone"));
     let _ = std::fs::remove_dir_all(&dir);

@@ -606,8 +606,8 @@ fn write_histogram_family(
 }
 
 /// Appends the persistence families, present when the registry has durable
-/// storage attached: the snapshot and journal counters, then the write and
-/// append latency histograms once they hold a sample.
+/// storage attached: the snapshot counters, then the snapshot-write latency
+/// histogram once it holds a sample.
 pub(crate) fn write_persistence_families(out: &mut String, metrics: &PersistMetrics) {
     write_families(
         out,
@@ -628,33 +628,16 @@ pub(crate) fn write_persistence_families(out: &mut String, metrics: &PersistMetr
                 "evictions that kept the snapshot and dropped only memory",
                 metrics.spills(),
             ),
-            (
-                "osdiv_journal_replays",
-                "orphaned ingestion journals replayed at boot",
-                metrics.journal_replays(),
-            ),
-            (
-                "osdiv_journal_truncations",
-                "journal replays that truncated a torn tail",
-                metrics.journal_truncations(),
-            ),
         ],
     );
-    for (name, help, snapshot) in [
-        (
+    let snapshot = metrics.snapshot_write_latency().snapshot();
+    if !snapshot.is_empty() {
+        write_histogram_family(
+            out,
             "osdiv_snapshot_write_duration_seconds",
             "latency of durable snapshot writes (temp file + rename)",
-            metrics.snapshot_write_latency().snapshot(),
-        ),
-        (
-            "osdiv_journal_append_duration_seconds",
-            "latency of ingestion-journal record appends",
-            metrics.journal_append_latency().snapshot(),
-        ),
-    ] {
-        if !snapshot.is_empty() {
-            write_histogram_family(out, name, help, [(String::new(), snapshot)]);
-        }
+            [(String::new(), snapshot)],
+        );
     }
 }
 

@@ -699,89 +699,32 @@ impl Router {
             });
         }
 
-        // Journal the raw feed chunks as they stream: a crash anywhere
-        // between here and the durable snapshot leaves a replayable
-        // record of the upload instead of nothing. The journal is
-        // deleted once the snapshot is on disk (or the ingestion fails).
-        let mut journal = match self.registry.persistence() {
-            Some(store) if !store.read_only() => match store.journal(name) {
-                Ok(journal) => Some(journal),
-                Err(error) => {
-                    return registry_error_response(&RegistryError::Persistence {
-                        name: name.to_string(),
-                        detail: error.to_string(),
-                    })
-                }
-            },
-            _ => None,
-        };
-        let retire_journal = |journal: &mut Option<osdiv_registry::JournalWriter>| {
-            if let Some(journal) = journal.take() {
-                let _ = journal.finish();
-            }
-        };
-
-        // Stream the feed body through the ingester, chunk by chunk. The
-        // journal appends aggregate into one flight-recorder span (per-
-        // chunk spans would flood the ring on large uploads).
-        let mut journal_first_us: Option<u64> = None;
-        let mut journal_spent_us: u64 = 0;
-        let streamed = (|| -> Result<_, Response> {
-            let mut ingester = FeedIngester::new(self.options.ingest_budget.clone());
-            let mut chunk = Vec::new();
-            loop {
-                match body.next_chunk(&mut chunk) {
-                    Ok(true) => {
-                        if let Some(journal) = journal.as_mut() {
-                            if journal_first_us.is_none() {
-                                journal_first_us = Some(obs::monotonic_us());
-                            }
-                            let append_started = Instant::now();
-                            let appended = journal.append(&chunk);
-                            let spent_us = micros_since(append_started);
-                            journal_spent_us = journal_spent_us.saturating_add(spent_us);
-                            if let Some(store) = self.registry.persistence() {
-                                store.metrics().record_journal_append_us(spent_us);
-                            }
-                            if let Err(error) = appended {
-                                return Err(registry_error_response(&RegistryError::Persistence {
-                                    name: name.to_string(),
-                                    detail: format!("journal write failed: {error}"),
-                                }));
-                            }
-                        }
-                        if let Err(error) = ingester.push(&chunk) {
-                            return Err(ingest_error_response(&error));
-                        }
-                    }
-                    Ok(false) => break,
-                    Err(BodyError::Violation(violation)) => return Err(Response::from(&violation)),
-                    Err(BodyError::TooLarge { limit }) => {
-                        return Err(Response::text(
-                            413,
-                            format!("request body exceeds {limit} bytes"),
-                        ))
-                    }
-                    Err(BodyError::Io(_)) => {
-                        return Err(Response::text(400, "request body ended prematurely"))
+        // Stream the feed body through the ingester, chunk by chunk.
+        // Nothing reaches the disk until `registry.insert` saves the
+        // complete dataset, so a failed upload leaves nothing behind.
+        let mut ingester = FeedIngester::new(self.options.ingest_budget.clone());
+        let mut chunk = Vec::new();
+        loop {
+            match body.next_chunk(&mut chunk) {
+                Ok(true) => {
+                    if let Err(error) = ingester.push(&chunk) {
+                        return ingest_error_response(&error);
                     }
                 }
+                Ok(false) => break,
+                Err(BodyError::Violation(violation)) => return Response::from(&violation),
+                Err(BodyError::TooLarge { limit }) => {
+                    return Response::text(413, format!("request body exceeds {limit} bytes"))
+                }
+                Err(BodyError::Io(_)) => {
+                    return Response::text(400, "request body ended prematurely")
+                }
             }
-            ingester
-                .finish()
-                .map_err(|error| ingest_error_response(&error))
-        })();
-        let outcome = match streamed {
-            Ok(outcome) => outcome,
-            Err(response) => {
-                // A failed ingestion holds nothing a replay should trust.
-                retire_journal(&mut journal);
-                return response;
-            }
-        };
-        if let Some(started_us) = journal_first_us {
-            obs::record_span(SpanKind::JournalAppend, name, started_us, journal_spent_us);
         }
+        let outcome = match ingester.finish() {
+            Ok(outcome) => outcome,
+            Err(error) => return ingest_error_response(&error),
+        };
         let (entries, skipped, feed_bytes) = (outcome.entries, outcome.skipped, outcome.feed_bytes);
         let stages = outcome.stages;
         self.metrics
@@ -798,11 +741,8 @@ impl Router {
             feed_bytes,
         };
         if let Err(error) = self.registry.insert(name, study, source) {
-            retire_journal(&mut journal);
             return registry_error_response(&error);
         }
-        // insert() wrote the durable snapshot; the journal is redundant.
-        retire_journal(&mut journal);
         self.emit_event("dataset_ingested", |line| {
             line.str_field("dataset", name);
             line.u64_field("entries", entries as u64);
@@ -1108,7 +1048,7 @@ mod tests {
     use crate::http::{BodyFraming, BufferedBody, RequestParser, StreamBody};
     use nvd_feed::FeedWriter;
     use nvd_model::{CveId, OsDistribution, VulnerabilityEntry};
-    use osdiv_registry::{ChaosVfs, Durability, TenantStore, VfsOp};
+    use osdiv_registry::{ChaosVfs, Durability, TenantStore};
 
     fn request(raw: &str) -> Request {
         RequestParser::new()
@@ -1409,8 +1349,6 @@ mod tests {
 
     #[test]
     fn a_put_under_any_single_vfs_fault_answers_500_or_lands_whole() {
-        // In 1 KiB wire chunks the feed takes several 4 KiB stream reads,
-        // so the route journals it in several appends.
         let mut wire = Vec::new();
         for piece in feed_of(40).chunks(1024) {
             wire.extend_from_slice(format!("{:x}\r\n", piece.len()).as_bytes());
@@ -1438,38 +1376,37 @@ mod tests {
                 StudyRegistry::new(RegistryOptions::default()).with_persistence(Arc::new(store));
             Router::new(Arc::new(registry), RouterOptions::default())
         };
-        for durability in [Durability::Rename, Durability::Full] {
+        for (durability, ops) in [(Durability::Rename, 2), (Durability::Full, 4)] {
             let chaos = ChaosVfs::new();
             let router = router_on(durability, &chaos);
             assert_eq!(put(&router), 201);
-            let (expected, trace) = (report(&router), chaos.trace());
-            assert!(
-                trace
-                    .iter()
-                    .filter(|op| matches!(op, VfsOp::Append { .. }))
-                    .count()
-                    > 2
-            );
-            let mut failed = 0;
-            for k in 0..trace.len() {
+            let expected = report(&router);
+            assert_eq!(chaos.trace().len(), ops, "{durability:?}");
+            for k in 0..ops {
                 let chaos = ChaosVfs::new();
                 chaos.set_fail_op(Some(k));
                 let router = router_on(durability, &chaos);
-                let status = put(&router);
-                if status == 500 {
-                    failed += 1;
-                    let info = router.handle(&request("GET /v1/datasets/t HTTP/1.1\r\n\r\n"));
-                    assert_eq!(info.status(), 404, "{durability:?}, op {k}");
-                    chaos.set_fail_op(None);
-                    assert_eq!(put(&router), 201, "{durability:?}, op {k}");
-                } else {
-                    assert_eq!(status, 201, "{durability:?}, op {k}");
-                }
+                assert_eq!(put(&router), 500, "{durability:?}, op {k}");
+                let info = router.handle(&request("GET /v1/datasets/t HTTP/1.1\r\n\r\n"));
+                assert_eq!(info.status(), 404, "{durability:?}, op {k}");
+                // The failed upload left no temp file, and nothing a
+                // restart would register.
+                let files: Vec<String> = std::fs::read_dir(&dir)
+                    .unwrap()
+                    .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+                    .collect();
+                assert!(
+                    !files.iter().any(|file| file.ends_with(".tmp")),
+                    "{durability:?}, op {k}: {files:?}"
+                );
+                let restarted = StudyRegistry::new(RegistryOptions::default())
+                    .with_persistence(Arc::new(TenantStore::open_read_only(&dir)));
+                restarted.recover();
+                assert!(!restarted.contains("t"), "{durability:?}, op {k}");
+                chaos.set_fail_op(None);
+                assert_eq!(put(&router), 201, "{durability:?}, op {k}");
                 assert_eq!(report(&router), expected, "{durability:?}, op {k}");
             }
-            // Only deleting the journal, after the snapshot is durable,
-            // may fail without failing the upload.
-            assert_eq!(failed, trace.len() - 1, "{durability:?}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
