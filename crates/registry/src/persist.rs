@@ -327,14 +327,15 @@ impl Vfs for ChaosVfs {
     }
 }
 
-/// Monotonic persistence counters (and the snapshot-write latency
-/// histogram), surfaced verbatim on `/metrics`.
+/// Monotonic persistence counters (and the snapshot write and load
+/// latency histograms), surfaced verbatim on `/metrics`.
 #[derive(Debug, Default)]
 pub struct PersistMetrics {
     snapshot_writes: AtomicU64,
     snapshot_loads: AtomicU64,
     spills: AtomicU64,
     snapshot_write_latency: LatencyHistogram,
+    snapshot_load_latency: LatencyHistogram,
 }
 
 impl PersistMetrics {
@@ -358,6 +359,13 @@ impl PersistMetrics {
     /// recorded once per durable save.
     pub fn snapshot_write_latency(&self) -> &LatencyHistogram {
         &self.snapshot_write_latency
+    }
+
+    /// Latency of snapshot loads (read, CRC checks and decode), recorded
+    /// once per successful load, so its count equals
+    /// [`snapshot_loads`](PersistMetrics::snapshot_loads).
+    pub fn snapshot_load_latency(&self) -> &LatencyHistogram {
+        &self.snapshot_load_latency
     }
 
     pub(crate) fn record_spills(&self, n: u64) {
@@ -558,6 +566,7 @@ impl TenantStore {
     /// ([`PersistError::BadMeta`]).
     pub fn load(&self, name: &str) -> Result<LoadedTenant, PersistError> {
         let _span = obs::span(SpanKind::SnapshotLoad, name);
+        let load_started = std::time::Instant::now();
         let bytes = fs::read(self.snapshot_path(name)).map_err(|error| PersistError::Io {
             what: "reading the snapshot",
             error,
@@ -566,6 +575,9 @@ impl TenantStore {
         let source = source_from_meta(&snapshot.meta).ok_or_else(|| PersistError::BadMeta {
             name: name.to_string(),
         })?;
+        self.metrics
+            .snapshot_load_latency
+            .record(load_started.elapsed());
         self.metrics.record_snapshot_load();
         Ok(LoadedTenant {
             study: Study::new(snapshot.dataset),
@@ -805,6 +817,25 @@ mod tests {
         assert_eq!(store.read_source("feed").unwrap(), source);
         assert_eq!(store.metrics().snapshot_writes(), 1);
         assert_eq!(store.metrics().snapshot_loads(), 1);
+        assert_eq!(
+            store.metrics().snapshot_load_latency().total(),
+            store.metrics().snapshot_loads()
+        );
+
+        // A load that fails its CRC check records neither.
+        let path = store.snapshot_path("feed");
+        let mut corrupt = fs::read(&path).unwrap();
+        let last = corrupt.len() - 1;
+        corrupt[last] ^= 0xFF;
+        fs::write(&path, &corrupt).unwrap();
+        assert!(matches!(
+            store.load("feed"),
+            Err(PersistError::Snapshot(
+                SnapshotError::ChecksumMismatch { .. }
+            ))
+        ));
+        assert_eq!(store.metrics().snapshot_loads(), 1);
+        assert_eq!(store.metrics().snapshot_load_latency().total(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

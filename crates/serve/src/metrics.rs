@@ -606,8 +606,8 @@ fn write_histogram_family(
 }
 
 /// Appends the persistence families, present when the registry has durable
-/// storage attached: the snapshot counters, then the snapshot-write latency
-/// histogram once it holds a sample.
+/// storage attached: the snapshot counters, then the snapshot write and load
+/// latency histograms, each once it holds a sample.
 pub(crate) fn write_persistence_families(out: &mut String, metrics: &PersistMetrics) {
     write_families(
         out,
@@ -630,14 +630,22 @@ pub(crate) fn write_persistence_families(out: &mut String, metrics: &PersistMetr
             ),
         ],
     );
-    let snapshot = metrics.snapshot_write_latency().snapshot();
-    if !snapshot.is_empty() {
-        write_histogram_family(
-            out,
+    for (name, help, histogram) in [
+        (
             "osdiv_snapshot_write_duration_seconds",
             "latency of durable snapshot writes (temp file + rename)",
-            [(String::new(), snapshot)],
-        );
+            metrics.snapshot_write_latency(),
+        ),
+        (
+            "osdiv_snapshot_load_duration_seconds",
+            "latency of snapshot loads into live sessions (read + CRC + decode)",
+            metrics.snapshot_load_latency(),
+        ),
+    ] {
+        let snapshot = histogram.snapshot();
+        if !snapshot.is_empty() {
+            write_histogram_family(out, name, help, [(String::new(), snapshot)]);
+        }
     }
 }
 
@@ -675,6 +683,24 @@ mod tests {
         )));
         assert!(body.contains("# TYPE osdiv_uptime_seconds gauge\n"));
         assert!(body.contains("osdiv_uptime_seconds 0\n"));
+    }
+
+    #[test]
+    fn persistence_histograms_render_once_recorded() {
+        let metrics = PersistMetrics::default();
+        let mut body = String::new();
+        write_persistence_families(&mut body, &metrics);
+        assert!(body.contains("osdiv_snapshot_loads 0\n"));
+        assert!(!body.contains("_duration_seconds"));
+
+        metrics
+            .snapshot_load_latency()
+            .record(std::time::Duration::from_micros(2_600));
+        let mut body = String::new();
+        write_persistence_families(&mut body, &metrics);
+        assert!(body.contains("# TYPE osdiv_snapshot_load_duration_seconds histogram\n"));
+        assert!(body.contains("osdiv_snapshot_load_duration_seconds_count 1\n"));
+        assert!(!body.contains("osdiv_snapshot_write_duration_seconds"));
     }
 
     #[test]
