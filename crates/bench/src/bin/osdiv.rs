@@ -23,15 +23,15 @@ use std::sync::Arc;
 
 use bft_sim::{ReplicaSet, SimulationConfig, Simulator};
 use nvd_model::OsDistribution;
-use osdiv_bench::harness::{study_session_with_seed, EXPERIMENT_SEED};
+use osdiv_bench::harness::EXPERIMENT_SEED;
 use osdiv_core::{
     analysis_sections, figure3_configurations, registry_section, renderer, AnalysisError,
     AnalysisId, Format, Params, Section, Snapshot, Study,
 };
 use osdiv_registry::persist::source_meta;
 use osdiv_registry::{
-    DatasetSource, FeedIngester, IngestBudget, IngestOutcome, RegistryOptions, StudyRegistry,
-    TenantStore,
+    build_synthetic, DatasetSource, FeedIngester, IngestBudget, IngestOutcome, RegistryOptions,
+    StudyRegistry, TenantStore,
 };
 use osdiv_serve::{Router, RouterOptions, Server, ServerOptions};
 use tabular::TextTable;
@@ -268,7 +268,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
             usage()
         )));
     }
-    let study = study_session_with_seed(opts.seed);
+    let study = build_synthetic(opts.seed);
     match (command.as_str(), analysis) {
         (_, Some((id, section))) => {
             // The sections `GET /v1/analyses/{id}` renders, byte for byte.
@@ -399,7 +399,7 @@ fn snapshot_save(opts: &Options) -> Result<String, CliError> {
         )));
     };
     let (study, source) = if opts.files.is_empty() {
-        let study = study_session_with_seed(opts.seed);
+        let study = build_synthetic(opts.seed);
         (study, DatasetSource::Synthetic { seed: opts.seed })
     } else {
         let outcome = ingest_files(opts, "snapshot save")?;
@@ -527,7 +527,7 @@ fn debug_command(args: &[String]) -> Result<String, CliError> {
 /// analysis registry runs too, so the flight recorder holds the complete
 /// boot-and-compute span tree.
 fn debug_boot(opts: &Options, warm: bool) -> Result<StudyRegistry, CliError> {
-    let study = Arc::new(study_session_with_seed(opts.seed));
+    let study = Arc::new(build_synthetic(opts.seed));
     let mut registry = StudyRegistry::with_default(
         Arc::clone(&study),
         opts.seed,
@@ -596,9 +596,7 @@ fn serve(study: Study, opts: &Options) -> Result<String, CliError> {
         }
         if let Some(log) = &access_log {
             let emit = |event: &str, dataset: &str, detail: Option<&str>| {
-                let mut line = osdiv_core::JsonLine::new();
-                line.u64_field("ts", osdiv_core::obs::unix_micros());
-                line.str_field("event", event);
+                let mut line = osdiv_core::JsonLine::event(event);
                 line.str_field("dataset", dataset);
                 if let Some(detail) = detail {
                     line.str_field("detail", detail);

@@ -7,8 +7,9 @@
 use std::process::{Command, Output};
 use std::sync::OnceLock;
 
-use osdiv_bench::harness::study_session;
+use osdiv_bench::harness::EXPERIMENT_SEED;
 use osdiv_core::{analysis_sections, renderer, AnalysisId, Format, Params, Study};
+use osdiv_registry::build_synthetic;
 
 /// Every paper command with the analysis it aliases and the section it
 /// keeps (`None` = all of them).
@@ -46,7 +47,7 @@ fn stdout(command: &str) -> String {
 /// The CLI's default-seed session.
 fn study() -> &'static Study {
     static STUDY: OnceLock<Study> = OnceLock::new();
-    STUDY.get_or_init(study_session)
+    STUDY.get_or_init(|| build_synthetic(EXPERIMENT_SEED))
 }
 
 /// The document an alias must print: its picked sections of the analysis

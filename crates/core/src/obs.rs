@@ -382,6 +382,16 @@ impl JsonLine {
         }
     }
 
+    /// An object opened with the `ts` (unix microseconds, see
+    /// [`unix_micros`]) and `event` fields every event-log line leads
+    /// with.
+    pub fn event(event: &str) -> Self {
+        let mut line = JsonLine::new();
+        line.u64_field("ts", unix_micros());
+        line.str_field("event", event);
+        line
+    }
+
     fn key(&mut self, name: &str) {
         if !self.first {
             self.buf.push(',');
@@ -872,12 +882,6 @@ pub fn current_context() -> (u64, u64) {
 /// returns the guard that records it (into the global recorder) on drop.
 pub fn span(kind: SpanKind, label: &str) -> SpanGuard {
     let (parent, trace) = current_context();
-    span_with_parent(kind, label, parent, trace)
-}
-
-/// Opens a span under an explicit parent/trace — for work handed to
-/// another thread, where thread-local context does not carry over.
-pub fn span_with_parent(kind: SpanKind, label: &str, parent: u64, trace: u64) -> SpanGuard {
     let recorder = FlightRecorder::global();
     let id = recorder.next_span_id();
     SPAN_STACK.with(|stack| stack.borrow_mut().push((id, trace)));
@@ -941,8 +945,7 @@ pub fn trace_scope(span_id: u64, trace: u64) -> TraceScope {
 }
 
 /// An open span: measures from construction to drop, then records into
-/// the global [`FlightRecorder`]. Create with [`span`] or
-/// [`span_with_parent`].
+/// the global [`FlightRecorder`]. Create with [`span`].
 #[derive(Debug)]
 pub struct SpanGuard {
     recorder: &'static FlightRecorder,
@@ -952,18 +955,6 @@ pub struct SpanGuard {
     kind: SpanKind,
     label: [u8; LABEL_BYTES],
     start_us: u64,
-}
-
-impl SpanGuard {
-    /// This span's id (pass to [`span_with_parent`] on another thread).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// The trace id this span inherited.
-    pub fn trace(&self) -> u64 {
-        self.trace
-    }
 }
 
 impl Drop for SpanGuard {
@@ -1197,19 +1188,22 @@ mod tests {
     #[test]
     fn span_guards_nest_through_thread_local_context() {
         let outer = span(SpanKind::Request, "outer");
-        let outer_id = outer.id();
-        assert_eq!(current_context().0, outer_id);
+        let (outer_id, _) = current_context();
         let inner = span(SpanKind::Render, "inner");
-        let inner_id = inner.id();
+        let (inner_id, _) = current_context();
+        assert_ne!(inner_id, outer_id);
         drop(inner);
+        assert_eq!(current_context().0, outer_id);
         drop(outer);
         assert_eq!(current_context(), (0, 0));
         let snap = FlightRecorder::global().snapshot();
         let find = |id: u64| snap.records.iter().find(|r| r.id == id);
         let inner_rec = find(inner_id).expect("inner span recorded");
         assert_eq!(inner_rec.parent, outer_id);
+        assert_eq!(inner_rec.label_str(), "inner");
         let outer_rec = find(outer_id).expect("outer span recorded");
         assert_eq!(outer_rec.parent, 0);
+        assert_eq!(outer_rec.label_str(), "outer");
     }
 
     #[test]

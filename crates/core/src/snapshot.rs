@@ -31,7 +31,6 @@
 //! writers can add sections without breaking old readers.
 
 use std::fmt;
-use std::io::{self, Read, Write};
 use std::sync::Arc;
 
 use vulnstore::{snapshot as rows, RowCodecError, STORE_SECTION_VERSION};
@@ -72,8 +71,6 @@ pub const SECTION_ENTRY_BYTES: usize = 24;
 /// partially loaded dataset.
 #[derive(Debug)]
 pub enum SnapshotError {
-    /// The underlying reader/writer failed.
-    Io(io::Error),
     /// The file does not start with the `OSDV` magic.
     BadMagic,
     /// The container (or the required `STORE` section) declares a format
@@ -103,7 +100,6 @@ pub enum SnapshotError {
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SnapshotError::Io(error) => write!(f, "snapshot I/O failed: {error}"),
             SnapshotError::BadMagic => {
                 write!(f, "not a snapshot: the OSDV magic bytes are missing")
             }
@@ -125,16 +121,9 @@ impl fmt::Display for SnapshotError {
 impl std::error::Error for SnapshotError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            SnapshotError::Io(error) => Some(error),
             SnapshotError::Rows(error) => Some(error),
             _ => None,
         }
-    }
-}
-
-impl From<io::Error> for SnapshotError {
-    fn from(error: io::Error) -> Self {
-        SnapshotError::Io(error)
     }
 }
 
@@ -254,20 +243,7 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Serializes a dataset (building and including its count index) and
-    /// annotations into `writer`.
-    ///
-    /// # Errors
-    ///
-    /// Only I/O errors: every dataset is serializable.
-    pub fn write(
-        dataset: &StudyDataset,
-        meta: &[(String, String)],
-        writer: &mut impl Write,
-    ) -> io::Result<()> {
-        writer.write_all(&Snapshot::to_bytes(dataset, meta))
-    }
-
-    /// Serializes a dataset and annotations to an in-memory snapshot.
+    /// annotations to an in-memory snapshot.
     pub fn to_bytes(dataset: &StudyDataset, meta: &[(String, String)]) -> Vec<u8> {
         let mut store_payload = Vec::new();
         rows::encode_store(dataset.store(), &mut store_payload);
@@ -314,20 +290,12 @@ impl Snapshot {
         out
     }
 
-    /// Reads and reconstructs a snapshot from `reader`.
+    /// Reconstructs a snapshot from in-memory bytes.
     ///
     /// # Errors
     ///
     /// See [`SnapshotError`] — every malformed input answers a typed
     /// error, and a load either succeeds completely or not at all.
-    pub fn read(reader: &mut impl Read) -> Result<Snapshot, SnapshotError> {
-        let mut bytes = Vec::new();
-        reader.read_to_end(&mut bytes)?;
-        Snapshot::from_bytes(&bytes)
-    }
-
-    /// Reconstructs a snapshot from in-memory bytes (see
-    /// [`read`](Snapshot::read)).
     pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         let sections = parse_sections(bytes)?;
         for section in &sections {

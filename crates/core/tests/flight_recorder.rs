@@ -117,9 +117,9 @@ fn nested_spans_reconstruct_their_parent_chain_from_the_dump() {
     // The free functions feed the process-global ring; unique labels keep
     // this test independent of whatever else the process recorded.
     let parent = obs::span(SpanKind::Analysis, "fr_nest_outer");
-    let parent_id = parent.id();
+    let (parent_id, _) = obs::current_context();
     let child = obs::span(SpanKind::IndexBuild, "fr_nest_inner");
-    let child_id = child.id();
+    let (child_id, _) = obs::current_context();
     drop(child);
     drop(parent);
 
@@ -148,7 +148,7 @@ fn run_all_nests_one_analysis_span_per_registry_entry_under_the_caller() {
     let dataset = CalibratedGenerator::new(1).generate();
     let study = Study::from_entries(dataset.entries());
     let boot = obs::span(SpanKind::Recovery, "fr_run_all_boot");
-    let boot_id = boot.id();
+    let (boot_id, _) = obs::current_context();
     study.run_all().unwrap();
     drop(boot);
 

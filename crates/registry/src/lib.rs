@@ -44,6 +44,6 @@ pub use persist::{
     TenantStore, Vfs, VfsOp,
 };
 pub use registry::{
-    build_synthetic, validate_name, DatasetInfo, DatasetSource, RecoveryReport, RegistryError,
-    RegistryOptions, StudyRegistry, DEFAULT_DATASET,
+    build_synthetic, validate_name, DatasetInfo, DatasetSource, DatasetState, RecoveryReport,
+    RegistryError, RegistryOptions, StudyRegistry, DEFAULT_DATASET,
 };

@@ -97,6 +97,36 @@ impl DatasetSource {
     }
 }
 
+/// Where a registered dataset's rows are right now: the one lifecycle
+/// state that `/v1/datasets`, `/v1/debug/registry` and the
+/// `osdiv_datasets_*` gauges all report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DatasetState {
+    /// A built session is in memory.
+    Resident,
+    /// An ingested dataset evicted to its snapshot; the next access
+    /// reloads it, same generation.
+    Spilled,
+    /// A synthetic spec that is not built; the next access builds it from
+    /// its seed.
+    Lazy,
+    /// An ingested dataset evicted with no snapshot to reload: an
+    /// eviction tombstone whose reads answer 410.
+    Evicted,
+}
+
+impl DatasetState {
+    /// The state's label: `resident`, `spilled`, `lazy` or `evicted`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            DatasetState::Resident => "resident",
+            DatasetState::Spilled => "spilled",
+            DatasetState::Lazy => "lazy",
+            DatasetState::Evicted => "evicted",
+        }
+    }
+}
+
 /// A point-in-time description of one registered dataset.
 #[derive(Debug, Clone)]
 pub struct DatasetInfo {
@@ -104,19 +134,13 @@ pub struct DatasetInfo {
     pub name: String,
     /// Where the rows came from.
     pub source: DatasetSource,
-    /// Estimated resident bytes of the built session (0 when the dataset
-    /// is an unbuilt spec or has been evicted).
+    /// Estimated resident bytes of the built session (0 unless the state
+    /// is [`DatasetState::Resident`]).
     pub resident_bytes: usize,
-    /// Whether the built session is currently resident.
-    pub resident: bool,
+    /// Where the rows are right now.
+    pub state: DatasetState,
     /// Whether the dataset is protected from eviction and deletion.
     pub pinned: bool,
-    /// Whether the dataset currently lives only as an on-disk snapshot
-    /// (evicted from memory, reloads transparently on next access).
-    pub spilled: bool,
-    /// Whether the dataset is an eviction tombstone: its rows are gone
-    /// (not rebuildable, not on disk) and reads answer 410.
-    pub evicted: bool,
     /// Monotonic registration generation — bumps when a name is replaced,
     /// so an operator can tell "same name, new data" apart.
     pub generation: u64,
@@ -147,6 +171,12 @@ pub enum RegistryError {
         /// What overflowed.
         reason: String,
     },
+    /// The dataset's snapshot is still being saved, so it cannot be
+    /// deleted yet (409; retry once the upload is acknowledged).
+    SaveInFlight {
+        /// The dataset being saved.
+        name: String,
+    },
     /// The dataset name is not a valid identifier (400).
     InvalidName {
         /// The offending name.
@@ -176,6 +206,9 @@ impl fmt::Display for RegistryError {
                 f,
                 "dataset {name:?} was evicted under memory pressure; ingest it again"
             ),
+            RegistryError::SaveInFlight { name } => {
+                write!(f, "dataset {name:?} is still being saved; retry the delete")
+            }
             RegistryError::CapacityExceeded { reason } => {
                 write!(f, "registry capacity exceeded: {reason}")
             }
@@ -240,12 +273,32 @@ struct Slot {
     /// A valid snapshot of this registration exists on disk, so eviction
     /// spills (reloadable) instead of tombstoning.
     durable: bool,
+    /// The registration's snapshot save is in flight: until it settles,
+    /// the slot can be neither deleted nor evicted, so the save's outcome
+    /// always lands on this registration.
+    saving: bool,
     /// Logical timestamp of the last access (LRU order).
     last_used: u64,
     /// Unique id of this *registration* — a re-registered name gets a new
     /// generation, so response caches keyed on (name, generation) can
     /// never serve a previous tenant's bytes.
     generation: u64,
+}
+
+impl Slot {
+    fn state(&self) -> DatasetState {
+        if self.built.is_some() {
+            DatasetState::Resident
+        } else if self.evicted {
+            DatasetState::Evicted
+        } else if self.durable && matches!(self.source, DatasetSource::Ingested { .. }) {
+            DatasetState::Spilled
+        } else {
+            // A synthetic spec rebuilds from its seed, even when recovered
+            // from a snapshot.
+            DatasetState::Lazy
+        }
+    }
 }
 
 /// How an unbuilt slot becomes resident again (outside the lock).
@@ -276,8 +329,9 @@ impl Inner {
     }
 
     /// Evicts least-recently-used unpinned built datasets until `incoming`
-    /// extra bytes fit under `budget`. `keep` is never evicted (the slot
-    /// the bytes are being accounted to). Returns how many ingested
+    /// extra bytes fit under `budget`. `keep` (the slot the bytes are being
+    /// accounted to) and slots still saving their snapshot are never
+    /// evicted. Returns how many ingested
     /// victims **spilled** (snapshot on disk, reloadable) rather than
     /// tombstoned.
     fn make_room(&mut self, incoming: usize, budget: usize, keep: &str) -> Result<u64, ()> {
@@ -287,7 +341,7 @@ impl Inner {
                 .slots
                 .iter()
                 .filter(|(name, slot)| {
-                    slot.built.is_some() && !slot.pinned && name.as_str() != keep
+                    slot.built.is_some() && !slot.pinned && !slot.saving && name.as_str() != keep
                 })
                 .min_by_key(|(_, slot)| slot.last_used)
                 .map(|(name, _)| name.clone());
@@ -392,6 +446,7 @@ impl StudyRegistry {
                 built: None,
                 evicted: false,
                 durable: false,
+                saving: false,
                 last_used: clock,
                 generation: clock,
             },
@@ -448,6 +503,7 @@ impl StudyRegistry {
                     }),
                     evicted: false,
                     durable: false,
+                    saving: persist.is_some(),
                     last_used: clock,
                     generation: clock,
                 },
@@ -463,32 +519,30 @@ impl StudyRegistry {
         // failure unwinds the registration, because admitting a tenant
         // whose durability was promised but not delivered would turn the
         // next restart into silent data loss.
-        match persist.save(name, &study, &source) {
+        let saved = persist.save(name, &study, &source);
+        let mut inner = self.inner.write();
+        // A saving slot can be neither deleted nor evicted, and its name
+        // cannot be claimed, so the slot is still this registration's.
+        let slot = inner
+            .slots
+            .get_mut(name)
+            .filter(|slot| slot.generation == generation);
+        match saved {
             Ok(()) => {
-                let mut inner = self.inner.write();
-                if let Some(slot) = inner.slots.get_mut(name) {
-                    if slot.generation == generation {
-                        slot.durable = true;
-                        // Evicted in the save window? The snapshot now
-                        // exists, so the slot is merely spilled.
-                        slot.evicted = false;
-                    }
+                if let Some(slot) = slot {
+                    slot.saving = false;
+                    slot.durable = true;
                 }
                 Ok(())
             }
             Err(error) => {
-                let mut inner = self.inner.write();
-                if inner
-                    .slots
-                    .get(name)
-                    .is_some_and(|slot| slot.generation == generation)
-                {
+                if slot.is_some() {
                     inner.slots.remove(name);
                     // A save that failed after its rename (the directory
                     // fsync under `full`) installed a snapshot the next
                     // boot would recover. Deleting it under the lock, while
-                    // the slot still held this generation, cannot touch a
-                    // concurrent registration's snapshot.
+                    // the slot still holds this generation, cannot touch
+                    // another registration's snapshot.
                     let _ = persist.remove(name);
                 }
                 Err(RegistryError::Persistence {
@@ -541,7 +595,9 @@ impl StudyRegistry {
         let spills = inner
             .make_room(bytes, self.options.max_total_bytes, keep)
             .map_err(|()| RegistryError::CapacityExceeded {
-                reason: format!("cannot free {bytes} bytes: every resident dataset is pinned"),
+                reason: format!(
+                    "cannot free {bytes} bytes: every resident dataset is pinned or still saving"
+                ),
             })?;
         if spills > 0 {
             if let Some(persist) = &self.persist {
@@ -688,31 +744,41 @@ impl StudyRegistry {
     }
 
     /// Unregisters a dataset (tombstones too), deleting its snapshot when
-    /// durable storage is attached and writable.
+    /// durable storage is attached and writable. The snapshot is deleted
+    /// under the registry lock, so a registration racing this delete saves
+    /// its own snapshot only after the old one is gone.
     ///
     /// # Errors
     ///
-    /// [`RegistryError::NotFound`], or [`RegistryError::Persistence`]
-    /// when the disk delete fails — the in-memory registration is gone
-    /// either way, but a surviving snapshot would resurrect the name on
-    /// the next boot, so the failure is surfaced.
+    /// [`RegistryError::NotFound`]; [`RegistryError::SaveInFlight`] while
+    /// the dataset's snapshot is still being saved (nothing changes); or
+    /// [`RegistryError::Persistence`] when the disk delete fails — the
+    /// in-memory registration is gone either way, but a surviving snapshot
+    /// would resurrect the name on the next boot, so the failure is
+    /// surfaced.
     pub fn remove(&self, name: &str) -> Result<(), RegistryError> {
-        let removed = self.inner.write().slots.remove(name);
-        match removed {
-            Some(_) => match &self.persist {
-                Some(persist) if !persist.read_only() => {
-                    persist
-                        .remove(name)
-                        .map_err(|error| RegistryError::Persistence {
-                            name: name.to_string(),
-                            detail: error.to_string(),
-                        })
-                }
-                _ => Ok(()),
-            },
-            None => Err(RegistryError::NotFound {
+        let mut inner = self.inner.write();
+        let Some(slot) = inner.slots.get(name) else {
+            return Err(RegistryError::NotFound {
                 name: name.to_string(),
-            }),
+            });
+        };
+        if slot.saving {
+            return Err(RegistryError::SaveInFlight {
+                name: name.to_string(),
+            });
+        }
+        inner.slots.remove(name);
+        match &self.persist {
+            Some(persist) if !persist.read_only() => {
+                persist
+                    .remove(name)
+                    .map_err(|error| RegistryError::Persistence {
+                        name: name.to_string(),
+                        detail: error.to_string(),
+                    })
+            }
+            _ => Ok(()),
         }
     }
 
@@ -726,10 +792,8 @@ impl StudyRegistry {
                 name: name.clone(),
                 source: slot.source.clone(),
                 resident_bytes: slot.built.as_ref().map(|b| b.bytes).unwrap_or(0),
-                resident: slot.built.is_some(),
+                state: slot.state(),
                 pinned: slot.pinned,
-                spilled: slot.durable && slot.built.is_none() && !slot.evicted,
-                evicted: slot.evicted,
                 generation: slot.generation,
             })
             .collect();
@@ -821,6 +885,7 @@ impl StudyRegistry {
                     built: None,
                     evicted: false,
                     durable: true,
+                    saving: false,
                     last_used: clock,
                     generation: clock,
                 },
@@ -1053,8 +1118,9 @@ mod tests {
         let infos = registry.list();
         let names: Vec<&str> = infos.iter().map(|i| i.name.as_str()).collect();
         assert_eq!(names, ["default", "aa", "zz"]);
-        assert!(infos[0].pinned && infos[0].resident);
-        assert!(!infos[1].resident);
+        assert!(infos[0].pinned);
+        assert_eq!(infos[0].state, DatasetState::Resident);
+        assert_eq!(infos[1].state, DatasetState::Lazy);
         assert_eq!(infos[0].source, DatasetSource::Synthetic { seed: 7 });
     }
 }

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use nvd_model::{CveId, OsDistribution, VulnerabilityEntry};
 use osdiv_core::Study;
-use osdiv_registry::{DatasetSource, RegistryError, RegistryOptions, StudyRegistry};
+use osdiv_registry::{DatasetSource, DatasetState, RegistryError, RegistryOptions, StudyRegistry};
 
 fn small_study(tag: u32) -> Arc<Study> {
     let entries: Vec<_> = (0..5u32)
@@ -140,7 +140,7 @@ fn mixed_ingest_evict_query_delete_storm_stays_consistent() {
     let survivors: Vec<String> = registry
         .list()
         .into_iter()
-        .filter(|info| info.resident)
+        .filter(|info| info.state == DatasetState::Resident)
         .map(|info| info.name)
         .collect();
     assert!(!survivors.is_empty());
@@ -161,7 +161,7 @@ fn mixed_ingest_evict_query_delete_storm_stays_consistent() {
         }
     );
     for info in registry.list() {
-        if !info.resident {
+        if info.state != DatasetState::Resident {
             assert_eq!(
                 registry.get(&info.name).unwrap_err(),
                 RegistryError::Evicted {

@@ -1,18 +1,22 @@
 //! Durable-tenant integration: spill-and-reload under memory pressure,
-//! warm restarts from snapshots, and boot deleting the journals earlier
-//! builds left — the registry-level guarantees behind `osdiv serve
-//! --data-dir`.
+//! warm restarts from snapshots, boot deleting the journals earlier
+//! builds left, and deletes racing snapshot saves — the registry-level
+//! guarantees behind `osdiv serve --data-dir`.
 
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::thread;
+use std::time::Duration;
 
 use nvd_feed::FeedWriter;
 use nvd_model::{CveId, OsDistribution, VulnerabilityEntry};
 use osdiv_core::snapshot::crc32;
 use osdiv_core::{Format, Study};
 use osdiv_registry::{
-    DatasetSource, FeedIngester, IngestBudget, RegistryOptions, StudyRegistry, TenantStore,
+    DatasetSource, DatasetState, Durability, FeedIngester, IngestBudget, RealVfs, RegistryError,
+    RegistryOptions, StudyRegistry, TenantStore, Vfs,
 };
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -78,8 +82,11 @@ fn eviction_spills_durable_tenants_and_reloads_them_with_the_same_generation() {
         .into_iter()
         .find(|info| info.name == "a")
         .unwrap();
-    assert!(!info.resident);
-    assert!(info.spilled, "durable eviction is a spill, not a tombstone");
+    assert_eq!(
+        info.state,
+        DatasetState::Spilled,
+        "durable eviction is a spill, not a tombstone"
+    );
     assert!(store.snapshot_path("a").exists());
 
     // The name transparently reloads — same data, same generation, so
@@ -119,7 +126,7 @@ fn warm_restart_serves_byte_identical_reports() {
         .into_iter()
         .find(|info| info.name == "feed")
         .unwrap();
-    assert!(info.spilled && !info.resident);
+    assert_eq!(info.state, DatasetState::Spilled);
     assert_eq!(store.metrics().snapshot_loads(), 0, "boot decodes no store");
 
     let study = registry.get("feed").unwrap();
@@ -201,5 +208,168 @@ fn delete_removes_the_snapshot_so_restarts_stay_deleted() {
     let recovery = registry2.recover();
     assert!(recovery.recovered.is_empty());
     assert!(!registry2.contains("gone"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A [`Vfs`] over the real filesystem that parks the next `rename` or
+/// `remove_file` call until the test releases it, so a test can hold a
+/// snapshot save or a delete at one exact step while another call runs.
+#[derive(Debug, Default)]
+struct GateVfs {
+    gate: Mutex<Gate>,
+    changed: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct Gate {
+    /// The operation whose next call parks.
+    armed: Option<&'static str>,
+    parked: bool,
+    released: bool,
+}
+
+impl GateVfs {
+    fn arm(&self, op: &'static str) {
+        *self.gate.lock().unwrap() = Gate {
+            armed: Some(op),
+            ..Gate::default()
+        };
+    }
+
+    fn wait_parked(&self) {
+        let mut gate = self.gate.lock().unwrap();
+        while !gate.parked {
+            gate = self.changed.wait(gate).unwrap();
+        }
+    }
+
+    fn release(&self) {
+        self.gate.lock().unwrap().released = true;
+        self.changed.notify_all();
+    }
+
+    fn pass(&self, op: &'static str) {
+        let mut gate = self.gate.lock().unwrap();
+        if gate.armed == Some(op) {
+            gate.armed = None;
+            gate.parked = true;
+            self.changed.notify_all();
+            while !gate.released {
+                gate = self.changed.wait(gate).unwrap();
+            }
+        }
+    }
+}
+
+impl Vfs for GateVfs {
+    fn write_file(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        RealVfs.write_file(path, bytes)
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.pass("rename");
+        RealVfs.rename(from, to)
+    }
+
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        self.pass("remove_file");
+        RealVfs.remove_file(path)
+    }
+
+    fn sync_file(&self, path: &Path) -> io::Result<()> {
+        RealVfs.sync_file(path)
+    }
+
+    fn sync_dir(&self, path: &Path) -> io::Result<()> {
+        RealVfs.sync_dir(path)
+    }
+}
+
+fn gated_registry(dir: &Path) -> (Arc<GateVfs>, Arc<StudyRegistry>) {
+    let vfs = Arc::new(GateVfs::default());
+    let store =
+        TenantStore::open_with(dir, Durability::Rename, Arc::clone(&vfs) as Arc<dyn Vfs>).unwrap();
+    let registry = StudyRegistry::new(RegistryOptions::default()).with_persistence(Arc::new(store));
+    (vfs, Arc::new(registry))
+}
+
+/// The invariant both interleavings below broke: once every call has
+/// returned, `t` is registered exactly when `t.osdv` exists, and a fresh
+/// boot over the directory agrees.
+fn assert_registered_iff_on_disk(registry: &StudyRegistry, dir: &Path) {
+    let registered = registry.contains("t");
+    assert_eq!(
+        registered,
+        dir.join("t.osdv").exists(),
+        "registered vs on disk"
+    );
+    let restarted = StudyRegistry::new(RegistryOptions::default())
+        .with_persistence(Arc::new(TenantStore::open_read_only(dir)));
+    restarted.recover();
+    assert_eq!(restarted.contains("t"), registered, "a restart disagrees");
+}
+
+#[test]
+fn a_delete_during_a_snapshot_save_answers_409_and_the_upload_stays() {
+    let dir = temp_dir("delete-during-save");
+    let (vfs, registry) = gated_registry(&dir);
+    // Park the save's rename: `t` is registered, its snapshot not yet
+    // installed.
+    vfs.arm("rename");
+    let put = {
+        let registry = Arc::clone(&registry);
+        let (study, source) = ingest(&feed(5));
+        thread::spawn(move || registry.insert("t", study, source))
+    };
+    vfs.wait_parked();
+    let deleted = registry.remove("t");
+    vfs.release();
+    put.join().unwrap().unwrap();
+    assert_registered_iff_on_disk(&registry, &dir);
+    assert!(
+        matches!(deleted, Err(RegistryError::SaveInFlight { .. })),
+        "{deleted:?}"
+    );
+    // Once the save has settled, the retried delete goes through.
+    registry.remove("t").unwrap();
+    assert_registered_iff_on_disk(&registry, &dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_put_racing_a_parked_delete_keeps_its_acknowledged_snapshot() {
+    let dir = temp_dir("put-during-delete");
+    let (vfs, registry) = gated_registry(&dir);
+    let (study, source) = ingest(&feed(5));
+    registry.insert("t", study, source).unwrap();
+    // Park the delete just before it unlinks t.osdv, then PUT `t` again.
+    vfs.arm("remove_file");
+    let delete = {
+        let registry = Arc::clone(&registry);
+        thread::spawn(move || registry.remove("t"))
+    };
+    vfs.wait_parked();
+    let (finished, put_finished) = mpsc::channel();
+    let put = {
+        let registry = Arc::clone(&registry);
+        let (study, source) = ingest(&feed(7));
+        thread::spawn(move || {
+            let inserted = registry.insert("t", study, source);
+            let _ = finished.send(());
+            inserted
+        })
+    };
+    // An unblocked PUT lands well inside the timeout; one that waits for
+    // the delete's registry lock cannot land before the release below.
+    let _ = put_finished.recv_timeout(Duration::from_secs(1));
+    vfs.release();
+    delete.join().unwrap().unwrap();
+    put.join().unwrap().unwrap();
+    assert_registered_iff_on_disk(&registry, &dir);
+    // The snapshot on disk is the acknowledged upload's.
+    let restarted = StudyRegistry::new(RegistryOptions::default())
+        .with_persistence(Arc::new(TenantStore::open_read_only(&dir)));
+    restarted.recover();
+    assert_eq!(restarted.get("t").unwrap().valid_count(), 7);
     let _ = std::fs::remove_dir_all(&dir);
 }

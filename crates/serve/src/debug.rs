@@ -39,19 +39,10 @@ pub fn registry_json(registry: &StudyRegistry) -> String {
         if index > 0 {
             tenants.push(',');
         }
-        let state = if info.resident {
-            "resident"
-        } else if info.spilled {
-            "spilled"
-        } else if info.evicted {
-            "evicted"
-        } else {
-            "lazy"
-        };
         let mut tenant = JsonLine::new();
         tenant.str_field("name", &info.name);
         tenant.u64_field("generation", info.generation);
-        tenant.str_field("state", state);
+        tenant.str_field("state", info.state.as_str());
         tenant.u64_field("resident_bytes", info.resident_bytes as u64);
         tenant.bool_field("pinned", info.pinned);
         tenant.str_field("source", info.source.kind());

@@ -90,6 +90,6 @@ pub use http::{
     Response, StreamBody,
 };
 pub use loadgen::{run_open_loop, ClientResponse, OpenLoopConfig, OpenLoopReport};
-pub use metrics::{RouteClass, ServeMetrics, Stage};
+pub use metrics::{Counter, Gauge, RouteClass, ServeMetrics, Stage};
 pub use router::{RequestTrace, Router, RouterOptions, DEFAULT_SLOW_REQUEST_US};
 pub use server::{default_threads, Server, ServerHandle, ServerOptions};

@@ -2,18 +2,16 @@
 //! `GET /metrics` in the Prometheus text exposition format (no external
 //! dependencies — plain `name value` lines plus histogram series).
 //!
-//! One [`ServeMetrics`] is shared by the [`Router`](crate::Router) (which
-//! counts requests, render-cache traffic and per-stage latencies) and the
-//! [`Server`](crate::Server) accept loop and workers (which count accepted
-//! connections, bytes written, and whole-request latency per route
-//! class). All counters are relaxed atomics and every histogram is an
-//! [`osdiv_core::obs::LatencyHistogram`] — wait-free, allocation-free
-//! recording; the numbers are operator telemetry, not synchronization.
-//!
-//! All exposition text is written in this module: [`ServeMetrics::render`]
-//! writes the server's families, and the router appends the values it
-//! gathers (body-cache and tenant gauges, persistence counters) through
-//! `write_families` and `write_persistence_families`.
+//! `FAMILIES` is the one catalogue of the exposition: a row per family
+//! (name, help text and where its samples come from), in exposition
+//! order. `GET /metrics` renders it in one walk, and each family's owner
+//! only supplies values: [`ServeMetrics`] its counters, gauges and
+//! latency histograms, the flight recorder its span counters, the router
+//! the gauges it samples per scrape and the tenant store its persistence
+//! families. Counters and gauges are relaxed
+//! atomics and every histogram is an [`osdiv_core::obs::LatencyHistogram`]
+//! — wait-free, allocation-free recording; the numbers are operator
+//! telemetry, not synchronization.
 //!
 //! [`ServeMetrics`] also mints the `X-Request-Id` values: a per-process
 //! random prefix plus a monotonic sequence number, unique across every
@@ -24,10 +22,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use osdiv_core::obs::LatencyHistogram;
-use osdiv_core::{FlightRecorder, HistogramSnapshot};
-use osdiv_registry::PersistMetrics;
+use osdiv_core::FlightRecorder;
+use osdiv_registry::{DatasetState, PersistMetrics};
 
-/// The route classes whole-request latency is attributed to.
+/// The route classes whole-request latency is attributed to (each indexes
+/// its histogram in [`ServeMetrics`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteClass {
     /// `GET /v1/healthz`.
@@ -98,7 +97,8 @@ impl RouteClass {
     }
 }
 
-/// The request-pipeline and ingestion stages latency is attributed to.
+/// The request-pipeline and ingestion stages latency is attributed to
+/// (each indexes its histogram in [`ServeMetrics`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// Reading and parsing the request head (first byte to routed).
@@ -143,93 +143,294 @@ impl Stage {
     }
 }
 
-/// One latency histogram per route class.
-#[derive(Debug, Default)]
-struct RouteHistograms {
-    healthz: LatencyHistogram,
-    analyses: LatencyHistogram,
-    report: LatencyHistogram,
-    datasets_read: LatencyHistogram,
-    ingest: LatencyHistogram,
-    metrics: LatencyHistogram,
-    debug: LatencyHistogram,
-    other: LatencyHistogram,
+/// The counters [`ServeMetrics`] keeps (each indexes its own array slot).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Counter {
+    /// TCP connections the accept loop handed to a worker.
+    ConnectionsAccepted,
+    /// HTTP requests routed (error responses and `/metrics` included).
+    RequestsServed,
+    /// Render-route responses served from the body LRU.
+    CacheHits,
+    /// Render-route responses that had to render (and were then cached).
+    CacheMisses,
+    /// Response bytes written to sockets (head + body).
+    BytesOut,
+    /// Connections or requests shed by admission control (503).
+    Shed,
+    /// Connections closed for exhausting the per-request I/O budget (408).
+    IoTimeouts,
 }
 
-impl RouteHistograms {
-    fn of(&self, class: RouteClass) -> &LatencyHistogram {
-        match class {
-            RouteClass::Healthz => &self.healthz,
-            RouteClass::Analyses => &self.analyses,
-            RouteClass::Report => &self.report,
-            RouteClass::DatasetsRead => &self.datasets_read,
-            RouteClass::Ingest => &self.ingest,
-            RouteClass::Metrics => &self.metrics,
-            RouteClass::Debug => &self.debug,
-            RouteClass::Other => &self.other,
+/// The gauges [`ServeMetrics`] keeps (each indexes its own array slot).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Gauge {
+    /// Worker threads in the pool (set once at server start; zero when the
+    /// router runs standalone).
+    WorkersTotal,
+    /// Workers currently serving a connection.
+    WorkersBusy,
+    /// Accepted connections in the dispatch queue, not yet picked up by a
+    /// worker.
+    DispatchQueueDepth,
+    /// Connections currently held open by a worker (keep-alive included).
+    ConnectionsActive,
+}
+
+/// Where a family's samples come from.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    /// A [`ServeMetrics`] counter.
+    Counter(Counter),
+    /// A [`ServeMetrics`] gauge.
+    Gauge(Gauge),
+    /// A flight-recorder counter.
+    Spans(fn(&FlightRecorder) -> u64),
+    /// The constant 1 under the build's `version` label.
+    BuildInfo,
+    /// Whole seconds since the [`ServeMetrics`] was created.
+    Uptime,
+    /// One series per route class, each written once it holds a sample.
+    Routes,
+    /// One series per stage, each written once it holds a sample.
+    Stages,
+    /// A gauge the router samples per scrape.
+    Router(fn(&RouterGauges) -> u64),
+    /// A persistence counter, written only with a tenant store attached.
+    Persist(fn(&PersistMetrics) -> u64),
+    /// A persistence histogram, written only with a tenant store attached
+    /// and once it holds a sample.
+    PersistLatency(fn(&PersistMetrics) -> &LatencyHistogram),
+}
+
+/// One `/metrics` family: a row of [`FAMILIES`].
+#[derive(Debug)]
+pub(crate) struct Family {
+    /// The family name.
+    pub name: &'static str,
+    /// The `# HELP` text.
+    pub help: &'static str,
+    source: Source,
+}
+
+impl Family {
+    /// The family's Prometheus type: `counter`, `gauge` or `histogram`.
+    pub(crate) fn kind(&self) -> &'static str {
+        match self.source {
+            Source::Counter(_) | Source::Spans(_) | Source::Persist(_) => "counter",
+            Source::Gauge(_) | Source::BuildInfo | Source::Uptime | Source::Router(_) => "gauge",
+            Source::Routes | Source::Stages | Source::PersistLatency(_) => "histogram",
         }
+    }
+
+    fn write_header(&self, out: &mut String) {
+        let (name, help, kind) = (self.name, self.help, self.kind());
+        let _ = write!(out, "# HELP {name} {help}\n# TYPE {name} {kind}\n");
     }
 }
 
-/// One latency histogram per pipeline stage.
+const fn family(name: &'static str, help: &'static str, source: Source) -> Family {
+    Family { name, help, source }
+}
+
+/// Every `/metrics` family, in exposition order. The persistence families
+/// at the end appear only when the registry has a tenant store
+/// (`--data-dir`).
+pub(crate) const FAMILIES: [Family; 33] = [
+    family(
+        "osdiv_connections_accepted",
+        "TCP connections accepted by the server",
+        Source::Counter(Counter::ConnectionsAccepted),
+    ),
+    family(
+        "osdiv_requests_served",
+        "HTTP requests routed",
+        Source::Counter(Counter::RequestsServed),
+    ),
+    family(
+        "osdiv_cache_hits",
+        "render responses served from the body cache",
+        Source::Counter(Counter::CacheHits),
+    ),
+    family(
+        "osdiv_cache_misses",
+        "render responses that had to render",
+        Source::Counter(Counter::CacheMisses),
+    ),
+    family(
+        "osdiv_bytes_out",
+        "response bytes written to sockets",
+        Source::Counter(Counter::BytesOut),
+    ),
+    family(
+        "osdiv_shed_total",
+        "connections or requests shed by admission control",
+        Source::Counter(Counter::Shed),
+    ),
+    family(
+        "osdiv_io_timeouts_total",
+        "connections closed for exhausting the per-request I/O budget",
+        Source::Counter(Counter::IoTimeouts),
+    ),
+    family(
+        "osdiv_workers_total",
+        "worker threads in the serving pool",
+        Source::Gauge(Gauge::WorkersTotal),
+    ),
+    family(
+        "osdiv_workers_busy",
+        "workers currently serving a connection",
+        Source::Gauge(Gauge::WorkersBusy),
+    ),
+    family(
+        "osdiv_dispatch_queue_depth",
+        "accepted connections waiting for a worker",
+        Source::Gauge(Gauge::DispatchQueueDepth),
+    ),
+    family(
+        "osdiv_connections_active",
+        "connections currently held open by workers",
+        Source::Gauge(Gauge::ConnectionsActive),
+    ),
+    family(
+        "osdiv_trace_spans_recorded_total",
+        "spans written to the flight-recorder ring",
+        Source::Spans(FlightRecorder::recorded_total),
+    ),
+    family(
+        "osdiv_trace_spans_dropped_total",
+        "spans overwritten after the ring wrapped",
+        Source::Spans(FlightRecorder::dropped),
+    ),
+    family(
+        "osdiv_build_info",
+        "build metadata (constant 1)",
+        Source::BuildInfo,
+    ),
+    family(
+        "osdiv_uptime_seconds",
+        "seconds since the process started",
+        Source::Uptime,
+    ),
+    family(
+        "osdiv_request_duration_seconds",
+        "whole-request latency by route class",
+        Source::Routes,
+    ),
+    family(
+        "osdiv_stage_duration_seconds",
+        "pipeline-stage latency (request and ingestion stages)",
+        Source::Stages,
+    ),
+    family(
+        "osdiv_body_cache_entries",
+        "rendered bodies held by the response LRU",
+        Source::Router(|router| router.cache_entries),
+    ),
+    family(
+        "osdiv_body_cache_bytes",
+        "bytes held by the response LRU",
+        Source::Router(|router| router.cache_bytes),
+    ),
+    family(
+        "osdiv_body_cache_byte_budget",
+        "byte budget of the response LRU",
+        Source::Router(|router| router.cache_byte_budget),
+    ),
+    family(
+        "osdiv_body_cache_capacity",
+        "entry capacity of the response LRU",
+        Source::Router(|router| router.cache_capacity),
+    ),
+    family(
+        "osdiv_datasets_total",
+        "datasets registered (every lifecycle state)",
+        Source::Router(|router| router.tenants.iter().sum()),
+    ),
+    family(
+        "osdiv_datasets_resident",
+        "datasets with a built session in memory",
+        Source::Router(|router| router.tenants[DatasetState::Resident as usize]),
+    ),
+    family(
+        "osdiv_datasets_spilled",
+        "datasets evicted to their durable snapshot",
+        Source::Router(|router| router.tenants[DatasetState::Spilled as usize]),
+    ),
+    family(
+        "osdiv_datasets_lazy",
+        "datasets that rebuild on demand (unbuilt specs)",
+        Source::Router(|router| router.tenants[DatasetState::Lazy as usize]),
+    ),
+    family(
+        "osdiv_datasets_evicted",
+        "datasets evicted beyond recovery (reads answer 410)",
+        Source::Router(|router| router.tenants[DatasetState::Evicted as usize]),
+    ),
+    family(
+        "osdiv_datasets_resident_bytes",
+        "estimated bytes of every resident session",
+        Source::Router(|router| router.resident_bytes),
+    ),
+    family(
+        "osdiv_datasets_byte_budget",
+        "resident-byte budget that triggers eviction",
+        Source::Router(|router| router.byte_budget),
+    ),
+    family(
+        "osdiv_snapshot_writes",
+        "tenant snapshots written to the data directory",
+        Source::Persist(PersistMetrics::snapshot_writes),
+    ),
+    family(
+        "osdiv_snapshot_loads",
+        "tenant snapshots read back into live sessions",
+        Source::Persist(PersistMetrics::snapshot_loads),
+    ),
+    family(
+        "osdiv_spills",
+        "evictions that kept the snapshot and dropped only memory",
+        Source::Persist(PersistMetrics::spills),
+    ),
+    family(
+        "osdiv_snapshot_write_duration_seconds",
+        "latency of durable snapshot writes (temp file + rename)",
+        Source::PersistLatency(PersistMetrics::snapshot_write_latency),
+    ),
+    family(
+        "osdiv_snapshot_load_duration_seconds",
+        "latency of snapshot loads into live sessions (read + CRC + decode)",
+        Source::PersistLatency(PersistMetrics::snapshot_load_latency),
+    ),
+];
+
+/// The gauges only the router can sample — body-cache occupancy against
+/// its limits, and the registered tenants by state — read once per scrape
+/// so the tenant counts sum to the total.
 #[derive(Debug, Default)]
-struct StageHistograms {
-    parse: LatencyHistogram,
-    cache_lookup: LatencyHistogram,
-    render: LatencyHistogram,
-    write: LatencyHistogram,
-    ingest_carve: LatencyHistogram,
-    ingest_parse: LatencyHistogram,
-    ingest_insert: LatencyHistogram,
+pub(crate) struct RouterGauges {
+    pub cache_entries: u64,
+    pub cache_bytes: u64,
+    pub cache_byte_budget: u64,
+    pub cache_capacity: u64,
+    /// Registered tenants, indexed by [`DatasetState`].
+    pub tenants: [u64; 4],
+    pub resident_bytes: u64,
+    pub byte_budget: u64,
 }
 
-impl StageHistograms {
-    fn of(&self, stage: Stage) -> &LatencyHistogram {
-        match stage {
-            Stage::Parse => &self.parse,
-            Stage::CacheLookup => &self.cache_lookup,
-            Stage::Render => &self.render,
-            Stage::Write => &self.write,
-            Stage::IngestCarve => &self.ingest_carve,
-            Stage::IngestParse => &self.ingest_parse,
-            Stage::IngestInsert => &self.ingest_insert,
-        }
-    }
-}
-
-/// Monotonic serving counters, latency histograms and the request-id
+/// Serving counters, gauges and latency histograms, plus the request-id
 /// mint (see the module docs).
 #[derive(Debug)]
 pub struct ServeMetrics {
-    /// TCP connections the accept loop handed to a worker.
-    connections_accepted: AtomicU64,
-    /// HTTP requests routed (including error responses and `/metrics`
-    /// itself).
-    requests_served: AtomicU64,
-    /// Render-route responses served from the body LRU.
-    cache_hits: AtomicU64,
-    /// Render-route responses that had to render (and were then cached).
-    cache_misses: AtomicU64,
-    /// Response bytes written to sockets (head + body).
-    bytes_out: AtomicU64,
-    /// Worker threads in the pool (set once at server start; zero when the
-    /// router runs standalone).
-    workers_total: AtomicU64,
-    /// Workers currently serving a connection.
-    workers_busy: AtomicU64,
-    /// Accepted connections handed to the dispatch queue and not yet
-    /// picked up by a worker.
-    dispatch_queue_depth: AtomicU64,
-    /// Connections currently held open by a worker (keep-alive included).
-    connections_active: AtomicU64,
-    /// Connections or requests shed by admission control (503).
-    shed_total: AtomicU64,
-    /// Connections closed for exhausting the per-request I/O budget (408).
-    io_timeouts_total: AtomicU64,
-    /// Whole-request latency per route class.
-    routes: RouteHistograms,
-    /// Per-stage latency across the request and ingestion pipelines.
-    stages: StageHistograms,
+    /// Indexed by [`Counter`], one slot per variant.
+    counters: [AtomicU64; 7],
+    /// Indexed by [`Gauge`], one slot per variant.
+    gauges: [AtomicU64; 4],
+    /// Whole-request latency, indexed by [`RouteClass`].
+    routes: [LatencyHistogram; RouteClass::ALL.len()],
+    /// Pipeline-stage latency, indexed by [`Stage`].
+    stages: [LatencyHistogram; Stage::ALL.len()],
     /// Per-process random prefix of every minted request id.
     id_seed: u64,
     /// Monotonic request-id sequence.
@@ -257,34 +458,21 @@ impl ServeMetrics {
         seed = (seed ^ (seed >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         seed = (seed ^ (seed >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         ServeMetrics {
-            connections_accepted: AtomicU64::new(0),
-            requests_served: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            bytes_out: AtomicU64::new(0),
-            workers_total: AtomicU64::new(0),
-            workers_busy: AtomicU64::new(0),
-            dispatch_queue_depth: AtomicU64::new(0),
-            connections_active: AtomicU64::new(0),
-            shed_total: AtomicU64::new(0),
-            io_timeouts_total: AtomicU64::new(0),
-            routes: RouteHistograms::default(),
-            stages: StageHistograms::default(),
+            counters: Default::default(),
+            gauges: Default::default(),
+            routes: Default::default(),
+            stages: Default::default(),
             id_seed: seed ^ (seed >> 33),
             next_request_id: AtomicU64::new(1),
             started: Instant::now(),
         }
     }
 
-    /// Mints the next request id: `{process-prefix}-{sequence}`, echoed
-    /// as `X-Request-Id` and keyed into the access log. Unique for the
-    /// life of the process; the prefix disambiguates across restarts.
-    pub fn mint_request_id(&self) -> String {
-        self.mint_traced_request_id().0
-    }
-
-    /// Mints the next request id plus its numeric trace key: the same
-    /// `prefix-sequence` pair packed into a `u64` (`prefix << 32 | seq`).
+    /// Mints the next request id, `{process-prefix}-{sequence}`, echoed as
+    /// `X-Request-Id` and keyed into the access log: unique for the life
+    /// of the process, the prefix disambiguating across restarts. Returns
+    /// it with its numeric trace key, the same pair packed into a `u64`
+    /// (`prefix << 32 | seq`).
     /// The numeric form keys the flight recorder's span records, so a
     /// trace dumped from `/v1/debug/spans` joins back to the
     /// `X-Request-Id` the client saw
@@ -296,356 +484,114 @@ impl ServeMetrics {
         (format!("{prefix:08x}-{:08x}", seq as u32), trace)
     }
 
-    /// Sets the worker-pool size gauge (once, at server start).
-    pub fn set_workers_total(&self, workers: usize) {
-        self.workers_total.store(workers as u64, Ordering::Relaxed);
+    /// Adds `n` to a counter.
+    pub fn add(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Marks one worker busy (serving a connection).
-    pub fn worker_busy(&self) {
-        self.workers_busy.fetch_add(1, Ordering::Relaxed);
+    /// A counter's value so far.
+    pub fn get(&self, counter: Counter) -> u64 {
+        self.counters[counter as usize].load(Ordering::Relaxed)
     }
 
-    /// Marks one worker idle again.
-    pub fn worker_idle(&self) {
-        let _ = self
-            .workers_busy
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |held| {
-                held.checked_sub(1)
-            });
+    /// Sets a gauge.
+    pub fn set(&self, gauge: Gauge, value: u64) {
+        self.gauges[gauge as usize].store(value, Ordering::Relaxed);
     }
 
-    /// Counts a connection entering the dispatch queue.
-    pub fn dispatch_enqueued(&self) {
-        self.dispatch_queue_depth.fetch_add(1, Ordering::Relaxed);
+    /// Raises a gauge by one.
+    pub fn raise(&self, gauge: Gauge) {
+        self.gauges[gauge as usize].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts a connection leaving the dispatch queue (picked up).
-    pub fn dispatch_dequeued(&self) {
-        let _ =
-            self.dispatch_queue_depth
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |held| {
-                    held.checked_sub(1)
-                });
+    /// Lowers a gauge by one, saturating at zero instead of wrapping.
+    pub fn lower(&self, gauge: Gauge) {
+        let _ = self.gauges[gauge as usize].fetch_update(
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+            |held| held.checked_sub(1),
+        );
     }
 
-    /// Counts a connection becoming active on a worker.
-    pub fn connection_opened(&self) {
-        self.connections_active.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts an active connection closing.
-    pub fn connection_closed(&self) {
-        let _ =
-            self.connections_active
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |held| {
-                    held.checked_sub(1)
-                });
-    }
-
-    /// Worker threads in the pool.
-    pub fn workers_total(&self) -> u64 {
-        self.workers_total.load(Ordering::Relaxed)
-    }
-
-    /// Workers currently serving a connection.
-    pub fn workers_busy(&self) -> u64 {
-        self.workers_busy.load(Ordering::Relaxed)
-    }
-
-    /// Accepted connections awaiting a worker.
-    pub fn dispatch_queue_depth(&self) -> u64 {
-        self.dispatch_queue_depth.load(Ordering::Relaxed)
-    }
-
-    /// Connections currently held open by workers.
-    pub fn connections_active(&self) -> u64 {
-        self.connections_active.load(Ordering::Relaxed)
-    }
-
-    /// Counts one accepted connection.
-    pub fn record_connection(&self) {
-        self.connections_accepted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one shed connection or request (admission control said no).
-    pub fn record_shed(&self) {
-        self.shed_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one connection closed for exhausting its I/O budget.
-    pub fn record_io_timeout(&self) {
-        self.io_timeouts_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Sheds so far.
-    pub fn shed_total(&self) -> u64 {
-        self.shed_total.load(Ordering::Relaxed)
-    }
-
-    /// I/O-budget closes so far.
-    pub fn io_timeouts_total(&self) -> u64 {
-        self.io_timeouts_total.load(Ordering::Relaxed)
-    }
-
-    /// Counts one routed request.
-    pub fn record_request(&self) {
-        self.requests_served.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one render-cache hit.
-    pub fn record_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one render-cache miss.
-    pub fn record_cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts response bytes written to a socket.
-    pub fn record_bytes_out(&self, bytes: usize) {
-        self.bytes_out.fetch_add(bytes as u64, Ordering::Relaxed);
+    /// A gauge's current value.
+    pub fn level(&self, gauge: Gauge) -> u64 {
+        self.gauges[gauge as usize].load(Ordering::Relaxed)
     }
 
     /// Records one whole-request latency under its route class.
     pub fn record_route_us(&self, class: RouteClass, micros: u64) {
-        self.routes.of(class).record_us(micros);
+        self.routes[class as usize].record_us(micros);
     }
 
     /// Records one pipeline-stage latency.
     pub fn record_stage_us(&self, stage: Stage, micros: u64) {
-        self.stages.of(stage).record_us(micros);
-    }
-
-    /// Connections accepted so far.
-    pub fn connections_accepted(&self) -> u64 {
-        self.connections_accepted.load(Ordering::Relaxed)
-    }
-
-    /// Requests routed so far.
-    pub fn requests_served(&self) -> u64 {
-        self.requests_served.load(Ordering::Relaxed)
-    }
-
-    /// Render-cache hits so far.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// Render-cache misses so far.
-    pub fn cache_misses(&self) -> u64 {
-        self.cache_misses.load(Ordering::Relaxed)
-    }
-
-    /// Response bytes written so far.
-    pub fn bytes_out(&self) -> u64 {
-        self.bytes_out.load(Ordering::Relaxed)
+        self.stages[stage as usize].record_us(micros);
     }
 
     /// Observations recorded under a route class (test hook).
     pub fn route_observations(&self, class: RouteClass) -> u64 {
-        self.routes.of(class).total()
+        self.routes[class as usize].total()
     }
 
-    /// The `GET /metrics` body: the counters, build/uptime gauges, and
-    /// the per-route / per-stage latency histograms, Prometheus text
-    /// exposition format.
-    pub fn render(&self) -> String {
-        let mut body = String::with_capacity(16 * 1024);
-        let counters = [
-            (
-                "osdiv_connections_accepted",
-                "TCP connections accepted by the server",
-                self.connections_accepted(),
-            ),
-            (
-                "osdiv_requests_served",
-                "HTTP requests routed",
-                self.requests_served(),
-            ),
-            (
-                "osdiv_cache_hits",
-                "render responses served from the body cache",
-                self.cache_hits(),
-            ),
-            (
-                "osdiv_cache_misses",
-                "render responses that had to render",
-                self.cache_misses(),
-            ),
-            (
-                "osdiv_bytes_out",
-                "response bytes written to sockets",
-                self.bytes_out(),
-            ),
-            (
-                "osdiv_shed_total",
-                "connections or requests shed by admission control",
-                self.shed_total(),
-            ),
-            (
-                "osdiv_io_timeouts_total",
-                "connections closed for exhausting the per-request I/O budget",
-                self.io_timeouts_total(),
-            ),
-        ];
-        write_families(&mut body, "counter", &counters);
-
-        let gauges = [
-            (
-                "osdiv_workers_total",
-                "worker threads in the serving pool",
-                self.workers_total(),
-            ),
-            (
-                "osdiv_workers_busy",
-                "workers currently serving a connection",
-                self.workers_busy(),
-            ),
-            (
-                "osdiv_dispatch_queue_depth",
-                "accepted connections waiting for a worker",
-                self.dispatch_queue_depth(),
-            ),
-            (
-                "osdiv_connections_active",
-                "connections currently held open by workers",
-                self.connections_active(),
-            ),
-        ];
-        write_families(&mut body, "gauge", &gauges);
-
-        let recorder = FlightRecorder::global();
-        let trace_counters = [
-            (
-                "osdiv_trace_spans_recorded_total",
-                "spans written to the flight-recorder ring",
-                recorder.recorded_total(),
-            ),
-            (
-                "osdiv_trace_spans_dropped_total",
-                "spans overwritten after the ring wrapped",
-                recorder.dropped(),
-            ),
-        ];
-        write_families(&mut body, "counter", &trace_counters);
-
-        write_family_header(
-            &mut body,
-            "osdiv_build_info",
-            "build metadata (constant 1)",
-            "gauge",
-        );
-        let _ = writeln!(
-            body,
-            "osdiv_build_info{{version=\"{}\"}} 1",
-            env!("CARGO_PKG_VERSION")
-        );
-        write_families(
-            &mut body,
-            "gauge",
-            &[(
-                "osdiv_uptime_seconds",
-                "seconds since the process started",
-                self.started.elapsed().as_secs(),
-            )],
-        );
-        write_histogram_family(
-            &mut body,
-            "osdiv_request_duration_seconds",
-            "whole-request latency by route class",
-            RouteClass::ALL.map(|class| {
-                let labels = format!("route=\"{}\"", class.as_str());
-                (labels, self.routes.of(class).snapshot())
-            }),
-        );
-        write_histogram_family(
-            &mut body,
-            "osdiv_stage_duration_seconds",
-            "pipeline-stage latency (request and ingestion stages)",
-            Stage::ALL.map(|stage| {
-                let labels = format!("stage=\"{}\"", stage.as_str());
-                (labels, self.stages.of(stage).snapshot())
-            }),
-        );
-        body
-    }
-}
-
-/// Appends the `# HELP` and `# TYPE` lines of one metric family.
-fn write_family_header(out: &mut String, name: &str, help: &str, kind: &str) {
-    let _ = write!(out, "# HELP {name} {help}\n# TYPE {name} {kind}\n");
-}
-
-/// Appends single-sample families of one `kind` (`counter` or `gauge`) to
-/// a `/metrics` body: each `(name, help, value)` becomes its header and
-/// one `name value` line. Every counter and gauge family of the
-/// exposition is written here.
-pub(crate) fn write_families(out: &mut String, kind: &str, families: &[(&str, &str, u64)]) {
-    for (name, help, value) in families {
-        write_family_header(out, name, help, kind);
-        let _ = writeln!(out, "{name} {value}");
-    }
-}
-
-/// Appends one histogram family: its header, then each non-empty
-/// `(labels, snapshot)` series.
-fn write_histogram_family(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    series: impl IntoIterator<Item = (String, HistogramSnapshot)>,
-) {
-    write_family_header(out, name, help, "histogram");
-    for (labels, snapshot) in series {
-        if !snapshot.is_empty() {
-            snapshot.render_prometheus(name, &labels, out);
+    /// The `GET /metrics` body: every [`FAMILIES`] row in order, with the
+    /// values this struct, the flight recorder, the router's per-scrape
+    /// gauges and (when attached) the tenant store hold.
+    pub(crate) fn render(&self, router: &RouterGauges, persist: Option<&PersistMetrics>) -> String {
+        let mut out = String::with_capacity(16 * 1024);
+        for family in &FAMILIES {
+            let value = match family.source {
+                Source::Counter(counter) => self.get(counter),
+                Source::Gauge(gauge) => self.level(gauge),
+                Source::Spans(read) => read(FlightRecorder::global()),
+                Source::Uptime => self.started.elapsed().as_secs(),
+                Source::Router(read) => read(router),
+                Source::Persist(read) => match persist {
+                    Some(persist) => read(persist),
+                    None => continue,
+                },
+                Source::BuildInfo => {
+                    family.write_header(&mut out);
+                    let version = env!("CARGO_PKG_VERSION");
+                    let _ = writeln!(out, "{}{{version=\"{version}\"}} 1", family.name);
+                    continue;
+                }
+                Source::Routes => {
+                    family.write_header(&mut out);
+                    for class in RouteClass::ALL {
+                        let labels = format!("route=\"{}\"", class.as_str());
+                        write_series(&mut out, family, &labels, &self.routes[class as usize]);
+                    }
+                    continue;
+                }
+                Source::Stages => {
+                    family.write_header(&mut out);
+                    for stage in Stage::ALL {
+                        let labels = format!("stage=\"{}\"", stage.as_str());
+                        write_series(&mut out, family, &labels, &self.stages[stage as usize]);
+                    }
+                    continue;
+                }
+                Source::PersistLatency(read) => {
+                    let snapshot = persist.map(|persist| read(persist).snapshot());
+                    if let Some(snapshot) = snapshot.filter(|snapshot| !snapshot.is_empty()) {
+                        family.write_header(&mut out);
+                        snapshot.render_prometheus(family.name, "", &mut out);
+                    }
+                    continue;
+                }
+            };
+            family.write_header(&mut out);
+            let _ = writeln!(out, "{} {value}", family.name);
         }
+        out
     }
 }
 
-/// Appends the persistence families, present when the registry has durable
-/// storage attached: the snapshot counters, then the snapshot write and load
-/// latency histograms, each once it holds a sample.
-pub(crate) fn write_persistence_families(out: &mut String, metrics: &PersistMetrics) {
-    write_families(
-        out,
-        "counter",
-        &[
-            (
-                "osdiv_snapshot_writes",
-                "tenant snapshots written to the data directory",
-                metrics.snapshot_writes(),
-            ),
-            (
-                "osdiv_snapshot_loads",
-                "tenant snapshots read back into live sessions",
-                metrics.snapshot_loads(),
-            ),
-            (
-                "osdiv_spills",
-                "evictions that kept the snapshot and dropped only memory",
-                metrics.spills(),
-            ),
-        ],
-    );
-    for (name, help, histogram) in [
-        (
-            "osdiv_snapshot_write_duration_seconds",
-            "latency of durable snapshot writes (temp file + rename)",
-            metrics.snapshot_write_latency(),
-        ),
-        (
-            "osdiv_snapshot_load_duration_seconds",
-            "latency of snapshot loads into live sessions (read + CRC + decode)",
-            metrics.snapshot_load_latency(),
-        ),
-    ] {
-        let snapshot = histogram.snapshot();
-        if !snapshot.is_empty() {
-            write_histogram_family(out, name, help, [(String::new(), snapshot)]);
-        }
+/// Appends one histogram series of `family` once it holds a sample.
+fn write_series(out: &mut String, family: &Family, labels: &str, histogram: &LatencyHistogram) {
+    let snapshot = histogram.snapshot();
+    if !snapshot.is_empty() {
+        snapshot.render_prometheus(family.name, labels, out);
     }
 }
 
@@ -653,22 +599,26 @@ pub(crate) fn write_persistence_families(out: &mut String, metrics: &PersistMetr
 mod tests {
     use super::*;
 
+    fn render(metrics: &ServeMetrics) -> String {
+        metrics.render(&RouterGauges::default(), None)
+    }
+
     #[test]
     fn counters_accumulate_and_render() {
         let metrics = ServeMetrics::new();
-        metrics.record_connection();
-        metrics.record_request();
-        metrics.record_request();
-        metrics.record_cache_hit();
-        metrics.record_cache_miss();
-        metrics.record_bytes_out(1500);
-        metrics.record_bytes_out(500);
-        assert_eq!(metrics.connections_accepted(), 1);
-        assert_eq!(metrics.requests_served(), 2);
-        assert_eq!(metrics.cache_hits(), 1);
-        assert_eq!(metrics.cache_misses(), 1);
-        assert_eq!(metrics.bytes_out(), 2000);
-        let body = metrics.render();
+        metrics.add(Counter::ConnectionsAccepted, 1);
+        metrics.add(Counter::RequestsServed, 1);
+        metrics.add(Counter::RequestsServed, 1);
+        metrics.add(Counter::CacheHits, 1);
+        metrics.add(Counter::CacheMisses, 1);
+        metrics.add(Counter::BytesOut, 1500);
+        metrics.add(Counter::BytesOut, 500);
+        assert_eq!(metrics.get(Counter::ConnectionsAccepted), 1);
+        assert_eq!(metrics.get(Counter::RequestsServed), 2);
+        assert_eq!(metrics.get(Counter::CacheHits), 1);
+        assert_eq!(metrics.get(Counter::CacheMisses), 1);
+        assert_eq!(metrics.get(Counter::BytesOut), 2000);
+        let body = render(&metrics);
         assert!(body.contains("osdiv_requests_served 2\n"));
         assert!(body.contains("osdiv_bytes_out 2000\n"));
         assert!(body.contains("# TYPE osdiv_connections_accepted counter\n"));
@@ -676,7 +626,7 @@ mod tests {
 
     #[test]
     fn build_info_and_uptime_are_always_present() {
-        let body = ServeMetrics::new().render();
+        let body = render(&ServeMetrics::new());
         assert!(body.contains(&format!(
             "osdiv_build_info{{version=\"{}\"}} 1\n",
             env!("CARGO_PKG_VERSION")
@@ -687,17 +637,19 @@ mod tests {
 
     #[test]
     fn persistence_histograms_render_once_recorded() {
+        let serve = ServeMetrics::new();
         let metrics = PersistMetrics::default();
-        let mut body = String::new();
-        write_persistence_families(&mut body, &metrics);
+        let body = render(&serve);
+        assert!(!body.contains("osdiv_snapshot_loads"), "no tenant store");
+        let body = serve.render(&RouterGauges::default(), Some(&metrics));
         assert!(body.contains("osdiv_snapshot_loads 0\n"));
-        assert!(!body.contains("_duration_seconds"));
+        assert!(!body.contains("osdiv_snapshot_write_duration_seconds"));
+        assert!(!body.contains("osdiv_snapshot_load_duration_seconds"));
 
         metrics
             .snapshot_load_latency()
             .record(std::time::Duration::from_micros(2_600));
-        let mut body = String::new();
-        write_persistence_families(&mut body, &metrics);
+        let body = serve.render(&RouterGauges::default(), Some(&metrics));
         assert!(body.contains("# TYPE osdiv_snapshot_load_duration_seconds histogram\n"));
         assert!(body.contains("osdiv_snapshot_load_duration_seconds_count 1\n"));
         assert!(!body.contains("osdiv_snapshot_write_duration_seconds"));
@@ -707,14 +659,14 @@ mod tests {
     fn histograms_render_per_route_and_stage_once_recorded() {
         let metrics = ServeMetrics::new();
         // Untouched histograms stay out of the exposition…
-        let body = metrics.render();
+        let body = render(&metrics);
         assert!(!body.contains("route=\"report\""));
         assert!(body.contains("# TYPE osdiv_request_duration_seconds histogram\n"));
         // …and recorded ones appear with cumulative buckets.
         metrics.record_route_us(RouteClass::Report, 17);
         metrics.record_route_us(RouteClass::Report, 1_700);
         metrics.record_stage_us(Stage::Render, 2_600);
-        let body = metrics.render();
+        let body = render(&metrics);
         assert!(body
             .contains("osdiv_request_duration_seconds_bucket{route=\"report\",le=\"0.000025\"} 1"));
         assert!(body.contains("osdiv_request_duration_seconds_count{route=\"report\"} 2"));
@@ -727,19 +679,19 @@ mod tests {
     #[test]
     fn saturation_gauges_track_and_render() {
         let metrics = ServeMetrics::new();
-        metrics.set_workers_total(4);
-        metrics.worker_busy();
-        metrics.worker_busy();
-        metrics.worker_idle();
-        metrics.dispatch_enqueued();
-        metrics.dispatch_enqueued();
-        metrics.dispatch_dequeued();
-        metrics.connection_opened();
-        assert_eq!(metrics.workers_total(), 4);
-        assert_eq!(metrics.workers_busy(), 1);
-        assert_eq!(metrics.dispatch_queue_depth(), 1);
-        assert_eq!(metrics.connections_active(), 1);
-        let body = metrics.render();
+        metrics.set(Gauge::WorkersTotal, 4);
+        metrics.raise(Gauge::WorkersBusy);
+        metrics.raise(Gauge::WorkersBusy);
+        metrics.lower(Gauge::WorkersBusy);
+        metrics.raise(Gauge::DispatchQueueDepth);
+        metrics.raise(Gauge::DispatchQueueDepth);
+        metrics.lower(Gauge::DispatchQueueDepth);
+        metrics.raise(Gauge::ConnectionsActive);
+        assert_eq!(metrics.level(Gauge::WorkersTotal), 4);
+        assert_eq!(metrics.level(Gauge::WorkersBusy), 1);
+        assert_eq!(metrics.level(Gauge::DispatchQueueDepth), 1);
+        assert_eq!(metrics.level(Gauge::ConnectionsActive), 1);
+        let body = render(&metrics);
         assert!(body.contains("# TYPE osdiv_workers_total gauge\nosdiv_workers_total 4\n"));
         assert!(body.contains("osdiv_workers_busy 1\n"));
         assert!(body.contains("osdiv_dispatch_queue_depth 1\n"));
@@ -747,12 +699,45 @@ mod tests {
         assert!(body.contains("# TYPE osdiv_trace_spans_recorded_total counter\n"));
         assert!(body.contains("# TYPE osdiv_trace_spans_dropped_total counter\n"));
         // Decrements saturate at zero instead of wrapping to u64::MAX.
-        metrics.connection_closed();
-        metrics.connection_closed();
-        assert_eq!(metrics.connections_active(), 0);
-        metrics.worker_idle();
-        metrics.worker_idle();
-        assert_eq!(metrics.workers_busy(), 0);
+        metrics.lower(Gauge::ConnectionsActive);
+        metrics.lower(Gauge::ConnectionsActive);
+        assert_eq!(metrics.level(Gauge::ConnectionsActive), 0);
+        metrics.lower(Gauge::WorkersBusy);
+        metrics.lower(Gauge::WorkersBusy);
+        assert_eq!(metrics.level(Gauge::WorkersBusy), 0);
+    }
+
+    #[test]
+    fn the_exposition_follows_the_catalogue_row_by_row() {
+        let persist = PersistMetrics::default();
+        persist
+            .snapshot_write_latency()
+            .record(std::time::Duration::from_micros(900));
+        persist
+            .snapshot_load_latency()
+            .record(std::time::Duration::from_micros(2_600));
+        let body = ServeMetrics::new().render(&RouterGauges::default(), Some(&persist));
+        let typed: Vec<&str> = body
+            .lines()
+            .filter_map(|line| line.strip_prefix("# TYPE "))
+            .collect();
+        let catalogue: Vec<String> = FAMILIES
+            .iter()
+            .map(|family| format!("{} {}", family.name, family.kind()))
+            .collect();
+        assert_eq!(typed, catalogue);
+    }
+
+    #[test]
+    fn every_family_is_documented_in_the_observability_table() {
+        let doc = include_str!("../../../docs/OBSERVABILITY.md");
+        for family in &FAMILIES {
+            let row = format!("| `{}` | {} |", family.name, family.kind());
+            assert!(
+                doc.lines().any(|line| line.starts_with(&row)),
+                "docs/OBSERVABILITY.md has no table row starting {row:?}"
+            );
+        }
     }
 
     #[test]
@@ -765,8 +750,8 @@ mod tests {
     #[test]
     fn request_ids_are_unique_and_prefixed() {
         let metrics = ServeMetrics::new();
-        let a = metrics.mint_request_id();
-        let b = metrics.mint_request_id();
+        let (a, _) = metrics.mint_traced_request_id();
+        let (b, _) = metrics.mint_traced_request_id();
         assert_ne!(a, b);
         let prefix = |id: &str| id.split('-').next().map(str::to_string);
         assert_eq!(prefix(&a), prefix(&b));

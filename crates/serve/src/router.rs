@@ -42,14 +42,14 @@ use osdiv_core::{
     JsonLine, Params, Section, Study,
 };
 use osdiv_registry::{
-    DatasetSource, FeedIngester, IngestBudget, IngestError, RegistryError, RegistryOptions,
-    StudyRegistry, DEFAULT_DATASET,
+    DatasetSource, DatasetState, FeedIngester, IngestBudget, IngestError, RegistryError,
+    RegistryOptions, StudyRegistry, DEFAULT_DATASET,
 };
 use parking_lot::Mutex;
 use tabular::TextTable;
 
 use crate::http::{Body, BodyError, EmptyBody, Request, Response};
-use crate::metrics::{self, RouteClass, ServeMetrics, Stage};
+use crate::metrics::{Counter, RouteClass, RouterGauges, ServeMetrics, Stage};
 
 /// Router configuration.
 #[derive(Debug, Clone)]
@@ -276,12 +276,12 @@ impl Router {
 
     /// Total requests handled.
     pub fn request_count(&self) -> u64 {
-        self.metrics.requests_served()
+        self.metrics.get(Counter::RequestsServed)
     }
 
     /// Responses served straight from the rendered-body cache.
     pub fn cache_hit_count(&self) -> u64 {
-        self.metrics.cache_hits()
+        self.metrics.get(Counter::CacheHits)
     }
 
     /// Routes a body-less request (see [`Router::handle_with_body`]).
@@ -371,17 +371,14 @@ impl Router {
         body: &mut dyn Body,
         trace: &mut RequestTrace,
     ) -> Response {
-        self.metrics.record_request();
+        self.metrics.add(Counter::RequestsServed, 1);
         let path = request.path.as_str();
         match path {
             "/metrics" => match self.check_get(request) {
                 Err(response) => response,
                 Ok(()) => {
-                    let mut body = self.metrics.render();
-                    metrics::write_families(&mut body, "gauge", &self.saturation_gauges());
-                    if let Some(store) = self.registry.persistence() {
-                        metrics::write_persistence_families(&mut body, store.metrics());
-                    }
+                    let persist = self.registry.persistence().map(|store| store.metrics());
+                    let body = self.metrics.render(&self.saturation(), persist);
                     Response::new(200).with_body("text/plain; version=0.0.4", body.into_bytes())
                 }
             },
@@ -459,101 +456,32 @@ impl Router {
             .with_header("Cache-Control", "no-cache")
     }
 
-    /// The saturation gauges only the router can compute — body-cache
-    /// occupancy versus its budgets and tenant lifecycle states —
-    /// appended to `GET /metrics` after the [`ServeMetrics`] families.
-    fn saturation_gauges(&self) -> [(&'static str, &'static str, u64); 11] {
-        let (cache_entries, cache_bytes, cache_byte_budget, cache_capacity) = {
+    /// Samples the gauges only the router can compute, once per scrape:
+    /// body-cache occupancy against its budgets and the tenants by state.
+    fn saturation(&self) -> RouterGauges {
+        let mut gauges = {
             let cache = self.cache.lock();
-            (
-                cache.len() as u64,
-                cache.bytes as u64,
-                cache.byte_budget as u64,
-                cache.capacity as u64,
-            )
-        };
-        let infos = self.registry.list();
-        let mut resident = 0u64;
-        let mut spilled = 0u64;
-        let mut lazy = 0u64;
-        let mut evicted = 0u64;
-        for info in &infos {
-            if info.resident {
-                resident += 1;
-            } else if info.spilled {
-                spilled += 1;
-            } else if info.evicted {
-                evicted += 1;
-            } else {
-                lazy += 1;
+            RouterGauges {
+                cache_entries: cache.len() as u64,
+                cache_bytes: cache.bytes as u64,
+                cache_byte_budget: cache.byte_budget as u64,
+                cache_capacity: cache.capacity as u64,
+                ..RouterGauges::default()
             }
+        };
+        for info in self.registry.list() {
+            gauges.tenants[info.state as usize] += 1;
         }
-        [
-            (
-                "osdiv_body_cache_entries",
-                "rendered bodies held by the response LRU",
-                cache_entries,
-            ),
-            (
-                "osdiv_body_cache_bytes",
-                "bytes held by the response LRU",
-                cache_bytes,
-            ),
-            (
-                "osdiv_body_cache_byte_budget",
-                "byte budget of the response LRU",
-                cache_byte_budget,
-            ),
-            (
-                "osdiv_body_cache_capacity",
-                "entry capacity of the response LRU",
-                cache_capacity,
-            ),
-            (
-                "osdiv_datasets_total",
-                "datasets registered (every lifecycle state)",
-                infos.len() as u64,
-            ),
-            (
-                "osdiv_datasets_resident",
-                "datasets with a built session in memory",
-                resident,
-            ),
-            (
-                "osdiv_datasets_spilled",
-                "datasets evicted to their durable snapshot",
-                spilled,
-            ),
-            (
-                "osdiv_datasets_lazy",
-                "datasets that rebuild on demand (unbuilt specs)",
-                lazy,
-            ),
-            (
-                "osdiv_datasets_evicted",
-                "datasets evicted beyond recovery (reads answer 410)",
-                evicted,
-            ),
-            (
-                "osdiv_datasets_resident_bytes",
-                "estimated bytes of every resident session",
-                self.registry.resident_bytes() as u64,
-            ),
-            (
-                "osdiv_datasets_byte_budget",
-                "resident-byte budget that triggers eviction",
-                self.registry.options().max_total_bytes as u64,
-            ),
-        ]
+        gauges.resident_bytes = self.registry.resident_bytes() as u64;
+        gauges.byte_budget = self.registry.options().max_total_bytes as u64;
+        gauges
     }
 
     /// Emits one structured event line when an access log is configured
     /// (`build` fills in the fields after the `ts`/`event` tags).
     fn emit_event(&self, event: &str, build: impl FnOnce(&mut JsonLine)) {
         if let Some(log) = &self.options.access_log {
-            let mut line = JsonLine::new();
-            line.u64_field("ts", obs::unix_micros());
-            line.str_field("event", event);
+            let mut line = JsonLine::event(event);
             build(&mut line);
             log.emit(&line.finish());
         }
@@ -573,18 +501,17 @@ impl Router {
             .resident(DEFAULT_DATASET)
             .map(|study| study.cached_ids().len())
             .unwrap_or(0);
-        let body = format!(
-            "{{\"status\":\"ok\",\"seed\":{},\"analyses\":{},\"memoized\":{},\"datasets\":{},\"dataset_bytes\":{},\"cached_responses\":{},\"requests\":{},\"cache_hits\":{}}}\n",
-            self.options.seed,
-            AnalysisId::ALL.len(),
-            memoized,
-            self.registry.len(),
-            self.registry.resident_bytes(),
-            self.cache.lock().len(),
-            self.request_count(),
-            self.cache_hit_count(),
-        );
-        Response::new(200).with_body(tabular::mime::APPLICATION_JSON, body.into_bytes())
+        let mut body = JsonLine::new();
+        body.str_field("status", "ok");
+        body.u64_field("seed", self.options.seed);
+        body.u64_field("analyses", AnalysisId::ALL.len() as u64);
+        body.u64_field("memoized", memoized as u64);
+        body.u64_field("datasets", self.registry.len() as u64);
+        body.u64_field("dataset_bytes", self.registry.resident_bytes() as u64);
+        body.u64_field("cached_responses", self.cache.lock().len() as u64);
+        body.u64_field("requests", self.request_count());
+        body.u64_field("cache_hits", self.cache_hit_count());
+        json_response(200, body)
     }
 
     /// `GET /v1/datasets`: the dataset registry as a negotiated document
@@ -607,21 +534,9 @@ impl Router {
                     feed_bytes,
                 } => format!("entries={entries} skipped={skipped} feed_bytes={feed_bytes}"),
             };
-            let kind = match (&info.source, info.resident) {
-                (_, true) => info.source.kind().to_string(),
-                // A non-resident synthetic spec rebuilds on demand; a
-                // non-resident ingested dataset reloads from its snapshot
-                // when one exists (spilled) and is irrecoverably gone
-                // otherwise (evicted).
-                (DatasetSource::Synthetic { .. }, false) => {
-                    format!("{} (lazy)", info.source.kind())
-                }
-                (DatasetSource::Ingested { .. }, false) if info.spilled => {
-                    format!("{} (spilled)", info.source.kind())
-                }
-                (DatasetSource::Ingested { .. }, false) => {
-                    format!("{} (evicted)", info.source.kind())
-                }
+            let kind = match info.state {
+                DatasetState::Resident => info.source.kind().to_string(),
+                state => format!("{} ({})", info.source.kind(), state.as_str()),
             };
             table.push_row([
                 info.name.clone(),
@@ -682,11 +597,11 @@ impl Router {
                 line.str_field("dataset", name);
                 line.u64_field("seed", seed);
             });
-            return Response::new(201).with_body(
-                tabular::mime::APPLICATION_JSON,
-                format!("{{\"dataset\":{name:?},\"source\":\"synthetic\",\"seed\":{seed}}}\n")
-                    .into_bytes(),
-            );
+            let mut body = JsonLine::new();
+            body.str_field("dataset", name);
+            body.str_field("source", "synthetic");
+            body.u64_field("seed", seed);
+            return json_response(201, body);
         }
 
         // Reject a taken name before streaming: ingesting a multi-megabyte
@@ -752,13 +667,14 @@ impl Router {
             line.u64_field("parse_us", stages.parse_us);
             line.u64_field("insert_us", stages.insert_us);
         });
-        Response::new(201).with_body(
-            tabular::mime::APPLICATION_JSON,
-            format!(
-                "{{\"dataset\":{name:?},\"source\":\"ingested\",\"entries\":{entries},\"skipped\":{skipped},\"feed_bytes\":{feed_bytes},\"estimated_bytes\":{estimated_bytes}}}\n"
-            )
-            .into_bytes(),
-        )
+        let mut body = JsonLine::new();
+        body.str_field("dataset", name);
+        body.str_field("source", "ingested");
+        body.u64_field("entries", entries as u64);
+        body.u64_field("skipped", skipped as u64);
+        body.u64_field("feed_bytes", feed_bytes as u64);
+        body.u64_field("estimated_bytes", estimated_bytes as u64);
+        json_response(201, body)
     }
 
     fn delete_dataset(&self, name: &str) -> Response {
@@ -776,10 +692,10 @@ impl Router {
                 self.emit_event("dataset_deleted", |line| {
                     line.str_field("dataset", name);
                 });
-                Response::new(200).with_body(
-                    tabular::mime::APPLICATION_JSON,
-                    format!("{{\"dataset\":{name:?},\"status\":\"deleted\"}}\n").into_bytes(),
-                )
+                let mut body = JsonLine::new();
+                body.str_field("dataset", name);
+                body.str_field("status", "deleted");
+                json_response(200, body)
             }
             Err(error) => registry_error_response(&error),
         }
@@ -791,29 +707,26 @@ impl Router {
                 name: name.to_string(),
             }),
             Some(info) => {
-                let detail = match &info.source {
-                    DatasetSource::Synthetic { seed } => format!("\"seed\":{seed}"),
+                let mut body = JsonLine::new();
+                body.str_field("dataset", &info.name);
+                body.str_field("source", info.source.kind());
+                match info.source {
+                    DatasetSource::Synthetic { seed } => body.u64_field("seed", seed),
                     DatasetSource::Ingested {
                         entries,
                         skipped,
                         feed_bytes,
-                    } => format!(
-                        "\"entries\":{entries},\"skipped\":{skipped},\"feed_bytes\":{feed_bytes}"
-                    ),
-                };
-                Response::new(200).with_body(
-                    tabular::mime::APPLICATION_JSON,
-                    format!(
-                        "{{\"dataset\":{:?},\"source\":{:?},{detail},\"resident\":{},\"resident_bytes\":{},\"pinned\":{},\"spilled\":{}}}\n",
-                        info.name,
-                        info.source.kind(),
-                        info.resident,
-                        info.resident_bytes,
-                        info.pinned,
-                        info.spilled,
-                    )
-                    .into_bytes(),
-                )
+                    } => {
+                        body.u64_field("entries", entries as u64);
+                        body.u64_field("skipped", skipped as u64);
+                        body.u64_field("feed_bytes", feed_bytes as u64);
+                    }
+                }
+                body.bool_field("resident", info.state == DatasetState::Resident);
+                body.u64_field("resident_bytes", info.resident_bytes as u64);
+                body.bool_field("pinned", info.pinned);
+                body.bool_field("spilled", info.state == DatasetState::Spilled);
+                json_response(200, body)
             }
         }
     }
@@ -846,16 +759,12 @@ impl Router {
         );
         let lookup_started = Instant::now();
         let lookup_started_us = obs::monotonic_us();
-        let cached = match self.cache.lock().get(&key) {
-            Some(hit) => {
-                self.metrics.record_cache_hit();
-                Some(hit)
-            }
-            None => {
-                self.metrics.record_cache_miss();
-                None
-            }
+        let cached = self.cache.lock().get(&key);
+        let outcome = match cached {
+            Some(_) => Counter::CacheHits,
+            None => Counter::CacheMisses,
         };
+        self.metrics.add(outcome, 1);
         trace.cache_us = micros_since(lookup_started);
         trace.cache_hit = cached.is_some();
         self.metrics
@@ -952,18 +861,30 @@ fn error_response(error: &AnalysisError) -> Response {
     Response::text(400, format!("error: {error}"))
 }
 
-/// Maps a registry failure to its HTTP status: 404 unknown, 409 taken,
-/// 410 evicted, 507 over capacity, 400 invalid name, 500 persistence.
+/// Maps a registry failure to its HTTP status: 404 unknown, 409 taken
+/// (or still saving: retryable, so it carries `Retry-After`), 410
+/// evicted, 507 over capacity, 400 invalid name, 500 persistence.
 fn registry_error_response(error: &RegistryError) -> Response {
     let status = match error {
         RegistryError::NotFound { .. } => 404,
-        RegistryError::AlreadyExists { .. } => 409,
+        RegistryError::AlreadyExists { .. } | RegistryError::SaveInFlight { .. } => 409,
         RegistryError::Evicted { .. } => 410,
         RegistryError::CapacityExceeded { .. } => 507,
         RegistryError::InvalidName { .. } => 400,
         RegistryError::Persistence { .. } => 500,
     };
-    Response::text(status, format!("error: {error}"))
+    let response = Response::text(status, format!("error: {error}"));
+    match error {
+        RegistryError::SaveInFlight { .. } => response.with_header("Retry-After", "1"),
+        _ => response,
+    }
+}
+
+/// A JSON response body: one object on one line, newline-terminated.
+fn json_response(status: u16, body: JsonLine) -> Response {
+    let mut body = body.finish();
+    body.push('\n');
+    Response::new(status).with_body(tabular::mime::APPLICATION_JSON, body.into_bytes())
 }
 
 /// Maps an ingestion failure: budget violations are 413, malformed feeds
@@ -1409,6 +1330,20 @@ mod tests {
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_delete_during_a_snapshot_save_is_a_retryable_conflict() {
+        let busy = registry_error_response(&RegistryError::SaveInFlight {
+            name: "t".to_string(),
+        });
+        assert_eq!(busy.status(), 409);
+        assert_eq!(busy.header("retry-after"), Some("1"));
+        let taken = registry_error_response(&RegistryError::AlreadyExists {
+            name: "t".to_string(),
+        });
+        assert_eq!(taken.status(), 409);
+        assert_eq!(taken.header("retry-after"), None);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use osdiv_core::{obs, FlightRecorder, JsonLine};
 use parking_lot::Mutex;
 
 use crate::http::{Body, BodyError, RequestParser, Response, StreamBody, MAX_BODY_BYTES};
-use crate::metrics::{RouteClass, ServeMetrics, Stage};
+use crate::metrics::{Counter, Gauge, RouteClass, ServeMetrics, Stage};
 use crate::router::{micros_since, Router};
 
 /// Server tuning knobs.
@@ -112,7 +112,7 @@ impl Server {
 
         self.router
             .metrics()
-            .set_workers_total(self.options.threads.max(1));
+            .set(Gauge::WorkersTotal, self.options.threads.max(1) as u64);
         let workers: Vec<thread::JoinHandle<()>> = (0..self.options.threads.max(1))
             .map(|_| {
                 let receiver = Arc::clone(&receiver);
@@ -125,20 +125,21 @@ impl Server {
                         Err(_) => return, // queue closed: shutdown
                         Ok(mut stream) => {
                             let metrics = router.metrics();
-                            metrics.dispatch_dequeued();
-                            metrics.worker_busy();
+                            metrics.lower(Gauge::DispatchQueueDepth);
+                            metrics.raise(Gauge::WorkersBusy);
                             // Admission control, before a single byte is
                             // parsed: when the backlog behind this
                             // connection is still past the high-water
                             // mark, answering cheaply and moving on
                             // drains the queue far faster than serving
                             // would.
-                            if metrics.dispatch_queue_depth() > options.shed_queue_depth as u64 {
+                            let depth = metrics.level(Gauge::DispatchQueueDepth);
+                            if depth > options.shed_queue_depth as u64 {
                                 shed_connection(&mut stream, metrics);
                             } else {
                                 handle_connection(&router, stream, &options, &shutdown, addr);
                             }
-                            router.metrics().worker_idle();
+                            metrics.lower(Gauge::WorkersBusy);
                         }
                     }
                 })
@@ -151,8 +152,9 @@ impl Server {
             }
             match stream {
                 Ok(stream) => {
-                    self.router.metrics().record_connection();
-                    self.router.metrics().dispatch_enqueued();
+                    let metrics = self.router.metrics();
+                    metrics.add(Counter::ConnectionsAccepted, 1);
+                    metrics.raise(Gauge::DispatchQueueDepth);
                     // A send only fails after every worker exited, which
                     // cannot happen before the queue is closed below.
                     let _ = sender.send(stream);
@@ -232,10 +234,10 @@ overload\n";
 /// Cheap-rejects one connection under overload: static `503` +
 /// `Retry-After`, no parsing, then close.
 fn shed_connection(stream: &mut TcpStream, metrics: &ServeMetrics) {
-    metrics.record_shed();
+    metrics.add(Counter::Shed, 1);
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
     if stream.write_all(SHED_RESPONSE).is_ok() {
-        metrics.record_bytes_out(SHED_RESPONSE.len());
+        metrics.add(Counter::BytesOut, SHED_RESPONSE.len() as u64);
     }
     let _ = stream.shutdown(Shutdown::Both);
 }
@@ -272,11 +274,11 @@ fn handle_connection(
     let _ = stream.set_write_timeout(Some(options.io_timeout));
     let _ = stream.set_nodelay(true);
     let metrics = Arc::clone(router.metrics());
-    metrics.connection_opened();
+    metrics.raise(Gauge::ConnectionsActive);
     let record_write = |written: io::Result<usize>| -> bool {
         match written {
             Ok(bytes) => {
-                metrics.record_bytes_out(bytes);
+                metrics.add(Counter::BytesOut, bytes as u64);
                 true
             }
             Err(_) => false,
@@ -288,9 +290,11 @@ fn handle_connection(
 
     'connection: loop {
         // Parse the next request: buffered bytes first (pipelining), then
-        // reads off the socket. `request_started` anchors at the first
-        // activity belonging to this request — not at keep-alive idle
-        // time — so the parse stage measures head transfer + parsing.
+        // reads off the socket, each appended unparsed so the parse at the
+        // top of the loop is the only scan of the buffer. `request_started`
+        // anchors at the first activity belonging to this request — not at
+        // keep-alive idle time — so the parse stage measures head transfer
+        // + parsing.
         let mut request_started: Option<Instant> = None;
         let request = loop {
             let attempt_started = Instant::now();
@@ -311,46 +315,31 @@ fn handle_connection(
             // timeout, so each read's deadline shrinks to whatever
             // budget remains — total pin time is bounded by
             // `io_timeout`, not by bytes × read_timeout.
-            if let Some(started) = request_started {
-                let remaining = options.io_timeout.saturating_sub(started.elapsed());
-                if remaining.is_zero() {
-                    metrics.record_io_timeout();
-                    record_write(
-                        Response::text(408, "request header read timed out").write_to(
-                            &mut stream,
-                            false,
-                            false,
-                        ),
-                    );
-                    break 'connection;
+            let remaining =
+                request_started.map(|started| options.io_timeout.saturating_sub(started.elapsed()));
+            let read = match remaining {
+                Some(remaining) if remaining.is_zero() => Err(ErrorKind::TimedOut.into()),
+                Some(remaining) => {
+                    let _ = stream.set_read_timeout(Some(options.read_timeout.min(remaining)));
+                    stream.read(&mut chunk)
                 }
-                let _ = stream.set_read_timeout(Some(options.read_timeout.min(remaining)));
-            }
-            match stream.read(&mut chunk) {
+                None => stream.read(&mut chunk),
+            };
+            match read {
                 Ok(0) => break 'connection, // peer closed
                 Ok(n) => {
                     request_started.get_or_insert_with(Instant::now);
-                    match parser.feed(&chunk[..n]) {
-                        Ok(Some(request)) => break request,
-                        Ok(None) => {}
-                        Err(violation) => {
-                            record_write(Response::from(&violation).write_to(
-                                &mut stream,
-                                false,
-                                false,
-                            ));
-                            break 'connection;
-                        }
-                    }
+                    parser.feed_raw(&chunk[..n]);
                 }
                 Err(error)
                     if error.kind() == ErrorKind::WouldBlock
                         || error.kind() == ErrorKind::TimedOut =>
                 {
                     if request_started.is_some() {
-                        // Mid-request stall, not keep-alive idleness:
-                        // tell the peer before closing.
-                        metrics.record_io_timeout();
+                        // Mid-request stall or a spent budget, not
+                        // keep-alive idleness: tell the peer before
+                        // closing.
+                        metrics.add(Counter::IoTimeouts, 1);
                         record_write(
                             Response::text(408, "request header read timed out").write_to(
                                 &mut stream,
@@ -407,9 +396,9 @@ fn handle_connection(
         // before a single body byte is consumed.
         let soft_watermark = (options.shed_queue_depth / 2).max(1);
         let rejected = if trace.route == RouteClass::Ingest
-            && metrics.dispatch_queue_depth() > soft_watermark as u64
+            && metrics.level(Gauge::DispatchQueueDepth) > soft_watermark as u64
         {
-            metrics.record_shed();
+            metrics.add(Counter::Shed, 1);
             Some(
                 Response::text(503, "ingestion shedding under load")
                     .with_header("Retry-After", "1"),
@@ -473,9 +462,7 @@ fn handle_connection(
         );
         if let Some(log) = router.access_log() {
             let slow = total_us >= router.slow_request_us();
-            let mut line = JsonLine::new();
-            line.u64_field("ts", obs::unix_micros());
-            line.str_field("event", if slow { "slow_request" } else { "request" });
+            let mut line = JsonLine::event(if slow { "slow_request" } else { "request" });
             line.str_field("id", &trace.id);
             line.str_field("method", &request.method);
             line.str_field("path", &request.path);
@@ -512,7 +499,7 @@ fn handle_connection(
             break;
         }
     }
-    metrics.connection_closed();
+    metrics.lower(Gauge::ConnectionsActive);
 }
 
 #[cfg(test)]

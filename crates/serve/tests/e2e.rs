@@ -12,7 +12,9 @@ use nvd_feed::FeedWriter;
 use nvd_model::{CveId, OsDistribution, VulnerabilityEntry};
 use osdiv_core::{analysis_sections, renderer, AnalysisId, Format, Params, Study};
 use osdiv_serve::loadgen::{self, read_response, write_request};
-use osdiv_serve::{OpenLoopConfig, Router, RouterOptions, Server, ServerHandle, ServerOptions};
+use osdiv_serve::{
+    Counter, Gauge, OpenLoopConfig, Router, RouterOptions, Server, ServerHandle, ServerOptions,
+};
 
 const SEED: u64 = 1;
 
@@ -1057,7 +1059,7 @@ fn slow_loris_is_cut_off_within_twice_the_io_budget() {
     );
     let head = String::from_utf8_lossy(&response);
     assert!(head.starts_with("HTTP/1.1 408"), "got: {head}");
-    assert!(router.metrics().io_timeouts_total() > 0);
+    assert!(router.metrics().get(Counter::IoTimeouts) > 0);
     handle.shutdown().unwrap();
 }
 
@@ -1093,7 +1095,7 @@ fn overload_sheds_ingestion_first_while_cached_reads_survive() {
     // the hard one): admission control reads the gauge, so this stands
     // in for a real backlog deterministically.
     for _ in 0..6 {
-        router.metrics().dispatch_enqueued();
+        router.metrics().raise(Gauge::DispatchQueueDepth);
     }
 
     // Ingestion sheds with 503 + Retry-After before consuming the body.
@@ -1107,7 +1109,7 @@ fn overload_sheds_ingestion_first_while_cached_reads_survive() {
     .unwrap();
     assert_eq!(shed.status, 503);
     assert_eq!(shed.header("retry-after"), Some("1"));
-    assert!(router.metrics().shed_total() > 0);
+    assert!(router.metrics().get(Counter::Shed) > 0);
 
     // Cached reads still answer 200 under the same pressure.
     let read = loadgen::get(addr, "/v1/report?format=json").unwrap();
@@ -1115,7 +1117,7 @@ fn overload_sheds_ingestion_first_while_cached_reads_survive() {
 
     // Past the hard watermark even reads are cheap-rejected, pre-parse.
     for _ in 0..8 {
-        router.metrics().dispatch_enqueued();
+        router.metrics().raise(Gauge::DispatchQueueDepth);
     }
     let rejected = loadgen::get(addr, "/v1/report?format=json").unwrap();
     assert_eq!(rejected.status, 503);
@@ -1124,7 +1126,7 @@ fn overload_sheds_ingestion_first_while_cached_reads_survive() {
     // Drain the synthetic backlog so shutdown's wake-up connection is
     // actually served.
     for _ in 0..14 {
-        router.metrics().dispatch_dequeued();
+        router.metrics().lower(Gauge::DispatchQueueDepth);
     }
     handle.shutdown().unwrap();
 }
