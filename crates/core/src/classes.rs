@@ -23,18 +23,19 @@ impl ValidityDistribution {
                 .position(|v| *v == validity)
                 .expect("Validity::ALL is exhaustive")
         };
-        let mut per_os = Vec::with_capacity(OsDistribution::COUNT);
-        for os in OsDistribution::ALL {
-            let mut counts = [0usize; 4];
-            for row in study.store().vulnerabilities_for_os(os) {
-                counts[index_of(row.validity)] += 1;
-            }
-            per_os.push((os, counts));
-        }
+        let mut counts = [[0usize; 4]; OsDistribution::COUNT];
         let mut distinct = [0usize; 4];
         for row in study.store().rows() {
-            distinct[index_of(row.validity)] += 1;
+            let column = index_of(row.validity);
+            distinct[column] += 1;
+            for os in row.os_set {
+                counts[os.index()][column] += 1;
+            }
         }
+        let per_os = OsDistribution::ALL
+            .into_iter()
+            .map(|os| (os, counts[os.index()]))
+            .collect();
         ValidityDistribution { per_os, distinct }
     }
 
@@ -127,27 +128,22 @@ impl ClassDistribution {
                 .position(|p| *p == part)
                 .expect("OsPart::ALL is exhaustive")
         };
-        let mut per_os = Vec::with_capacity(OsDistribution::COUNT);
-        for os in OsDistribution::ALL {
-            let mut counts = [0usize; 4];
-            for row in study.store().vulnerabilities_for_os(os) {
-                if !row.is_valid() {
-                    continue;
-                }
-                if let Some(part) = row.part {
-                    counts[index_of(part)] += 1;
-                }
-            }
-            per_os.push((os, counts));
-        }
+        let mut counts = [[0usize; 4]; OsDistribution::COUNT];
         let mut class_totals = [0usize; 4];
-        let mut distinct_total = 0usize;
         for row in study.store().valid_rows() {
             if let Some(part) = row.part {
-                class_totals[index_of(part)] += 1;
-                distinct_total += 1;
+                let column = index_of(part);
+                class_totals[column] += 1;
+                for os in row.os_set {
+                    counts[os.index()][column] += 1;
+                }
             }
         }
+        let per_os = OsDistribution::ALL
+            .into_iter()
+            .map(|os| (os, counts[os.index()]))
+            .collect();
+        let distinct_total = class_totals.iter().sum();
         ClassDistribution {
             per_os,
             class_totals,

@@ -205,9 +205,8 @@ mod tests {
             let total: u64 = temporal.histogram(os).total();
             let expected = study
                 .store()
-                .vulnerabilities_for_os(os)
-                .iter()
-                .filter(|r| r.is_valid())
+                .valid_rows()
+                .filter(|r| r.os_set.contains(os))
                 .count() as u64;
             assert_eq!(total, expected, "{os}");
         }

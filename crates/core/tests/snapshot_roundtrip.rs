@@ -5,7 +5,7 @@
 //! only the offsets documented in docs/SNAPSHOT_FORMAT.md — so the spec
 //! and the code cannot drift apart silently.
 
-use nvd_model::{CveId, CvssV2, Date, OsPart, OsSet, Validity, VulnerabilityEntry};
+use nvd_model::{CveId, CvssV2, Date, OsDistribution, OsPart, OsSet, Validity, VulnerabilityEntry};
 use osdiv_core::snapshot::crc32;
 use osdiv_core::{
     analysis_sections, renderer, AnalysisId, Format, Params, Snapshot, SnapshotError, Study,
@@ -340,6 +340,83 @@ fn the_documented_offsets_parse_a_real_snapshot() {
         u32::from_le_bytes(payload[value_at..value_at + 4].try_into().unwrap()) as usize;
     assert_eq!(&payload[value_at + 4..value_at + 4 + value_len], b"golden");
 }
+
+/// The `STORE` payload of a small hand-built dataset, pinned by length and
+/// CRC-32. Every other test here compares the codec with itself, so only a
+/// pin notices an encoder change. The dataset covers the orders and
+/// columns the encoder writes: a CVE published twice (its second `os_vuln`
+/// row and its only `cvss` row land after other rows), per-release version
+/// lists, an entry without CVSS and an unclassified, disputed entry.
+#[test]
+fn the_store_payload_bytes_are_pinned() {
+    let date = |year, month, day| Date::new(year, month, day).unwrap();
+    let entries = [
+        VulnerabilityEntry::builder(CveId::new(2004, 230))
+            .published(date(2004, 4, 20))
+            .summary("TCP reset with spoofed packets")
+            .part(OsPart::Kernel)
+            .affects_os(OsDistribution::Windows2000)
+            .build()
+            .unwrap(),
+        VulnerabilityEntry::builder(CveId::new(2008, 1447))
+            .published(date(2008, 7, 8))
+            .summary("DNS cache poisoning")
+            .part(OsPart::SystemSoftware)
+            .cvss(CvssV2::typical_remote())
+            .affects_os_version(OsDistribution::Debian, "3.1")
+            .affects_os_version(OsDistribution::Debian, "4.0")
+            .affects_os_version(OsDistribution::RedHat, "5")
+            .affects_os(OsDistribution::FreeBsd)
+            .build()
+            .unwrap(),
+        VulnerabilityEntry::builder(CveId::new(2009, 10))
+            .published(date(2009, 1, 5))
+            .summary("Race condition in the audio driver")
+            .part(OsPart::Driver)
+            .affects_os(OsDistribution::Solaris)
+            .affects_os(OsDistribution::OpenSolaris)
+            .build()
+            .unwrap(),
+        VulnerabilityEntry::builder(CveId::new(2006, 3))
+            .published(date(2006, 11, 30))
+            .summary("Reported flaw the vendor disputes")
+            .validity(Validity::Disputed)
+            .cvss(CvssV2::typical_local())
+            .affects_os(OsDistribution::NetBsd)
+            .build()
+            .unwrap(),
+        // The second publication of CVE-2004-230: an earlier date, one more
+        // OS and the CVSS vector the first lacked.
+        VulnerabilityEntry::builder(CveId::new(2004, 230))
+            .published(date(2004, 4, 18))
+            .affects_os(OsDistribution::Windows2003)
+            .cvss(CvssV2::typical_remote())
+            .build()
+            .unwrap(),
+    ];
+    let dataset = StudyDataset::from_entries(&entries);
+    let store = dataset.store();
+    assert_eq!(store.vulnerability_count(), 4);
+    assert_eq!(store.os_vuln_count(), 8);
+    let bytes = Snapshot::to_bytes(&dataset, &[]);
+
+    // STORE is the first section-table entry (docs/SNAPSHOT_FORMAT.md).
+    let entry = &bytes[8..8 + 24];
+    assert_eq!(u16::from_le_bytes([entry[0], entry[1]]), 1, "STORE id");
+    let offset = u64::from_le_bytes(entry[4..12].try_into().unwrap()) as usize;
+    let length = u64::from_le_bytes(entry[12..20].try_into().unwrap()) as usize;
+    let payload = &bytes[offset..offset + length];
+    assert_eq!(
+        (payload.len(), reference_crc32(payload)),
+        (STORE_PIN_LENGTH, STORE_PIN_CRC),
+        "the STORE encoding changed"
+    );
+}
+
+/// The length and CRC-32 of `the_store_payload_bytes_are_pinned`'s payload,
+/// as the version 1 `STORE` encoder has always written it.
+const STORE_PIN_LENGTH: usize = 393;
+const STORE_PIN_CRC: u32 = 0xB332_E380;
 
 /// Rewrites a writer-produced snapshot with a fourth section-table entry
 /// (id 99, version 1) whose payload goes after the writer's three. The

@@ -104,11 +104,11 @@ impl DatasetSource {
 pub enum DatasetState {
     /// A built session is in memory.
     Resident,
-    /// An ingested dataset evicted to its snapshot; the next access
-    /// reloads it, same generation.
+    /// A dataset with a snapshot that is not in memory (evicted, or
+    /// recovered at boot); the next access reloads it, same generation.
     Spilled,
-    /// A synthetic spec that is not built; the next access builds it from
-    /// its seed.
+    /// A synthetic spec with no snapshot that is not built; the next
+    /// access builds it from its seed.
     Lazy,
     /// An ingested dataset evicted with no snapshot to reload: an
     /// eviction tombstone whose reads answer 410.
@@ -270,8 +270,8 @@ struct Slot {
     /// An ingested dataset whose payload was dropped by eviction with no
     /// snapshot to reload from (never set while `durable` holds).
     evicted: bool,
-    /// A valid snapshot of this registration exists on disk, so eviction
-    /// spills (reloadable) instead of tombstoning.
+    /// A valid snapshot of this registration exists on disk: an unbuilt
+    /// slot reloads it, and eviction spills instead of tombstoning.
     durable: bool,
     /// The registration's snapshot save is in flight: until it settles,
     /// the slot can be neither deleted nor evicted, so the save's outcome
@@ -291,11 +291,10 @@ impl Slot {
             DatasetState::Resident
         } else if self.evicted {
             DatasetState::Evicted
-        } else if self.durable && matches!(self.source, DatasetSource::Ingested { .. }) {
+        } else if self.durable {
             DatasetState::Spilled
         } else {
-            // A synthetic spec rebuilds from its seed, even when recovered
-            // from a snapshot.
+            // A synthetic spec with no snapshot rebuilds from its seed.
             DatasetState::Lazy
         }
     }
@@ -304,12 +303,12 @@ impl Slot {
 /// How an unbuilt slot becomes resident again (outside the lock).
 #[derive(Debug, Clone, Copy)]
 enum Rebuild {
-    /// Re-generate a synthetic dataset from its seed.
+    /// Re-generate a synthetic dataset that has no snapshot from its seed.
     Generate {
         /// The generator seed.
         seed: u64,
     },
-    /// Reload a spilled ingested dataset from its snapshot.
+    /// Reload a spilled dataset from its snapshot.
     Reload,
 }
 
@@ -331,9 +330,8 @@ impl Inner {
     /// Evicts least-recently-used unpinned built datasets until `incoming`
     /// extra bytes fit under `budget`. `keep` (the slot the bytes are being
     /// accounted to) and slots still saving their snapshot are never
-    /// evicted. Returns how many ingested
-    /// victims **spilled** (snapshot on disk, reloadable) rather than
-    /// tombstoned.
+    /// evicted. Returns how many victims **spilled** (snapshot on disk,
+    /// reloadable); an ingested victim without a snapshot is tombstoned.
     fn make_room(&mut self, incoming: usize, budget: usize, keep: &str) -> Result<u64, ()> {
         let mut spills = 0;
         while self.resident_bytes() + incoming > budget {
@@ -350,12 +348,10 @@ impl Inner {
             };
             let slot = self.slots.get_mut(&victim).expect("victim came from slots");
             slot.built = None;
-            if matches!(slot.source, DatasetSource::Ingested { .. }) {
-                if slot.durable {
-                    spills += 1;
-                } else {
-                    slot.evicted = true;
-                }
+            if slot.durable {
+                spills += 1;
+            } else if matches!(slot.source, DatasetSource::Ingested { .. }) {
+                slot.evicted = true;
             }
         }
         Ok(spills)
@@ -641,11 +637,14 @@ impl StudyRegistry {
                         if let Some(built) = &slot.built {
                             return Ok((Arc::clone(&built.study), slot.generation));
                         }
+                        // A snapshot holds the rows to serve, whatever the
+                        // source; only a synthetic spec without one is
+                        // regenerated from its seed.
                         match slot.source {
-                            DatasetSource::Synthetic { seed } => {
+                            DatasetSource::Synthetic { seed } if !slot.durable => {
                                 (Rebuild::Generate { seed }, slot.generation)
                             }
-                            DatasetSource::Ingested { .. } => {
+                            _ => {
                                 debug_assert!(slot.durable, "non-durable evictions tombstone");
                                 (Rebuild::Reload, slot.generation)
                             }

@@ -135,6 +135,41 @@ fn warm_restart_serves_byte_identical_reports() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `osdiv snapshot save` writes a synthetic tenant's snapshot without a
+/// feed. A boot over it must serve the file's rows, not regenerate the
+/// seed's, and evicting the tenant again is a spill.
+#[test]
+fn a_recovered_synthetic_tenant_loads_its_snapshot() {
+    let dir = temp_dir("synthetic");
+    let store = Arc::new(TenantStore::open(&dir).unwrap());
+    let (study, _) = ingest(&feed(4));
+    store
+        .save("syn", &study, &DatasetSource::Synthetic { seed: 1 })
+        .unwrap();
+    let bytes = study.estimated_bytes();
+    let registry = StudyRegistry::new(RegistryOptions {
+        max_datasets: 16,
+        max_total_bytes: bytes + bytes / 2,
+    })
+    .with_persistence(Arc::clone(&store));
+    assert_eq!(registry.recover().recovered, ["syn"]);
+    let served = registry.get("syn").unwrap();
+    assert_eq!(served.store().vulnerability_count(), 4);
+    assert_eq!(store.metrics().snapshot_loads(), 1);
+
+    // Admitting a second tenant evicts `syn` back to its snapshot.
+    let (other, source) = ingest(&feed(4));
+    registry.insert("other", other, source).unwrap();
+    let syn = registry
+        .list()
+        .into_iter()
+        .find(|info| info.name == "syn")
+        .unwrap();
+    assert_eq!(syn.state, DatasetState::Spilled);
+    assert_eq!(store.metrics().spills(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// An upload journal as earlier builds wrote it: `OSDJ`, format version
 /// 1, then one record of length, CRC-32 and the complete feed.
 fn old_journal(xml: &str) -> Vec<u8> {

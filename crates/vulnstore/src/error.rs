@@ -2,16 +2,9 @@
 
 use std::fmt;
 
-use nvd_model::CveId;
-
 /// Error produced by store operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
-    /// An entry with the same CVE identifier is already stored.
-    DuplicateVulnerability {
-        /// The identifier that was inserted twice.
-        id: CveId,
-    },
     /// A row referenced by id does not exist.
     NotFound {
         /// Description of what was being looked up.
@@ -29,9 +22,6 @@ pub enum StoreError {
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StoreError::DuplicateVulnerability { id } => {
-                write!(f, "vulnerability {id} is already stored")
-            }
             StoreError::NotFound { what } => write!(f, "{what} not found"),
             StoreError::Inconsistent { what } => {
                 write!(f, "inconsistent store tables: {what}")
@@ -47,11 +37,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn display_mentions_id() {
-        let err = StoreError::DuplicateVulnerability {
-            id: CveId::new(2008, 1447),
+    fn display_names_the_violated_invariant() {
+        let err = StoreError::Inconsistent {
+            what: "duplicate CVE identifier",
         };
-        assert!(err.to_string().contains("CVE-2008-1447"));
+        assert_eq!(
+            err.to_string(),
+            "inconsistent store tables: duplicate CVE identifier"
+        );
     }
 
     #[test]

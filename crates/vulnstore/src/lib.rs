@@ -7,14 +7,15 @@
 //! (3) run the aggregation queries behind every table in the paper. This
 //! crate provides the same capability without an external database server:
 //!
-//! * [`schema`] — typed row structs for the `vulnerability`, `os`,
-//!   `os_vuln`, `cvss` and `vulnerability_type` tables of Figure 1;
-//! * [`table`] — a small generic table abstraction with primary-key lookup
-//!   and secondary indexes;
+//! * [`schema`] — typed row structs for the `vulnerability`, `os_vuln`,
+//!   `cvss` and `vulnerability_type` tables of Figure 1 (the `os` table is
+//!   [`nvd_model::OsDistribution`] itself);
 //! * [`store`] — [`VulnStore`], the facade that ingests
-//!   [`nvd_model::VulnerabilityEntry`] values and exposes the relational
-//!   queries the analysis crates need (joins between `os_vuln` and
-//!   `vulnerability`, filtered counts, grouped aggregations).
+//!   [`nvd_model::VulnerabilityEntry`] values into plain row vectors and
+//!   exposes the rows plus the joins the analysis crates need (CVSS per
+//!   vulnerability, affected versions per OS);
+//! * [`snapshot`] — the binary row codec behind the `STORE` section of a
+//!   snapshot.
 //!
 //! # Example
 //!
@@ -33,7 +34,11 @@
 //! store.insert_entry(&entry);
 //!
 //! assert_eq!(store.vulnerability_count(), 1);
-//! assert_eq!(store.vulnerabilities_for_os(OsDistribution::Debian).len(), 1);
+//! let debian = store
+//!     .rows()
+//!     .filter(|row| row.os_set.contains(OsDistribution::Debian))
+//!     .count();
+//! assert_eq!(debian, 1);
 //! # Ok(())
 //! # }
 //! ```
@@ -45,13 +50,11 @@ pub mod error;
 pub mod schema;
 pub mod snapshot;
 pub mod store;
-pub mod table;
 
 pub use error::StoreError;
-pub use schema::{CvssRow, OsRow, OsVulnRow, VulnId, VulnerabilityRow};
+pub use schema::{CvssRow, OsVulnRow, VulnId, VulnerabilityRow};
 pub use snapshot::{decode_store, encode_store, RowCodecError, STORE_SECTION_VERSION};
 pub use store::VulnStore;
-pub use table::Table;
 
 /// Convenience result alias used across the crate.
 pub type Result<T, E = StoreError> = std::result::Result<T, E>;

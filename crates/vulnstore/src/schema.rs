@@ -2,13 +2,14 @@
 //!
 //! The paper's schema has five groups of tables: `vulnerability`,
 //! `vulnerability_type`, `os`, `os_vuln` and the `cvss` tables. The
-//! `vulnerability_type` and `cvss` information is small enough to be stored
-//! as columns of [`VulnerabilityRow`] / a dedicated [`CvssRow`], but the
-//! separation into row structs keeps the mapping to Figure 1 explicit.
+//! `vulnerability_type` information is a column of [`VulnerabilityRow`],
+//! the `cvss` tables are one [`CvssRow`] per vulnerability, and `os_vuln`
+//! is [`OsVulnRow`]. The `os` table held the 11 studied distributions with
+//! their hand-assigned family and first release year; here that is
+//! [`OsDistribution`] itself, with [`OsDistribution::family`] and
+//! [`OsDistribution::first_release_year`].
 
-use nvd_model::{
-    AccessVector, CveId, CvssV2, Date, OsDistribution, OsFamily, OsPart, OsSet, Validity,
-};
+use nvd_model::{AccessVector, CveId, CvssV2, Date, OsDistribution, OsPart, OsSet, Validity};
 
 /// Internal, dense identifier of a vulnerability row (primary key of the
 /// `vulnerability` table). Dense ids keep the `os_vuln` join table compact.
@@ -52,29 +53,6 @@ impl VulnerabilityRow {
     /// Whether the row survives the paper's validity filter.
     pub fn is_valid(&self) -> bool {
         self.validity.is_valid()
-    }
-}
-
-/// A row of the `os` table: one of the 11 studied distributions with the
-/// hand-assigned family name and release year.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OsRow {
-    /// The distribution (primary key; its index is the row id).
-    pub os: OsDistribution,
-    /// The OS family assigned by hand in the paper's database.
-    pub family: OsFamily,
-    /// Year of the first release.
-    pub first_release_year: u16,
-}
-
-impl OsRow {
-    /// Builds the row for a distribution.
-    pub fn new(os: OsDistribution) -> Self {
-        OsRow {
-            os,
-            family: os.family(),
-            first_release_year: os.first_release_year(),
-        }
     }
 }
 
@@ -125,13 +103,6 @@ impl CvssRow {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn os_row_carries_family_and_release_year() {
-        let row = OsRow::new(OsDistribution::Windows2003);
-        assert_eq!(row.family, OsFamily::Windows);
-        assert_eq!(row.first_release_year, 2003);
-    }
 
     #[test]
     fn os_vuln_version_matching() {

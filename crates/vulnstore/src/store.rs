@@ -2,28 +2,28 @@
 
 use std::collections::HashMap;
 
-use nvd_model::{AccessVector, CveId, OsDistribution, OsPart, OsSet, Validity, VulnerabilityEntry};
+use nvd_model::{AccessVector, CveId, OsDistribution, OsPart, OsSet, VulnerabilityEntry};
 
-use crate::schema::{CvssRow, OsRow, OsVulnRow, VulnId, VulnerabilityRow};
-use crate::table::Table;
+use crate::schema::{CvssRow, OsVulnRow, VulnId, VulnerabilityRow};
 use crate::StoreError;
 
-/// The in-memory database with the tables of Figure 1 of the paper.
+/// The in-memory database with the data tables of Figure 1 of the paper.
 ///
-/// Ingestion is by [`VulnerabilityEntry`]; queries expose both row-level
-/// access (for the analysis crates to aggregate as they wish) and the common
-/// joins (vulnerabilities per OS, CVSS per vulnerability, affected versions
-/// per OS).
+/// The `os` table of Figure 1 is [`OsDistribution`] itself: its family
+/// and first release year are constants of the enum. Ingestion is by
+/// [`VulnerabilityEntry`]; queries expose the rows (for the analysis
+/// crates to aggregate as they wish) and the two joins the analyses use
+/// (CVSS per vulnerability, affected versions per OS).
 #[derive(Debug, Clone, Default)]
 pub struct VulnStore {
-    vulnerabilities: Table<VulnerabilityRow>,
-    os: Table<OsRow>,
-    os_vuln: Table<OsVulnRow>,
-    cvss: Table<CvssRow>,
+    /// The `vulnerability` table; a row's [`VulnId`] is its position.
+    vulnerabilities: Vec<VulnerabilityRow>,
+    /// The `os_vuln` join table, in insertion order.
+    os_vuln: Vec<OsVulnRow>,
+    /// The `cvss` table, in insertion order.
+    cvss: Vec<CvssRow>,
     /// Unique index `vulnerability.cve -> vulnerability.id`.
     by_cve: HashMap<CveId, VulnId>,
-    /// Index `os -> [vulnerability.id]` (insertion order).
-    by_os: Vec<Vec<VulnId>>,
     /// Index `vulnerability.id -> cvss row id`.
     cvss_by_vuln: HashMap<VulnId, usize>,
     /// Index `vulnerability.id -> [os_vuln row ids]`.
@@ -31,23 +31,9 @@ pub struct VulnStore {
 }
 
 impl VulnStore {
-    /// Creates an empty store with the `os` table pre-populated with the 11
-    /// studied distributions (as the paper's database was).
+    /// Creates an empty store.
     pub fn new() -> Self {
-        let mut store = VulnStore {
-            vulnerabilities: Table::new("vulnerability"),
-            os: Table::new("os"),
-            os_vuln: Table::new("os_vuln"),
-            cvss: Table::new("cvss"),
-            by_cve: HashMap::new(),
-            by_os: vec![Vec::new(); OsDistribution::COUNT],
-            cvss_by_vuln: HashMap::new(),
-            os_vuln_by_vuln: HashMap::new(),
-        };
-        for os in OsDistribution::ALL {
-            store.os.insert(OsRow::new(os));
-        }
-        store
+        Self::default()
     }
 
     // ------------------------------------------------------------------
@@ -67,19 +53,6 @@ impl VulnStore {
         }
     }
 
-    /// Inserts an entry, failing if the CVE identifier is already stored.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::DuplicateVulnerability`] when the identifier is
-    /// already present.
-    pub fn try_insert_entry(&mut self, entry: &VulnerabilityEntry) -> Result<VulnId, StoreError> {
-        if self.by_cve.contains_key(&entry.id()) {
-            return Err(StoreError::DuplicateVulnerability { id: entry.id() });
-        }
-        Ok(self.insert_new(entry))
-    }
-
     /// Ingests every entry of an iterator (merging duplicates) and returns
     /// the number of *new* rows created.
     pub fn ingest<'a, I>(&mut self, entries: I) -> usize
@@ -96,7 +69,7 @@ impl VulnStore {
     fn insert_new(&mut self, entry: &VulnerabilityEntry) -> VulnId {
         let os_set = entry.affected_os_set();
         let id = VulnId(self.vulnerabilities.len() as u32);
-        self.vulnerabilities.insert(VulnerabilityRow {
+        self.vulnerabilities.push(VulnerabilityRow {
             id,
             cve: entry.id(),
             published: entry.published(),
@@ -107,9 +80,6 @@ impl VulnStore {
         });
         self.by_cve.insert(entry.id(), id);
 
-        for os in os_set {
-            self.by_os[os.index()].push(id);
-        }
         // One os_vuln row per affected product that clusters into an OS, so
         // version information is preserved per (vulnerability, OS).
         let mut versions_per_os: HashMap<OsDistribution, Vec<String>> = HashMap::new();
@@ -123,59 +93,57 @@ impl VulnStore {
         }
         for os in os_set {
             let versions = versions_per_os.remove(&os).unwrap_or_default();
-            let row_id = self.os_vuln.insert(OsVulnRow {
+            self.push_os_vuln(OsVulnRow {
                 vuln: id,
                 os,
                 versions,
             });
-            self.os_vuln_by_vuln.entry(id).or_default().push(row_id);
         }
         if let Some(cvss) = entry.cvss() {
-            let row_id = self.cvss.insert(CvssRow::new(id, *cvss));
-            self.cvss_by_vuln.insert(id, row_id);
+            self.push_cvss(CvssRow::new(id, *cvss));
         }
         id
     }
 
+    fn push_os_vuln(&mut self, row: OsVulnRow) {
+        self.os_vuln_by_vuln
+            .entry(row.vuln)
+            .or_default()
+            .push(self.os_vuln.len());
+        self.os_vuln.push(row);
+    }
+
+    fn push_cvss(&mut self, row: CvssRow) {
+        self.cvss_by_vuln.insert(row.vuln, self.cvss.len());
+        self.cvss.push(row);
+    }
+
     fn merge_into(&mut self, id: VulnId, entry: &VulnerabilityEntry) {
-        let new_oses: Vec<OsDistribution> = {
-            let row = self
-                .vulnerabilities
-                .get(id.index())
-                .expect("index by_cve points at an existing row");
-            entry
-                .affected_os_set()
-                .difference(row.os_set)
-                .iter()
-                .collect()
-        };
-        if let Some(row) = self.vulnerabilities.get_mut(id.index()) {
-            for os in &new_oses {
-                row.os_set.insert(*os);
-            }
-            if row.part.is_none() {
-                row.part = entry.part();
-            }
-            if row.summary.is_empty() {
-                row.summary = entry.summary().to_string();
-            }
-            if entry.published() < row.published {
-                row.published = entry.published();
-            }
+        let row = self
+            .vulnerabilities
+            .get_mut(id.index())
+            .expect("by_cve points at an existing row");
+        let new_oses = entry.affected_os_set().difference(row.os_set);
+        row.os_set = row.os_set.union(new_oses);
+        if row.part.is_none() {
+            row.part = entry.part();
+        }
+        if row.summary.is_empty() {
+            row.summary = entry.summary().to_string();
+        }
+        if entry.published() < row.published {
+            row.published = entry.published();
         }
         for os in new_oses {
-            self.by_os[os.index()].push(id);
-            let row_id = self.os_vuln.insert(OsVulnRow {
+            self.push_os_vuln(OsVulnRow {
                 vuln: id,
                 os,
                 versions: Vec::new(),
             });
-            self.os_vuln_by_vuln.entry(id).or_default().push(row_id);
         }
         if !self.cvss_by_vuln.contains_key(&id) {
             if let Some(cvss) = entry.cvss() {
-                let row_id = self.cvss.insert(CvssRow::new(id, *cvss));
-                self.cvss_by_vuln.insert(id, row_id);
+                self.push_cvss(CvssRow::new(id, *cvss));
             }
         }
     }
@@ -183,11 +151,10 @@ impl VulnStore {
     /// Reconstructs a store from the three persisted tables, rebuilding
     /// every derived index from table scan order.
     ///
-    /// [`insert_entry`](VulnStore::insert_entry) appends `os_vuln` rows
-    /// and pushes into `by_os` in the same loop, so the global `os_vuln`
-    /// table order *is* the per-OS insertion order — a single in-order
-    /// scan reproduces `by_os`, `os_vuln_by_vuln`, `cvss_by_vuln` and
-    /// `by_cve` exactly as ingestion built them.
+    /// [`insert_entry`](VulnStore::insert_entry) only ever appends rows,
+    /// so a single in-order scan of each table reproduces `by_cve`,
+    /// `os_vuln_by_vuln` and `cvss_by_vuln` exactly as ingestion built
+    /// them.
     ///
     /// # Errors
     ///
@@ -202,17 +169,18 @@ impl VulnStore {
         cvss: Vec<CvssRow>,
     ) -> Result<VulnStore, StoreError> {
         let inconsistent = |what: &'static str| StoreError::Inconsistent { what };
-        let mut store = VulnStore::new();
+        let mut by_cve = HashMap::new();
         for (position, row) in vulnerabilities.iter().enumerate() {
             if row.id.index() != position {
                 return Err(inconsistent("vulnerability row id != row position"));
             }
-            if store.by_cve.insert(row.cve, row.id).is_some() {
+            if by_cve.insert(row.cve, row.id).is_some() {
                 return Err(inconsistent("duplicate CVE identifier"));
             }
         }
         let vuln_count = vulnerabilities.len();
         let mut joined_sets = vec![OsSet::new(); vuln_count];
+        let mut os_vuln_by_vuln: HashMap<VulnId, Vec<usize>> = HashMap::new();
         for (row_id, row) in os_vuln.iter().enumerate() {
             if row.vuln.index() >= vuln_count {
                 return Err(inconsistent(
@@ -223,30 +191,30 @@ impl VulnStore {
                 return Err(inconsistent("duplicate (vulnerability, OS) join row"));
             }
             joined_sets[row.vuln.index()].insert(row.os);
-            store.by_os[row.os.index()].push(row.vuln);
-            store
-                .os_vuln_by_vuln
-                .entry(row.vuln)
-                .or_default()
-                .push(row_id);
+            os_vuln_by_vuln.entry(row.vuln).or_default().push(row_id);
         }
         for (row, joined) in vulnerabilities.iter().zip(&joined_sets) {
             if row.os_set != *joined {
                 return Err(inconsistent("os_set disagrees with the os_vuln join table"));
             }
         }
+        let mut cvss_by_vuln = HashMap::new();
         for (row_id, row) in cvss.iter().enumerate() {
             if row.vuln.index() >= vuln_count {
                 return Err(inconsistent("cvss row references a missing vulnerability"));
             }
-            if store.cvss_by_vuln.insert(row.vuln, row_id).is_some() {
+            if cvss_by_vuln.insert(row.vuln, row_id).is_some() {
                 return Err(inconsistent("more than one cvss row per vulnerability"));
             }
         }
-        store.vulnerabilities.extend(vulnerabilities);
-        store.os_vuln.extend(os_vuln);
-        store.cvss.extend(cvss);
-        Ok(store)
+        Ok(VulnStore {
+            vulnerabilities,
+            os_vuln,
+            cvss,
+            by_cve,
+            cvss_by_vuln,
+            os_vuln_by_vuln,
+        })
     }
 
     // ------------------------------------------------------------------
@@ -274,7 +242,6 @@ impl VulnStore {
             .iter()
             .map(|row| std::mem::size_of::<VulnerabilityRow>() + row.summary.len())
             .sum::<usize>();
-        bytes += self.os.len() * std::mem::size_of::<OsRow>();
         bytes += self
             .os_vuln
             .iter()
@@ -289,11 +256,6 @@ impl VulnStore {
             .sum::<usize>();
         bytes += self.cvss.len() * std::mem::size_of::<CvssRow>();
         bytes += self.by_cve.len() * std::mem::size_of::<(CveId, VulnId)>();
-        bytes += self
-            .by_os
-            .iter()
-            .map(|ids| ids.len() * std::mem::size_of::<VulnId>())
-            .sum::<usize>();
         bytes += (self.cvss_by_vuln.len() + self.os_vuln_by_vuln.len())
             * std::mem::size_of::<(VulnId, usize)>();
         bytes += self
@@ -302,11 +264,6 @@ impl VulnStore {
             .map(|ids| ids.len() * std::mem::size_of::<usize>())
             .sum::<usize>();
         bytes
-    }
-
-    /// The rows of the `os` table (always the 11 studied distributions).
-    pub fn os_rows(&self) -> impl Iterator<Item = &OsRow> {
-        self.os.iter()
     }
 
     /// Looks a vulnerability row up by its dense id.
@@ -332,19 +289,6 @@ impl VulnStore {
     /// Number of valid (study-relevant) vulnerabilities.
     pub fn valid_count(&self) -> usize {
         self.valid_rows().count()
-    }
-
-    /// Number of vulnerabilities with the given validity flag.
-    pub fn count_by_validity(&self, validity: Validity) -> usize {
-        self.rows().filter(|row| row.validity == validity).count()
-    }
-
-    /// The vulnerability rows affecting a given OS (valid and invalid).
-    pub fn vulnerabilities_for_os(&self, os: OsDistribution) -> Vec<&VulnerabilityRow> {
-        self.by_os[os.index()]
-            .iter()
-            .filter_map(|id| self.get(*id))
-            .collect()
     }
 
     /// The CVSS row of a vulnerability, if one was stored.
@@ -377,7 +321,7 @@ impl VulnStore {
     }
 
     /// Iterates over the whole `os_vuln` join table in insertion order —
-    /// the order [`VulnStore::from_rows`] rebuilds the per-OS indexes
+    /// the order [`VulnStore::from_rows`] rebuilds `os_vuln_by_vuln`
     /// from, so serializing this scan round-trips the store exactly.
     pub fn os_vuln_rows(&self) -> impl Iterator<Item = &OsVulnRow> {
         self.os_vuln.iter()
@@ -416,42 +360,6 @@ impl VulnStore {
             }),
         }
     }
-
-    /// Updates the validity flag of a vulnerability.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::NotFound`] if the id does not exist.
-    pub fn set_validity(&mut self, id: VulnId, validity: Validity) -> Result<(), StoreError> {
-        match self.vulnerabilities.get_mut(id.index()) {
-            Some(row) => {
-                row.validity = validity;
-                Ok(())
-            }
-            None => Err(StoreError::NotFound {
-                what: "vulnerability row",
-            }),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Set-level queries used throughout the analysis
-    // ------------------------------------------------------------------
-
-    /// Valid vulnerability rows whose affected set contains **all** members
-    /// of `group` — the common vulnerabilities of a replica group.
-    pub fn shared_by_all(&self, group: OsSet) -> Vec<&VulnerabilityRow> {
-        self.valid_rows()
-            .filter(|row| group.is_subset_of(&row.os_set))
-            .collect()
-    }
-
-    /// Valid vulnerability rows whose affected set intersects `group`.
-    pub fn affecting_any(&self, group: OsSet) -> Vec<&VulnerabilityRow> {
-        self.valid_rows()
-            .filter(|row| group.intersects(&row.os_set))
-            .collect()
-    }
 }
 
 /// Builds a store directly from an iterator of entries.
@@ -466,7 +374,7 @@ impl<'a> FromIterator<&'a VulnerabilityEntry> for VulnStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvd_model::{CvssV2, Date};
+    use nvd_model::{CvssV2, Date, Validity};
 
     fn entry(
         cve: CveId,
@@ -491,11 +399,20 @@ mod tests {
     }
 
     #[test]
-    fn new_store_has_the_eleven_os_rows() {
-        let store = VulnStore::new();
-        assert_eq!(store.os_rows().count(), 11);
+    fn a_default_store_accepts_an_entry() {
+        let mut store = VulnStore::default();
         assert_eq!(store.vulnerability_count(), 0);
         assert_eq!(store.valid_count(), 0);
+        let e = entry(
+            CveId::new(2008, 1447),
+            2008,
+            OsPart::Kernel,
+            true,
+            &[OsDistribution::Debian],
+        );
+        let id = store.insert_entry(&e);
+        assert_eq!(store.get(id).unwrap().cve, CveId::new(2008, 1447));
+        assert_eq!(store.os_vuln_count(), 1);
     }
 
     #[test]
@@ -516,18 +433,15 @@ mod tests {
         assert_eq!(row.os_set.len(), 2);
         assert_eq!(store.get_by_cve(CveId::new(2008, 1447)).unwrap().id, id);
         assert!(store.is_remote(id));
+        let joined: OsSet = store.os_vuln_rows_for(id).map(|row| row.os).collect();
         assert_eq!(
-            store.vulnerabilities_for_os(OsDistribution::Debian).len(),
-            1
-        );
-        assert_eq!(
-            store.vulnerabilities_for_os(OsDistribution::Solaris).len(),
-            0
+            joined,
+            OsSet::pair(OsDistribution::Debian, OsDistribution::FreeBsd)
         );
     }
 
     #[test]
-    fn try_insert_rejects_duplicates_but_insert_merges() {
+    fn insert_merges_a_duplicate_cve() {
         let mut store = VulnStore::new();
         let a = entry(
             CveId::new(2004, 230),
@@ -543,24 +457,16 @@ mod tests {
             true,
             &[OsDistribution::Windows2003],
         );
-        let id = store.try_insert_entry(&a).unwrap();
-        assert!(matches!(
-            store.try_insert_entry(&b),
-            Err(StoreError::DuplicateVulnerability { .. })
-        ));
+        let id = store.insert_entry(&a);
         let merged_id = store.insert_entry(&b);
         assert_eq!(merged_id, id);
         assert_eq!(store.vulnerability_count(), 1);
         let row = store.get(id).unwrap();
         assert!(row.os_set.contains(OsDistribution::Windows2000));
         assert!(row.os_set.contains(OsDistribution::Windows2003));
-        // Both OS indexes know the vulnerability.
-        assert_eq!(
-            store
-                .vulnerabilities_for_os(OsDistribution::Windows2003)
-                .len(),
-            1
-        );
+        // The merge appends a join row for the new OS only.
+        assert_eq!(store.os_vuln_count(), 2);
+        assert_eq!(store.os_vuln_rows_for(id).count(), 2);
     }
 
     #[test]
@@ -616,59 +522,11 @@ mod tests {
         store.ingest([&valid, &unknown, &disputed]);
         assert_eq!(store.vulnerability_count(), 3);
         assert_eq!(store.valid_count(), 1);
-        assert_eq!(store.count_by_validity(Validity::Unknown), 1);
-        assert_eq!(store.count_by_validity(Validity::Disputed), 1);
-        assert_eq!(store.count_by_validity(Validity::Unspecified), 0);
-    }
-
-    #[test]
-    fn shared_by_all_and_affecting_any() {
-        let mut store = VulnStore::new();
-        store.ingest([
-            &entry(
-                CveId::new(2007, 1),
-                2007,
-                OsPart::Kernel,
-                true,
-                &[
-                    OsDistribution::OpenBsd,
-                    OsDistribution::NetBsd,
-                    OsDistribution::FreeBsd,
-                ],
-            ),
-            &entry(
-                CveId::new(2007, 2),
-                2007,
-                OsPart::Kernel,
-                true,
-                &[OsDistribution::OpenBsd, OsDistribution::NetBsd],
-            ),
-            &entry(
-                CveId::new(2007, 3),
-                2007,
-                OsPart::Kernel,
-                true,
-                &[OsDistribution::Debian],
-            ),
-        ]);
-        let pair = OsSet::pair(OsDistribution::OpenBsd, OsDistribution::NetBsd);
-        assert_eq!(store.shared_by_all(pair).len(), 2);
-        let triple = OsSet::from_iter([
-            OsDistribution::OpenBsd,
-            OsDistribution::NetBsd,
-            OsDistribution::FreeBsd,
-        ]);
-        assert_eq!(store.shared_by_all(triple).len(), 1);
+        let flags: Vec<_> = store.rows().map(|row| row.validity).collect();
         assert_eq!(
-            store
-                .affecting_any(OsSet::singleton(OsDistribution::Debian))
-                .len(),
-            1
+            flags,
+            [Validity::Valid, Validity::Unknown, Validity::Disputed]
         );
-        assert_eq!(store.affecting_any(OsSet::all()).len(), 3);
-        assert!(store
-            .shared_by_all(OsSet::pair(OsDistribution::Debian, OsDistribution::Ubuntu))
-            .is_empty());
     }
 
     #[test]
@@ -698,7 +556,7 @@ mod tests {
     }
 
     #[test]
-    fn set_part_and_validity_update_rows() {
+    fn set_part_updates_rows() {
         let mut store = VulnStore::new();
         let e = VulnerabilityEntry::builder(CveId::new(2009, 9))
             .summary("unclassified flaw")
@@ -709,10 +567,7 @@ mod tests {
         assert_eq!(store.get(id).unwrap().part, None);
         store.set_part(id, OsPart::Driver).unwrap();
         assert_eq!(store.get(id).unwrap().part, Some(OsPart::Driver));
-        store.set_validity(id, Validity::Unspecified).unwrap();
-        assert_eq!(store.valid_count(), 0);
         assert!(store.set_part(VulnId(999), OsPart::Kernel).is_err());
-        assert!(store.set_validity(VulnId(999), Validity::Valid).is_err());
     }
 
     #[test]
@@ -769,38 +624,9 @@ mod tests {
                     let id = store.insert_entry(&e);
                     let row = store.get(id).unwrap();
                     prop_assert_eq!(row.os_set, *set);
+                    let joined: OsSet = store.os_vuln_rows_for(id).map(|r| r.os).collect();
+                    prop_assert_eq!(joined, *set);
                     prop_assert_eq!(store.os_vuln_rows_for(id).count(), set.len());
-                }
-                // The per-OS index is consistent with the row os_sets.
-                for os in OsDistribution::ALL {
-                    let indexed = store.vulnerabilities_for_os(os).len();
-                    let scanned = store.rows().filter(|r| r.os_set.contains(os)).count();
-                    prop_assert_eq!(indexed, scanned);
-                }
-            }
-
-            #[test]
-            fn shared_by_all_is_monotone_in_group_size(
-                sets in proptest::collection::vec(arbitrary_os_set(), 1..40),
-                group in arbitrary_os_set(),
-            ) {
-                let mut store = VulnStore::new();
-                for (i, set) in sets.iter().enumerate() {
-                    let e = VulnerabilityEntry::builder(CveId::new(2006, i as u32 + 1))
-                        .affects_set(*set)
-                        .build()
-                        .unwrap();
-                    store.insert_entry(&e);
-                }
-                // Adding one more OS to the group can only shrink the set of
-                // common vulnerabilities.
-                let with_all = store.shared_by_all(group).len();
-                for os in OsDistribution::ALL {
-                    if !group.contains(os) {
-                        let mut bigger = group;
-                        bigger.insert(os);
-                        prop_assert!(store.shared_by_all(bigger).len() <= with_all);
-                    }
                 }
             }
         }
