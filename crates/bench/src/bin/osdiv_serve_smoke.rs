@@ -694,7 +694,7 @@ fn run_loadgen_bench(
     line.u64_field("p90_us", report.quantile_us(0.90));
     line.u64_field("p99_us", report.quantile_us(0.99));
     line.u64_field("p999_us", report.quantile_us(0.999));
-    line.f64_field("mean_us", report.latency.mean_us());
+    line.f64_field("mean_us", report.mean_us());
     line.f64_field("cache_hit_ratio", hit_ratio);
     let mut payload = line.finish();
     payload.push('\n');

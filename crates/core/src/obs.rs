@@ -1,30 +1,22 @@
-//! Dependency-free observability primitives: a lock-free log-bucketed
-//! latency histogram, Prometheus histogram rendering, and a structured
-//! JSON-lines event log.
+//! Dependency-free observability primitives: a lock-free latency
+//! histogram, Prometheus histogram rendering, and a structured JSON-lines
+//! event log.
 //!
 //! # The histogram
 //!
-//! [`LatencyHistogram`] records durations in **microseconds** into a fixed
-//! table of relaxed [`AtomicU64`] buckets — recording is wait-free, never
-//! allocates, and takes `&self`, so one histogram is safely shared across
-//! every worker thread of a server. The bucket layout is HDR-style
-//! log-linear:
+//! [`LatencyHistogram`] records durations in **microseconds** into one
+//! relaxed [`AtomicU64`] counter per `le` bound of
+//! [`PROMETHEUS_BOUNDS_US`] (5 µs to 60 s), one overflow counter for
+//! samples above 60 s, and the exact sum: 24 atomics, 192 bytes.
+//! Recording is wait-free, never allocates, and takes `&self`, so one
+//! histogram is safely shared across every worker thread of a server.
+//! Each sample counts under the first bound at or above it, so every
+//! published `le` line counts exactly the samples at or below its bound.
 //!
-//! * values `0..64` µs land in one exact bucket each;
-//! * every octave above (`64..128`, `128..256`, …) is split into 64
-//!   linear sub-buckets, bounding the relative quantile error by
-//!   `1/64 ≈ 1.6%` (about two significant digits);
-//! * the range is capped at [`MAX_TRACKED_US`] (60 s) — longer values
-//!   clamp into the last bucket, with the exact total still available
-//!   through the `_sum` term.
-//!
-//! That is 64 + 20·64 = 1344 buckets, ~10.5 KiB per histogram.
-//!
-//! [`HistogramSnapshot`] is a point-in-time copy for reading: quantiles
-//! ([`quantile_us`](HistogramSnapshot::quantile_us)), the mean, and the
+//! [`HistogramSnapshot`] is a point-in-time copy for reading; the
 //! Prometheus histogram exposition
-//! ([`render_prometheus`](HistogramSnapshot::render_prometheus)) all work
-//! on the snapshot so a scrape observes one consistent view.
+//! ([`render_prometheus`](HistogramSnapshot::render_prometheus)) works on
+//! the snapshot, so the bucket lines and `_count` of one scrape agree.
 //!
 //! # The event log
 //!
@@ -64,60 +56,25 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use parking_lot::Mutex;
 use tabular::json_escape_into;
 
-/// The histogram range cap in microseconds (60 s). Longer values clamp
-/// into the final bucket; `_sum` keeps the exact total.
-pub const MAX_TRACKED_US: u64 = 60_000_000;
-
-/// Exact one-microsecond buckets below the first octave.
-const LINEAR_BUCKETS: usize = 64;
-
-/// Log-linear octaves covering `64 µs .. 2^26 µs` (the cap rounds into the
-/// last one): exponents 6 through 25 inclusive.
-const OCTAVES: usize = 20;
-
-/// Total bucket table length.
-const BUCKET_TABLE: usize = LINEAR_BUCKETS + OCTAVES * LINEAR_BUCKETS;
-
-/// Coarse `le` boundaries (in microseconds) used for the Prometheus
-/// exposition — the in-process resolution stays 1/64, but a scrape gets a
-/// conventional ~22-bucket series from 5 µs to 60 s.
+/// The `le` bounds, in microseconds, of every histogram series: 22
+/// conventional bounds from 5 µs to 60 s. Strictly increasing, which
+/// [`LatencyHistogram::record_us`]'s binary search relies on.
 pub const PROMETHEUS_BOUNDS_US: [u64; 22] = [
     5, 10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000,
     500_000, 1_000_000, 2_500_000, 5_000_000, 10_000_000, 30_000_000, 60_000_000,
 ];
 
-/// The fine-bucket slot a (clamped) microsecond value lands in.
-fn bucket_slot(value_us: u64) -> usize {
-    let value = value_us.min(MAX_TRACKED_US);
-    if value < LINEAR_BUCKETS as u64 {
-        value as usize
-    } else {
-        // 64 ≤ value < 2^26, so the leading-bit exponent is 6..=25.
-        let exponent = 63 - value.leading_zeros() as usize;
-        let shift = exponent - 6;
-        LINEAR_BUCKETS + shift * LINEAR_BUCKETS + ((value >> shift) as usize & 63)
-    }
-}
+/// Bucket counters per histogram: one per bound, then the overflow.
+const BUCKETS: usize = PROMETHEUS_BOUNDS_US.len() + 1;
 
-/// The largest microsecond value that lands in `slot` (the inclusive
-/// upper edge of the fine bucket).
-fn bucket_limit(slot: usize) -> u64 {
-    if slot < LINEAR_BUCKETS {
-        slot as u64
-    } else {
-        let shift = (slot - LINEAR_BUCKETS) / LINEAR_BUCKETS;
-        let sub = (slot - LINEAR_BUCKETS) % LINEAR_BUCKETS;
-        (((LINEAR_BUCKETS + sub + 1) as u64) << shift) - 1 // guard: allow(arith) — sub < 64 and shift ≤ 19: the shift tops out at 129 << 19 < 2^27 and is ≥ 65, so neither overflow nor underflow is possible.
-    }
-}
-
-/// A lock-free, log-bucketed latency histogram (see the module docs for
-/// the bucket layout). Recording is wait-free and allocation-free; reads
-/// go through [`snapshot`](LatencyHistogram::snapshot).
+/// A lock-free latency histogram over [`PROMETHEUS_BOUNDS_US`] (see the
+/// module docs). Recording is wait-free and allocation-free; reads go
+/// through [`snapshot`](LatencyHistogram::snapshot).
 pub struct LatencyHistogram {
-    buckets: Box<[AtomicU64]>,
+    /// Samples per bucket: index `i < 22` holds the samples above bound
+    /// `i - 1` and at or below bound `i`; the last holds those above 60 s.
+    buckets: [AtomicU64; BUCKETS],
     sum_us: AtomicU64,
-    total: AtomicU64,
 }
 
 impl Default for LatencyHistogram {
@@ -129,7 +86,7 @@ impl Default for LatencyHistogram {
 impl fmt::Debug for LatencyHistogram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("LatencyHistogram")
-            .field("total", &self.total.load(Ordering::Relaxed))
+            .field("total", &self.total())
             .field("sum_us", &self.sum_us.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
@@ -139,21 +96,20 @@ impl LatencyHistogram {
     /// An empty histogram.
     pub fn new() -> Self {
         LatencyHistogram {
-            buckets: (0..BUCKET_TABLE).map(|_| AtomicU64::new(0)).collect(),
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             sum_us: AtomicU64::new(0),
-            total: AtomicU64::new(0),
         }
     }
 
-    /// Records one observation of `value_us` microseconds. Values past
-    /// [`MAX_TRACKED_US`] clamp into the last bucket but contribute their
-    /// exact value to the sum.
+    /// Records one observation of `value_us` microseconds: it counts
+    /// under the first bound at or above it (values past the last bound
+    /// count only under `+Inf`) and adds its exact value to the sum.
     pub fn record_us(&self, value_us: u64) {
-        self.sum_us.fetch_add(value_us, Ordering::Relaxed);
-        self.total.fetch_add(1, Ordering::Relaxed);
-        if let Some(bucket) = self.buckets.get(bucket_slot(value_us)) {
+        let slot = PROMETHEUS_BOUNDS_US.partition_point(|&bound| bound < value_us);
+        if let Some(bucket) = self.buckets.get(slot) {
             bucket.fetch_add(1, Ordering::Relaxed);
         }
+        self.sum_us.fetch_add(value_us, Ordering::Relaxed);
     }
 
     /// Records one observation of a [`Duration`] (saturating to the u64
@@ -162,71 +118,41 @@ impl LatencyHistogram {
         self.record_us(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX));
     }
 
-    /// Folds every observation of `other` into `self`. Merging while both
-    /// histograms keep recording is safe; the merge then lands somewhere
-    /// between the two instants it spans.
-    pub fn merge_from(&self, other: &LatencyHistogram) {
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            let filled = theirs.load(Ordering::Relaxed);
-            if filled > 0 {
-                mine.fetch_add(filled, Ordering::Relaxed);
-            }
-        }
-        self.sum_us
-            .fetch_add(other.sum_us.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.total
-            .fetch_add(other.total.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// Number of recorded observations.
     pub fn total(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
-    }
-
-    /// A point-in-time copy for quantile queries and rendering. Buckets
-    /// are read bucket-by-bucket while writers proceed, so the copy is
-    /// only approximately atomic — fine for monitoring, which is its job.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let buckets: Vec<u64> = self
-            .buckets
+        self.buckets
             .iter()
             .map(|bucket| bucket.load(Ordering::Relaxed))
-            .collect();
-        // Derive the totals from the copied buckets so the snapshot is
-        // internally consistent (sum/total race one increment otherwise).
-        let counted: u64 = buckets.iter().sum();
-        let mut sum_us = self.sum_us.load(Ordering::Relaxed);
-        let total = self.total.load(Ordering::Relaxed);
-        if counted < total {
-            // A writer got between our bucket pass and the total load;
-            // scale the sum back onto the counted population.
-            sum_us = if total > 0 {
-                (sum_us / total.max(1)) * counted // guard: allow(arith) — average-times-counted under a positive total; division first, no overflow.
-            } else {
-                0
-            };
+            .sum()
+    }
+
+    /// A point-in-time copy for rendering. Counters are read one by one
+    /// while writers proceed, so the copy is only approximately atomic
+    /// (`_sum` may hold a sample whose bucket the copy missed, or the
+    /// reverse); its `_count` always equals its bucket total.
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        let mut buckets = [0u64; BUCKETS];
+        for (copy, bucket) in buckets.iter_mut().zip(&self.buckets) {
+            *copy = bucket.load(Ordering::Relaxed);
         }
         HistogramSnapshot {
             buckets,
-            sum_us,
-            total: counted,
+            sum_us: self.sum_us.load(Ordering::Relaxed),
         }
     }
 }
 
-/// A point-in-time copy of a [`LatencyHistogram`], internally consistent
-/// (its `_count` always equals the bucket total).
+/// A point-in-time copy of a [`LatencyHistogram`].
 #[derive(Debug, Clone)]
 pub struct HistogramSnapshot {
-    buckets: Vec<u64>,
+    buckets: [u64; BUCKETS],
     sum_us: u64,
-    total: u64,
 }
 
 impl HistogramSnapshot {
     /// Number of observations in the snapshot.
     pub fn total(&self) -> u64 {
-        self.total
+        self.buckets.iter().sum()
     }
 
     /// Exact sum of every recorded microsecond value.
@@ -236,56 +162,19 @@ impl HistogramSnapshot {
 
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// Mean recorded value in microseconds (0 when empty).
-    pub fn mean_us(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum_us as f64 / self.total as f64
-        }
-    }
-
-    /// The `q`-quantile in microseconds (`q` clamps into `0.0..=1.0`):
-    /// the upper edge of the first bucket whose cumulative population
-    /// reaches `ceil(q · total)`, so the answer over-reports by at most
-    /// one bucket width (≈1.6% relative). Returns 0 when empty.
-    pub fn quantile_us(&self, q: f64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        let goal = ((self.total as f64) * q.clamp(0.0, 1.0)).ceil() as u64;
-        let goal = goal.clamp(1, self.total);
-        let mut seen = 0u64;
-        for (slot, filled) in self.buckets.iter().enumerate() {
-            seen += filled;
-            if seen >= goal {
-                return bucket_limit(slot);
-            }
-        }
-        MAX_TRACKED_US
+        self.total() == 0
     }
 
     /// Appends the Prometheus histogram exposition for this snapshot:
     /// cumulative `{name}_bucket{…,le="…"}` lines over
     /// [`PROMETHEUS_BOUNDS_US`] plus `+Inf`, then `{name}_sum` (seconds)
     /// and `{name}_count`. `labels` is either empty or a ready-made
-    /// `key="value"` list without braces. A fine bucket counts under a
-    /// boundary only when it fits entirely, so the series is conservative
-    /// by at most one fine bucket (≈1.6%) and always monotone.
+    /// `key="value"` list without braces. Each `le` line counts exactly
+    /// the samples at or below its bound.
     pub fn render_prometheus(&self, name: &str, labels: &str, out: &mut String) {
-        let mut fine = self.buckets.iter().copied().enumerate().peekable();
         let mut cumulative = 0u64;
-        for bound in PROMETHEUS_BOUNDS_US {
-            while let Some(&(slot, filled)) = fine.peek() {
-                if bucket_limit(slot) > bound {
-                    break;
-                }
-                cumulative += filled;
-                fine.next();
-            }
+        for (slot, filled) in self.buckets.iter().enumerate() {
+            cumulative += filled;
             out.push_str(name);
             out.push_str("_bucket{");
             if !labels.is_empty() {
@@ -293,20 +182,14 @@ impl HistogramSnapshot {
                 out.push(',');
             }
             out.push_str("le=\"");
-            push_seconds(out, bound);
+            match PROMETHEUS_BOUNDS_US.get(slot) {
+                Some(&bound) => push_seconds(out, bound),
+                None => out.push_str("+Inf"),
+            }
             out.push_str("\"} ");
             push_u64(out, cumulative);
             out.push('\n');
         }
-        out.push_str(name);
-        out.push_str("_bucket{");
-        if !labels.is_empty() {
-            out.push_str(labels);
-            out.push(',');
-        }
-        out.push_str("le=\"+Inf\"} ");
-        push_u64(out, self.total);
-        out.push('\n');
         out.push_str(name);
         out.push_str("_sum");
         push_label_block(out, labels);
@@ -317,7 +200,7 @@ impl HistogramSnapshot {
         out.push_str("_count");
         push_label_block(out, labels);
         out.push(' ');
-        push_u64(out, self.total);
+        push_u64(out, cumulative);
         out.push('\n');
     }
 }
@@ -1002,70 +885,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn linear_and_log_slots_roundtrip_their_limits() {
-        for slot in 0..BUCKET_TABLE {
-            let limit = bucket_limit(slot);
-            assert_eq!(
-                bucket_slot(limit.min(MAX_TRACKED_US)),
-                if limit >= MAX_TRACKED_US {
-                    bucket_slot(MAX_TRACKED_US)
-                } else {
-                    slot
-                },
-                "slot {slot} limit {limit}"
-            );
-        }
-    }
-
-    #[test]
     fn bucket_limits_are_strictly_increasing() {
-        let mut previous = None;
-        for slot in 0..BUCKET_TABLE {
-            let limit = bucket_limit(slot);
-            if let Some(prev) = previous {
-                assert!(limit > prev, "slot {slot}: {limit} <= {prev}");
-            }
-            previous = Some(limit);
-        }
-    }
-
-    #[test]
-    fn relative_bucket_width_is_bounded() {
-        // Above the linear region, every bucket's width is at most 1/64
-        // of its lower edge.
-        for slot in LINEAR_BUCKETS..BUCKET_TABLE {
-            let hi = bucket_limit(slot);
-            let lo = bucket_limit(slot - 1) + 1;
-            let width = hi - lo + 1;
-            assert!(
-                width * 64 <= lo + 64,
-                "slot {slot}: width {width} vs lower edge {lo}"
-            );
-        }
-    }
-
-    #[test]
-    fn quantiles_and_sum_are_exact_on_small_values() {
-        let hist = LatencyHistogram::new();
-        for v in [1u64, 2, 3, 10, 63] {
-            hist.record_us(v);
-        }
-        let snap = hist.snapshot();
-        assert_eq!(snap.total(), 5);
-        assert_eq!(snap.sum_us(), 79);
-        assert_eq!(snap.quantile_us(0.0), 1);
-        assert_eq!(snap.quantile_us(0.5), 3);
-        assert_eq!(snap.quantile_us(1.0), 63);
+        assert!(
+            PROMETHEUS_BOUNDS_US
+                .windows(2)
+                .all(|pair| pair[0] < pair[1]),
+            "record_us binary-searches the bounds"
+        );
     }
 
     #[test]
     fn values_past_the_cap_clamp_but_keep_their_exact_sum() {
         let hist = LatencyHistogram::new();
-        hist.record_us(10 * MAX_TRACKED_US);
+        hist.record_us(600_000_000);
         let snap = hist.snapshot();
         assert_eq!(snap.total(), 1);
-        assert_eq!(snap.sum_us(), 10 * MAX_TRACKED_US);
-        assert!(snap.quantile_us(1.0) <= bucket_limit(BUCKET_TABLE - 1));
+        assert_eq!(snap.sum_us(), 600_000_000);
+        let mut out = String::new();
+        snap.render_prometheus("h", "", &mut out);
+        assert!(out.contains("h_bucket{le=\"60\"} 0\n"));
+        assert!(out.contains("h_bucket{le=\"+Inf\"} 1\n"));
+        assert!(out.contains("h_sum 600\n"));
     }
 
     #[test]

@@ -1,44 +1,89 @@
-//! Accuracy and concurrency suite for [`osdiv_core::obs::LatencyHistogram`]:
-//! histogram quantiles must track exact sorted-sample percentiles within
-//! the documented relative error, the Prometheus series must stay
-//! cumulative and self-consistent for arbitrary inputs, and concurrent
-//! recording (and merging) must lose nothing versus sequential recording.
+//! Exactness and concurrency suite for [`osdiv_core::obs::LatencyHistogram`]:
+//! every `le` line of the Prometheus series must count exactly the samples
+//! at or below its bound, against a brute-force count over the sample;
+//! the bucket the series places each exact percentile in must hold it;
+//! `+Inf` and `_count` must equal the sample size and `_sum` the exact
+//! total; and concurrent recording must lose nothing versus sequential
+//! recording.
 
 use std::sync::Arc;
 use std::thread;
 
-use osdiv_core::obs::{LatencyHistogram, MAX_TRACKED_US, PROMETHEUS_BOUNDS_US};
+use osdiv_core::obs::{LatencyHistogram, PROMETHEUS_BOUNDS_US};
 use proptest::prelude::*;
 
-/// The exact `q`-percentile of a sample: the value at rank
-/// `ceil(q * n)` (1-based) of the sorted sample — the same rank the
-/// histogram answers with a bucket upper edge.
-fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
+/// Random samples reach twice the last bound (120 s), so the overflow
+/// that only `+Inf` counts is exercised too.
+const MAX_SAMPLE_US: u64 = 120_000_000;
+
+/// A microsecond quantity as the exposition prints it: decimal seconds
+/// with trailing fractional zeros trimmed.
+fn seconds(us: u64) -> String {
+    let (whole, frac) = (us / 1_000_000, us % 1_000_000);
+    if frac == 0 {
+        whole.to_string()
+    } else {
+        format!("{whole}.{frac:06}")
+            .trim_end_matches('0')
+            .to_string()
+    }
+}
+
+/// One rendered unlabelled series `h`: its `(le, cumulative)` bucket
+/// lines in order, its `_sum` text and its `_count`.
+struct Rendered {
+    buckets: Vec<(String, u64)>,
+    sum: String,
+    count: u64,
+}
+
+fn render(hist: &LatencyHistogram) -> Rendered {
+    let mut out = String::new();
+    hist.snapshot().render_prometheus("h", "", &mut out);
+    let mut rendered = Rendered {
+        buckets: Vec::new(),
+        sum: String::new(),
+        count: 0,
+    };
+    for line in out.lines() {
+        if let Some(rest) = line.strip_prefix("h_bucket{le=\"") {
+            let (le, value) = rest.split_once("\"} ").expect("bucket line shape");
+            rendered
+                .buckets
+                .push((le.to_string(), value.parse().expect("bucket count")));
+        } else if let Some(rest) = line.strip_prefix("h_sum ") {
+            rendered.sum = rest.to_string();
+        } else if let Some(rest) = line.strip_prefix("h_count ") {
+            rendered.count = rest.parse().expect("count");
+        }
+    }
+    rendered
+}
+
+/// A sample drawn uniformly up to 120 s, or one microsecond either side
+/// of a bound, or a bound itself: the values an off-by-one at a bucket
+/// edge would misplace.
+fn sample() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0u64..=MAX_SAMPLE_US,
+        (0usize..PROMETHEUS_BOUNDS_US.len(), 0u64..3)
+            .prop_map(|(i, offset)| PROMETHEUS_BOUNDS_US[i] + offset - 1),
+    ]
+}
+
+/// The exact `q`-percentile of a sorted sample: the value at rank
+/// `ceil(q * n)` (1-based), clamped to the sample.
+fn exact_quantile(sorted: &[u64], q: f64) -> (usize, u64) {
     assert!(!sorted.is_empty());
     let rank = ((sorted.len() as f64) * q).ceil() as usize;
     let rank = rank.clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-/// The histogram answers with the upper edge of the bucket holding the
-/// exact answer, so it may over-report by one bucket width: ≈1/64 of the
-/// value above the linear region, 0 below it.
-fn within_bucket_error(reported: u64, exact: u64) -> bool {
-    let exact = exact.min(MAX_TRACKED_US);
-    // Never under the exact answer…
-    if reported < exact {
-        return false;
-    }
-    // …and over by at most one sub-bucket (1/64 relative, rounded up),
-    // which is 0 in the exact linear region.
-    let slack = if exact < 64 { 0 } else { exact / 64 + 1 };
-    reported <= exact + slack
+    (rank, sorted[rank - 1])
 }
 
 proptest! {
     #[test]
     fn quantiles_track_exact_percentiles(
-        values in proptest::collection::vec(0u64..MAX_TRACKED_US, 1..400),
+        values in proptest::collection::vec(sample(), 1..300),
         quantile_permille in proptest::collection::vec(0u64..=1000, 1..8),
     ) {
         let mut values = values;
@@ -47,50 +92,81 @@ proptest! {
             hist.record_us(v);
         }
         values.sort_unstable();
-        let snap = hist.snapshot();
-        prop_assert_eq!(snap.total(), values.len() as u64);
-        prop_assert_eq!(snap.sum_us(), values.iter().sum::<u64>());
+        let rendered = render(&hist);
         for &permille in &quantile_permille {
             let q = permille as f64 / 1000.0;
-            let exact = exact_quantile(&values, q);
-            let reported = snap.quantile_us(q);
+            let (rank, exact) = exact_quantile(&values, q);
+            // The bucket a Prometheus `histogram_quantile` interpolates in
+            // is the first line whose cumulative count reaches the rank; it
+            // must hold the exact percentile: at or below its own bound and
+            // above the bound before it.
+            let slot = rendered
+                .buckets
+                .iter()
+                .position(|&(_, cumulative)| cumulative >= rank as u64)
+                .expect("+Inf counts every sample");
+            let at_or_below_upper = PROMETHEUS_BOUNDS_US
+                .get(slot)
+                .is_none_or(|&upper| exact <= upper);
+            let above_lower = slot == 0 || exact > PROMETHEUS_BOUNDS_US[slot - 1];
             prop_assert!(
-                within_bucket_error(reported, exact),
-                "q={} exact={} reported={}",
+                at_or_below_upper && above_lower,
+                "q={} exact={} le={}",
                 q,
                 exact,
-                reported
+                &rendered.buckets[slot].0
             );
         }
     }
 
     #[test]
     fn prometheus_series_is_cumulative_and_consistent(
-        values in proptest::collection::vec(0u64..(2 * MAX_TRACKED_US), 0..200),
+        values in proptest::collection::vec(sample(), 0..300),
     ) {
         let hist = LatencyHistogram::new();
         for &v in &values {
             hist.record_us(v);
         }
-        let mut out = String::new();
-        hist.snapshot().render_prometheus("h", "", &mut out);
+        let rendered = render(&hist);
+        let n = values.len() as u64;
+        // One line per bound, each counting exactly the samples at or
+        // below it, then `+Inf` and `_count` counting them all.
+        prop_assert_eq!(rendered.buckets.len(), PROMETHEUS_BOUNDS_US.len() + 1);
+        for (&bound, (le, cumulative)) in PROMETHEUS_BOUNDS_US.iter().zip(&rendered.buckets) {
+            let at_or_below = values.iter().filter(|&&v| v <= bound).count() as u64;
+            prop_assert_eq!(le, &seconds(bound));
+            prop_assert_eq!(*cumulative, at_or_below, "le={}", le);
+        }
+        prop_assert_eq!(rendered.buckets.last(), Some(&("+Inf".to_string(), n)));
+        prop_assert_eq!(rendered.count, n);
+        let sum: u64 = values.iter().sum();
+        prop_assert_eq!(hist.snapshot().sum_us(), sum);
+        prop_assert_eq!(rendered.sum, seconds(sum));
+    }
+}
 
-        let mut cumulative = Vec::new();
-        let mut count = None;
-        for line in out.lines() {
-            if let Some(rest) = line.strip_prefix("h_bucket{le=\"") {
-                let v: u64 = rest.split("\"} ").nth(1).unwrap().parse().unwrap();
-                cumulative.push(v);
-            } else if let Some(rest) = line.strip_prefix("h_count ") {
-                count = Some(rest.parse::<u64>().unwrap());
+#[test]
+fn every_bound_counts_under_its_own_le() {
+    // A sample equal to a bound belongs to that bound's `le` line and to
+    // none below it; one microsecond more belongs to the next line.
+    let mut misplaced = Vec::new();
+    for (i, &bound) in PROMETHEUS_BOUNDS_US.iter().enumerate() {
+        for (value, own) in [(bound, i), (bound + 1, i + 1)] {
+            let hist = LatencyHistogram::new();
+            hist.record_us(value);
+            let counts: Vec<u64> = render(&hist).buckets.into_iter().map(|(_, c)| c).collect();
+            let first = counts.iter().position(|&c| c == 1);
+            if first != Some(own) {
+                misplaced.push((value, first));
             }
         }
-        // One line per boundary plus +Inf, monotone, ending at _count.
-        prop_assert_eq!(cumulative.len(), PROMETHEUS_BOUNDS_US.len() + 1);
-        prop_assert!(cumulative.windows(2).all(|w| w[0] <= w[1]));
-        prop_assert_eq!(cumulative.last().copied(), Some(values.len() as u64));
-        prop_assert_eq!(count, Some(values.len() as u64));
     }
+    assert!(
+        misplaced.is_empty(),
+        "{} of {} samples land under the wrong le (value, first le index counting it): {misplaced:?}",
+        misplaced.len(),
+        2 * PROMETHEUS_BOUNDS_US.len()
+    );
 }
 
 #[test]
@@ -103,10 +179,10 @@ fn concurrent_recording_equals_sequential() {
         .map(|t| {
             let hist = Arc::clone(&shared);
             thread::spawn(move || {
-                // A deterministic per-thread value stream spanning the
-                // whole bucket range.
+                // A deterministic per-thread value stream spanning every
+                // bucket, overflow included.
                 for i in 0..PER_THREAD {
-                    hist.record_us((t * PER_THREAD + i) * 977 % (2 * MAX_TRACKED_US));
+                    hist.record_us((t * PER_THREAD + i) * 977 % MAX_SAMPLE_US);
                 }
             })
         })
@@ -118,7 +194,7 @@ fn concurrent_recording_equals_sequential() {
     let sequential = LatencyHistogram::new();
     for t in 0..THREADS {
         for i in 0..PER_THREAD {
-            sequential.record_us((t * PER_THREAD + i) * 977 % (2 * MAX_TRACKED_US));
+            sequential.record_us((t * PER_THREAD + i) * 977 % MAX_SAMPLE_US);
         }
     }
 
@@ -135,47 +211,9 @@ fn concurrent_recording_equals_sequential() {
 }
 
 #[test]
-fn merged_shards_equal_one_histogram() {
-    let merged = LatencyHistogram::new();
-    let reference = LatencyHistogram::new();
-    let shards: Vec<Arc<LatencyHistogram>> =
-        (0..4).map(|_| Arc::new(LatencyHistogram::new())).collect();
-    let handles: Vec<_> = shards
-        .iter()
-        .enumerate()
-        .map(|(s, shard)| {
-            let shard = Arc::clone(shard);
-            thread::spawn(move || {
-                for i in 0..10_000u64 {
-                    shard.record_us((s as u64 * 10_000 + i) * 31 % 1_000_000);
-                }
-            })
-        })
-        .collect();
-    for handle in handles {
-        handle.join().unwrap();
-    }
-    for s in 0..4u64 {
-        for i in 0..10_000 {
-            reference.record_us((s * 10_000 + i) * 31 % 1_000_000);
-        }
-    }
-    for shard in &shards {
-        merged.merge_from(shard);
-    }
-    let merged_snap = merged.snapshot();
-    let reference_snap = reference.snapshot();
-    assert_eq!(merged_snap.total(), reference_snap.total());
-    assert_eq!(merged_snap.sum_us(), reference_snap.sum_us());
-    for q in [0.5, 0.9, 0.99, 0.999, 1.0] {
-        assert_eq!(merged_snap.quantile_us(q), reference_snap.quantile_us(q));
-    }
-}
-
-#[test]
 fn recording_takes_shared_references_only() {
     // The hot path is `&self` over relaxed atomics: this compiles exactly
-    // because no lock or &mut is involved, and a pre-sized bucket table
+    // because no lock or &mut is involved, and a pre-sized counter array
     // means no allocation either (the assertion is the signature itself).
     let hist = LatencyHistogram::new();
     let borrow_a = &hist;

@@ -880,12 +880,14 @@ pub fn reason(status: u16) -> &'static str {
         404 => "Not Found",
         405 => "Method Not Allowed",
         406 => "Not Acceptable",
+        408 => "Request Timeout",
         409 => "Conflict",
         410 => "Gone",
         413 => "Payload Too Large",
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
         501 => "Not Implemented",
+        503 => "Service Unavailable",
         507 => "Insufficient Storage",
         _ => "Unknown",
     }
@@ -1295,5 +1297,22 @@ mod tests {
         assert_eq!(response.status(), 400);
         assert!(String::from_utf8_lossy(response.body()).contains("nope"));
         assert_eq!(Response::from(&HttpViolation::HeadTooLarge).status(), 431);
+    }
+
+    #[test]
+    fn every_status_the_server_builds_has_a_reason_phrase() {
+        let built = [
+            200, 201, 304, 400, 401, 403, 404, 405, 406, 408, 409, 410, 413, 431, 500, 503, 507,
+        ];
+        let unnamed: Vec<u16> = built
+            .into_iter()
+            .filter(|&status| reason(status) == "Unknown")
+            .collect();
+        assert!(unnamed.is_empty(), "no reason phrase for {unnamed:?}");
+        let mut out = Vec::new();
+        Response::text(408, "timed out")
+            .write_to(&mut out, false, false)
+            .unwrap();
+        assert!(out.starts_with(b"HTTP/1.1 408 Request Timeout\r\n"));
     }
 }

@@ -12,11 +12,8 @@
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
-
-use osdiv_core::{HistogramSnapshot, LatencyHistogram};
 
 /// A parsed client-side response.
 #[derive(Debug, Clone)]
@@ -304,8 +301,9 @@ pub struct OpenLoopReport {
     pub errors: usize,
     /// Wall-clock duration of the whole run.
     pub elapsed: Duration,
-    /// The schedule-to-completion latency distribution.
-    pub latency: HistogramSnapshot,
+    /// Every status-200 response's schedule-to-completion latency in
+    /// microseconds, sorted ascending.
+    pub latency: Vec<u64>,
 }
 
 impl OpenLoopReport {
@@ -317,10 +315,20 @@ impl OpenLoopReport {
         self.ok as f64 / self.elapsed.as_secs_f64()
     }
 
-    /// A latency quantile in microseconds (see
-    /// [`HistogramSnapshot::quantile_us`]).
+    /// The `q`-quantile latency in microseconds (`q` clamps into
+    /// `0.0..=1.0`): the nearest-rank sample, at rank `ceil(q · n)` of the
+    /// sorted latencies (rank 1 for `q = 0`). 0 when nothing succeeded.
     pub fn quantile_us(&self, q: f64) -> u64 {
-        self.latency.quantile_us(q)
+        let rank = (self.latency.len() as f64 * q.clamp(0.0, 1.0)).ceil() as usize;
+        self.latency.get(rank.max(1) - 1).copied().unwrap_or(0)
+    }
+
+    /// The mean latency in microseconds (0 when nothing succeeded).
+    pub fn mean_us(&self) -> f64 {
+        if self.latency.is_empty() {
+            return 0.0;
+        }
+        self.latency.iter().sum::<u64>() as f64 / self.latency.len() as f64
     }
 
     /// A one-line human summary: rate, p50/p90/p99/p999 and errors.
@@ -378,22 +386,22 @@ pub fn poisson_schedule(config: &OpenLoopConfig) -> Vec<Duration> {
 
 /// Runs an open-loop load test: arrivals fire on the pregenerated
 /// Poisson schedule regardless of how fast responses come back, and
-/// every latency sample is measured from the scheduled arrival.
+/// every latency sample is measured from the scheduled arrival. Each
+/// connection keeps its own samples; the report holds them all, sorted.
 /// Connections reconnect after an error, so one broken socket does not
 /// fail the rest of its schedule share, and right away after a response
 /// announcing `Connection: close`, which is a planned close, not an error.
 pub fn run_open_loop(addr: SocketAddr, config: &OpenLoopConfig) -> OpenLoopReport {
     let arrivals = poisson_schedule(config);
-    let latency = Arc::new(LatencyHistogram::new());
     let next = AtomicUsize::new(0);
-    let ok = AtomicUsize::new(0);
     let errors = AtomicUsize::new(0);
     let started = Instant::now();
-    thread::scope(|scope| {
+    let mut latency = thread::scope(|scope| {
+        let mut workers = Vec::new();
         for worker in 0..config.connections.max(1) {
-            let latency = Arc::clone(&latency);
-            let (next, ok, errors, arrivals) = (&next, &ok, &errors, &arrivals);
-            scope.spawn(move || {
+            let (next, errors, arrivals) = (&next, &errors, &arrivals);
+            workers.push(scope.spawn(move || {
+                let mut samples = Vec::new();
                 let mut connection: Option<BufReader<TcpStream>> = None;
                 let mut rng =
                     (config.seed ^ (worker as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)) | 1;
@@ -434,23 +442,31 @@ pub fn run_open_loop(addr: SocketAddr, config: &OpenLoopConfig) -> OpenLoopRepor
                     }
                     match outcome {
                         Some(response) if response.status == 200 => {
-                            ok.fetch_add(1, Ordering::Relaxed);
-                            latency.record(scheduled.elapsed());
+                            let elapsed = scheduled.elapsed().as_micros();
+                            samples.push(u64::try_from(elapsed).unwrap_or(u64::MAX));
                         }
                         _ => {
                             errors.fetch_add(1, Ordering::Relaxed);
                         }
                     }
                 }
-            });
+                samples
+            }));
         }
+        let mut latency = Vec::with_capacity(arrivals.len());
+        for worker in workers {
+            latency.extend(worker.join().expect("an open-loop worker panicked"));
+        }
+        latency
     });
+    let elapsed = started.elapsed();
+    latency.sort_unstable();
     OpenLoopReport {
         total: arrivals.len(),
-        ok: ok.load(Ordering::Relaxed),
+        ok: latency.len(),
         errors: errors.load(Ordering::Relaxed),
-        elapsed: started.elapsed(),
-        latency: latency.snapshot(),
+        elapsed,
+        latency,
     }
 }
 
@@ -483,6 +499,29 @@ mod tests {
             ..config.clone()
         });
         assert_ne!(first, reseeded);
+    }
+
+    #[test]
+    fn quantiles_are_nearest_rank_and_the_mean_is_exact() {
+        let report = OpenLoopReport {
+            total: 5,
+            ok: 5,
+            errors: 0,
+            elapsed: Duration::from_secs(1),
+            latency: vec![1, 2, 3, 10, 63],
+        };
+        assert_eq!(report.quantile_us(0.0), 1);
+        assert_eq!(report.quantile_us(0.5), 3);
+        assert_eq!(report.quantile_us(0.6), 3);
+        assert_eq!(report.quantile_us(0.61), 10);
+        assert_eq!(report.quantile_us(1.0), 63);
+        assert_eq!(report.quantile_us(7.0), 63, "q clamps into 0..=1");
+        assert_eq!(report.mean_us(), 15.8);
+        let empty = OpenLoopReport {
+            latency: Vec::new(),
+            ..report
+        };
+        assert_eq!((empty.quantile_us(0.99), empty.mean_us()), (0, 0.0));
     }
 
     #[test]

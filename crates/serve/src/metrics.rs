@@ -236,7 +236,7 @@ const fn family(name: &'static str, help: &'static str, source: Source) -> Famil
 /// Every `/metrics` family, in exposition order. The persistence families
 /// at the end appear only when the registry has a tenant store
 /// (`--data-dir`).
-pub(crate) const FAMILIES: [Family; 33] = [
+pub(crate) const FAMILIES: [Family; 32] = [
     family(
         "osdiv_connections_accepted",
         "TCP connections accepted by the server",
@@ -338,11 +338,6 @@ pub(crate) const FAMILIES: [Family; 33] = [
         Source::Router(|router| router.cache_byte_budget),
     ),
     family(
-        "osdiv_body_cache_capacity",
-        "entry capacity of the response LRU",
-        Source::Router(|router| router.cache_capacity),
-    ),
-    family(
         "osdiv_datasets_total",
         "datasets registered (every lifecycle state)",
         Source::Router(|router| router.tenants.iter().sum()),
@@ -412,7 +407,6 @@ pub(crate) struct RouterGauges {
     pub cache_entries: u64,
     pub cache_bytes: u64,
     pub cache_byte_budget: u64,
-    pub cache_capacity: u64,
     /// Registered tenants, indexed by [`DatasetState`].
     pub tenants: [u64; 4],
     pub resident_bytes: u64,

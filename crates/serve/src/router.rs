@@ -465,7 +465,6 @@ impl Router {
                 cache_entries: cache.len() as u64,
                 cache_bytes: cache.bytes as u64,
                 cache_byte_budget: cache.byte_budget as u64,
-                cache_capacity: cache.capacity as u64,
                 ..RouterGauges::default()
             }
         };

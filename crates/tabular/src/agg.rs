@@ -1,101 +1,4 @@
-//! Counting and grouping helpers.
-
-use std::collections::HashMap;
-use std::hash::Hash;
-
-/// A frequency counter over hashable keys.
-///
-/// # Example
-///
-/// ```
-/// use tabular::Counter;
-///
-/// let mut counter = Counter::new();
-/// counter.add("Kernel");
-/// counter.add("Kernel");
-/// counter.add("Driver");
-/// assert_eq!(counter.count(&"Kernel"), 2);
-/// assert_eq!(counter.total(), 3);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Counter<K: Eq + Hash> {
-    counts: HashMap<K, u64>,
-}
-
-impl<K: Eq + Hash> Counter<K> {
-    /// Creates an empty counter.
-    pub fn new() -> Self {
-        Counter {
-            counts: HashMap::new(),
-        }
-    }
-
-    /// Adds one occurrence of `key`.
-    pub fn add(&mut self, key: K) {
-        self.add_n(key, 1);
-    }
-
-    /// Adds `n` occurrences of `key`.
-    pub fn add_n(&mut self, key: K, n: u64) {
-        *self.counts.entry(key).or_insert(0) += n;
-    }
-
-    /// The count of `key` (zero if never seen).
-    pub fn count(&self, key: &K) -> u64 {
-        self.counts.get(key).copied().unwrap_or(0)
-    }
-
-    /// Total number of occurrences across keys.
-    pub fn total(&self) -> u64 {
-        self.counts.values().sum()
-    }
-
-    /// Number of distinct keys seen.
-    pub fn distinct(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Iterates over `(key, count)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, u64)> {
-        self.counts.iter().map(|(k, v)| (k, *v))
-    }
-
-    /// The `(key, count)` pairs sorted by descending count (ties in
-    /// unspecified order).
-    pub fn sorted_desc(&self) -> Vec<(&K, u64)> {
-        let mut pairs: Vec<(&K, u64)> = self.iter().collect();
-        pairs.sort_by_key(|pair| std::cmp::Reverse(pair.1));
-        pairs
-    }
-
-    /// The fraction `count(key) / total()`, or 0 when empty.
-    pub fn fraction(&self, key: &K) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            0.0
-        } else {
-            self.count(key) as f64 / total as f64
-        }
-    }
-}
-
-impl<K: Eq + Hash> FromIterator<K> for Counter<K> {
-    fn from_iter<T: IntoIterator<Item = K>>(iter: T) -> Self {
-        let mut counter = Counter::new();
-        for key in iter {
-            counter.add(key);
-        }
-        counter
-    }
-}
-
-impl<K: Eq + Hash> Extend<K> for Counter<K> {
-    fn extend<T: IntoIterator<Item = K>>(&mut self, iter: T) {
-        for key in iter {
-            self.add(key);
-        }
-    }
-}
+//! Per-year counting: the [`YearHistogram`] behind each curve of Figure 2.
 
 /// A per-year histogram over a fixed, inclusive year range — the shape of
 /// each curve in Figure 2 of the paper.
@@ -181,21 +84,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_basic_operations() {
-        let mut c: Counter<&str> = ["a", "b", "a", "c", "a"].into_iter().collect();
-        assert_eq!(c.count(&"a"), 3);
-        assert_eq!(c.count(&"z"), 0);
-        assert_eq!(c.total(), 5);
-        assert_eq!(c.distinct(), 3);
-        assert!((c.fraction(&"a") - 0.6).abs() < 1e-12);
-        c.extend(["b"]);
-        assert_eq!(c.count(&"b"), 2);
-        c.add_n("d", 10);
-        assert_eq!(c.sorted_desc()[0], (&"d", 10));
-        assert_eq!(Counter::<u8>::new().fraction(&1), 0.0);
-    }
-
-    #[test]
     fn histogram_counts_and_clamps() {
         let mut h = YearHistogram::new(1994, 2010);
         assert_eq!(h.first_year(), 1994);
@@ -232,14 +120,6 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            #[test]
-            fn counter_total_equals_number_of_adds(keys in proptest::collection::vec(0u8..20, 0..200)) {
-                let counter: Counter<u8> = keys.iter().copied().collect();
-                prop_assert_eq!(counter.total() as usize, keys.len());
-                let sum_of_counts: u64 = counter.iter().map(|(_, c)| c).sum();
-                prop_assert_eq!(sum_of_counts as usize, keys.len());
-            }
-
             #[test]
             fn histogram_total_equals_number_of_adds(years in proptest::collection::vec(1990u16..2015, 0..200)) {
                 let mut h = YearHistogram::new(1994, 2010);

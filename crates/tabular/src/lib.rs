@@ -9,8 +9,7 @@
 //! * [`TextTable`] — column-aligned text tables with CSV and JSON export
 //!   (and a CSV parser for round-tripping exported tables);
 //! * [`Series`] — labelled `(x, y)` series for figure-style output;
-//! * [`agg`] — counting and grouping helpers (frequency counters, per-year
-//!   histograms, ratio helpers);
+//! * [`agg`] — per-year histograms ([`YearHistogram`]);
 //! * [`json`] — the hand-rolled JSON encoding helpers behind the `to_json`
 //!   exporters, including the JSON string escaper the event log shares.
 //!
@@ -36,7 +35,7 @@ pub mod mime;
 pub mod series;
 pub mod table;
 
-pub use agg::{Counter, YearHistogram};
+pub use agg::YearHistogram;
 pub use json::{json_array, json_escape_into, json_number, json_string};
 pub use series::{Series, SeriesSet};
 pub use table::TextTable;

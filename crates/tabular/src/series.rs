@@ -53,11 +53,6 @@ impl Series {
     pub fn total(&self) -> f64 {
         self.points.iter().map(|(_, y)| y).sum()
     }
-
-    /// The maximum y value (0 for an empty series).
-    pub fn max_y(&self) -> f64 {
-        self.points.iter().map(|(_, y)| *y).fold(0.0, f64::max)
-    }
 }
 
 impl FromIterator<(i64, f64)> for Series {
@@ -101,11 +96,6 @@ impl SeriesSet {
     /// The series in insertion order.
     pub fn series(&self) -> &[Series] {
         &self.series
-    }
-
-    /// Looks a series up by label.
-    pub fn by_label(&self, label: &str) -> Option<&Series> {
-        self.series.iter().find(|s| s.label() == label)
     }
 
     /// Renders the set as CSV: one column per series, one row per distinct x
@@ -178,34 +168,6 @@ impl SeriesSet {
             series
         )
     }
-
-    /// Renders the set as a crude ASCII chart (one row per series, one `#`
-    /// per `scale` units of y summed over the series), useful for eyeballing
-    /// figure shapes in the terminal.
-    pub fn to_ascii_bars(&self, scale: f64) -> String {
-        let mut out = format!("{}\n", self.title);
-        let width = self
-            .series
-            .iter()
-            .map(|s| s.label().len())
-            .max()
-            .unwrap_or(0);
-        for series in &self.series {
-            let bar_len = if scale > 0.0 {
-                (series.total() / scale).round() as usize
-            } else {
-                0
-            };
-            out.push_str(&format!(
-                "{:width$}  {} ({:.0})\n",
-                series.label(),
-                "#".repeat(bar_len),
-                series.total(),
-                width = width
-            ));
-        }
-        out
-    }
 }
 
 impl fmt::Display for SeriesSet {
@@ -239,9 +201,7 @@ mod tests {
         assert_eq!(s.y_at(2001), Some(2.5));
         assert_eq!(s.y_at(1999), None);
         assert_eq!(s.total(), 3.5);
-        assert_eq!(s.max_y(), 2.5);
         assert!(Series::new("empty").is_empty());
-        assert_eq!(Series::new("empty").max_y(), 0.0);
     }
 
     #[test]
@@ -249,8 +209,7 @@ mod tests {
         let set = sample();
         assert_eq!(set.title(), "BSD family");
         assert_eq!(set.series().len(), 2);
-        assert!(set.by_label("OpenBSD").is_some());
-        assert!(set.by_label("FreeBSD").is_none());
+        assert_eq!(set.series()[1].label(), "NetBSD");
     }
 
     #[test]
@@ -262,16 +221,5 @@ mod tests {
         assert_eq!(lines[2], "2003,9,");
         assert_eq!(lines[3], "2004,,3");
         assert_eq!(format!("{}", sample()), csv);
-    }
-
-    #[test]
-    fn ascii_bars_reflect_totals() {
-        let art = sample().to_ascii_bars(1.0);
-        assert!(art.contains("OpenBSD"));
-        assert!(art.contains(&"#".repeat(21))); // 12 + 9
-        assert!(art.contains("(21)"));
-        // Scale of zero produces no bars but does not panic.
-        let flat = sample().to_ascii_bars(0.0);
-        assert!(!flat.contains('#'));
     }
 }

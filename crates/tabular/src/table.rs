@@ -36,11 +36,6 @@ impl TextTable {
         }
     }
 
-    /// Number of columns.
-    pub fn column_count(&self) -> usize {
-        self.header.len()
-    }
-
     /// Number of data rows.
     pub fn row_count(&self) -> usize {
         self.rows.len()
@@ -238,7 +233,6 @@ mod tests {
         assert_eq!(t.cell(0, 1), Some(""));
         assert_eq!(t.cell(1, 2), Some("3"));
         assert_eq!(t.cell(1, 3), None);
-        assert_eq!(t.column_count(), 3);
     }
 
     #[test]
