@@ -73,7 +73,7 @@ fn bench_count_index(c: &mut Criterion) {
     let dataset = calibrated_dataset();
 
     // One-time build cost of the zeta-transform index (histogram pass +
-    // per-year-layer transforms for all three profiles).
+    // one transform per profile and period).
     c.bench_function("study/count_index_build", |b| {
         b.iter(|| CountIndex::build(&dataset))
     });

@@ -137,6 +137,27 @@ fn a_repeated_os_exits_1_naming_the_key() {
 }
 
 #[test]
+fn a_figure2_axis_of_more_than_256_years_exits_1_naming_last_year() {
+    for command in [
+        "temporal --first-year 1993 --last-year 2249 --format csv",
+        "figure2 --first-year 0 --last-year 65535",
+    ] {
+        let output = osdiv(command);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "osdiv {command}: {stderr}");
+        assert!(
+            stderr.contains("for parameter last_year"),
+            "osdiv {command}: {stderr}"
+        );
+        assert!(
+            output.stdout.is_empty(),
+            "osdiv {command} printed a document"
+        );
+    }
+    assert!(stdout("figure2 --first-year 1993 --last-year 2248 --format csv").contains("2248"));
+}
+
+#[test]
 fn table5_honours_oses_like_split() {
     let flags = "--oses debian,redhat,openbsd --format csv";
     let table5 = stdout(&format!("table5 {flags}"));

@@ -110,9 +110,9 @@ impl Period {
 /// The vulnerability dataset of the study, wrapping a [`VulnStore`] and
 /// exposing the filtered queries every analysis is built on.
 ///
-/// The group-count queries (`count_common*`, `count_shared_within*`) are
-/// answered by a lazily built, memoized [`CountIndex`] — an O(1) table
-/// lookup instead of a store scan. The index is dropped whenever the rows
+/// The group-count queries (`count_common*`, `count_shared_within`) are
+/// answered by a lazily built, memoized [`CountIndex`] — a table lookup
+/// instead of a store scan. The index is dropped whenever the rows
 /// mutate ([`StudyDataset::classify_unlabelled`]) and rebuilt on the next
 /// query.
 #[derive(Debug, Default)]
@@ -255,35 +255,7 @@ impl StudyDataset {
     /// profile, restricted to a period. O(1) via the memoized
     /// [`CountIndex`].
     pub fn count_common_in(&self, group: OsSet, profile: ServerProfile, period: Period) -> usize {
-        let (first, last) = period.years();
-        self.count_common_years(group, profile, first, last)
-    }
-
-    /// Number of vulnerabilities common to every member of `group` under a
-    /// profile, published in `first..=last` (inclusive). O(1) via the
-    /// memoized [`CountIndex`]; a coarse index (pathological year spans)
-    /// falls back to a scan.
-    pub fn count_common_years(
-        &self,
-        group: OsSet,
-        profile: ServerProfile,
-        first: u16,
-        last: u16,
-    ) -> usize {
-        if let Some(count) = self
-            .count_index()
-            .count_common_years(group, profile, first, last)
-        {
-            return count;
-        }
-        self.store
-            .rows()
-            .filter(|row| {
-                self.retains(row, profile)
-                    && (first..=last).contains(&row.year())
-                    && group.is_subset_of(&row.os_set)
-            })
-            .count()
+        self.count_index().count_common_in(group, profile, period)
     }
 
     /// Number of vulnerabilities of a single OS under a profile (the `v(A)`
@@ -295,46 +267,18 @@ impl StudyDataset {
     /// The number of distinct vulnerabilities that affect **at least two**
     /// members of `group` under a profile and period — the quantity that
     /// matters for a replicated system, since a vulnerability present in two
-    /// replicas already halves the attacker's work.
+    /// replicas already halves the attacker's work. A homogeneous
+    /// configuration (`group.len() <= 1`) counts every vulnerability of the
+    /// single OS, since four identical replicas share all of them. Answered
+    /// by the memoized [`CountIndex`].
     pub fn count_shared_within(
         &self,
         group: OsSet,
         profile: ServerProfile,
         period: Period,
     ) -> usize {
-        let (first, last) = period.years();
-        self.count_shared_within_years(group, profile, first, last)
-    }
-
-    /// [`StudyDataset::count_shared_within`] over an explicit inclusive
-    /// year window. O(1) via the memoized [`CountIndex`]; a coarse index
-    /// falls back to a scan. A homogeneous configuration (`group.len() <=
-    /// 1`) counts every vulnerability of the single OS, since four
-    /// identical replicas share all of them.
-    pub fn count_shared_within_years(
-        &self,
-        group: OsSet,
-        profile: ServerProfile,
-        first: u16,
-        last: u16,
-    ) -> usize {
-        if let Some(count) = self
-            .count_index()
-            .count_shared_within_years(group, profile, first, last)
-        {
-            return count;
-        }
-        if group.len() <= 1 {
-            return self.count_common_years(group, profile, first, last);
-        }
-        self.store
-            .rows()
-            .filter(|row| {
-                self.retains(row, profile)
-                    && (first..=last).contains(&row.year())
-                    && row.os_set.intersection(group).len() >= 2
-            })
-            .count()
+        self.count_index()
+            .count_shared_within(group, profile, period)
     }
 }
 

@@ -1,41 +1,40 @@
 //! The [`CountIndex`]: O(1) group-count queries via zeta transforms.
 //!
 //! Every diversity statistic of the paper reduces to one of two counting
-//! questions about an OS group `g` under a server profile and a year
-//! period:
+//! questions about an OS group `g` under a server profile and one of the
+//! three study [`Period`]s:
 //!
 //! * how many vulnerabilities affect **all** members of `g`
-//!   ([`StudyDataset::count_common_in`]) — rows whose `os_set ⊇ g`;
+//!   ([`CountIndex::count_common_in`]) — rows whose `os_set ⊇ g`;
 //! * how many affect **at least two** members of `g`
-//!   ([`StudyDataset::count_shared_within`]) — rows with
+//!   ([`CountIndex::count_shared_within`]) — rows with
 //!   `|os_set ∩ g| ≥ 2`.
 //!
 //! An [`OsSet`] is an 11-bit mask, so both questions are answerable from
-//! per-mask histograms: the index bins every retained row by its exact
-//! `os_set` bits and publication year, accumulates the bins cumulatively
-//! over years, and runs the classic O(2ⁿ·n) sum-over-supersets (zeta)
-//! transform on each year layer. Two transformed tables are kept per
-//! profile and layer:
+//! per-mask histograms: the index bins every retained row of a period by
+//! its exact `os_set` bits and runs the classic O(2ⁿ·n) sum-over-supersets
+//! (zeta) transform on each of the nine profile × period histograms.
+//! Afterwards `superset[mask]` counts the rows whose `os_set ⊇ mask`,
+//! which is `count_common_in`. The shared count follows by
+//! inclusion–exclusion over the subsets of `g` with at least two members:
 //!
-//! * `superset[mask]` — rows whose `os_set` is a **superset** of `mask`
-//!   (answers `count_common_in` directly);
-//! * `shared2[mask]` — rows whose `os_set` **intersects `mask` in ≥ 2
-//!   members** (answers `count_shared_within`), derived from the dual
-//!   sum-over-subsets transform by inclusion–exclusion:
-//!   `shared2[g] = total − disjoint(g) − exactly_one(g)` with
-//!   `disjoint(g) = subset[!g]` and
-//!   `exactly_one(g) = Σ_{os∈g} subset[!g | os] − subset[!g]`.
+//! ```text
+//! shared(g) = Σ_{T ⊆ g, |T| ≥ 2} (−1)^|T| · (|T| − 1) · superset[T]
+//! ```
 //!
-//! After the build every group count is a table lookup — the k-way
+//! A row meeting `g` in `k` members is counted once per `T ⊆ os_set ∩ g`,
+//! and `Σ_{j=2..k} C(k, j)·(−1)^j·(j − 1)` is 1 for every `k ≥ 2` and 0
+//! for `k < 2`.
+//!
+//! After the build every common count is a table lookup — the k-way
 //! enumeration of Section IV-B drops from `C(11,k)` full store scans per
 //! size to `C(11,k)` array reads.
 //!
-//! Year layers are kept per **distinct publication year present in the
-//! data** (≈ 18 for the study period). A pathological dataset with more
-//! than [`MAX_YEAR_LAYERS`] distinct years (only reachable through crafted
-//! feeds) degrades to a single whole-range layer instead of allocating
-//! unbounded tables; queries the coarse layer cannot answer return `None`
-//! and the caller falls back to a scan.
+//! Only Figure 2 counts per year, and only for single OSes: the index
+//! keeps one ascending list of (year, valid rows per OS) for it, 46 bytes
+//! a year.
+
+use std::collections::BTreeMap;
 
 use nvd_model::{OsDistribution, OsSet};
 
@@ -44,24 +43,37 @@ use crate::dataset::{Period, ServerProfile, StudyDataset};
 /// Number of distinct masks an 11-OS universe produces.
 const MASKS: usize = 1 << OsDistribution::COUNT;
 
-/// Upper bound on per-year layers before the index degrades to one
-/// whole-range layer (memory guard against crafted feeds claiming hundreds
-/// of distinct publication years).
-pub const MAX_YEAR_LAYERS: usize = 256;
+/// The periods the index keeps tables for, in table (and payload) order.
+const PERIODS: [Period; 3] = [Period::History, Period::Observed, Period::Whole];
 
-/// The per-profile transformed tables (see the module docs).
-#[derive(Debug, Clone, Default)]
+/// Valid rows per OS, in [`OsDistribution::ALL`] order.
+pub type OsCounts = [u32; OsDistribution::COUNT];
+
+/// Payload bytes of one profile: `at_least`, then one superset table per
+/// period.
+const PROFILE_BYTES: usize = 4 * (OsDistribution::COUNT + 1 + PERIODS.len() * MASKS);
+
+/// Payload bytes of one per-year entry: the year, then [`OsCounts`].
+const YEAR_BYTES: usize = 2 + 4 * OsDistribution::COUNT;
+
+/// The tables of one profile (see the module docs).
+#[derive(Debug, Clone)]
 struct ProfileTables {
-    /// `superset[layer * MASKS + mask]`: retained rows with year ≤ the
-    /// layer's year whose `os_set ⊇ mask`.
-    superset: Vec<u32>,
-    /// `shared2[layer * MASKS + mask]`: retained rows with year ≤ the
-    /// layer's year whose `os_set` intersects `mask` in at least two
-    /// members.
-    shared2: Vec<u32>,
     /// `at_least[k]`: retained rows (any year) whose `os_set` has at least
     /// `k` members.
     at_least: [u32; OsDistribution::COUNT + 1],
+    /// `superset[p][mask]`: retained rows published in `PERIODS[p]` whose
+    /// `os_set ⊇ mask`.
+    superset: [Vec<u32>; 3],
+}
+
+impl Default for ProfileTables {
+    fn default() -> Self {
+        ProfileTables {
+            at_least: [0; OsDistribution::COUNT + 1],
+            superset: std::array::from_fn(|_| vec![0; MASKS]),
+        }
+    }
 }
 
 /// The memoized count index of a [`StudyDataset`] (see the module docs).
@@ -72,16 +84,11 @@ struct ProfileTables {
 /// rebuilds against the new rows.
 #[derive(Debug, Clone)]
 pub struct CountIndex {
-    /// The distinct publication years of retained rows, ascending. One
-    /// cumulative table layer per entry — except in coarse mode, where a
-    /// single layer covers the whole range.
-    years: Vec<u16>,
-    /// Whether the tables were collapsed to one whole-range layer (see
-    /// [`MAX_YEAR_LAYERS`]).
-    coarse: bool,
     /// One table set per [`ServerProfile`], in [`ServerProfile::ALL`]
     /// order.
     profiles: [ProfileTables; 3],
+    /// Valid rows per OS for each distinct publication year, ascending.
+    years: Vec<(u16, OsCounts)>,
 }
 
 /// The index position of a profile in [`CountIndex::profiles`].
@@ -90,6 +97,15 @@ fn profile_slot(profile: ServerProfile) -> usize {
         ServerProfile::FatServer => 0,
         ServerProfile::ThinServer => 1,
         ServerProfile::IsolatedThinServer => 2,
+    }
+}
+
+/// The index position of a period in [`PERIODS`].
+fn period_slot(period: Period) -> usize {
+    match period {
+        Period::History => 0,
+        Period::Observed => 1,
+        Period::Whole => 2,
     }
 }
 
@@ -106,337 +122,169 @@ fn zeta_supersets(f: &mut [u32]) {
     }
 }
 
-/// In-place sum over subsets: afterwards `f[mask] = Σ f[m]` over all
-/// `m ⊆ mask`.
-fn zeta_subsets(f: &mut [u32]) {
-    for bit in 0..OsDistribution::COUNT {
-        let bit = 1usize << bit;
-        for mask in 0..MASKS {
-            if mask & bit != 0 {
-                f[mask] += f[mask & !bit];
-            }
-        }
-    }
-}
-
-/// Derives the intersects-in-≥2 table of one layer from its
-/// sum-over-subsets table (see the module docs for the
-/// inclusion–exclusion identity).
-fn shared2_from_subsets(subset: &[u32], out: &mut [u32]) {
-    let full = MASKS - 1;
-    let total = subset[full];
-    for (group, slot) in out.iter_mut().enumerate() {
-        let complement = full & !group;
-        let disjoint = subset[complement];
-        let mut exactly_one = 0u32;
-        let mut bits = group;
-        while bits != 0 {
-            let bit = bits & bits.wrapping_neg();
-            exactly_one += subset[complement | bit] - disjoint;
-            bits &= bits - 1;
-        }
-        *slot = total - disjoint - exactly_one;
-    }
+/// The little-endian `u32`s of a byte slice (a trailing partial word is
+/// ignored).
+fn le_u32s(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bytes
+        .chunks_exact(4)
+        .map(|word| u32::from_le_bytes([word[0], word[1], word[2], word[3]]))
 }
 
 impl CountIndex {
     /// Builds the index from a dataset in one pass over the store plus the
-    /// per-layer transforms (O(rows + layers · 2ⁿ · n)).
+    /// nine transforms (O(rows + 9 · 2ⁿ · n)).
     pub fn build(dataset: &StudyDataset) -> CountIndex {
-        // One pass over the store: bin every row by (profile, year, mask).
-        let mut facts: Vec<(u16, u16, [bool; 3])> = Vec::new();
-        let mut years: Vec<u16> = Vec::new();
+        let mut profiles: [ProfileTables; 3] = Default::default();
+        let mut years: BTreeMap<u16, OsCounts> = BTreeMap::new();
         for (row, remote) in dataset.store().rows_with_remote() {
             if !row.is_valid() {
                 continue;
             }
+            let year = row.year();
+            let counts = years.entry(year).or_default();
+            for os in row.os_set.iter() {
+                counts[os.index()] += 1;
+            }
+            // The retention rule of `StudyDataset::retains`, per profile.
             let thin = row.part.map(|p| p.is_base_system()).unwrap_or(true);
-            let retained = [true, thin, thin && remote];
-            facts.push((row.year(), row.os_set.bits(), retained));
-            years.push(row.year());
-        }
-        years.sort_unstable();
-        years.dedup();
-        let coarse = years.len() > MAX_YEAR_LAYERS;
-        let layers = if years.is_empty() {
-            0
-        } else if coarse {
-            1
-        } else {
-            years.len()
-        };
-
-        let mut profiles: [ProfileTables; 3] = Default::default();
-        for (slot, tables) in profiles.iter_mut().enumerate() {
-            // Per-layer histogram of exact masks, cumulative over layers.
-            let mut histogram = vec![0u32; layers * MASKS];
-            for &(year, mask, retained) in &facts {
-                if !retained[slot] {
+            let mask = row.os_set.bits() as usize;
+            for (tables, retained) in profiles.iter_mut().zip([true, thin, thin && remote]) {
+                if !retained {
                     continue;
                 }
-                let layer = if coarse {
-                    0
-                } else {
-                    years.partition_point(|&y| y < year)
-                };
-                histogram[layer * MASKS + mask as usize] += 1;
-                let members = mask.count_ones() as usize;
-                for count in tables.at_least.iter_mut().take(members + 1) {
+                for count in tables.at_least.iter_mut().take(row.os_set.len() + 1) {
                     *count += 1;
                 }
-            }
-            tables.superset = vec![0u32; layers * MASKS];
-            tables.shared2 = vec![0u32; layers * MASKS];
-            let mut accumulated = vec![0u32; MASKS];
-            let mut scratch = vec![0u32; MASKS];
-            for layer in 0..layers {
-                let slice = layer * MASKS..(layer + 1) * MASKS;
-                for (acc, h) in accumulated.iter_mut().zip(&histogram[slice.clone()]) {
-                    *acc += *h;
+                for (period, histogram) in PERIODS.iter().zip(&mut tables.superset) {
+                    if period.contains(year) {
+                        histogram[mask] += 1;
+                    }
                 }
-                let superset = &mut tables.superset[slice.clone()];
-                superset.copy_from_slice(&accumulated);
-                zeta_supersets(superset);
-                scratch.copy_from_slice(&accumulated);
-                zeta_subsets(&mut scratch);
-                shared2_from_subsets(&scratch, &mut tables.shared2[slice]);
+            }
+        }
+        for tables in &mut profiles {
+            for histogram in &mut tables.superset {
+                zeta_supersets(histogram);
             }
         }
         CountIndex {
-            years,
-            coarse,
             profiles,
+            years: years.into_iter().collect(),
         }
     }
 
-    /// The distinct publication years the index has layers for.
-    pub fn year_count(&self) -> usize {
-        self.years.len()
-    }
-
-    /// Serializes the index tables for the snapshot `INDEX` section (see
-    /// `docs/SNAPSHOT_FORMAT.md`): little-endian, years then the
-    /// coarse flag then the three profile table sets in
-    /// [`ServerProfile::ALL`] order.
+    /// Serializes the index for the snapshot `INDEX` section, version 2
+    /// (see `docs/SNAPSHOT_FORMAT.md`): little-endian, per profile in
+    /// [`ServerProfile::ALL`] order `at_least` then the History, Observed
+    /// and Whole supersets, then the per-year list.
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
-        out.push(u8::from(self.coarse));
-        out.extend_from_slice(&(self.years.len() as u32).to_le_bytes());
-        for year in &self.years {
-            out.extend_from_slice(&year.to_le_bytes());
-        }
         for tables in &self.profiles {
-            for count in &tables.at_least {
+            let counts = tables
+                .at_least
+                .iter()
+                .chain(tables.superset.iter().flatten());
+            for count in counts {
                 out.extend_from_slice(&count.to_le_bytes());
             }
-            for table in [&tables.superset, &tables.shared2] {
-                out.extend_from_slice(&(table.len() as u32).to_le_bytes());
-                for value in table.iter() {
-                    out.extend_from_slice(&value.to_le_bytes());
-                }
+        }
+        out.extend_from_slice(&(self.years.len() as u32).to_le_bytes());
+        for (year, counts) in &self.years {
+            out.extend_from_slice(&year.to_le_bytes());
+            for count in counts {
+                out.extend_from_slice(&count.to_le_bytes());
             }
         }
     }
 
-    /// Decodes an `INDEX` section payload written by
-    /// [`encode`](CountIndex::encode). Returns `None` for any malformed
-    /// or dimensionally inconsistent payload — the caller falls back to
+    /// Decodes an `INDEX` version 2 payload written by
+    /// [`encode`](CountIndex::encode). Returns `None` for a payload of the
+    /// wrong length or with years out of order — the caller falls back to
     /// rebuilding the index from the rows, per the snapshot format's
     /// compatibility promise.
     pub(crate) fn decode(payload: &[u8]) -> Option<CountIndex> {
-        struct Reader<'a> {
-            bytes: &'a [u8],
-            pos: usize,
-        }
-        impl Reader<'_> {
-            fn u8(&mut self) -> Option<u8> {
-                let value = *self.bytes.get(self.pos)?;
-                self.pos += 1;
-                Some(value)
-            }
-            fn u16(&mut self) -> Option<u16> {
-                let bytes = self.bytes.get(self.pos..self.pos + 2)?;
-                self.pos += 2;
-                Some(u16::from_le_bytes([bytes[0], bytes[1]]))
-            }
-            fn u32(&mut self) -> Option<u32> {
-                let bytes = self.bytes.get(self.pos..self.pos + 4)?;
-                self.pos += 4;
-                Some(u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
-            }
-            fn u32_vec(&mut self, expected: usize) -> Option<Vec<u32>> {
-                if self.u32()? as usize != expected {
-                    return None;
-                }
-                let mut values = Vec::with_capacity(expected.min(self.bytes.len() / 4));
-                for _ in 0..expected {
-                    values.push(self.u32()?);
-                }
-                Some(values)
-            }
-        }
-        let mut reader = Reader {
-            bytes: payload,
-            pos: 0,
-        };
-        let coarse = match reader.u8()? {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
-        let year_count = reader.u32()? as usize;
-        // Years are bounded by the u16 domain; a larger claim is corrupt.
-        if year_count > usize::from(u16::MAX) {
+        let years_at = 3 * PROFILE_BYTES;
+        let year_count = le_u32s(payload.get(years_at..years_at + 4)?).next()? as usize;
+        let entries = payload.get(years_at + 4..)?;
+        if entries.len() != year_count.checked_mul(YEAR_BYTES)? {
             return None;
         }
-        let mut years = Vec::with_capacity(year_count.min(payload.len() / 2));
-        for _ in 0..year_count {
-            years.push(reader.u16()?);
-        }
-        if years.windows(2).any(|pair| pair[0] >= pair[1]) {
-            return None; // must be strictly ascending, as built
-        }
-        if coarse != (years.len() > MAX_YEAR_LAYERS) {
-            return None;
-        }
-        let layers = if years.is_empty() {
-            0
-        } else if coarse {
-            1
-        } else {
-            years.len()
-        };
+        // The tables are the payload's first `years_at` bytes.
+        let mut words = le_u32s(payload);
         let mut profiles: [ProfileTables; 3] = Default::default();
-        for tables in profiles.iter_mut() {
-            for count in tables.at_least.iter_mut() {
-                *count = reader.u32()?;
+        for tables in &mut profiles {
+            let slots = tables.at_least.iter_mut();
+            for slot in slots.chain(tables.superset.iter_mut().flatten()) {
+                *slot = words.next()?;
             }
-            tables.superset = reader.u32_vec(layers * MASKS)?;
-            tables.shared2 = reader.u32_vec(layers * MASKS)?;
         }
-        if reader.pos != payload.len() {
-            return None;
-        }
-        Some(CountIndex {
-            years,
-            coarse,
-            profiles,
-        })
+        let years: Vec<(u16, OsCounts)> = entries
+            .chunks_exact(YEAR_BYTES)
+            .map(|entry| {
+                let mut counts = OsCounts::default();
+                for (count, word) in counts.iter_mut().zip(le_u32s(&entry[2..])) {
+                    *count = word;
+                }
+                (u16::from_le_bytes([entry[0], entry[1]]), counts)
+            })
+            .collect();
+        // Strictly ascending, as built.
+        let ascending = years.windows(2).all(|pair| pair[0].0 < pair[1].0);
+        ascending.then_some(CountIndex { profiles, years })
     }
 
-    /// Whether the index degraded to a single whole-range layer (see
-    /// [`MAX_YEAR_LAYERS`]).
-    pub fn is_coarse(&self) -> bool {
-        self.coarse
-    }
-
-    /// Resolves an inclusive year window to the pair of cumulative layer
-    /// boundaries `(lower, upper)` such that the answer is
-    /// `layer(upper − 1) − layer(lower − 1)`. Returns `None` when the
-    /// coarse index cannot answer the window exactly.
-    fn window(&self, first: u16, last: u16) -> Option<(usize, usize)> {
-        if self.years.is_empty() || first > last {
-            return Some((0, 0));
-        }
-        if self.coarse {
-            let (min, max) = (self.years[0], *self.years.last().expect("non-empty"));
-            return if first <= min && last >= max {
-                Some((0, 1))
-            } else if last < min || first > max {
-                Some((0, 0))
-            } else {
-                None
-            };
-        }
-        let lower = self.years.partition_point(|&y| y < first);
-        let upper = self.years.partition_point(|&y| y <= last);
-        Some((lower, upper))
-    }
-
-    /// Reads a cumulative table cell, treating the virtual layer `0` as
-    /// all-zero.
-    fn cell(table: &[u32], boundary: usize, mask: usize) -> u32 {
-        if boundary == 0 {
-            0
-        } else {
-            table[(boundary - 1) * MASKS + mask]
-        }
-    }
-
-    /// Rows retained under `profile` with `os_set ⊇ group` and publication
-    /// year in `first..=last`. `None` when a coarse index cannot answer the
-    /// window exactly (the caller falls back to a scan).
-    pub fn count_common_years(
-        &self,
-        group: OsSet,
-        profile: ServerProfile,
-        first: u16,
-        last: u16,
-    ) -> Option<usize> {
-        let (lower, upper) = self.window(first, last)?;
-        if upper <= lower {
-            return Some(0);
-        }
-        let table = &self.profiles[profile_slot(profile)].superset;
-        let mask = group.bits() as usize;
-        Some((Self::cell(table, upper, mask) - Self::cell(table, lower, mask)) as usize)
+    /// The superset table of one profile and period.
+    fn superset(&self, profile: ServerProfile, period: Period) -> &[u32] {
+        &self.profiles[profile_slot(profile)].superset[period_slot(period)]
     }
 
     /// Rows retained under `profile` with `os_set ⊇ group` inside `period`.
-    pub fn count_common_in(
-        &self,
-        group: OsSet,
-        profile: ServerProfile,
-        period: Period,
-    ) -> Option<usize> {
-        let (first, last) = period.years();
-        self.count_common_years(group, profile, first, last)
+    pub fn count_common_in(&self, group: OsSet, profile: ServerProfile, period: Period) -> usize {
+        self.superset(profile, period)[group.bits() as usize] as usize
     }
 
     /// Rows retained under `profile` whose `os_set` intersects `group` in
-    /// at least two members, year in `first..=last`. Groups of one (or
-    /// zero) members fall back to the superset count, mirroring
+    /// at least two members, inside `period`, by inclusion–exclusion over
+    /// the supersets (see the module docs). Groups of one (or zero)
+    /// members answer the superset count, mirroring
     /// [`StudyDataset::count_shared_within`]'s homogeneous-configuration
     /// semantics.
-    pub fn count_shared_within_years(
-        &self,
-        group: OsSet,
-        profile: ServerProfile,
-        first: u16,
-        last: u16,
-    ) -> Option<usize> {
-        if group.len() <= 1 {
-            return self.count_common_years(group, profile, first, last);
-        }
-        let (lower, upper) = self.window(first, last)?;
-        if upper <= lower {
-            return Some(0);
-        }
-        let table = &self.profiles[profile_slot(profile)].shared2;
-        let mask = group.bits() as usize;
-        Some((Self::cell(table, upper, mask) - Self::cell(table, lower, mask)) as usize)
-    }
-
-    /// Rows retained under `profile` whose `os_set` intersects `group` in
-    /// at least two members, inside `period`.
     pub fn count_shared_within(
         &self,
         group: OsSet,
         profile: ServerProfile,
         period: Period,
-    ) -> Option<usize> {
-        let (first, last) = period.years();
-        self.count_shared_within_years(group, profile, first, last)
+    ) -> usize {
+        let superset = self.superset(profile, period);
+        let group = group.bits() as usize;
+        if group.count_ones() <= 1 {
+            return superset[group] as usize;
+        }
+        let mut shared = 0i64;
+        let mut subset = group;
+        while subset != 0 {
+            let members = i64::from(subset.count_ones());
+            if members >= 2 {
+                let term = (members - 1) * i64::from(superset[subset]);
+                shared += if members % 2 == 0 { term } else { -term };
+            }
+            subset = (subset - 1) & group;
+        }
+        shared as usize
     }
 
     /// Rows retained under `profile` (any year) whose `os_set` has at
     /// least `k` members — the "vulnerabilities affecting ≥ k OSes" column
-    /// of Section IV-B. Always answerable, even by a coarse index.
+    /// of Section IV-B.
     pub fn rows_with_at_least(&self, profile: ServerProfile, k: usize) -> usize {
         let tables = &self.profiles[profile_slot(profile)];
-        if k > OsDistribution::COUNT {
-            return 0;
-        }
-        tables.at_least[k] as usize
+        tables.at_least.get(k).map_or(0, |&count| count as usize)
+    }
+
+    /// Valid rows per OS for each distinct publication year of the data
+    /// (any year, not only the study period), ascending — the Fat Server
+    /// per-year counts Figure 2 plots.
+    pub fn valid_per_year(&self) -> &[(u16, OsCounts)] {
+        &self.years
     }
 }
 
@@ -472,16 +320,12 @@ mod tests {
     #[test]
     fn empty_dataset_answers_zero_everywhere() {
         let index = CountIndex::build(&StudyDataset::new());
-        assert_eq!(index.year_count(), 0);
+        assert!(index.valid_per_year().is_empty());
         for profile in ServerProfile::ALL {
-            assert_eq!(
-                index.count_common_in(OsSet::all(), profile, Period::Whole),
-                Some(0)
-            );
-            assert_eq!(
-                index.count_shared_within(OsSet::all(), profile, Period::Whole),
-                Some(0)
-            );
+            for period in PERIODS {
+                assert_eq!(index.count_common_in(OsSet::all(), profile, period), 0);
+                assert_eq!(index.count_shared_within(OsSet::all(), profile, period), 0);
+            }
             assert_eq!(index.rows_with_at_least(profile, 0), 0);
         }
     }
@@ -499,57 +343,32 @@ mod tests {
         let pair = OsSet::pair(OpenBsd, NetBsd);
         assert_eq!(
             index.count_common_in(pair, ServerProfile::FatServer, Period::Whole),
-            Some(2)
+            2
         );
         assert_eq!(
             index.count_common_in(pair, ServerProfile::ThinServer, Period::Whole),
-            Some(1)
+            1
         );
         assert_eq!(
-            index.count_common_years(pair, ServerProfile::FatServer, 2001, 2010),
-            Some(1)
+            index.count_common_in(pair, ServerProfile::FatServer, Period::Observed),
+            0
         );
         let bsd = OsSet::from_iter([OpenBsd, NetBsd, FreeBsd]);
         assert_eq!(
             index.count_shared_within(bsd, ServerProfile::FatServer, Period::Whole),
-            Some(3)
+            3
+        );
+        assert_eq!(
+            index.count_shared_within(bsd, ServerProfile::FatServer, Period::Observed),
+            1
         );
         assert_eq!(index.rows_with_at_least(ServerProfile::FatServer, 2), 3);
         assert_eq!(index.rows_with_at_least(ServerProfile::FatServer, 3), 0);
         assert_eq!(index.rows_with_at_least(ServerProfile::FatServer, 12), 0);
-    }
-
-    #[test]
-    fn coarse_index_answers_whole_range_only() {
-        let entries: Vec<_> = (0..(MAX_YEAR_LAYERS as u32 + 10))
-            .map(|i| {
-                entry(
-                    i + 1,
-                    1000 + i as u16,
-                    Some(OsPart::Kernel),
-                    true,
-                    &[OsDistribution::Debian],
-                )
-            })
-            .collect();
-        let dataset = StudyDataset::from_entries(&entries);
-        let index = CountIndex::build(&dataset);
-        assert!(index.is_coarse());
-        let debian = OsSet::singleton(OsDistribution::Debian);
-        // The whole range (and anything containing it) is exact…
-        assert_eq!(
-            index.count_common_years(debian, ServerProfile::FatServer, 0, u16::MAX),
-            Some(MAX_YEAR_LAYERS + 10)
-        );
-        // …a window entirely outside the data is exactly zero…
-        assert_eq!(
-            index.count_common_years(debian, ServerProfile::FatServer, 3000, 4000),
-            Some(0)
-        );
-        // …and a partial window is not answerable.
-        assert_eq!(
-            index.count_common_years(debian, ServerProfile::FatServer, 1000, 1100),
-            None
-        );
+        let years: Vec<u16> = index.valid_per_year().iter().map(|(y, _)| *y).collect();
+        assert_eq!(years, [2000, 2004, 2007, 2008]);
+        let (_, counts_2008) = index.valid_per_year()[3];
+        assert_eq!(counts_2008[NetBsd.index()], 1);
+        assert_eq!(counts_2008[OpenBsd.index()], 0);
     }
 }

@@ -76,9 +76,7 @@ impl KWayAnalysis {
             let mut worst: Option<(OsSet, usize)> = None;
             if k <= OsDistribution::COUNT {
                 for group in universe.subsets_of_size(k) {
-                    let count = index
-                        .count_common_in(group, profile, Period::Whole)
-                        .unwrap_or_else(|| study.count_common_in(group, profile, Period::Whole));
+                    let count = index.count_common_in(group, profile, Period::Whole);
                     if best.map(|(_, c)| count < c).unwrap_or(true) {
                         best = Some((group, count));
                     }

@@ -7,6 +7,7 @@ use tabular::TextTable;
 use crate::analysis::{Analysis, AnalysisError, AnalysisId, Section};
 use crate::classes::ClassDistribution;
 use crate::dataset::{Period, ServerProfile, StudyDataset};
+use crate::index::CountIndex;
 use crate::study::Study;
 
 /// One row of the Table III reproduction: an OS pair with its per-OS totals
@@ -109,9 +110,10 @@ impl Default for PairwiseConfig {
 
 impl PairwiseAnalysis {
     fn compute_impl(study: &StudyDataset, oses: &[OsDistribution]) -> Self {
+        let index = study.count_index();
         let totals: Vec<(OsDistribution, (usize, usize, usize))> = oses
             .iter()
-            .map(|&os| (os, per_profile_totals(study, OsSet::singleton(os))))
+            .map(|&os| (os, per_profile_totals(&index, OsSet::singleton(os))))
             .collect();
         // Table IV in a single pass over the store: instead of one
         // row-returning scan per pair (55 scans for the full study), walk
@@ -157,7 +159,7 @@ impl PairwiseAnalysis {
         for (i, &(a, v_a)) in totals.iter().enumerate() {
             for (j, &(b, v_b)) in totals.iter().enumerate().skip(i + 1) {
                 let pair = OsSet::pair(a, b);
-                let v_ab = per_profile_totals(study, pair);
+                let v_ab = per_profile_totals(&index, pair);
                 rows.push(PairRow {
                     a,
                     b,
@@ -389,11 +391,13 @@ pub(crate) fn summary_section(study: &Study) -> Result<Section, AnalysisError> {
     summary_of(study, &pairwise)
 }
 
-fn per_profile_totals(study: &StudyDataset, group: OsSet) -> (usize, usize, usize) {
+/// The 1994–2010 common counts of `group` under the three profiles.
+fn per_profile_totals(index: &CountIndex, group: OsSet) -> (usize, usize, usize) {
+    let common = |profile| index.count_common_in(group, profile, Period::Whole);
     (
-        study.count_common(group, ServerProfile::FatServer),
-        study.count_common(group, ServerProfile::ThinServer),
-        study.count_common(group, ServerProfile::IsolatedThinServer),
+        common(ServerProfile::FatServer),
+        common(ServerProfile::ThinServer),
+        common(ServerProfile::IsolatedThinServer),
     )
 }
 

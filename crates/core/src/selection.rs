@@ -65,26 +65,23 @@ pub struct ConfigurationOutcome {
 
 /// Replica-group selection over a dataset.
 #[derive(Debug, Clone)]
-pub struct ReplicaSelection<'a> {
-    study: &'a StudyDataset,
-    /// The dataset's memoized count index: every score is an O(1) lookup
-    /// (with a scan fallback through the dataset for coarse indexes).
+pub struct ReplicaSelection {
+    /// The dataset's memoized count index: every score is a lookup.
     index: Arc<CountIndex>,
     profile: ServerProfile,
     criterion: SelectionCriterion,
     candidates: Vec<OsDistribution>,
 }
 
-impl<'a> ReplicaSelection<'a> {
+impl ReplicaSelection {
     /// Creates a selection over the paper's eight history-rich OSes, the
     /// Isolated Thin Server profile and the distinct-shared criterion (the
     /// paper's narrative counts *vulnerabilities* — "this set would only
     /// have one vulnerability affecting two of the replicas" — so a
     /// vulnerability shared by three replicas is counted once, not three
     /// times).
-    pub fn new(study: &'a StudyDataset) -> Self {
+    pub fn new(study: &StudyDataset) -> Self {
         ReplicaSelection {
-            study,
             index: study.count_index(),
             profile: ServerProfile::IsolatedThinServer,
             criterion: SelectionCriterion::DistinctShared,
@@ -92,11 +89,9 @@ impl<'a> ReplicaSelection<'a> {
         }
     }
 
-    /// An O(1) indexed common count with a scan fallback.
+    /// An O(1) indexed common count.
     fn common(&self, group: OsSet, period: Period) -> usize {
-        self.index
-            .count_common_in(group, self.profile, period)
-            .unwrap_or_else(|| self.study.count_common_in(group, self.profile, period))
+        self.index.count_common_in(group, self.profile, period)
     }
 
     /// Restricts or widens the candidate OS pool.
@@ -135,10 +130,9 @@ impl<'a> ReplicaSelection<'a> {
                 }
                 sum
             }
-            SelectionCriterion::DistinctShared => self
-                .index
-                .count_shared_within(group, self.profile, period)
-                .unwrap_or_else(|| self.study.count_shared_within(group, self.profile, period)),
+            SelectionCriterion::DistinctShared => {
+                self.index.count_shared_within(group, self.profile, period)
+            }
         }
     }
 

@@ -54,8 +54,9 @@ pub const SECTION_INDEX: u16 = 2;
 /// Section id of the key/value annotations (optional).
 pub const SECTION_META: u16 = 3;
 
-/// The `INDEX` section version this module writes.
-pub const INDEX_SECTION_VERSION: u16 = 1;
+/// The `INDEX` section version this module writes and reads (an `INDEX`
+/// of any other version is rebuilt from the rows).
+pub const INDEX_SECTION_VERSION: u16 = 2;
 
 /// The `META` section version this module writes.
 pub const META_SECTION_VERSION: u16 = 1;

@@ -59,14 +59,9 @@ impl Default for SplitConfig {
 
 impl SplitMatrix {
     fn compute_impl(study: &StudyDataset, oses: &[OsDistribution], profile: ServerProfile) -> Self {
-        // Every cell is an O(1) lookup against the memoized count index
-        // (with a scan fallback for coarse indexes).
+        // Every cell is an O(1) lookup against the memoized count index.
         let index = study.count_index();
-        let count = |group: OsSet, period: Period| {
-            index
-                .count_common_in(group, profile, period)
-                .unwrap_or_else(|| study.count_common_in(group, profile, period))
-        };
+        let count = |group: OsSet, period: Period| index.count_common_in(group, profile, period);
         let n = oses.len();
         let mut history = vec![vec![0usize; n]; n];
         let mut observed = vec![vec![0usize; n]; n];

@@ -1,18 +1,27 @@
 //! Temporal distribution of vulnerability publications (Figure 2).
 
-use nvd_model::{OsDistribution, OsFamily, OsSet};
+use nvd_model::{OsDistribution, OsFamily};
 use tabular::{Series, SeriesSet, YearHistogram};
 
 use crate::analysis::{Analysis, AnalysisError, AnalysisId, Section};
-use crate::dataset::{ServerProfile, StudyDataset};
+use crate::dataset::StudyDataset;
 use crate::study::Study;
+
+/// The longest accepted year axis, in years. Figure 2 spans 18; the years
+/// reach the analysis straight from unauthenticated HTTP query strings,
+/// and every year of the axis is a bucket per OS and a line of every
+/// rendered document, so an unbounded axis would be a one-request denial
+/// of service.
+const MAX_AXIS_YEARS: u32 = 256;
 
 /// Configuration of the temporal analysis: the inclusive year range of the
 /// histograms. The default matches the x axis of Figure 2 (1993–2010).
 ///
 /// The range is validated when the analysis runs: `first_year` after
 /// `last_year` is an [`AnalysisError::InvalidYearRange`] instead of the
-/// silent empty series the old `compute_over` produced.
+/// silent empty series the old `compute_over` produced, and an axis of
+/// more than 256 years is an [`AnalysisError::InvalidParam`] naming
+/// `last_year`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TemporalConfig {
     /// First year of the histograms (inclusive).
@@ -31,12 +40,23 @@ impl Default for TemporalConfig {
 }
 
 impl TemporalConfig {
-    /// Checks `first_year <= last_year`.
+    /// Checks `first_year <= last_year` and that the axis spans at most
+    /// 256 years.
     pub fn validate(&self) -> Result<(), AnalysisError> {
         if self.first_year > self.last_year {
             return Err(AnalysisError::InvalidYearRange {
                 first: self.first_year,
                 last: self.last_year,
+            });
+        }
+        let latest = u32::from(self.first_year) + MAX_AXIS_YEARS - 1;
+        if u32::from(self.last_year) > latest {
+            return Err(AnalysisError::InvalidParam {
+                name: "last_year".to_string(),
+                value: self.last_year.to_string(),
+                reason: format!(
+                    "must be at most {latest}: the axis spans at most {MAX_AXIS_YEARS} years"
+                ),
             });
         }
         Ok(())
@@ -54,21 +74,18 @@ pub struct TemporalAnalysis {
 
 impl TemporalAnalysis {
     fn compute_impl(study: &StudyDataset, first_year: u16, last_year: u16) -> Self {
-        // Per-(OS, year) counts are O(1) lookups against the memoized count
-        // index (Fat Server retention is exactly the validity filter this
-        // analysis applies). The boundary buckets absorb the years outside
-        // the configured axis, matching [`YearHistogram::add`]'s clamping.
-        let mut histograms = Vec::with_capacity(OsDistribution::COUNT);
-        for os in OsDistribution::ALL {
-            let mut histogram = YearHistogram::new(first_year, last_year);
-            let group = OsSet::singleton(os);
-            for year in first_year..=last_year {
-                let from = if year == first_year { 0 } else { year };
-                let to = if year == last_year { u16::MAX } else { year };
-                let count = study.count_common_years(group, ServerProfile::FatServer, from, to);
-                histogram.add_n(year, count as u64);
+        // The count index's per-year list holds the valid rows per OS of
+        // every publication year (Fat Server retention is exactly the
+        // validity filter this analysis applies). `YearHistogram::add_n`
+        // clamps the years outside the axis into its boundary buckets.
+        let mut histograms: Vec<(OsDistribution, YearHistogram)> = OsDistribution::ALL
+            .into_iter()
+            .map(|os| (os, YearHistogram::new(first_year, last_year)))
+            .collect();
+        for (year, counts) in study.count_index().valid_per_year() {
+            for (os, histogram) in &mut histograms {
+                histogram.add_n(*year, u64::from(counts[os.index()]));
             }
-            histograms.push((os, histogram));
         }
         TemporalAnalysis {
             first_year,
@@ -308,5 +325,36 @@ mod tests {
                 last: 1993
             }
         );
+    }
+
+    #[test]
+    fn an_axis_of_more_than_256_years_is_an_invalid_last_year() {
+        let axis = |first_year, last_year| {
+            TemporalConfig {
+                first_year,
+                last_year,
+            }
+            .validate()
+        };
+        assert_eq!(axis(1993, 1993 + 255), Ok(()));
+        assert_eq!(axis(u16::MAX - 255, u16::MAX), Ok(()));
+        assert_eq!(axis(u16::MAX, u16::MAX), Ok(()));
+        for (first, last) in [(1993, 1993 + 256), (0, u16::MAX), (1, u16::MAX)] {
+            match axis(first, last).unwrap_err() {
+                AnalysisError::InvalidParam { name, value, .. } => {
+                    assert_eq!(name, "last_year");
+                    assert_eq!(value, last.to_string());
+                }
+                other => panic!("{first}..={last}: {other:?}"),
+            }
+        }
+        // The same request as query parameters fails before any histogram
+        // is built.
+        let study = Study::new(StudyDataset::new());
+        let params = Params::from_pairs([("first_year", "0"), ("last_year", "65535")]);
+        assert!(matches!(
+            analysis_sections(&study, AnalysisId::Temporal, &params),
+            Err(AnalysisError::InvalidParam { name, .. }) if name == "last_year"
+        ));
     }
 }

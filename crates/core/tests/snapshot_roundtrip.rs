@@ -6,10 +6,11 @@
 //! and the code cannot drift apart silently.
 
 use nvd_model::{CveId, CvssV2, Date, OsDistribution, OsPart, OsSet, Validity, VulnerabilityEntry};
+use osdiv_core::analysis::report_sections;
 use osdiv_core::snapshot::crc32;
 use osdiv_core::{
-    analysis_sections, renderer, AnalysisId, Format, Params, Snapshot, SnapshotError, Study,
-    StudyDataset,
+    analysis_sections, renderer, AnalysisId, Format, Params, ServerProfile, Snapshot,
+    SnapshotError, Study, StudyDataset,
 };
 use proptest::prelude::*;
 
@@ -311,7 +312,8 @@ fn the_documented_offsets_parse_a_real_snapshot() {
         let offset = u64::from_le_bytes(entry[4..12].try_into().unwrap()) as usize;
         let length = u64::from_le_bytes(entry[12..20].try_into().unwrap()) as usize;
         let crc = u32::from_le_bytes(entry[20..24].try_into().unwrap());
-        assert_eq!(version, 1, "section {id} version");
+        let expected_version = if id == 2 { 2 } else { 1 };
+        assert_eq!(version, expected_version, "section {id} version");
         assert_eq!(
             offset, next_payload,
             "payloads are contiguous, in table order"
@@ -339,6 +341,44 @@ fn the_documented_offsets_parse_a_real_snapshot() {
     let value_len =
         u32::from_le_bytes(payload[value_at..value_at + 4].try_into().unwrap()) as usize;
     assert_eq!(&payload[value_at + 4..value_at + 4 + value_len], b"golden");
+
+    // The INDEX version 2 payload: per profile, u32 at_least[12] then the
+    // u32[2048] History, Observed and Whole supersets; then u32
+    // year_count and per year u16 year + u32 valid rows per OS[11]. The
+    // fixture's only valid row: 2004, OSes 0 and 2, retained by all three
+    // profiles (a remote Driver flaw).
+    let index_entry = &bytes[8 + 24..8 + 2 * 24];
+    let offset = u64::from_le_bytes(index_entry[4..12].try_into().unwrap()) as usize;
+    let length = u64::from_le_bytes(index_entry[12..20].try_into().unwrap()) as usize;
+    let index = &bytes[offset..offset + length];
+    let word = |at: usize| u32::from_le_bytes(index[at..at + 4].try_into().unwrap());
+    let profile_bytes = 4 * (12 + 3 * 2048);
+    assert_eq!(length, 3 * profile_bytes + 4 + (2 + 4 * 11));
+    for profile in 0..3 {
+        let at_least = profile * profile_bytes;
+        let at_least: Vec<u32> = (0..12).map(|k| word(at_least + 4 * k)).collect();
+        assert_eq!(at_least, [1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+        let superset = |period: usize, mask: usize| {
+            word(profile * profile_bytes + 4 * (12 + period * 2048 + mask))
+        };
+        for (period, rows) in [(0, 1), (1, 0), (2, 1)] {
+            assert_eq!(
+                superset(period, 0b101),
+                rows,
+                "profile {profile} period {period}"
+            );
+            assert_eq!(superset(period, 0b001), rows);
+            assert_eq!(superset(period, 0b111), 0);
+        }
+    }
+    let years = 3 * profile_bytes;
+    assert_eq!(word(years), 1, "one distinct year");
+    assert_eq!(
+        u16::from_le_bytes([index[years + 4], index[years + 5]]),
+        2004
+    );
+    let per_os: Vec<u32> = (0..11).map(|os| word(years + 6 + 4 * os)).collect();
+    assert_eq!(per_os, [1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0]);
 }
 
 /// The `STORE` payload of a small hand-built dataset, pinned by length and
@@ -496,4 +536,194 @@ fn an_unknown_section_is_skipped_whatever_its_crc() {
             Err(SnapshotError::Truncated { .. })
         ));
     }
+}
+
+/// The version 1 `INDEX` payload every earlier build wrote, computed here
+/// by naive scans from its documented layout: `u8 coarse`, the distinct
+/// years of valid rows, then per profile `at_least[12]` and two
+/// length-prefixed tables of one cumulative 2048-mask layer per year —
+/// rows up to that year whose `os_set` is a superset of the mask, and rows
+/// meeting the mask in at least two OSes.
+fn version_1_index_payload(dataset: &StudyDataset) -> Vec<u8> {
+    let mut years: Vec<u16> = dataset.store().valid_rows().map(|r| r.year()).collect();
+    years.sort_unstable();
+    years.dedup();
+    let mut out = vec![0u8];
+    out.extend_from_slice(&(years.len() as u32).to_le_bytes());
+    for year in &years {
+        out.extend_from_slice(&year.to_le_bytes());
+    }
+    let push_u32 = |out: &mut Vec<u8>, value: usize| {
+        out.extend_from_slice(&(value as u32).to_le_bytes());
+    };
+    for profile in ServerProfile::ALL {
+        let retained: Vec<_> = dataset
+            .store()
+            .rows()
+            .filter(|row| dataset.retains(row, profile))
+            .collect();
+        for k in 0..=11 {
+            push_u32(
+                &mut out,
+                retained.iter().filter(|r| r.os_set.len() >= k).count(),
+            );
+        }
+        for shared in [false, true] {
+            push_u32(&mut out, years.len() * 2048);
+            for &year in &years {
+                for mask in 0..2048u16 {
+                    let group = OsSet::from_bits(mask);
+                    let count = retained
+                        .iter()
+                        .filter(|row| row.year() <= year)
+                        .filter(|row| {
+                            if shared {
+                                row.os_set.intersection(group).len() >= 2
+                            } else {
+                                group.is_subset_of(&row.os_set)
+                            }
+                        })
+                        .count();
+                    push_u32(&mut out, count);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Rewrites a writer-produced snapshot with its `INDEX` section (the
+/// second entry) replaced by `payload` under `version`, recomputing every
+/// offset and the section's CRC.
+fn with_index_section(bytes: &[u8], version: u16, payload: &[u8]) -> Vec<u8> {
+    let mut table = Vec::new();
+    let mut payloads = Vec::new();
+    let mut offset = 8 + 3 * 24;
+    for entry in bytes[8..8 + 3 * 24].chunks_exact(24) {
+        let id = u16::from_le_bytes([entry[0], entry[1]]);
+        let start = u64::from_le_bytes(entry[4..12].try_into().unwrap()) as usize;
+        let length = u64::from_le_bytes(entry[12..20].try_into().unwrap()) as usize;
+        let (version, body) = if id == 2 {
+            (version, payload)
+        } else {
+            (
+                u16::from_le_bytes([entry[2], entry[3]]),
+                &bytes[start..start + length],
+            )
+        };
+        table.extend_from_slice(&id.to_le_bytes());
+        table.extend_from_slice(&version.to_le_bytes());
+        table.extend_from_slice(&(offset as u64).to_le_bytes());
+        table.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        table.extend_from_slice(&reference_crc32(body).to_le_bytes());
+        payloads.extend_from_slice(body);
+        offset += body.len();
+    }
+    let mut out = bytes[..8].to_vec();
+    out.extend_from_slice(&table);
+    out.extend_from_slice(&payloads);
+    out
+}
+
+/// 48 rows over 23 publication years (1991–2013), every part, both
+/// access vectors and some invalid rows.
+fn rows_over_23_years() -> Vec<RawEntry> {
+    let parts = [
+        None,
+        Some(OsPart::Driver),
+        Some(OsPart::Kernel),
+        Some(OsPart::SystemSoftware),
+        Some(OsPart::Application),
+    ];
+    (0..48u16)
+        .map(|i| RawEntry {
+            year: 1991 + (i * 7) % 23,
+            mask: ((i * 389 + 7) % 2048) | (1 << (i % 11)),
+            part: parts[usize::from(i % 5)],
+            remote: i % 3 != 0,
+            valid: i % 7 != 0,
+        })
+        .collect()
+}
+
+/// Every snapshot an earlier build wrote carries a version 1 `INDEX`. It
+/// must load (the compatibility promise), rebuild its index lazily and
+/// report exactly what a fresh dataset reports; saving it again writes
+/// the current version.
+#[test]
+fn a_version_1_index_from_an_earlier_build_is_rebuilt_lazily() {
+    let raws = rows_over_23_years();
+    let meta = vec![("source".to_string(), "earlier build".to_string())];
+    let current = Snapshot::to_bytes(&dataset_from(&raws), &meta);
+    let dataset = dataset_from(&raws);
+    let earlier = with_index_section(&current, 1, &version_1_index_payload(&dataset));
+
+    let info = Snapshot::inspect(&earlier).unwrap();
+    assert_eq!(info.sections[1].version, 1);
+    assert!(info.sections.iter().all(|s| s.crc_ok));
+    let snapshot = Snapshot::from_bytes(&earlier).unwrap();
+    assert!(!snapshot.index_loaded, "a version 1 INDEX is rebuilt");
+    assert_eq!(snapshot.meta, meta);
+
+    let loaded = Study::new(snapshot.dataset);
+    let fresh = Study::new(dataset);
+    for format in Format::ALL {
+        assert_eq!(
+            renderer(format).document(&report_sections(&loaded).unwrap()),
+            renderer(format).document(&report_sections(&fresh).unwrap()),
+            "{format} report"
+        );
+    }
+    assert_eq!(
+        Snapshot::to_bytes(loaded.dataset(), &meta),
+        current,
+        "saving again writes the current INDEX version"
+    );
+}
+
+/// A version 2 `INDEX` the reader cannot use — a byte short or long, a
+/// year count the payload does not hold, years out of order — is rebuilt
+/// too; the intact payload loads. Either way the report is the fresh
+/// dataset's.
+#[test]
+fn a_malformed_version_2_index_is_rebuilt_lazily() {
+    let raws = rows_over_23_years();
+    let bytes = Snapshot::to_bytes(&dataset_from(&raws), &[]);
+    let expected = renderer(Format::Json)
+        .document(&report_sections(&Study::new(dataset_from(&raws))).unwrap());
+    let entry = &bytes[8 + 24..8 + 2 * 24];
+    let offset = u64::from_le_bytes(entry[4..12].try_into().unwrap()) as usize;
+    let length = u64::from_le_bytes(entry[12..20].try_into().unwrap()) as usize;
+    let intact = bytes[offset..offset + length].to_vec();
+
+    // Offsets from the documented layout: the year count follows the
+    // three profiles' tables, and each year entry is 46 bytes.
+    let year_count = 3 * 4 * (12 + 3 * 2048);
+    let (first, second) = (year_count + 4, year_count + 4 + 46);
+    let mut swapped = intact.clone();
+    swapped[first..first + 2].copy_from_slice(&intact[second..second + 2]);
+    swapped[second..second + 2].copy_from_slice(&intact[first..first + 2]);
+    let mut claims_more = intact.clone();
+    claims_more[year_count..year_count + 4].copy_from_slice(&24u32.to_le_bytes());
+    let mut long = intact.clone();
+    long.push(0);
+    let short = intact[..intact.len() - 1].to_vec();
+
+    for (name, index, loaded) in [
+        ("intact", intact.clone(), true),
+        ("short", short, false),
+        ("long", long, false),
+        ("claims one more year", claims_more, false),
+        ("years out of order", swapped, false),
+    ] {
+        let snapshot = Snapshot::from_bytes(&with_index_section(&bytes, 2, &index)).unwrap();
+        assert_eq!(snapshot.index_loaded, loaded, "{name}");
+        let study = Study::new(snapshot.dataset);
+        let report = renderer(Format::Json).document(&report_sections(&study).unwrap());
+        assert_eq!(report, expected, "{name}");
+    }
+    assert_eq!(
+        u32::from_le_bytes(intact[year_count..first].try_into().unwrap()),
+        23
+    );
 }

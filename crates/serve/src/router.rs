@@ -1405,6 +1405,27 @@ mod tests {
     }
 
     #[test]
+    fn a_figure2_axis_of_more_than_256_years_is_a_400() {
+        // Every year of the axis is a bucket per OS and a line of the
+        // document: an unbounded axis lets one query hold a worker.
+        let router = test_router();
+        for query in [
+            "first_year=1993&last_year=2249",
+            "first_year=0&last_year=65535&format=csv",
+            "first_year=1&last_year=65535&format=csv",
+        ] {
+            let response = router.handle(&request(&format!(
+                "GET /v1/analyses/temporal?{query} HTTP/1.1\r\n\r\n"
+            )));
+            assert_eq!(response.status(), 400, "{query}");
+            let body = String::from_utf8_lossy(response.body()).to_string();
+            assert!(body.contains("for parameter last_year"), "{query}: {body}");
+        }
+        let widest = "GET /v1/analyses/temporal?first_year=1993&last_year=2248 HTTP/1.1\r\n\r\n";
+        assert_eq!(router.handle(&request(widest)).status(), 200);
+    }
+
+    #[test]
     fn metrics_route_reports_counters_in_exposition_format() {
         let router = test_router();
         // Miss, then hit, on the render cache.
