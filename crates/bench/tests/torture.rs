@@ -223,7 +223,7 @@ fn check_crash_image(recording: &Recording, prefix: usize, cut: Option<usize>) {
     let loaded = store
         .load("keep")
         .unwrap_or_else(|error| panic!("{label}: keep failed to load: {error}"));
-    let report = loaded.study.report(Format::Json).unwrap();
+    let report = loaded.report(Format::Json).unwrap();
     assert!(
         recording.keep_reports.contains(&report),
         "{label}: keep served a report matching neither committed state"

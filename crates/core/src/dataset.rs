@@ -1,10 +1,9 @@
 //! The study dataset: a relational store plus the paper's filtered views.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use classify::Classifier;
 use nvd_model::{OsDistribution, OsSet, VulnerabilityEntry};
-use parking_lot::RwLock;
 use vulnstore::{VulnId, VulnStore, VulnerabilityRow};
 
 use crate::index::CountIndex;
@@ -115,31 +114,19 @@ impl Period {
 /// instead of a store scan. The index is dropped whenever the rows
 /// mutate ([`StudyDataset::classify_unlabelled`]) and rebuilt on the next
 /// query.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct StudyDataset {
     store: VulnStore,
-    /// The memoized count index (`None` until the first count query after
+    /// The memoized count index (empty until the first count query after
     /// a build or mutation). Shared by clones — the tables are immutable
     /// once built.
-    index: RwLock<Option<Arc<CountIndex>>>,
-}
-
-impl Clone for StudyDataset {
-    fn clone(&self) -> Self {
-        StudyDataset {
-            store: self.store.clone(),
-            index: RwLock::new(self.index.read().clone()),
-        }
-    }
+    index: OnceLock<Arc<CountIndex>>,
 }
 
 impl StudyDataset {
     /// Creates an empty dataset.
     pub fn new() -> Self {
-        StudyDataset {
-            store: VulnStore::new(),
-            index: RwLock::new(None),
-        }
+        StudyDataset::default()
     }
 
     /// Builds a dataset from parsed entries (duplicates are merged by CVE
@@ -154,33 +141,28 @@ impl StudyDataset {
     pub fn from_store(store: VulnStore) -> Self {
         StudyDataset {
             store,
-            index: RwLock::new(None),
+            index: OnceLock::new(),
         }
     }
 
     /// The memoized [`CountIndex`] of the dataset, building it on first
-    /// use. The build happens under the write lock, so concurrent first
-    /// calls wait for (and then share) one build instead of redundantly
-    /// transforming the same tables — server workers cold-rendering the
-    /// same tenant all want the index immediately.
+    /// use. Concurrent first calls wait for (and then share) one build
+    /// instead of redundantly transforming the same tables — server
+    /// workers cold-rendering the same tenant all want the index
+    /// immediately.
     pub fn count_index(&self) -> Arc<CountIndex> {
-        if let Some(index) = self.index.read().as_ref() {
-            return Arc::clone(index);
-        }
-        let mut slot = self.index.write();
-        if let Some(index) = slot.as_ref() {
-            return Arc::clone(index);
-        }
-        let _span = crate::obs::span(crate::obs::SpanKind::IndexBuild, "count_index");
-        let built = Arc::new(CountIndex::build(self));
-        *slot = Some(Arc::clone(&built));
-        built
+        let index = self.index.get_or_init(|| {
+            let _span = crate::obs::span(crate::obs::SpanKind::IndexBuild, "count_index");
+            Arc::new(CountIndex::build(self))
+        });
+        Arc::clone(index)
     }
 
     /// Installs a pre-built count index (a snapshot reload) so the first
-    /// query after a warm restart skips the rebuild.
+    /// query after a warm restart skips the rebuild. A dataset that
+    /// already holds an index keeps it.
     pub(crate) fn preload_index(&self, index: Arc<CountIndex>) {
-        *self.index.write() = Some(index);
+        let _ = self.index.set(index);
     }
 
     /// The underlying store.
@@ -214,7 +196,7 @@ impl StudyDataset {
         if count > 0 {
             // Classification changes profile retention; the memoized count
             // index is stale.
-            *self.index.write() = None;
+            self.index.take();
         }
         count
     }

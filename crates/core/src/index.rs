@@ -11,11 +11,14 @@
 //!   `|os_set ∩ g| ≥ 2`.
 //!
 //! An [`OsSet`] is an 11-bit mask, so both questions are answerable from
-//! per-mask histograms: the index bins every retained row of a period by
-//! its exact `os_set` bits and runs the classic O(2ⁿ·n) sum-over-supersets
-//! (zeta) transform on each of the nine profile × period histograms.
-//! Afterwards `superset[mask]` counts the rows whose `os_set ⊇ mask`,
-//! which is `count_common_in`. The shared count follows by
+//! per-mask histograms: the index bins every retained row of the History
+//! and Observed periods by its exact `os_set` bits and runs the classic
+//! O(2ⁿ·n) sum-over-supersets (zeta) transform on each of the six
+//! profile × period histograms. Afterwards `superset[mask]` counts the
+//! rows whose `os_set ⊇ mask`, which is `count_common_in`. The Whole
+//! period (1994–2010) is the disjoint union of History (1994–2005) and
+//! Observed (2006–2010), so it has no table of its own: each Whole answer
+//! is History's plus Observed's. The shared count follows by
 //! inclusion–exclusion over the subsets of `g` with at least two members:
 //!
 //! ```text
@@ -44,7 +47,8 @@ use crate::dataset::{Period, ServerProfile, StudyDataset};
 const MASKS: usize = 1 << OsDistribution::COUNT;
 
 /// The periods the index keeps tables for, in table (and payload) order.
-const PERIODS: [Period; 3] = [Period::History, Period::Observed, Period::Whole];
+/// [`Period::Whole`] is their disjoint union, answered from their sum.
+const PERIODS: [Period; 2] = [Period::History, Period::Observed];
 
 /// Valid rows per OS, in [`OsDistribution::ALL`] order.
 pub type OsCounts = [u32; OsDistribution::COUNT];
@@ -64,7 +68,7 @@ struct ProfileTables {
     at_least: [u32; OsDistribution::COUNT + 1],
     /// `superset[p][mask]`: retained rows published in `PERIODS[p]` whose
     /// `os_set ⊇ mask`.
-    superset: [Vec<u32>; 3],
+    superset: [Vec<u32>; 2],
 }
 
 impl Default for ProfileTables {
@@ -100,15 +104,6 @@ fn profile_slot(profile: ServerProfile) -> usize {
     }
 }
 
-/// The index position of a period in [`PERIODS`].
-fn period_slot(period: Period) -> usize {
-    match period {
-        Period::History => 0,
-        Period::Observed => 1,
-        Period::Whole => 2,
-    }
-}
-
 /// In-place sum over supersets: afterwards `f[mask] = Σ f[m]` over all
 /// `m ⊇ mask`.
 fn zeta_supersets(f: &mut [u32]) {
@@ -132,7 +127,7 @@ fn le_u32s(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
 
 impl CountIndex {
     /// Builds the index from a dataset in one pass over the store plus the
-    /// nine transforms (O(rows + 9 · 2ⁿ · n)).
+    /// six transforms (O(rows + 6 · 2ⁿ · n)).
     pub fn build(dataset: &StudyDataset) -> CountIndex {
         let mut profiles: [ProfileTables; 3] = Default::default();
         let mut years: BTreeMap<u16, OsCounts> = BTreeMap::new();
@@ -173,10 +168,10 @@ impl CountIndex {
         }
     }
 
-    /// Serializes the index for the snapshot `INDEX` section, version 2
+    /// Serializes the index for the snapshot `INDEX` section, version 3
     /// (see `docs/SNAPSHOT_FORMAT.md`): little-endian, per profile in
-    /// [`ServerProfile::ALL`] order `at_least` then the History, Observed
-    /// and Whole supersets, then the per-year list.
+    /// [`ServerProfile::ALL`] order `at_least` then the History and
+    /// Observed supersets, then the per-year list.
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         for tables in &self.profiles {
             let counts = tables
@@ -196,7 +191,7 @@ impl CountIndex {
         }
     }
 
-    /// Decodes an `INDEX` version 2 payload written by
+    /// Decodes an `INDEX` version 3 payload written by
     /// [`encode`](CountIndex::encode). Returns `None` for a payload of the
     /// wrong length or with years out of order — the caller falls back to
     /// rebuilding the index from the rows, per the snapshot format's
@@ -232,14 +227,29 @@ impl CountIndex {
         ascending.then_some(CountIndex { profiles, years })
     }
 
-    /// The superset table of one profile and period.
-    fn superset(&self, profile: ServerProfile, period: Period) -> &[u32] {
-        &self.profiles[profile_slot(profile)].superset[period_slot(period)]
+    /// `answer` applied to the superset table of one profile and period.
+    /// Whole has no table: it is History's answer plus Observed's, summed
+    /// in `i64` because a decoded payload is outside input and two `u32`
+    /// cells can pass `u32::MAX`.
+    fn in_period(
+        &self,
+        profile: ServerProfile,
+        period: Period,
+        answer: impl Fn(&[u32]) -> i64,
+    ) -> usize {
+        let [history, observed] = &self.profiles[profile_slot(profile)].superset;
+        let answer = match period {
+            Period::History => answer(history),
+            Period::Observed => answer(observed),
+            Period::Whole => answer(history) + answer(observed),
+        };
+        answer as usize
     }
 
     /// Rows retained under `profile` with `os_set ⊇ group` inside `period`.
     pub fn count_common_in(&self, group: OsSet, profile: ServerProfile, period: Period) -> usize {
-        self.superset(profile, period)[group.bits() as usize] as usize
+        let group = group.bits() as usize;
+        self.in_period(profile, period, |superset| i64::from(superset[group]))
     }
 
     /// Rows retained under `profile` whose `os_set` intersects `group` in
@@ -254,22 +264,23 @@ impl CountIndex {
         profile: ServerProfile,
         period: Period,
     ) -> usize {
-        let superset = self.superset(profile, period);
+        if group.len() <= 1 {
+            return self.count_common_in(group, profile, period);
+        }
         let group = group.bits() as usize;
-        if group.count_ones() <= 1 {
-            return superset[group] as usize;
-        }
-        let mut shared = 0i64;
-        let mut subset = group;
-        while subset != 0 {
-            let members = i64::from(subset.count_ones());
-            if members >= 2 {
-                let term = (members - 1) * i64::from(superset[subset]);
-                shared += if members % 2 == 0 { term } else { -term };
+        self.in_period(profile, period, |superset| {
+            let mut shared = 0i64;
+            let mut subset = group;
+            while subset != 0 {
+                let members = i64::from(subset.count_ones());
+                if members >= 2 {
+                    let term = (members - 1) * i64::from(superset[subset]);
+                    shared += if members % 2 == 0 { term } else { -term };
+                }
+                subset = (subset - 1) & group;
             }
-            subset = (subset - 1) & group;
-        }
-        shared as usize
+            shared
+        })
     }
 
     /// Rows retained under `profile` (any year) whose `os_set` has at
@@ -322,7 +333,7 @@ mod tests {
         let index = CountIndex::build(&StudyDataset::new());
         assert!(index.valid_per_year().is_empty());
         for profile in ServerProfile::ALL {
-            for period in PERIODS {
+            for period in [Period::History, Period::Observed, Period::Whole] {
                 assert_eq!(index.count_common_in(OsSet::all(), profile, period), 0);
                 assert_eq!(index.count_shared_within(OsSet::all(), profile, period), 0);
             }
@@ -341,27 +352,22 @@ mod tests {
         ]);
         let index = CountIndex::build(&dataset);
         let pair = OsSet::pair(OpenBsd, NetBsd);
-        assert_eq!(
-            index.count_common_in(pair, ServerProfile::FatServer, Period::Whole),
-            2
-        );
-        assert_eq!(
-            index.count_common_in(pair, ServerProfile::ThinServer, Period::Whole),
-            1
-        );
-        assert_eq!(
-            index.count_common_in(pair, ServerProfile::FatServer, Period::Observed),
-            0
-        );
         let bsd = OsSet::from_iter([OpenBsd, NetBsd, FreeBsd]);
-        assert_eq!(
-            index.count_shared_within(bsd, ServerProfile::FatServer, Period::Whole),
-            3
-        );
-        assert_eq!(
-            index.count_shared_within(bsd, ServerProfile::FatServer, Period::Observed),
-            1
-        );
+        // (period, fat common, thin common, fat shared within the BSDs)
+        for (period, fat, thin, shared) in [
+            (Period::History, 2, 1, 2),
+            (Period::Observed, 0, 0, 1),
+            (Period::Whole, 2, 1, 3),
+        ] {
+            let common = |profile| index.count_common_in(pair, profile, period);
+            assert_eq!(common(ServerProfile::FatServer), fat, "{period:?}");
+            assert_eq!(common(ServerProfile::ThinServer), thin, "{period:?}");
+            assert_eq!(
+                index.count_shared_within(bsd, ServerProfile::FatServer, period),
+                shared,
+                "{period:?}"
+            );
+        }
         assert_eq!(index.rows_with_at_least(ServerProfile::FatServer, 2), 3);
         assert_eq!(index.rows_with_at_least(ServerProfile::FatServer, 3), 0);
         assert_eq!(index.rows_with_at_least(ServerProfile::FatServer, 12), 0);

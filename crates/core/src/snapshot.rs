@@ -56,7 +56,7 @@ pub const SECTION_META: u16 = 3;
 
 /// The `INDEX` section version this module writes and reads (an `INDEX`
 /// of any other version is rebuilt from the rows).
-pub const INDEX_SECTION_VERSION: u16 = 2;
+pub const INDEX_SECTION_VERSION: u16 = 3;
 
 /// The `META` section version this module writes.
 pub const META_SECTION_VERSION: u16 = 1;

@@ -5,11 +5,12 @@
 //! only the offsets documented in docs/SNAPSHOT_FORMAT.md — so the spec
 //! and the code cannot drift apart silently.
 
+use datagen::CalibratedGenerator;
 use nvd_model::{CveId, CvssV2, Date, OsDistribution, OsPart, OsSet, Validity, VulnerabilityEntry};
 use osdiv_core::analysis::report_sections;
 use osdiv_core::snapshot::crc32;
 use osdiv_core::{
-    analysis_sections, renderer, AnalysisId, Format, Params, ServerProfile, Snapshot,
+    analysis_sections, renderer, AnalysisId, Format, Params, Period, ServerProfile, Snapshot,
     SnapshotError, Study, StudyDataset,
 };
 use proptest::prelude::*;
@@ -312,7 +313,7 @@ fn the_documented_offsets_parse_a_real_snapshot() {
         let offset = u64::from_le_bytes(entry[4..12].try_into().unwrap()) as usize;
         let length = u64::from_le_bytes(entry[12..20].try_into().unwrap()) as usize;
         let crc = u32::from_le_bytes(entry[20..24].try_into().unwrap());
-        let expected_version = if id == 2 { 2 } else { 1 };
+        let expected_version = if id == 2 { 3 } else { 1 };
         assert_eq!(version, expected_version, "section {id} version");
         assert_eq!(
             offset, next_payload,
@@ -342,17 +343,17 @@ fn the_documented_offsets_parse_a_real_snapshot() {
         u32::from_le_bytes(payload[value_at..value_at + 4].try_into().unwrap()) as usize;
     assert_eq!(&payload[value_at + 4..value_at + 4 + value_len], b"golden");
 
-    // The INDEX version 2 payload: per profile, u32 at_least[12] then the
-    // u32[2048] History, Observed and Whole supersets; then u32
-    // year_count and per year u16 year + u32 valid rows per OS[11]. The
-    // fixture's only valid row: 2004, OSes 0 and 2, retained by all three
-    // profiles (a remote Driver flaw).
+    // The INDEX version 3 payload: per profile, u32 at_least[12] then the
+    // u32[2048] History and Observed supersets; then u32 year_count and
+    // per year u16 year + u32 valid rows per OS[11]. The fixture's only
+    // valid row: 2004, OSes 0 and 2, retained by all three profiles (a
+    // remote Driver flaw).
     let index_entry = &bytes[8 + 24..8 + 2 * 24];
     let offset = u64::from_le_bytes(index_entry[4..12].try_into().unwrap()) as usize;
     let length = u64::from_le_bytes(index_entry[12..20].try_into().unwrap()) as usize;
     let index = &bytes[offset..offset + length];
     let word = |at: usize| u32::from_le_bytes(index[at..at + 4].try_into().unwrap());
-    let profile_bytes = 4 * (12 + 3 * 2048);
+    let profile_bytes = 4 * (12 + 2 * 2048);
     assert_eq!(length, 3 * profile_bytes + 4 + (2 + 4 * 11));
     for profile in 0..3 {
         let at_least = profile * profile_bytes;
@@ -361,7 +362,7 @@ fn the_documented_offsets_parse_a_real_snapshot() {
         let superset = |period: usize, mask: usize| {
             word(profile * profile_bytes + 4 * (12 + period * 2048 + mask))
         };
-        for (period, rows) in [(0, 1), (1, 0), (2, 1)] {
+        for (period, rows) in [(0, 1), (1, 0)] {
             assert_eq!(
                 superset(period, 0b101),
                 rows,
@@ -592,6 +593,84 @@ fn version_1_index_payload(dataset: &StudyDataset) -> Vec<u8> {
     out
 }
 
+/// The version 2 `INDEX` payload the build before version 3 wrote, from a
+/// version 3 payload: each profile's tables followed by its Whole
+/// superset table (History + Observed, cell by cell), then the same
+/// per-year list.
+fn version_2_index_payload(version_3: &[u8]) -> Vec<u8> {
+    let profile_bytes = 4 * (12 + 2 * 2048);
+    let (tables, years) = version_3.split_at(3 * profile_bytes);
+    let word = |bytes: &[u8]| u32::from_le_bytes(bytes.try_into().unwrap());
+    let mut out = Vec::new();
+    for profile in tables.chunks_exact(profile_bytes) {
+        out.extend_from_slice(profile);
+        let (history, observed) = profile[4 * 12..].split_at(4 * 2048);
+        for (h, o) in history.chunks_exact(4).zip(observed.chunks_exact(4)) {
+            out.extend_from_slice(&(word(h) + word(o)).to_le_bytes());
+        }
+    }
+    out.extend_from_slice(years);
+    out
+}
+
+/// The `INDEX` payload of a writer-produced snapshot (the second entry).
+fn index_payload(bytes: &[u8]) -> &[u8] {
+    let entry = &bytes[8 + 24..8 + 2 * 24];
+    let offset = u64::from_le_bytes(entry[4..12].try_into().unwrap()) as usize;
+    let length = u64::from_le_bytes(entry[12..20].try_into().unwrap()) as usize;
+    &bytes[offset..offset + length]
+}
+
+/// `version_2_index_payload` of `osdiv snapshot save --seed 2011` is the
+/// version 2 `INDEX` the earlier writer saved for that dataset, pinned by
+/// length and CRC-32 as that writer wrote it.
+#[test]
+fn the_version_2_reference_encoder_matches_the_earlier_writer() {
+    let generated = CalibratedGenerator::new(2011).generate();
+    let bytes = Snapshot::to_bytes(&StudyDataset::from_entries(generated.entries()), &[]);
+    let version_2 = version_2_index_payload(index_payload(&bytes));
+    assert_eq!(
+        (version_2.len(), reference_crc32(&version_2)),
+        (INDEX_V2_PIN_LENGTH, INDEX_V2_PIN_CRC),
+        "the version 2 reference encoder drifted from the earlier writer"
+    );
+}
+
+/// The length and CRC-32 of the version 2 `INDEX` the earlier writer saved
+/// for seed 2011 (`osdiv snapshot inspect` of its `snapshot save`).
+const INDEX_V2_PIN_LENGTH: usize = 74_658;
+const INDEX_V2_PIN_CRC: u32 = 0x91C9_AD29;
+
+/// A decoded `INDEX` is outside input: a History and an Observed cell of
+/// `u32::MAX` each must add up in the Whole answer, not wrap.
+#[test]
+fn whole_period_answers_sum_decoded_cells_past_u32_max() {
+    let bytes = Snapshot::to_bytes(&StudyDataset::new(), &[]);
+    let mut index = index_payload(&bytes).to_vec();
+    // The first profile's History and Observed cells of the empty mask.
+    let history = 4 * 12;
+    let observed = history + 4 * 2048;
+    for at in [history, observed] {
+        index[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    }
+    let snapshot = Snapshot::from_bytes(&with_index_section(&bytes, 3, &index)).unwrap();
+    assert!(snapshot.index_loaded);
+    let (dataset, fat, none) = (
+        &snapshot.dataset,
+        ServerProfile::FatServer,
+        OsSet::from_bits(0),
+    );
+    let max = u32::MAX as usize;
+    for (period, expected) in [
+        (Period::History, max),
+        (Period::Observed, max),
+        (Period::Whole, 2 * max),
+    ] {
+        assert_eq!(dataset.count_common_in(none, fat, period), expected);
+        assert_eq!(dataset.count_shared_within(none, fat, period), expected);
+    }
+}
+
 /// Rewrites a writer-produced snapshot with its `INDEX` section (the
 /// second entry) replaced by `payload` under `version`, recomputing every
 /// offset and the section's CRC.
@@ -646,59 +725,64 @@ fn rows_over_23_years() -> Vec<RawEntry> {
         .collect()
 }
 
-/// Every snapshot an earlier build wrote carries a version 1 `INDEX`. It
-/// must load (the compatibility promise), rebuild its index lazily and
-/// report exactly what a fresh dataset reports; saving it again writes
-/// the current version.
+/// Every snapshot an earlier build wrote carries a version 1 or 2
+/// `INDEX`. Each must load (the compatibility promise), rebuild its index
+/// lazily and report exactly what a fresh dataset reports; saving it again
+/// writes the current version.
 #[test]
-fn a_version_1_index_from_an_earlier_build_is_rebuilt_lazily() {
+fn a_version_1_or_2_index_from_an_earlier_build_is_rebuilt_lazily() {
     let raws = rows_over_23_years();
     let meta = vec![("source".to_string(), "earlier build".to_string())];
     let current = Snapshot::to_bytes(&dataset_from(&raws), &meta);
     let dataset = dataset_from(&raws);
-    let earlier = with_index_section(&current, 1, &version_1_index_payload(&dataset));
+    let fresh = Study::new(dataset_from(&raws));
 
-    let info = Snapshot::inspect(&earlier).unwrap();
-    assert_eq!(info.sections[1].version, 1);
-    assert!(info.sections.iter().all(|s| s.crc_ok));
-    let snapshot = Snapshot::from_bytes(&earlier).unwrap();
-    assert!(!snapshot.index_loaded, "a version 1 INDEX is rebuilt");
-    assert_eq!(snapshot.meta, meta);
+    for (version, payload) in [
+        (1, version_1_index_payload(&dataset)),
+        (2, version_2_index_payload(index_payload(&current))),
+    ] {
+        let earlier = with_index_section(&current, version, &payload);
+        let info = Snapshot::inspect(&earlier).unwrap();
+        assert_eq!(info.sections[1].version, version);
+        assert!(info.sections.iter().all(|s| s.crc_ok));
+        let snapshot = Snapshot::from_bytes(&earlier).unwrap();
+        assert!(
+            !snapshot.index_loaded,
+            "a version {version} INDEX is rebuilt"
+        );
+        assert_eq!(snapshot.meta, meta);
 
-    let loaded = Study::new(snapshot.dataset);
-    let fresh = Study::new(dataset);
-    for format in Format::ALL {
+        let loaded = Study::new(snapshot.dataset);
+        for format in Format::ALL {
+            assert_eq!(
+                renderer(format).document(&report_sections(&loaded).unwrap()),
+                renderer(format).document(&report_sections(&fresh).unwrap()),
+                "version {version}: {format} report"
+            );
+        }
         assert_eq!(
-            renderer(format).document(&report_sections(&loaded).unwrap()),
-            renderer(format).document(&report_sections(&fresh).unwrap()),
-            "{format} report"
+            Snapshot::to_bytes(loaded.dataset(), &meta),
+            current,
+            "version {version}: saving again writes the current INDEX version"
         );
     }
-    assert_eq!(
-        Snapshot::to_bytes(loaded.dataset(), &meta),
-        current,
-        "saving again writes the current INDEX version"
-    );
 }
 
-/// A version 2 `INDEX` the reader cannot use — a byte short or long, a
+/// A version 3 `INDEX` the reader cannot use — a byte short or long, a
 /// year count the payload does not hold, years out of order — is rebuilt
 /// too; the intact payload loads. Either way the report is the fresh
 /// dataset's.
 #[test]
-fn a_malformed_version_2_index_is_rebuilt_lazily() {
+fn a_malformed_version_3_index_is_rebuilt_lazily() {
     let raws = rows_over_23_years();
     let bytes = Snapshot::to_bytes(&dataset_from(&raws), &[]);
     let expected = renderer(Format::Json)
         .document(&report_sections(&Study::new(dataset_from(&raws))).unwrap());
-    let entry = &bytes[8 + 24..8 + 2 * 24];
-    let offset = u64::from_le_bytes(entry[4..12].try_into().unwrap()) as usize;
-    let length = u64::from_le_bytes(entry[12..20].try_into().unwrap()) as usize;
-    let intact = bytes[offset..offset + length].to_vec();
+    let intact = index_payload(&bytes).to_vec();
 
     // Offsets from the documented layout: the year count follows the
     // three profiles' tables, and each year entry is 46 bytes.
-    let year_count = 3 * 4 * (12 + 3 * 2048);
+    let year_count = 3 * 4 * (12 + 2 * 2048);
     let (first, second) = (year_count + 4, year_count + 4 + 46);
     let mut swapped = intact.clone();
     swapped[first..first + 2].copy_from_slice(&intact[second..second + 2]);
@@ -716,7 +800,7 @@ fn a_malformed_version_2_index_is_rebuilt_lazily() {
         ("claims one more year", claims_more, false),
         ("years out of order", swapped, false),
     ] {
-        let snapshot = Snapshot::from_bytes(&with_index_section(&bytes, 2, &index)).unwrap();
+        let snapshot = Snapshot::from_bytes(&with_index_section(&bytes, 3, &index)).unwrap();
         assert_eq!(snapshot.index_loaded, loaded, "{name}");
         let study = Study::new(snapshot.dataset);
         let report = renderer(Format::Json).document(&report_sections(&study).unwrap());

@@ -16,8 +16,8 @@
 //!   values, clustering CPEs into the 11 studied OS distributions;
 //! * [`writer`] — serializes entries back into NVD 2.0-style XML, used by the
 //!   synthetic-feed generator and for round-trip testing;
-//! * [`normalize`] — product/vendor alias normalization and entry merging,
-//!   reproducing the manual data-cleaning described in Section III.
+//! * [`normalize`] — product/vendor alias normalization, reproducing the
+//!   manual data-cleaning described in Section III.
 //!
 //! # Example
 //!
@@ -51,7 +51,7 @@ pub mod writer;
 pub mod xml;
 
 pub use error::FeedError;
-pub use normalize::{merge_duplicate_entries, NameNormalizer};
+pub use normalize::NameNormalizer;
 pub use reader::FeedReader;
 pub use schema::{FeedMetadata, RawEntry, RawProduct};
 pub use writer::FeedWriter;

@@ -1,17 +1,16 @@
-//! Product-name normalization and duplicate merging.
+//! Product-name normalization.
 //!
 //! Section III of the paper reports that NVD registers the same product
 //! under distinct names for different entries — for example both
 //! `("debian_linux", "debian")` and `("linux", "debian")` appear for Debian —
 //! and that the authors corrected these problems by hand once the data was
 //! in their SQL database. [`NameNormalizer`] reproduces that cleaning step
-//! with an explicit, extensible alias table, and
-//! [`merge_duplicate_entries`] merges entries that appear in more than one
-//! yearly feed (NVD re-publishes modified entries).
+//! with an explicit, extensible alias table. Entries that appear in more
+//! than one yearly feed (NVD re-publishes modified entries) are merged by
+//! CVE identifier when the store ingests them
+//! (`vulnstore::VulnStore::insert_entry`).
 
 use std::collections::HashMap;
-
-use nvd_model::{CveId, VulnerabilityEntry};
 
 /// Rewrites `(vendor, product)` pairs into their canonical spelling.
 ///
@@ -134,81 +133,9 @@ impl Default for NameNormalizer {
     }
 }
 
-/// Merges entries with the same CVE identifier, unioning their affected
-/// platforms and keeping the longest summary and the earliest publication
-/// date. The returned vector is sorted by identifier.
-///
-/// NVD republishes entries when they are modified, so the same CVE can
-/// appear in several yearly feeds; the paper's SQL ingestion de-duplicated
-/// them by primary key.
-///
-/// # Example
-///
-/// ```
-/// use nvd_feed::merge_duplicate_entries;
-/// use nvd_model::{CveId, OsDistribution, VulnerabilityEntry};
-///
-/// # fn main() -> Result<(), nvd_model::ModelError> {
-/// let a = VulnerabilityEntry::builder(CveId::new(2008, 1447))
-///     .affects_os(OsDistribution::Debian)
-///     .build()?;
-/// let b = VulnerabilityEntry::builder(CveId::new(2008, 1447))
-///     .affects_os(OsDistribution::FreeBsd)
-///     .build()?;
-/// let merged = merge_duplicate_entries(vec![a, b]);
-/// assert_eq!(merged.len(), 1);
-/// assert_eq!(merged[0].affected_os_set().len(), 2);
-/// # Ok(())
-/// # }
-/// ```
-pub fn merge_duplicate_entries(entries: Vec<VulnerabilityEntry>) -> Vec<VulnerabilityEntry> {
-    let mut by_id: HashMap<CveId, VulnerabilityEntry> = HashMap::new();
-    for entry in entries {
-        match by_id.remove(&entry.id()) {
-            None => {
-                by_id.insert(entry.id(), entry);
-            }
-            Some(existing) => {
-                let merged = merge_pair(existing, entry);
-                by_id.insert(merged.id(), merged);
-            }
-        }
-    }
-    let mut merged: Vec<VulnerabilityEntry> = by_id.into_values().collect();
-    merged.sort_by_key(|e| e.id());
-    merged
-}
-
-fn merge_pair(a: VulnerabilityEntry, b: VulnerabilityEntry) -> VulnerabilityEntry {
-    debug_assert_eq!(a.id(), b.id());
-    let (primary, secondary) = if a.summary().len() >= b.summary().len() {
-        (a, b)
-    } else {
-        (b, a)
-    };
-    let published = primary.published().min(secondary.published());
-    let mut builder = VulnerabilityEntry::builder(primary.id())
-        .published(published)
-        .summary(primary.summary().to_string())
-        .validity(primary.validity());
-    if let Some(cvss) = primary.cvss().or(secondary.cvss()) {
-        builder = builder.cvss(*cvss);
-    }
-    if let Some(part) = primary.part().or(secondary.part()) {
-        builder = builder.part(part);
-    }
-    for product in primary.affected().iter().chain(secondary.affected()) {
-        builder = builder.affects_cpe(product.cpe().clone());
-    }
-    builder
-        .build()
-        .expect("merging two valid entries cannot produce an invalid one")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvd_model::{Date, OsDistribution, OsPart};
 
     #[test]
     fn default_normalizer_handles_paper_aliases() {
@@ -243,65 +170,5 @@ mod tests {
             n.normalize("suse", "linux"),
             ("novell".to_string(), "suse_linux".to_string())
         );
-    }
-
-    #[test]
-    fn merge_unions_platforms_and_keeps_earliest_date() {
-        let a = VulnerabilityEntry::builder(CveId::new(2006, 10))
-            .published(Date::new(2006, 5, 1).unwrap())
-            .summary("short")
-            .part(OsPart::Kernel)
-            .affects_os(OsDistribution::OpenBsd)
-            .build()
-            .unwrap();
-        let b = VulnerabilityEntry::builder(CveId::new(2006, 10))
-            .published(Date::new(2006, 3, 1).unwrap())
-            .summary("a much longer description of the same flaw")
-            .affects_os(OsDistribution::NetBsd)
-            .build()
-            .unwrap();
-        let merged = merge_duplicate_entries(vec![a, b]);
-        assert_eq!(merged.len(), 1);
-        let entry = &merged[0];
-        assert_eq!(entry.published(), Date::new(2006, 3, 1).unwrap());
-        assert!(entry.summary().starts_with("a much longer"));
-        assert_eq!(entry.part(), Some(OsPart::Kernel));
-        assert!(entry.affects(OsDistribution::OpenBsd));
-        assert!(entry.affects(OsDistribution::NetBsd));
-    }
-
-    #[test]
-    fn merge_keeps_distinct_entries_apart() {
-        let a = VulnerabilityEntry::builder(CveId::new(2006, 10))
-            .build()
-            .unwrap();
-        let b = VulnerabilityEntry::builder(CveId::new(2006, 11))
-            .build()
-            .unwrap();
-        let c = VulnerabilityEntry::builder(CveId::new(2007, 10))
-            .build()
-            .unwrap();
-        let merged = merge_duplicate_entries(vec![c, b, a]);
-        assert_eq!(merged.len(), 3);
-        // Sorted by identifier.
-        assert_eq!(merged[0].id(), CveId::new(2006, 10));
-        assert_eq!(merged[2].id(), CveId::new(2007, 10));
-    }
-
-    #[test]
-    fn merge_of_three_copies_accumulates_everything() {
-        let make = |os| {
-            VulnerabilityEntry::builder(CveId::new(2008, 4609))
-                .affects_os(os)
-                .build()
-                .unwrap()
-        };
-        let merged = merge_duplicate_entries(vec![
-            make(OsDistribution::Windows2000),
-            make(OsDistribution::FreeBsd),
-            make(OsDistribution::Solaris),
-        ]);
-        assert_eq!(merged.len(), 1);
-        assert_eq!(merged[0].affected_os_set().len(), 3);
     }
 }

@@ -40,8 +40,8 @@ pub mod registry;
 
 pub use ingest::{FeedIngester, IngestBudget, IngestError, IngestOutcome, IngestStageMicros};
 pub use persist::{
-    ChaosVfs, Durability, LoadedTenant, PersistError, PersistMetrics, RealVfs, ScanReport,
-    TenantStore, Vfs, VfsOp,
+    ChaosVfs, Durability, PersistError, PersistMetrics, RealVfs, ScanReport, TenantStore, Vfs,
+    VfsOp,
 };
 pub use registry::{
     build_synthetic, validate_name, DatasetInfo, DatasetSource, DatasetState, RecoveryReport,

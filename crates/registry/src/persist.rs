@@ -381,19 +381,6 @@ impl PersistMetrics {
     }
 }
 
-/// A snapshot reconstructed from disk, ready to install in a slot.
-#[derive(Debug)]
-pub struct LoadedTenant {
-    /// The rebuilt session (fresh memo cache; count index pre-seeded when
-    /// the snapshot's `INDEX` section was readable).
-    pub study: Study,
-    /// The source recorded when the tenant was first ingested.
-    pub source: DatasetSource,
-    /// Whether the count index came from the snapshot (`false` means a
-    /// lazy rebuild — the format's compatibility promise, not an error).
-    pub index_loaded: bool,
-}
-
 /// What a directory scan found: tenants with snapshots, and the debris a
 /// crash or an earlier build left beside them.
 #[derive(Debug, Default)]
@@ -557,14 +544,15 @@ impl TenantStore {
         Ok(())
     }
 
-    /// Reads `<name>.osdv` back into a session.
+    /// Reads `<name>.osdv` back into a session (fresh memo cache; count
+    /// index pre-seeded when the snapshot's `INDEX` section was readable).
     ///
     /// # Errors
     ///
     /// I/O failure, a corrupt/truncated/wrong-version snapshot
     /// ([`PersistError::Snapshot`]) or unusable annotations
     /// ([`PersistError::BadMeta`]).
-    pub fn load(&self, name: &str) -> Result<LoadedTenant, PersistError> {
+    pub fn load(&self, name: &str) -> Result<Study, PersistError> {
         let _span = obs::span(SpanKind::SnapshotLoad, name);
         let load_started = std::time::Instant::now();
         let bytes = fs::read(self.snapshot_path(name)).map_err(|error| PersistError::Io {
@@ -572,18 +560,16 @@ impl TenantStore {
             error,
         })?;
         let snapshot = Snapshot::from_bytes(&bytes)?;
-        let source = source_from_meta(&snapshot.meta).ok_or_else(|| PersistError::BadMeta {
-            name: name.to_string(),
-        })?;
+        if source_from_meta(&snapshot.meta).is_none() {
+            return Err(PersistError::BadMeta {
+                name: name.to_string(),
+            });
+        }
         self.metrics
             .snapshot_load_latency
             .record(load_started.elapsed());
         self.metrics.record_snapshot_load();
-        Ok(LoadedTenant {
-            study: Study::new(snapshot.dataset),
-            source,
-            index_loaded: snapshot.index_loaded,
-        })
+        Ok(Study::new(snapshot.dataset))
     }
 
     /// Reads only the source annotations of `<name>.osdv` — the cheap
@@ -811,9 +797,7 @@ mod tests {
         };
         store.save("feed", &study, &source).unwrap();
         let loaded = store.load("feed").unwrap();
-        assert_eq!(loaded.source, source);
-        assert!(loaded.index_loaded);
-        assert_eq!(loaded.study.valid_count(), study.valid_count());
+        assert_eq!(loaded.valid_count(), study.valid_count());
         assert_eq!(store.read_source("feed").unwrap(), source);
         assert_eq!(store.metrics().snapshot_writes(), 1);
         assert_eq!(store.metrics().snapshot_loads(), 1);

@@ -666,15 +666,13 @@ impl StudyRegistry {
                                 name: name.to_string(),
                                 detail: "spilled tenant but no tenant store attached".to_string(),
                             })?;
-                    match persist.load(name) {
-                        Ok(loaded) => Arc::new(loaded.study),
-                        Err(error) => {
-                            return Err(RegistryError::Persistence {
-                                name: name.to_string(),
-                                detail: error.to_string(),
-                            })
-                        }
-                    }
+                    let study = persist
+                        .load(name)
+                        .map_err(|error| RegistryError::Persistence {
+                            name: name.to_string(),
+                            detail: error.to_string(),
+                        })?;
+                    Arc::new(study)
                 }
             };
             let bytes = study.estimated_bytes();

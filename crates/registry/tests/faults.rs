@@ -100,7 +100,7 @@ proptest! {
         // byte-identical old or new report — never a hybrid.
         let loaded = store.load("t");
         prop_assert!(loaded.is_ok(), "snapshot unreadable after fault: {loaded:?}");
-        let report = loaded.unwrap().study.report(Format::Json).unwrap();
+        let report = loaded.unwrap().report(Format::Json).unwrap();
         prop_assert!(
             report == old_report || report == new_report,
             "read served a state no successful PUT ever committed"
@@ -119,7 +119,7 @@ proptest! {
 
         // A fault-free retry of the same save fully recovers.
         store.save("t", &new, &new_source).unwrap();
-        let report = store.load("t").unwrap().study.report(Format::Json).unwrap();
+        let report = store.load("t").unwrap().report(Format::Json).unwrap();
         prop_assert_eq!(report, new_report);
 
         let _ = std::fs::remove_dir_all(&dir);

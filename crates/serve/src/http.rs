@@ -95,15 +95,31 @@ impl Request {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Whether the connection should be kept alive after the response:
-    /// HTTP/1.1 defaults to keep-alive unless `Connection: close`;
-    /// HTTP/1.0 defaults to close unless `Connection: keep-alive`.
+    /// The comma-separated items of every field line of a list-valued
+    /// header (RFC 9110 §5.3), trimmed, empty items skipped.
+    pub(crate) fn header_items<'a>(&'a self, name: &str) -> impl Iterator<Item = &'a str> + 'a {
+        let name = name.to_ascii_lowercase();
+        self.headers
+            .iter()
+            .filter(move |(n, _)| *n == name)
+            .flat_map(|(_, value)| value.split(','))
+            .map(str::trim)
+            .filter(|item| !item.is_empty())
+    }
+
+    /// Whether the connection should be kept alive after the response.
+    /// `Connection` is a list of options (RFC 9110 §7.6.1): a `close`
+    /// anywhere closes; otherwise HTTP/1.1 defaults to keep-alive and
+    /// HTTP/1.0 to close unless a `keep-alive` option is listed.
     pub fn keep_alive(&self) -> bool {
-        match self.header("connection") {
-            Some(value) if value.eq_ignore_ascii_case("close") => false,
-            Some(value) if value.eq_ignore_ascii_case("keep-alive") => true,
-            _ => self.http11,
+        let mut keep_alive = self.http11;
+        for option in self.header_items("connection") {
+            if option.eq_ignore_ascii_case("close") {
+                return false;
+            }
+            keep_alive |= option.eq_ignore_ascii_case("keep-alive");
         }
+        keep_alive
     }
 
     /// The declared body length (0 when absent). A `Content-Length` that
@@ -1024,6 +1040,24 @@ mod tests {
             .unwrap()
             .unwrap();
         assert!(!http11_close.keep_alive());
+        // `Connection` is a comma-separated list of options: a `close`
+        // anywhere in any field line closes, and a `keep-alive` anywhere
+        // keeps an HTTP/1.0 connection open.
+        for (version, connection, keep_alive) in [
+            ("1.1", "close, te", false),
+            ("1.1", "TE, close", false),
+            ("1.1", "te\r\nConnection: close", false),
+            ("1.1", "close\r\nConnection: te", false),
+            ("1.1", "keep-alive, close", false),
+            ("1.1", "te", true),
+            ("1.0", "te, keep-alive", true),
+            ("1.0", "Keep-Alive\r\nConnection: te", true),
+            ("1.0", "te", false),
+        ] {
+            let head = format!("GET / HTTP/{version}\r\nConnection: {connection}\r\n\r\n");
+            let request = parse_all(head.as_bytes()).unwrap().unwrap();
+            assert_eq!(request.keep_alive(), keep_alive, "{head:?}");
+        }
     }
 
     #[test]

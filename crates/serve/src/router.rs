@@ -804,10 +804,11 @@ impl Router {
                 }
             }
         };
+        // `If-None-Match` lists entity tags, compared weakly: a `W/` prefix
+        // is ignored (RFC 9110 §13.1.2). Our tags never hold a comma.
         if request
-            .header("if-none-match")
-            .map(|held| held == cached.etag || held == "*")
-            .unwrap_or(false)
+            .header_items("if-none-match")
+            .any(|held| held == "*" || held.strip_prefix("W/").unwrap_or(held) == cached.etag)
         {
             return Response::new(304).with_header("ETag", cached.etag.clone());
         }
@@ -1097,13 +1098,28 @@ mod tests {
             Some(tabular::mime::APPLICATION_JSON)
         );
         let etag = first.header("etag").unwrap().to_string();
-        let revalidation = router.handle(&request(&format!(
-            "GET /v1/analyses/validity?format=json HTTP/1.1\r\nIf-None-Match: {etag}\r\n\r\n"
-        )));
-        assert_eq!(revalidation.status(), 304);
-        assert!(revalidation.body().is_empty());
-        assert_eq!(revalidation.header("etag"), Some(etag.as_str()));
-        assert_eq!(router.cache_hit_count(), 1);
+        // `If-None-Match` is a list of entity tags, compared weakly, over
+        // every field line of the header.
+        let held = [
+            (etag.clone(), 304),
+            ("*".to_string(), 304),
+            (format!("\"other\", {etag}"), 304),
+            (format!("{etag} , \"other\""), 304),
+            (format!("W/{etag}"), 304),
+            (format!("\"other\"\r\nIf-None-Match: {etag}"), 304),
+            (format!("{etag}\r\nIf-None-Match: \"other\""), 304),
+            ("\"other\"".to_string(), 200),
+            ("\"other\", W/\"another\"".to_string(), 200),
+        ];
+        for (if_none_match, status) in &held {
+            let revalidation = router.handle(&request(&format!(
+                "GET /v1/analyses/validity?format=json HTTP/1.1\r\nIf-None-Match: {if_none_match}\r\n\r\n"
+            )));
+            assert_eq!(revalidation.status(), *status, "{if_none_match:?}");
+            assert_eq!(revalidation.body().is_empty(), *status == 304);
+            assert_eq!(revalidation.header("etag"), Some(etag.as_str()));
+        }
+        assert_eq!(router.cache_hit_count(), held.len() as u64);
     }
 
     #[test]

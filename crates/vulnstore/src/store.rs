@@ -442,31 +442,59 @@ mod tests {
 
     #[test]
     fn insert_merges_a_duplicate_cve() {
+        use OsDistribution::*;
         let mut store = VulnStore::new();
-        let a = entry(
-            CveId::new(2004, 230),
+        let cve = CveId::new(2004, 230);
+        let a = entry(cve, 2004, OsPart::Kernel, true, &[Windows2000]);
+        // A second copy published earlier, with no class and no summary.
+        let b = VulnerabilityEntry::builder(cve)
+            .published(Date::new(2003, 1, 2).unwrap())
+            .affects_os(Windows2003)
+            .build()
+            .unwrap();
+        // A distinct CVE between the copies stays apart.
+        let other = entry(
+            CveId::new(2004, 231),
             2004,
-            OsPart::Kernel,
+            OsPart::Driver,
             true,
-            &[OsDistribution::Windows2000],
+            &[Solaris],
         );
-        let b = entry(
-            CveId::new(2004, 230),
-            2004,
-            OsPart::Kernel,
-            true,
-            &[OsDistribution::Windows2003],
-        );
+        // A third copy: one OS already held, one new, a longer summary.
+        let c = VulnerabilityEntry::builder(cve)
+            .published(Date::new(2005, 3, 4).unwrap())
+            .summary("a much longer description of the same flaw")
+            .part(OsPart::Application)
+            .affects_os(Windows2000)
+            .affects_os(FreeBsd)
+            .build()
+            .unwrap();
         let id = store.insert_entry(&a);
-        let merged_id = store.insert_entry(&b);
-        assert_eq!(merged_id, id);
-        assert_eq!(store.vulnerability_count(), 1);
+        assert_eq!(store.insert_entry(&b), id);
+        let other_id = store.insert_entry(&other);
+        assert_ne!(other_id, id);
+        assert_eq!(store.insert_entry(&c), id);
+        assert_eq!(store.vulnerability_count(), 2);
+
+        // The platforms of all three copies accumulate, the earliest date
+        // wins, and the first copy's class and summary are kept.
         let row = store.get(id).unwrap();
-        assert!(row.os_set.contains(OsDistribution::Windows2000));
-        assert!(row.os_set.contains(OsDistribution::Windows2003));
-        // The merge appends a join row for the new OS only.
-        assert_eq!(store.os_vuln_count(), 2);
-        assert_eq!(store.os_vuln_rows_for(id).count(), 2);
+        assert_eq!(
+            row.os_set,
+            OsSet::from_iter([Windows2000, Windows2003, FreeBsd])
+        );
+        assert_eq!(row.published, Date::new(2003, 1, 2).unwrap());
+        assert_eq!(row.part, Some(OsPart::Kernel));
+        assert_eq!(row.summary, a.summary());
+        // Each merge appends a join row for its new OSes only.
+        assert_eq!(store.os_vuln_rows_for(id).count(), 3);
+        assert_eq!(store.os_vuln_count(), 4);
+        let other = store.get(other_id).unwrap();
+        assert_eq!(other.os_set, OsSet::singleton(Solaris));
+        assert_eq!(
+            store.get_by_cve(CveId::new(2004, 231)).unwrap().id,
+            other_id
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run -p osdiv-bench --example diverse_replicas
+//! cargo run -p osdiv --example diverse_replicas
 //! ```
 
 use datagen::CalibratedGenerator;

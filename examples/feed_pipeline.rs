@@ -6,7 +6,7 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run -p osdiv-bench --example feed_pipeline
+//! cargo run -p osdiv --example feed_pipeline
 //! ```
 
 use classify::{ClassificationReport, Classifier};
@@ -48,23 +48,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         feed_dir.display()
     );
 
-    // 2. Parse the feeds back and merge duplicates (entries republished in
-    //    several yearly feeds), as the SQL ingestion of the paper did.
+    // 2. Parse the feeds back.
     let mut reader = FeedReader::new();
     let mut parsed = Vec::new();
     for (path, _) in &feed_paths {
         parsed.extend(reader.read_from_path(path)?);
     }
-    let merged = nvd_feed::merge_duplicate_entries(parsed);
     println!(
         "Parsed {} entries back from the feeds ({} skipped as malformed)",
-        merged.len(),
+        parsed.len(),
         reader.skipped()
     );
 
-    // 3. Load the entries into the study and classify the ones without an
+    // 3. Load the entries into the study, merging duplicates (entries
+    //    republished in several yearly feeds) by CVE identifier as the SQL
+    //    ingestion of the paper did, and classify the ones without an
     //    OS-part class using the rule engine.
-    let mut study = Study::from_entries(&merged);
+    let mut study = Study::from_entries(&parsed);
     let classifier = Classifier::with_default_rules();
     let classified = study.dataset_mut().classify_unlabelled(&classifier);
     println!("Rule-classified {classified} entries without a class");

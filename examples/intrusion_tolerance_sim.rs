@@ -9,7 +9,7 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run -p osdiv-bench --example intrusion_tolerance_sim
+//! cargo run -p osdiv --example intrusion_tolerance_sim
 //! ```
 
 use bft_sim::{AttackerModel, ReplicaSet, SimulationConfig, Simulator};

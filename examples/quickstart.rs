@@ -5,7 +5,7 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run -p osdiv-bench --example quickstart
+//! cargo run -p osdiv --example quickstart
 //! ```
 
 use datagen::CalibratedGenerator;

@@ -4,7 +4,7 @@
 
 use classify::{ClassificationReport, Classifier};
 use datagen::CalibratedGenerator;
-use nvd_feed::{merge_duplicate_entries, FeedReader, FeedWriter};
+use nvd_feed::{FeedReader, FeedWriter};
 use nvd_model::{OsDistribution, OsSet};
 use osdiv_core::{PairwiseAnalysis, ServerProfile, Study, StudyDataset};
 
@@ -51,12 +51,11 @@ fn duplicated_feed_entries_are_merged_not_double_counted() {
     let dataset = CalibratedGenerator::new(78)
         .without_invalid_entries()
         .generate();
-    // Simulate the same entries appearing in two yearly feeds.
+    // Simulate the same entries appearing in two yearly feeds; ingestion
+    // merges them by CVE identifier.
     let mut duplicated = dataset.entries().to_vec();
     duplicated.extend(dataset.entries().iter().cloned());
-    let merged = merge_duplicate_entries(duplicated);
-    assert_eq!(merged.len(), dataset.entries().len());
-    let study = StudyDataset::from_entries(&merged);
+    let study = StudyDataset::from_entries(&duplicated);
     assert_eq!(study.store().vulnerability_count(), dataset.entries().len());
 }
 
