@@ -1,170 +1,57 @@
 //! The classification engine.
 
-use nvd_model::{CveId, OsPart, VulnerabilityEntry};
+use std::cmp::Reverse;
 
-use crate::overrides::OverrideTable;
-use crate::rules::RuleSet;
+use nvd_model::OsPart;
 
-/// The outcome of classifying one entry, including enough information to
-/// audit the decision.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClassificationOutcome {
-    /// The class that was assigned.
-    pub part: OsPart,
-    /// Score per class in [`OsPart::ALL`] order.
-    pub scores: [u32; 4],
-    /// Whether the decision came from the override table rather than the
-    /// rules.
-    pub from_override: bool,
-    /// Whether no rule matched and the default class was used.
-    pub defaulted: bool,
-}
+use crate::rules::scores;
 
 /// Classifies vulnerability descriptions into OS parts
-/// (Driver / Kernel / System Software / Application).
+/// (Driver / Kernel / System Software / Application) with the keyword
+/// table [`crate::rules::RULES`].
 ///
-/// Ties are broken with an explicit priority: *Driver* wins over
-/// *Application*, which wins over *System Software*, which wins over
-/// *Kernel*. The rationale mirrors the paper's classification procedure:
-/// driver and application wording is very specific (a description naming a
-/// driver or a bundled product is clearly about that component), whereas
-/// kernel wording is generic, so the generic classes only win when nothing
-/// more specific matched. Descriptions with no matching keyword at all fall
-/// back to the configurable default class ([`OsPart::Kernel`] by default,
-/// the paper's most common base-system class).
-#[derive(Debug, Clone)]
-pub struct Classifier {
-    rules: RuleSet,
-    overrides: OverrideTable,
-    default_part: OsPart,
-}
+/// The class with the highest score wins. Ties are broken with an explicit
+/// priority: *Driver* wins over *Application*, which wins over *System
+/// Software*, which wins over *Kernel*. The rationale mirrors the paper's
+/// classification procedure: driver and application wording is very
+/// specific (a description naming a driver or a bundled product is clearly
+/// about that component), whereas kernel wording is generic, so the generic
+/// classes only win when nothing more specific matched. Descriptions with
+/// no matching keyword at all are [`OsPart::Kernel`], the paper's most
+/// common base-system class.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Classifier;
 
 impl Classifier {
-    /// Creates a classifier with the paper-derived rule set and an empty
-    /// override table.
+    /// The classifier over the paper-derived rule table.
     pub fn with_default_rules() -> Self {
-        Classifier {
-            rules: RuleSet::paper_defaults(),
-            overrides: OverrideTable::new(),
-            default_part: OsPart::Kernel,
-        }
-    }
-
-    /// Creates a classifier from a custom rule set.
-    pub fn new(rules: RuleSet) -> Self {
-        Classifier {
-            rules,
-            overrides: OverrideTable::new(),
-            default_part: OsPart::Kernel,
-        }
-    }
-
-    /// Replaces the override table.
-    pub fn with_overrides(mut self, overrides: OverrideTable) -> Self {
-        self.overrides = overrides;
-        self
-    }
-
-    /// Changes the class assigned when no rule matches.
-    pub fn with_default_part(mut self, part: OsPart) -> Self {
-        self.default_part = part;
-        self
-    }
-
-    /// The rule set in use.
-    pub fn rules(&self) -> &RuleSet {
-        &self.rules
-    }
-
-    /// The override table in use.
-    pub fn overrides(&self) -> &OverrideTable {
-        &self.overrides
+        Classifier
     }
 
     /// Classifies a bare description.
     pub fn classify_summary(&self, summary: &str) -> OsPart {
-        self.outcome_for(None, summary).part
-    }
-
-    /// Classifies an entry (overrides are consulted first).
-    pub fn classify_entry(&self, entry: &VulnerabilityEntry) -> ClassificationOutcome {
-        self.outcome_for(Some(entry.id()), entry.summary())
-    }
-
-    /// Classifies every entry of a slice in place: entries that already have
-    /// a class keep it, the rest get the rule-based class. Returns how many
-    /// entries were (re-)classified.
-    pub fn classify_all(&self, entries: &mut [VulnerabilityEntry]) -> usize {
-        let mut classified = 0;
-        for entry in entries.iter_mut() {
-            if entry.part().is_none() {
-                let outcome = self.classify_entry(entry);
-                entry.set_part(outcome.part);
-                classified += 1;
-            }
-        }
-        classified
-    }
-
-    fn outcome_for(&self, id: Option<CveId>, summary: &str) -> ClassificationOutcome {
-        if let Some(id) = id {
-            if let Some(part) = self.overrides.lookup(id) {
-                return ClassificationOutcome {
-                    part,
-                    scores: [0; 4],
-                    from_override: true,
-                    defaulted: false,
-                };
-            }
-        }
-        let scores = self.rules.scores(summary);
-        let total: u32 = scores.iter().sum();
-        if total == 0 {
-            return ClassificationOutcome {
-                part: self.default_part,
-                scores,
-                from_override: false,
-                defaulted: true,
-            };
-        }
-        // Tie-break priority: Driver, Application, SystemSoftware, Kernel.
-        let priority = [
-            OsPart::Driver,
-            OsPart::Application,
-            OsPart::SystemSoftware,
-            OsPart::Kernel,
-        ];
-        let best_score = *scores.iter().max().expect("four classes");
-        let part = priority
+        OsPart::ALL
             .into_iter()
-            .find(|p| {
-                let index = OsPart::ALL
-                    .iter()
-                    .position(|q| q == p)
-                    .expect("class index");
-                scores[index] == best_score
-            })
-            .expect("some class attains the maximum score");
-        ClassificationOutcome {
-            part,
-            scores,
-            from_override: false,
-            defaulted: false,
-        }
+            .zip(scores(summary))
+            .filter(|&(_, score)| score > 0)
+            .min_by_key(|&(part, score)| (Reverse(score), tie_break_rank(part)))
+            .map_or(OsPart::Kernel, |(part, _)| part)
     }
 }
 
-impl Default for Classifier {
-    fn default() -> Self {
-        Classifier::with_default_rules()
+/// A class's place in the tie-break order (lower wins).
+fn tie_break_rank(part: OsPart) -> u8 {
+    match part {
+        OsPart::Driver => 0,
+        OsPart::Application => 1,
+        OsPart::SystemSoftware => 2,
+        OsPart::Kernel => 3,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::Rule;
-    use nvd_model::OsDistribution;
 
     #[test]
     fn classifies_paper_style_descriptions() {
@@ -201,87 +88,50 @@ mod tests {
     #[test]
     fn unmatched_descriptions_use_the_default_class() {
         let c = Classifier::with_default_rules();
-        let outcome = c.outcome_for(None, "An unusual flaw with no recognisable wording");
-        assert!(outcome.defaulted);
-        assert_eq!(outcome.part, OsPart::Kernel);
-        let c = c.with_default_part(OsPart::SystemSoftware);
-        assert_eq!(
-            c.classify_summary("An unusual flaw with no recognisable wording"),
-            OsPart::SystemSoftware
-        );
+        for summary in ["", "An unusual flaw with no recognisable wording"] {
+            assert_eq!(scores(summary), [0; 4]);
+            assert_eq!(c.classify_summary(summary), OsPart::Kernel);
+        }
     }
 
     #[test]
     fn tie_break_prefers_more_specific_classes() {
-        // One rule per class, same weight, all matching.
-        let rules: RuleSet = [
-            Rule::new(OsPart::Kernel, "flaw", 1),
-            Rule::new(OsPart::SystemSoftware, "flaw", 1),
-            Rule::new(OsPart::Application, "flaw", 1),
-            Rule::new(OsPart::Driver, "flaw", 1),
-        ]
-        .into_iter()
-        .collect();
-        let c = Classifier::new(rules);
-        assert_eq!(c.classify_summary("a flaw"), OsPart::Driver);
-
-        let rules: RuleSet = [
-            Rule::new(OsPart::Kernel, "flaw", 1),
-            Rule::new(OsPart::Application, "flaw", 1),
-        ]
-        .into_iter()
-        .collect();
-        let c = Classifier::new(rules);
-        assert_eq!(c.classify_summary("a flaw"), OsPart::Application);
-    }
-
-    #[test]
-    fn overrides_take_precedence_over_rules() {
-        let mut overrides = OverrideTable::new();
-        overrides.set(CveId::new(2008, 4609), OsPart::Kernel);
-        let c = Classifier::with_default_rules().with_overrides(overrides);
-        let entry = VulnerabilityEntry::builder(CveId::new(2008, 4609))
-            .summary("database server flaw") // rules would say Application
-            .affects_os(OsDistribution::Windows2000)
-            .build()
-            .unwrap();
-        let outcome = c.classify_entry(&entry);
-        assert!(outcome.from_override);
-        assert_eq!(outcome.part, OsPart::Kernel);
-        assert!(c.overrides().lookup(CveId::new(2008, 4609)).is_some());
-    }
-
-    #[test]
-    fn classify_all_fills_missing_classes_only() {
+        // One real-table tie per adjacent pair of the order Driver,
+        // Application, System Software, Kernel; scores in OsPart::ALL
+        // order (Driver, Kernel, System Software, Application).
         let c = Classifier::with_default_rules();
-        let mut entries = vec![
-            VulnerabilityEntry::builder(CveId::new(2005, 1))
-                .summary("kernel memory management flaw")
-                .build()
-                .unwrap(),
-            VulnerabilityEntry::builder(CveId::new(2005, 2))
-                .summary("media player crash")
-                .part(OsPart::Kernel) // pre-assigned, must be kept
-                .build()
-                .unwrap(),
-        ];
-        let classified = c.classify_all(&mut entries);
-        assert_eq!(classified, 1);
-        assert_eq!(entries[0].part(), Some(OsPart::Kernel));
-        assert_eq!(entries[1].part(), Some(OsPart::Kernel));
+        for (summary, tied, winner) in [
+            // "firmware" 2 against "game" 2.
+            ("firmware game", [2, 0, 0, 2], OsPart::Driver),
+            // "browser" 3 against "shell" 3.
+            ("browser shell", [0, 0, 3, 3], OsPart::Application),
+            // "shell" 3 against "icmp" 3.
+            ("shell icmp", [0, 3, 3, 0], OsPart::SystemSoftware),
+        ] {
+            assert_eq!(scores(summary), tied, "{summary:?}");
+            assert_eq!(c.classify_summary(summary), winner, "{summary:?}");
+        }
+    }
+
+    #[test]
+    fn a_repeated_keyword_counts_once() {
+        // "driver" 6 ties "kernel" 6 however often "kernel" repeats, and
+        // the tie goes to Driver.
+        assert_eq!(scores("kernel driver KERNEL kernel"), [6, 6, 0, 0]);
+        let c = Classifier::with_default_rules();
+        assert_eq!(
+            c.classify_summary("kernel driver KERNEL kernel"),
+            OsPart::Driver
+        );
     }
 
     #[test]
     fn outcome_scores_are_reported() {
         let c = Classifier::with_default_rules();
-        let outcome = c.outcome_for(None, "buffer overflow in the kernel scheduler");
-        assert!(!outcome.defaulted);
-        assert!(!outcome.from_override);
-        let kernel_index = OsPart::ALL
-            .iter()
-            .position(|p| *p == OsPart::Kernel)
-            .unwrap();
-        assert!(outcome.scores[kernel_index] >= 6);
+        let summary = "buffer overflow in the kernel scheduler";
+        // Kernel is index 1 in OsPart::ALL: "kernel" 6 + "scheduler" 3.
+        assert_eq!(scores(summary), [0, 9, 0, 0]);
+        assert_eq!(c.classify_summary(summary), OsPart::Kernel);
     }
 
     mod properties {

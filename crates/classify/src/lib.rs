@@ -7,16 +7,14 @@
 //! published), so this crate encodes the paper's classification rationale as
 //! an explicit keyword rule engine:
 //!
-//! * [`rules`] — the rule sets, one per class, derived from the examples the
-//!   paper gives (network cards, web cams and UPnP devices are drivers; the
-//!   TCP/IP stack, file systems and process management are kernel; login,
-//!   shells and basic daemons are system software; DBMSes, browsers, media
-//!   players and language runtimes are applications);
-//! * [`engine`] — the [`Classifier`]: scores a description against every
-//!   rule set and picks the best match, with an explicit priority order for
-//!   ties and a configurable default class;
-//! * [`overrides`] — a per-CVE override table reproducing the "by hand"
-//!   corrections that a human analyst would make;
+//! * [`rules`] — the keyword table, one row per rule, derived from the
+//!   examples the paper gives (network cards, web cams and UPnP devices are
+//!   drivers; the TCP/IP stack, file systems and process management are
+//!   kernel; login, shells and basic daemons are system software; DBMSes,
+//!   browsers, media players and language runtimes are applications), and
+//!   the function that scores a description against it;
+//! * [`engine`] — the [`Classifier`]: picks the best-scoring class, with an
+//!   explicit priority order for ties and Kernel when nothing matches;
 //! * [`metrics`] — evaluation helpers (confusion matrix, accuracy, per-class
 //!   precision/recall) used to validate the classifier against the
 //!   ground-truth labels carried by the synthetic dataset.
@@ -40,10 +38,7 @@
 
 pub mod engine;
 pub mod metrics;
-pub mod overrides;
 pub mod rules;
 
-pub use engine::{ClassificationOutcome, Classifier};
+pub use engine::Classifier;
 pub use metrics::{ClassificationReport, ConfusionMatrix};
-pub use overrides::OverrideTable;
-pub use rules::{Rule, RuleSet};

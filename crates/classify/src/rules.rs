@@ -1,210 +1,135 @@
 //! Keyword rules encoding the classification rationale of Section III-B.
 
 use nvd_model::OsPart;
+use OsPart::{Application, Driver, Kernel, SystemSoftware};
 
-/// A single keyword rule: if the (lower-cased) description contains
-/// `keyword`, `weight` points are added to the score of `part`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Rule {
-    /// The class the rule votes for.
-    pub part: OsPart,
-    /// The keyword to look for (lower-case; matched as a substring).
-    pub keyword: &'static str,
-    /// How many points a match contributes.
-    pub weight: u32,
-}
+/// The keyword rules, one `(class, keyword, weight)` row each: a
+/// description whose lower-cased text contains `keyword` scores `weight`
+/// points for `class`.
+///
+/// The keywords come from the class definitions in Section III-B of the
+/// paper and from the typical wording of NVD summaries for each class.
+pub const RULES: &[(OsPart, &str, u32)] = &[
+    // ---------------- Driver ----------------
+    (Driver, "driver", 6),
+    (Driver, "wireless", 3),
+    (Driver, "network card", 4),
+    (Driver, "video card", 4),
+    (Driver, "graphics card", 4),
+    (Driver, "sound card", 4),
+    (Driver, "audio card", 4),
+    (Driver, "web cam", 4),
+    (Driver, "webcam", 4),
+    (Driver, "universal plug and play", 4),
+    (Driver, "upnp device", 4),
+    (Driver, "firmware", 2),
+    (Driver, "beacon frame", 2),
+    (Driver, "802.11", 2),
+    // ---------------- Kernel ----------------
+    (Kernel, "kernel", 6),
+    (Kernel, "tcp/ip stack", 5),
+    (Kernel, "tcp implementation", 5),
+    (Kernel, "ip stack", 4),
+    (Kernel, "network stack", 4),
+    (Kernel, "icmp", 3),
+    (Kernel, "tcp", 2),
+    (Kernel, "file system", 4),
+    (Kernel, "filesystem", 4),
+    (Kernel, "virtual memory", 4),
+    (Kernel, "memory management", 4),
+    (Kernel, "page table", 4),
+    (Kernel, "process management", 4),
+    (Kernel, "task management", 4),
+    (Kernel, "scheduler", 3),
+    (Kernel, "system call", 4),
+    (Kernel, "syscall", 4),
+    (Kernel, "core library", 3),
+    (Kernel, "libc", 3),
+    (Kernel, "signal handler", 3),
+    (Kernel, "privilege escalation in the kernel", 5),
+    (Kernel, "processor", 2),
+    (Kernel, "cpu", 2),
+    (Kernel, "ioctl", 3),
+    (Kernel, "packet", 1),
+    // ---------------- System software ----------------
+    (SystemSoftware, "login", 4),
+    (SystemSoftware, "shell", 3),
+    (SystemSoftware, "daemon", 4),
+    (SystemSoftware, "init script", 3),
+    (SystemSoftware, "cron", 3),
+    (SystemSoftware, "syslog", 3),
+    (SystemSoftware, "sshd", 4),
+    (SystemSoftware, "openssh", 4),
+    (SystemSoftware, "telnetd", 4),
+    (SystemSoftware, "ftpd", 3),
+    (SystemSoftware, "inetd", 4),
+    (SystemSoftware, "rpc service", 3),
+    (SystemSoftware, "rpcbind", 3),
+    (SystemSoftware, "nfs server", 3),
+    (SystemSoftware, "dhcp", 3),
+    (SystemSoftware, "dns resolver", 3),
+    (SystemSoftware, "dns protocol", 3),
+    (SystemSoftware, "name service", 3),
+    (SystemSoftware, "authentication module", 3),
+    (SystemSoftware, "pam", 2),
+    (SystemSoftware, "sudo", 3),
+    (SystemSoftware, "passwd", 3),
+    (SystemSoftware, "getty", 3),
+    (SystemSoftware, "system utility", 3),
+    (SystemSoftware, "package manager", 3),
+    // ---------------- Application ----------------
+    (Application, "database server", 5),
+    (Application, "database management", 5),
+    (Application, "sql server", 4),
+    (Application, "mysql", 4),
+    (Application, "postgresql", 4),
+    (Application, "web browser", 5),
+    (Application, "internet explorer", 5),
+    (Application, "browser", 3),
+    (Application, "messenger", 4),
+    (Application, "mail client", 4),
+    (Application, "email client", 4),
+    (Application, "mail server", 4),
+    (Application, "web server", 4),
+    (Application, "http server", 4),
+    (Application, "ftp client", 4),
+    (Application, "media player", 5),
+    (Application, "music player", 5),
+    (Application, "video player", 5),
+    (Application, "text editor", 4),
+    (Application, "word processor", 4),
+    (Application, "spreadsheet", 4),
+    (Application, "compiler", 4),
+    (Application, "virtual machine", 3),
+    (Application, "java runtime", 4),
+    (Application, "interpreter", 3),
+    (Application, "scripting language", 3),
+    (Application, "antivirus", 4),
+    (Application, "kerberos", 3),
+    (Application, "ldap", 3),
+    (Application, "game", 2),
+    (Application, "office", 3),
+    (Application, "pdf viewer", 4),
+    (Application, "image viewer", 4),
+    (Application, "archive utility", 3),
+];
 
-impl Rule {
-    /// Creates a rule.
-    pub const fn new(part: OsPart, keyword: &'static str, weight: u32) -> Self {
-        Rule {
-            part,
-            keyword,
-            weight,
-        }
-    }
-
-    /// Whether the rule matches a lower-cased description.
-    pub fn matches(&self, lower_description: &str) -> bool {
-        lower_description.contains(self.keyword)
-    }
-}
-
-/// An ordered collection of [`Rule`]s.
-#[derive(Debug, Clone, Default)]
-pub struct RuleSet {
-    rules: Vec<Rule>,
-}
-
-impl RuleSet {
-    /// Creates an empty rule set.
-    pub fn new() -> Self {
-        RuleSet { rules: Vec::new() }
-    }
-
-    /// Creates the default rule set used by the study reproduction.
-    ///
-    /// The keywords come from the class definitions in Section III-B of the
-    /// paper and from the typical wording of NVD summaries for each class.
-    pub fn paper_defaults() -> Self {
-        use OsPart::*;
-        let mut set = RuleSet::new();
-        let rules: &[(OsPart, &'static str, u32)] = &[
-            // ---------------- Driver ----------------
-            (Driver, "driver", 6),
-            (Driver, "wireless", 3),
-            (Driver, "network card", 4),
-            (Driver, "video card", 4),
-            (Driver, "graphics card", 4),
-            (Driver, "sound card", 4),
-            (Driver, "audio card", 4),
-            (Driver, "web cam", 4),
-            (Driver, "webcam", 4),
-            (Driver, "universal plug and play", 4),
-            (Driver, "upnp device", 4),
-            (Driver, "firmware", 2),
-            (Driver, "beacon frame", 2),
-            (Driver, "802.11", 2),
-            // ---------------- Kernel ----------------
-            (Kernel, "kernel", 6),
-            (Kernel, "tcp/ip stack", 5),
-            (Kernel, "tcp implementation", 5),
-            (Kernel, "ip stack", 4),
-            (Kernel, "network stack", 4),
-            (Kernel, "icmp", 3),
-            (Kernel, "tcp", 2),
-            (Kernel, "file system", 4),
-            (Kernel, "filesystem", 4),
-            (Kernel, "virtual memory", 4),
-            (Kernel, "memory management", 4),
-            (Kernel, "page table", 4),
-            (Kernel, "process management", 4),
-            (Kernel, "task management", 4),
-            (Kernel, "scheduler", 3),
-            (Kernel, "system call", 4),
-            (Kernel, "syscall", 4),
-            (Kernel, "core library", 3),
-            (Kernel, "libc", 3),
-            (Kernel, "signal handler", 3),
-            (Kernel, "privilege escalation in the kernel", 5),
-            (Kernel, "processor", 2),
-            (Kernel, "cpu", 2),
-            (Kernel, "ioctl", 3),
-            (Kernel, "packet", 1),
-            // ---------------- System software ----------------
-            (SystemSoftware, "login", 4),
-            (SystemSoftware, "shell", 3),
-            (SystemSoftware, "daemon", 4),
-            (SystemSoftware, "init script", 3),
-            (SystemSoftware, "cron", 3),
-            (SystemSoftware, "syslog", 3),
-            (SystemSoftware, "sshd", 4),
-            (SystemSoftware, "openssh", 4),
-            (SystemSoftware, "telnetd", 4),
-            (SystemSoftware, "ftpd", 3),
-            (SystemSoftware, "inetd", 4),
-            (SystemSoftware, "rpc service", 3),
-            (SystemSoftware, "rpcbind", 3),
-            (SystemSoftware, "nfs server", 3),
-            (SystemSoftware, "dhcp", 3),
-            (SystemSoftware, "dns resolver", 3),
-            (SystemSoftware, "dns protocol", 3),
-            (SystemSoftware, "name service", 3),
-            (SystemSoftware, "authentication module", 3),
-            (SystemSoftware, "pam", 2),
-            (SystemSoftware, "sudo", 3),
-            (SystemSoftware, "passwd", 3),
-            (SystemSoftware, "getty", 3),
-            (SystemSoftware, "system utility", 3),
-            (SystemSoftware, "package manager", 3),
-            // ---------------- Application ----------------
-            (Application, "database server", 5),
-            (Application, "database management", 5),
-            (Application, "sql server", 4),
-            (Application, "mysql", 4),
-            (Application, "postgresql", 4),
-            (Application, "web browser", 5),
-            (Application, "internet explorer", 5),
-            (Application, "browser", 3),
-            (Application, "messenger", 4),
-            (Application, "mail client", 4),
-            (Application, "email client", 4),
-            (Application, "mail server", 4),
-            (Application, "web server", 4),
-            (Application, "http server", 4),
-            (Application, "ftp client", 4),
-            (Application, "media player", 5),
-            (Application, "music player", 5),
-            (Application, "video player", 5),
-            (Application, "text editor", 4),
-            (Application, "word processor", 4),
-            (Application, "spreadsheet", 4),
-            (Application, "compiler", 4),
-            (Application, "virtual machine", 3),
-            (Application, "java runtime", 4),
-            (Application, "interpreter", 3),
-            (Application, "scripting language", 3),
-            (Application, "antivirus", 4),
-            (Application, "kerberos", 3),
-            (Application, "ldap", 3),
-            (Application, "game", 2),
-            (Application, "office", 3),
-            (Application, "pdf viewer", 4),
-            (Application, "image viewer", 4),
-            (Application, "archive utility", 3),
-        ];
-        for (part, keyword, weight) in rules {
-            set.push(Rule::new(*part, keyword, *weight));
-        }
-        set
-    }
-
-    /// Adds a rule.
-    pub fn push(&mut self, rule: Rule) {
-        self.rules.push(rule);
-    }
-
-    /// Number of rules.
-    pub fn len(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// Whether the rule set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
-    }
-
-    /// Iterates over the rules.
-    pub fn iter(&self) -> std::slice::Iter<'_, Rule> {
-        self.rules.iter()
-    }
-
-    /// Scores a description against every rule; returns the total score per
-    /// class in [`OsPart::ALL`] order.
-    pub fn scores(&self, description: &str) -> [u32; 4] {
-        let lower = description.to_ascii_lowercase();
-        let mut scores = [0u32; 4];
-        for rule in &self.rules {
-            if rule.matches(&lower) {
-                let index = OsPart::ALL
-                    .iter()
-                    .position(|p| *p == rule.part)
-                    .expect("OsPart::ALL contains every class");
-                scores[index] += rule.weight;
+/// Scores a description against every rule; returns the total score per
+/// class in [`OsPart::ALL`] order. Matching ignores ASCII case, and a rule
+/// counts once if its keyword occurs anywhere in the description.
+pub fn scores(description: &str) -> [u32; 4] {
+    let lower = description.to_ascii_lowercase();
+    let mut scores = [0; 4];
+    for (part, keyword, weight) in RULES {
+        if lower.contains(keyword) {
+            for (class, score) in OsPart::ALL.iter().zip(&mut scores) {
+                if class == part {
+                    *score += weight;
+                }
             }
         }
-        scores
     }
-}
-
-impl FromIterator<Rule> for RuleSet {
-    fn from_iter<T: IntoIterator<Item = Rule>>(iter: T) -> Self {
-        let mut set = RuleSet::new();
-        for rule in iter {
-            set.push(rule);
-        }
-        set
-    }
+    scores
 }
 
 #[cfg(test)]
@@ -213,47 +138,31 @@ mod tests {
 
     #[test]
     fn default_rules_cover_all_classes() {
-        let set = RuleSet::paper_defaults();
-        assert!(set.len() > 50);
+        assert_eq!(RULES.len(), 98);
         for part in OsPart::ALL {
             assert!(
-                set.iter().any(|r| r.part == part),
+                RULES.iter().any(|(class, _, _)| *class == part),
                 "no rules for class {part}"
             );
+        }
+        // Keywords are matched against lower-cased text.
+        for (_, keyword, _) in RULES {
+            assert_eq!(*keyword, keyword.to_ascii_lowercase());
         }
     }
 
     #[test]
     fn rule_matching_is_case_insensitive_via_scores() {
-        let set = RuleSet::paper_defaults();
-        let upper = set.scores("Buffer overflow in the KERNEL memory management");
-        let lower = set.scores("buffer overflow in the kernel memory management");
+        let upper = scores("Buffer overflow in the KERNEL memory management");
+        let lower = scores("buffer overflow in the kernel memory management");
         assert_eq!(upper, lower);
-        let kernel_index = OsPart::ALL
-            .iter()
-            .position(|p| *p == OsPart::Kernel)
-            .unwrap();
-        assert!(upper[kernel_index] > 0);
+        // Kernel is index 1 in OsPart::ALL: "kernel" 6 + "memory management" 4.
+        assert_eq!(upper, [0, 10, 0, 0]);
     }
 
     #[test]
     fn scores_accumulate_multiple_matches() {
-        let set: RuleSet = [
-            Rule::new(OsPart::Driver, "driver", 2),
-            Rule::new(OsPart::Driver, "wireless", 3),
-            Rule::new(OsPart::Kernel, "kernel", 5),
-        ]
-        .into_iter()
-        .collect();
-        let scores = set.scores("wireless driver flaw");
-        assert_eq!(scores[0], 5); // Driver is index 0 in OsPart::ALL
-        assert_eq!(scores[1], 0);
-    }
-
-    #[test]
-    fn empty_ruleset_scores_zero() {
-        let set = RuleSet::new();
-        assert!(set.is_empty());
-        assert_eq!(set.scores("anything"), [0, 0, 0, 0]);
+        // Driver is index 0 in OsPart::ALL: "driver" 6 + "wireless" 3.
+        assert_eq!(scores("wireless driver flaw"), [9, 0, 0, 0]);
     }
 }

@@ -3,7 +3,7 @@
 use std::sync::{Arc, OnceLock};
 
 use classify::Classifier;
-use nvd_model::{OsDistribution, OsSet, VulnerabilityEntry};
+use nvd_model::{OsDistribution, OsPart, OsSet, VulnerabilityEntry};
 use vulnstore::{VulnId, VulnStore, VulnerabilityRow};
 
 use crate::index::CountIndex;
@@ -180,15 +180,14 @@ impl StudyDataset {
     /// of the paper's manual Section III-B step). Returns how many rows were
     /// classified.
     pub fn classify_unlabelled(&mut self, classifier: &Classifier) -> usize {
-        let unlabelled: Vec<(VulnId, String)> = self
+        let labels: Vec<(VulnId, OsPart)> = self
             .store
             .rows()
             .filter(|row| row.part.is_none())
-            .map(|row| (row.id, row.summary.clone()))
+            .map(|row| (row.id, classifier.classify_summary(&row.summary)))
             .collect();
-        let count = unlabelled.len();
-        for (id, summary) in unlabelled {
-            let part = classifier.classify_summary(&summary);
+        let count = labels.len();
+        for (id, part) in labels {
             self.store
                 .set_part(id, part)
                 .expect("row ids obtained from the store are valid");
@@ -393,11 +392,19 @@ mod tests {
                 .affects_os(OsDistribution::FreeBsd)
                 .build()
                 .unwrap(),
+            // Already labelled: the rules would say Kernel, but a row that
+            // has a class keeps it.
+            VulnerabilityEntry::builder(CveId::new(2006, 78))
+                .summary("Kernel memory corruption reported against a bundled application")
+                .part(OsPart::Application)
+                .affects_os(OsDistribution::FreeBsd)
+                .build()
+                .unwrap(),
         ]);
         let classified = study.classify_unlabelled(&Classifier::with_default_rules());
         assert_eq!(classified, 1);
-        let row = study.store().rows().next().unwrap();
-        assert_eq!(row.part, Some(OsPart::Kernel));
+        let parts: Vec<_> = study.store().rows().map(|row| row.part).collect();
+        assert_eq!(parts, [Some(OsPart::Kernel), Some(OsPart::Application)]);
         // A second pass has nothing left to classify.
         assert_eq!(
             study.classify_unlabelled(&Classifier::with_default_rules()),

@@ -36,6 +36,11 @@ pub const ATTACKER_SURFACES: &[&str] = &[
     "crates/vulnstore/src/snapshot.rs",
     "crates/registry/src/persist.rs",
     "crates/registry/src/ingest.rs",
+    // Every PUT's summaries and product names run through these.
+    "crates/classify/src/engine.rs",
+    "crates/classify/src/rules.rs",
+    "crates/nvd-feed/src/schema.rs",
+    "crates/nvd-feed/src/normalize.rs",
 ];
 
 /// Files that turn HTTP query parameters into numbers: the `clamp` rule

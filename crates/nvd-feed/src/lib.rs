@@ -51,9 +51,8 @@ pub mod writer;
 pub mod xml;
 
 pub use error::FeedError;
-pub use normalize::NameNormalizer;
 pub use reader::FeedReader;
-pub use schema::{FeedMetadata, RawEntry, RawProduct};
+pub use schema::{RawEntry, RawProduct};
 pub use writer::FeedWriter;
 
 /// Convenience result alias used across the crate.

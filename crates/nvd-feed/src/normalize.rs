@@ -4,132 +4,59 @@
 //! under distinct names for different entries — for example both
 //! `("debian_linux", "debian")` and `("linux", "debian")` appear for Debian —
 //! and that the authors corrected these problems by hand once the data was
-//! in their SQL database. [`NameNormalizer`] reproduces that cleaning step
-//! with an explicit, extensible alias table. Entries that appear in more
-//! than one yearly feed (NVD re-publishes modified entries) are merged by
-//! CVE identifier when the store ingests them
+//! in their SQL database. [`normalize`] reproduces that cleaning step with
+//! one alias table, [`ALIASES`]. Entries that appear in more than one
+//! yearly feed (NVD re-publishes modified entries) are merged by CVE
+//! identifier when the store ingests them
 //! (`vulnstore::VulnStore::insert_entry`).
 
-use std::collections::HashMap;
+/// The alias corrections the study needed for its 64 CPEs (the "by hand"
+/// corrections of Section III), one `(vendor, product, canonical vendor,
+/// canonical product)` row each, all lower-case.
+#[rustfmt::skip] // one alias per line
+pub const ALIASES: &[(&str, &str, &str, &str)] = &[
+    // Debian appears both as (debian, debian_linux) and (debian, linux).
+    ("debian", "linux", "debian", "debian_linux"),
+    ("linux", "debian", "debian", "debian_linux"),
+    // Red Hat Linux and Red Hat Enterprise Linux are merged (footnote 3).
+    ("redhat", "linux", "redhat", "enterprise_linux"),
+    ("redhat", "redhat_linux", "redhat", "enterprise_linux"),
+    ("redhat", "enterprise_linux_server", "redhat", "enterprise_linux"),
+    ("redhat", "enterprise_linux_desktop", "redhat", "enterprise_linux"),
+    // Ubuntu appears under both the "ubuntu" and "canonical" vendors.
+    ("ubuntu", "ubuntu_linux", "canonical", "ubuntu_linux"),
+    ("ubuntu", "linux", "canonical", "ubuntu_linux"),
+    // Solaris is spelled both solaris and sunos depending on the era.
+    ("sun", "sunos", "sun", "solaris"),
+    ("oracle", "solaris", "sun", "solaris"),
+    ("oracle", "opensolaris", "sun", "opensolaris"),
+    // Windows server products appear with and without the _server suffix.
+    ("microsoft", "windows_2003", "microsoft", "windows_2003_server"),
+    ("microsoft", "windows_server_2003", "microsoft", "windows_2003_server"),
+    ("microsoft", "windows_2008", "microsoft", "windows_server_2008"),
+];
 
-/// Rewrites `(vendor, product)` pairs into their canonical spelling.
+/// Rewrites a `(vendor, product)` pair into its canonical spelling. The
+/// lookup ignores ASCII case; pairs without an alias are returned
+/// lower-cased but otherwise unchanged.
 ///
 /// # Example
 ///
 /// ```
-/// use nvd_feed::NameNormalizer;
+/// use nvd_feed::normalize::normalize;
 ///
-/// let normalizer = NameNormalizer::default();
-/// let (vendor, product) = normalizer.normalize("debian", "linux");
+/// let (vendor, product) = normalize("debian", "linux");
 /// assert_eq!((vendor.as_str(), product.as_str()), ("debian", "debian_linux"));
 /// ```
-#[derive(Debug, Clone)]
-pub struct NameNormalizer {
-    /// Maps `(vendor, product)` (lower-cased) to the canonical pair.
-    aliases: HashMap<(String, String), (String, String)>,
-}
-
-impl NameNormalizer {
-    /// Creates a normalizer with no aliases registered.
-    pub fn empty() -> Self {
-        NameNormalizer {
-            aliases: HashMap::new(),
-        }
-    }
-
-    /// Creates a normalizer pre-loaded with the alias corrections the study
-    /// needed for its 64 CPEs (the "by hand" corrections of Section III).
-    pub fn new() -> Self {
-        let mut normalizer = NameNormalizer::empty();
-        // Debian appears both as (debian, debian_linux) and (debian, linux).
-        normalizer.add_alias("debian", "linux", "debian", "debian_linux");
-        normalizer.add_alias("linux", "debian", "debian", "debian_linux");
-        // Red Hat Linux and Red Hat Enterprise Linux are merged (footnote 3).
-        normalizer.add_alias("redhat", "linux", "redhat", "enterprise_linux");
-        normalizer.add_alias("redhat", "redhat_linux", "redhat", "enterprise_linux");
-        normalizer.add_alias(
-            "redhat",
-            "enterprise_linux_server",
-            "redhat",
-            "enterprise_linux",
-        );
-        normalizer.add_alias(
-            "redhat",
-            "enterprise_linux_desktop",
-            "redhat",
-            "enterprise_linux",
-        );
-        // Ubuntu appears under both the "ubuntu" and "canonical" vendors.
-        normalizer.add_alias("ubuntu", "ubuntu_linux", "canonical", "ubuntu_linux");
-        normalizer.add_alias("ubuntu", "linux", "canonical", "ubuntu_linux");
-        // Solaris is spelled both solaris and sunos depending on the era.
-        normalizer.add_alias("sun", "sunos", "sun", "solaris");
-        normalizer.add_alias("oracle", "solaris", "sun", "solaris");
-        normalizer.add_alias("oracle", "opensolaris", "sun", "opensolaris");
-        // Windows server products appear with and without the _server suffix.
-        normalizer.add_alias(
-            "microsoft",
-            "windows_2003",
-            "microsoft",
-            "windows_2003_server",
-        );
-        normalizer.add_alias(
-            "microsoft",
-            "windows_server_2003",
-            "microsoft",
-            "windows_2003_server",
-        );
-        normalizer.add_alias(
-            "microsoft",
-            "windows_2008",
-            "microsoft",
-            "windows_server_2008",
-        );
-        normalizer
-    }
-
-    /// Registers an alias: `(vendor, product)` will be rewritten to
-    /// `(canonical_vendor, canonical_product)`.
-    pub fn add_alias(
-        &mut self,
-        vendor: &str,
-        product: &str,
-        canonical_vendor: &str,
-        canonical_product: &str,
-    ) {
-        self.aliases.insert(
-            (vendor.to_ascii_lowercase(), product.to_ascii_lowercase()),
-            (
-                canonical_vendor.to_ascii_lowercase(),
-                canonical_product.to_ascii_lowercase(),
-            ),
-        );
-    }
-
-    /// Number of aliases registered.
-    pub fn len(&self) -> usize {
-        self.aliases.len()
-    }
-
-    /// Whether no aliases are registered.
-    pub fn is_empty(&self) -> bool {
-        self.aliases.is_empty()
-    }
-
-    /// Normalizes a `(vendor, product)` pair. Unknown pairs are returned
-    /// lower-cased but otherwise unchanged.
-    pub fn normalize(&self, vendor: &str, product: &str) -> (String, String) {
-        let key = (vendor.to_ascii_lowercase(), product.to_ascii_lowercase());
-        match self.aliases.get(&key) {
-            Some((v, p)) => (v.clone(), p.clone()),
-            None => key,
-        }
-    }
-}
-
-impl Default for NameNormalizer {
-    fn default() -> Self {
-        NameNormalizer::new()
+pub fn normalize(vendor: &str, product: &str) -> (String, String) {
+    let vendor = vendor.to_ascii_lowercase();
+    let product = product.to_ascii_lowercase();
+    match ALIASES
+        .iter()
+        .find(|(v, p, _, _)| *v == vendor && *p == product)
+    {
+        Some((_, _, v, p)) => (v.to_string(), p.to_string()),
+        None => (vendor, product),
     }
 }
 
@@ -139,36 +66,38 @@ mod tests {
 
     #[test]
     fn default_normalizer_handles_paper_aliases() {
-        let n = NameNormalizer::default();
-        assert!(!n.is_empty());
+        assert_eq!(ALIASES.len(), 14);
         assert_eq!(
-            n.normalize("debian", "linux"),
+            normalize("debian", "linux"),
             ("debian".to_string(), "debian_linux".to_string())
         );
         assert_eq!(
-            n.normalize("LINUX", "DEBIAN"),
+            normalize("LINUX", "DEBIAN"),
             ("debian".to_string(), "debian_linux".to_string())
         );
         assert_eq!(
-            n.normalize("microsoft", "windows_server_2003"),
+            normalize("microsoft", "windows_server_2003"),
             ("microsoft".to_string(), "windows_2003_server".to_string())
         );
         // Unknown pairs pass through (lower-cased).
         assert_eq!(
-            n.normalize("Apple", "Mac_OS_X"),
+            normalize("Apple", "Mac_OS_X"),
             ("apple".to_string(), "mac_os_x".to_string())
         );
-    }
-
-    #[test]
-    fn custom_aliases_can_be_added() {
-        let mut n = NameNormalizer::empty();
-        assert!(n.is_empty());
-        n.add_alias("suse", "linux", "novell", "suse_linux");
-        assert_eq!(n.len(), 1);
-        assert_eq!(
-            n.normalize("suse", "linux"),
-            ("novell".to_string(), "suse_linux".to_string())
-        );
+        // Every spelling is lower-case, and each has one canonical pair.
+        for (i, &(vendor, product, canonical_vendor, canonical_product)) in
+            ALIASES.iter().enumerate()
+        {
+            for name in [vendor, product, canonical_vendor, canonical_product] {
+                assert_eq!(name, name.to_ascii_lowercase());
+            }
+            assert!(
+                ALIASES
+                    .iter()
+                    .skip(i + 1)
+                    .all(|(v, p, _, _)| (*v, *p) != (vendor, product)),
+                "({vendor}, {product}) is listed twice"
+            );
+        }
     }
 }

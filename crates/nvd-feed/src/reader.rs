@@ -20,9 +20,9 @@ use std::path::Path;
 
 use nvd_model::VulnerabilityEntry;
 
-use crate::schema::{FeedMetadata, RawEntry, RawProduct};
+use crate::schema::{RawEntry, RawProduct};
 use crate::xml::{XmlEvent, XmlReader};
-use crate::{FeedError, NameNormalizer};
+use crate::FeedError;
 
 /// Reads NVD XML feeds into [`VulnerabilityEntry`] values.
 ///
@@ -50,7 +50,6 @@ use crate::{FeedError, NameNormalizer};
 /// ```
 #[derive(Debug, Clone)]
 pub struct FeedReader {
-    normalizer: NameNormalizer,
     strict: bool,
     skipped: usize,
 }
@@ -62,10 +61,9 @@ impl Default for FeedReader {
 }
 
 impl FeedReader {
-    /// Creates a lenient reader with the default alias normalizer.
+    /// Creates a lenient reader.
     pub fn new() -> Self {
         FeedReader {
-            normalizer: NameNormalizer::default(),
             strict: false,
             skipped: 0,
         }
@@ -75,12 +73,6 @@ impl FeedReader {
     /// whole read instead of being skipped.
     pub fn strict(mut self) -> Self {
         self.strict = true;
-        self
-    }
-
-    /// Replaces the name normalizer.
-    pub fn with_normalizer(mut self, normalizer: NameNormalizer) -> Self {
-        self.normalizer = normalizer;
         self
     }
 
@@ -111,7 +103,23 @@ impl FeedReader {
     /// [`FeedError::Schema`] / [`FeedError::Model`] for entries with invalid
     /// fields.
     pub fn read_from_str(&mut self, xml: &str) -> Result<Vec<VulnerabilityEntry>, FeedError> {
-        let (entries, _metadata) = self.read_with_metadata(xml)?;
+        self.skipped = 0;
+        let mut reader = XmlReader::new(xml);
+        let mut entries = Vec::new();
+        while let Some(event) = reader.next_event()? {
+            if let XmlEvent::StartElement {
+                name,
+                attributes,
+                self_closing,
+                ..
+            } = event
+            {
+                if name == "entry" {
+                    let raw = self.read_entry(&mut reader, &attributes, self_closing)?;
+                    entries.extend(self.convert(&raw)?);
+                }
+            }
+        }
         Ok(entries)
     }
 
@@ -146,14 +154,7 @@ impl FeedReader {
             {
                 if name == "entry" {
                     let raw = self.read_entry(&mut reader, &attributes, self_closing)?;
-                    return match raw.to_entry(&self.normalizer) {
-                        Ok(entry) => Ok(Some(entry)),
-                        Err(err) if self.strict => Err(err),
-                        Err(_) => {
-                            self.skipped += 1;
-                            Ok(None)
-                        }
-                    };
+                    return self.convert(&raw);
                 }
             }
         }
@@ -163,47 +164,17 @@ impl FeedReader {
         ))
     }
 
-    /// Reads a feed and also returns document-level metadata.
-    pub fn read_with_metadata(
-        &mut self,
-        xml: &str,
-    ) -> Result<(Vec<VulnerabilityEntry>, FeedMetadata), FeedError> {
-        self.skipped = 0;
-        let mut reader = XmlReader::new(xml);
-        let mut metadata = FeedMetadata::default();
-        let mut entries = Vec::new();
-        while let Some(event) = reader.next_event()? {
-            match event {
-                XmlEvent::StartElement {
-                    name,
-                    attributes,
-                    self_closing,
-                    ..
-                } => match name.as_str() {
-                    "nvd" => {
-                        for (key, value) in &attributes {
-                            match key.as_str() {
-                                "nvd_xml_version" => metadata.xml_version = Some(value.clone()),
-                                "pub_date" => metadata.published = Some(value.clone()),
-                                _ => {}
-                            }
-                        }
-                    }
-                    "entry" => {
-                        metadata.entry_count += 1;
-                        let raw = self.read_entry(&mut reader, &attributes, self_closing)?;
-                        match raw.to_entry(&self.normalizer) {
-                            Ok(entry) => entries.push(entry),
-                            Err(err) if self.strict => return Err(err),
-                            Err(_) => self.skipped += 1,
-                        }
-                    }
-                    _ => {}
-                },
-                XmlEvent::EndElement { .. } | XmlEvent::Text(_) => {}
+    /// Validates a raw entry: an invalid one is an error in strict mode
+    /// and is skipped (and counted) otherwise.
+    fn convert(&mut self, raw: &RawEntry) -> Result<Option<VulnerabilityEntry>, FeedError> {
+        match raw.to_entry() {
+            Ok(entry) => Ok(Some(entry)),
+            Err(err) if self.strict => Err(err),
+            Err(_) => {
+                self.skipped += 1;
+                Ok(None)
             }
         }
-        Ok((entries, metadata))
     }
 
     /// Parses a single `<entry>` element (either layout) into a [`RawEntry`].
@@ -460,9 +431,7 @@ mod tests {
     #[test]
     fn parses_nvd_20_feed() {
         let mut reader = FeedReader::new();
-        let (entries, metadata) = reader.read_with_metadata(FEED_20).unwrap();
-        assert_eq!(metadata.xml_version.as_deref(), Some("2.0"));
-        assert_eq!(metadata.entry_count, 2);
+        let entries = reader.read_from_str(FEED_20).unwrap();
         assert_eq!(entries.len(), 2);
 
         let dns = &entries[0];
@@ -566,9 +535,9 @@ mod tests {
     #[test]
     fn empty_feed_produces_no_entries() {
         let mut reader = FeedReader::new();
-        let (entries, metadata) = reader.read_with_metadata("<nvd/>").unwrap();
+        let entries = reader.read_from_str("<nvd/>").unwrap();
         assert!(entries.is_empty());
-        assert_eq!(metadata.entry_count, 0);
+        assert_eq!(reader.skipped(), 0);
     }
 
     #[test]

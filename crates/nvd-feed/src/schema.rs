@@ -5,25 +5,15 @@
 //! [`nvd_model::VulnerabilityEntry`] values (validating identifiers, dates
 //! and CVSS vectors and clustering CPEs into OS distributions). Keeping the
 //! raw layer around makes the data-cleaning steps of Section III of the
-//! paper — name normalization, duplicate merging, validity filtering —
-//! testable in isolation.
+//! paper — name normalization and validity filtering — testable in
+//! isolation.
 
 use nvd_model::{
     AffectedProduct, Cpe, CpePart, CveId, CvssV2, Date, OsDistribution, VulnerabilityEntry,
 };
 
-use crate::{FeedError, NameNormalizer};
-
-/// Metadata about a parsed feed document.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FeedMetadata {
-    /// The `nvd_xml_version` attribute of the root element, if present.
-    pub xml_version: Option<String>,
-    /// The `pub_date` attribute of the root element, if present.
-    pub published: Option<String>,
-    /// Number of `<entry>` elements found in the document.
-    pub entry_count: usize,
-}
+use crate::normalize::normalize;
+use crate::FeedError;
 
 /// One affected product as it appears in a feed, before clustering.
 ///
@@ -73,11 +63,9 @@ impl RawProduct {
     }
 
     /// Converts this raw product into a model-level [`AffectedProduct`],
-    /// applying alias normalization first. Returns `None` when the product is
-    /// explicitly marked as hardware or application (those never contribute
-    /// to the OS-level analysis but are kept by the caller for completeness).
-    pub fn to_affected(&self, normalizer: &NameNormalizer) -> AffectedProduct {
-        let (vendor, product) = normalizer.normalize(&self.vendor, &self.product);
+    /// applying alias normalization ([`normalize`]) first.
+    pub fn to_affected(&self) -> AffectedProduct {
+        let (vendor, product) = normalize(&self.vendor, &self.product);
         let part = match self.part {
             Some('h') => CpePart::Hardware,
             Some('a') => CpePart::Application,
@@ -134,7 +122,7 @@ impl RawEntry {
     ///
     /// Returns [`FeedError`] if the CVE name, publication date or CVSS
     /// vector cannot be parsed.
-    pub fn to_entry(&self, normalizer: &NameNormalizer) -> Result<VulnerabilityEntry, FeedError> {
+    pub fn to_entry(&self) -> Result<VulnerabilityEntry, FeedError> {
         let id: CveId = self.name.parse().map_err(|e| FeedError::Schema {
             entry: Some(self.name.clone()),
             reason: format!("bad CVE name: {e}"),
@@ -149,7 +137,7 @@ impl RawEntry {
             builder = builder.cvss(cvss);
         }
         for product in &self.products {
-            builder = builder.affects_product(product.to_affected(normalizer));
+            builder = builder.affects_product(product.to_affected());
         }
         builder.build().map_err(|e| FeedError::Schema {
             entry: Some(self.name.clone()),
@@ -174,14 +162,10 @@ mod tests {
 
     #[test]
     fn raw_product_without_part_uses_clustering() {
-        let normalizer = NameNormalizer::default();
         let os_product = RawProduct::from_vendor_product("openbsd", "openbsd");
-        assert_eq!(
-            os_product.to_affected(&normalizer).os(),
-            Some(OsDistribution::OpenBsd)
-        );
+        assert_eq!(os_product.to_affected().os(), Some(OsDistribution::OpenBsd));
         let app_product = RawProduct::from_vendor_product("mysql", "mysql");
-        assert_eq!(app_product.to_affected(&normalizer).os(), None);
+        assert_eq!(app_product.to_affected().os(), None);
     }
 
     #[test]
@@ -197,7 +181,7 @@ mod tests {
                 RawProduct::from_cpe_uri("cpe:/a:isc:bind:9.4").unwrap(),
             ],
         };
-        let entry = raw.to_entry(&NameNormalizer::default()).unwrap();
+        let entry = raw.to_entry().unwrap();
         assert_eq!(entry.id(), CveId::new(2008, 1447));
         assert_eq!(entry.year(), 2008);
         assert_eq!(entry.affected_os_set().len(), 2);
@@ -213,7 +197,7 @@ mod tests {
             summary: "** DISPUTED ** possible issue in cron".to_string(),
             ..RawEntry::default()
         };
-        let entry = raw.to_entry(&NameNormalizer::default()).unwrap();
+        let entry = raw.to_entry().unwrap();
         assert_eq!(entry.validity(), Validity::Disputed);
     }
 
@@ -223,7 +207,7 @@ mod tests {
             name: "NOT-A-CVE".to_string(),
             ..RawEntry::default()
         };
-        assert!(raw.to_entry(&NameNormalizer::default()).is_err());
+        assert!(raw.to_entry().is_err());
     }
 
     #[test]
@@ -233,7 +217,7 @@ mod tests {
             published: Some("last tuesday".to_string()),
             ..RawEntry::default()
         };
-        assert!(raw.to_entry(&NameNormalizer::default()).is_err());
+        assert!(raw.to_entry().is_err());
     }
 
     #[test]
@@ -245,7 +229,7 @@ mod tests {
             products: vec![RawProduct::from_vendor_product("debian", "linux")],
             ..RawEntry::default()
         };
-        let entry = raw.to_entry(&NameNormalizer::default()).unwrap();
+        let entry = raw.to_entry().unwrap();
         assert!(entry.affects(OsDistribution::Debian));
     }
 }

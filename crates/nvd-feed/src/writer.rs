@@ -206,9 +206,9 @@ mod tests {
             .with_pub_date("2010-09-30")
             .write_to_string(&entries)
             .unwrap();
+        assert!(xml.contains(" pub_date=\"2010-09-30\">"));
         let mut reader = FeedReader::new().strict();
-        let (parsed, metadata) = reader.read_with_metadata(&xml).unwrap();
-        assert_eq!(metadata.pub_date_or_default(), "2010-09-30");
+        let parsed = reader.read_from_str(&xml).unwrap();
         assert_eq!(parsed.len(), entries.len());
         for (original, roundtripped) in entries.iter().zip(&parsed) {
             assert_eq!(original.id(), roundtripped.id());
@@ -253,12 +253,5 @@ mod tests {
         let xml = FeedWriter::new().write_to_string(&[]).unwrap();
         let parsed = FeedReader::new().strict().read_from_str(&xml).unwrap();
         assert!(parsed.is_empty());
-    }
-
-    impl crate::schema::FeedMetadata {
-        /// Test helper: the pub_date or an empty string.
-        fn pub_date_or_default(&self) -> String {
-            self.published.clone().unwrap_or_default()
-        }
     }
 }

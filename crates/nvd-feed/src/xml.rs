@@ -450,21 +450,6 @@ impl XmlWriter {
         self.depth += 1;
     }
 
-    /// Writes a self-closing element with attributes.
-    pub fn empty_element(&mut self, name: &str, attributes: &[(&str, &str)]) {
-        self.indent();
-        self.buffer.push('<');
-        self.buffer.push_str(name);
-        for (key, value) in attributes {
-            self.buffer.push(' ');
-            self.buffer.push_str(key);
-            self.buffer.push_str("=\"");
-            self.buffer.push_str(&escape(value));
-            self.buffer.push('"');
-        }
-        self.buffer.push_str("/>\n");
-    }
-
     /// Writes `<name>text</name>` on one line.
     pub fn text_element(&mut self, name: &str, text: &str) {
         self.indent();
@@ -626,7 +611,7 @@ mod tests {
         w.open_with("nvd", &[("xmlns", "http://example.invalid/feed")]);
         w.open_with("entry", &[("id", "CVE-2008-1447")]);
         w.text_element("summary", "DNS cache poisoning <critical>");
-        w.empty_element("product", &[("cpe", "cpe:/o:debian:debian_linux")]);
+        w.text_element("product", "cpe:/o:debian:debian_linux");
         w.close("entry");
         w.close("nvd");
         let xml = w.finish();

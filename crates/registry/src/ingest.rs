@@ -769,4 +769,31 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn a_calibrated_feed_ingests_to_pinned_store_bytes() {
+        // The first feed the benchmark's tenant_churn workload uploads at
+        // seed 7, pushed in 64 KiB pieces like the PUT route reads it.
+        // Every class the rule table assigns lands in the STORE payload,
+        // so its length and CRC-32 pin parsing, normalization and
+        // classification together; `estimated_bytes` fixes which tenants
+        // fit under a registry's byte budget.
+        let xml = datagen::CalibratedGenerator::new(7000)
+            .generate()
+            .to_feed_xml()
+            .unwrap();
+        assert_eq!(xml.len(), 1_974_008);
+        let mut ingester = FeedIngester::new(IngestBudget::default());
+        for piece in xml.as_bytes().chunks(64 * 1024) {
+            ingester.push(piece).unwrap();
+        }
+        let dataset = ingester.finish().unwrap().dataset;
+        let mut store = Vec::new();
+        vulnstore::encode_store(dataset.store(), &mut store);
+        assert_eq!(
+            (store.len(), osdiv_core::snapshot::crc32(&store)),
+            (414_070, 0xA8B1_A56E)
+        );
+        assert_eq!(dataset.estimated_bytes(), 637_185);
+    }
 }

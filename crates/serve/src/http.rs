@@ -38,6 +38,14 @@ pub const MAX_CHUNK_LINE_BYTES: usize = 256;
 /// Cap on the trailer section after the last chunk of a chunked body.
 pub const MAX_TRAILER_BYTES: usize = 4 * 1024;
 
+/// The request fields that may hold only one value (RFC 9110 §5.3): a head
+/// that repeats one with a different value is a 400 — a differing
+/// `Host` (RFC 9112 §3.2) or `Content-Length` (RFC 9112 §6.3) would let
+/// two hops act on different values, and so would a differing
+/// `Authorization`. [`Request::header`] reads these; every other field is
+/// a list over all its field lines.
+pub const SINGLETON_HEADERS: [&str; 3] = ["authorization", "content-length", "host"];
+
 /// A protocol violation detected while parsing a request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HttpViolation {
@@ -85,24 +93,33 @@ pub struct Request {
 }
 
 impl Request {
-    /// The last value of a header (case-insensitive name lookup).
+    /// The value of a singleton header (one of [`SINGLETON_HEADERS`];
+    /// case-insensitive name lookup). The parser refuses a head that
+    /// repeats a singleton with a different value, so its first field line
+    /// is its value. Any other name is a list and gets `None`: read it
+    /// with `header_items`.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
+        let name = SINGLETON_HEADERS
+            .iter()
+            .find(|singleton| singleton.eq_ignore_ascii_case(name))?;
+        self.header_lines(name).next()
+    }
+
+    /// Every field line of a header, in order of appearance; `name` is
+    /// lower-case.
+    pub(crate) fn header_lines<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> + 'a {
         self.headers
             .iter()
-            .rev()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
+            .filter(move |(n, _)| n == name)
+            .map(|(_, value)| value.as_str())
     }
 
     /// The comma-separated items of every field line of a list-valued
-    /// header (RFC 9110 §5.3), trimmed, empty items skipped.
-    pub(crate) fn header_items<'a>(&'a self, name: &str) -> impl Iterator<Item = &'a str> + 'a {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .filter(move |(n, _)| *n == name)
-            .flat_map(|(_, value)| value.split(','))
+    /// header (RFC 9110 §5.3), trimmed, empty items skipped; `name` is
+    /// lower-case.
+    pub(crate) fn header_items<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> + 'a {
+        self.header_lines(name)
+            .flat_map(|value| value.split(','))
             .map(str::trim)
             .filter(|item| !item.is_empty())
     }
@@ -123,43 +140,41 @@ impl Request {
     }
 
     /// The declared body length (0 when absent). A `Content-Length` that
-    /// is not all ASCII digits, or repeated with differing values, is a
-    /// 400: every header occurrence is checked, not just the last.
+    /// is not all ASCII digits is a 400 (the parser already refused
+    /// differing repeats).
     pub fn content_length(&self) -> Result<usize, HttpViolation> {
-        let mut length = None;
-        for (_, raw) in self.headers.iter().filter(|(n, _)| n == "content-length") {
-            let invalid = || HttpViolation::BadRequest(format!("invalid Content-Length {raw:?}"));
-            if !raw.bytes().all(|b| b.is_ascii_digit()) {
-                return Err(invalid());
-            }
-            let value = raw.parse::<usize>().map_err(|_| invalid())?;
-            if length.is_some_and(|seen| seen != value) {
-                return Err(HttpViolation::BadRequest(
-                    "conflicting Content-Length values".to_string(),
-                ));
-            }
-            length = Some(value);
+        let Some(raw) = self.header("content-length") else {
+            return Ok(0);
+        };
+        let invalid = || HttpViolation::BadRequest(format!("invalid Content-Length {raw:?}"));
+        if !raw.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(invalid());
         }
-        Ok(length.unwrap_or(0))
+        raw.parse::<usize>().map_err(|_| invalid())
     }
 
     /// The body framing the head declares: `Transfer-Encoding: chunked`
     /// or `Content-Length`. A head declaring both is a 400, as is any
-    /// other transfer coding (this server implements only chunked): a
+    /// other list of transfer codings over all `Transfer-Encoding` field
+    /// lines (this server implements only chunked, applied once): a
     /// proxy that framed such a message differently could smuggle a
-    /// second request past it (RFC 9112 §6.3).
+    /// second request past it (RFC 9112 §6.1, §6.3).
     pub fn body_framing(&self) -> Result<BodyFraming, HttpViolation> {
-        match self.header("transfer-encoding") {
-            Some(_) if self.header("content-length").is_some() => Err(HttpViolation::BadRequest(
+        if self.header_lines("transfer-encoding").next().is_none() {
+            return Ok(BodyFraming::Length(self.content_length()?));
+        }
+        if self.header("content-length").is_some() {
+            return Err(HttpViolation::BadRequest(
                 "both Transfer-Encoding and Content-Length".to_string(),
-            )),
-            Some(coding) if coding.trim().eq_ignore_ascii_case("chunked") => {
-                Ok(BodyFraming::Chunked)
-            }
-            Some(coding) => Err(HttpViolation::BadRequest(format!(
-                "unsupported transfer coding {coding:?} (only \"chunked\")"
+            ));
+        }
+        let codings: Vec<&str> = self.header_items("transfer-encoding").collect();
+        match codings.as_slice() {
+            [coding] if coding.eq_ignore_ascii_case("chunked") => Ok(BodyFraming::Chunked),
+            _ => Err(HttpViolation::BadRequest(format!(
+                "unsupported transfer coding {:?} (only \"chunked\")",
+                codings.join(", ")
             ))),
-            None => Ok(BodyFraming::Length(self.content_length()?)),
         }
     }
 }
@@ -701,6 +716,9 @@ fn parse_head(head: &[u8]) -> Result<Request, HttpViolation> {
     };
 
     let mut headers = Vec::new();
+    // The value of each singleton seen so far, so one pass over the lines
+    // finds a differing repeat: a 16 KiB head holds thousands of lines.
+    let mut singletons: [Option<&str>; SINGLETON_HEADERS.len()] = [None; SINGLETON_HEADERS.len()];
     for line in lines {
         if line.is_empty() {
             return Err(HttpViolation::BadRequest("empty header line".to_string()));
@@ -720,7 +738,21 @@ fn parse_head(head: &[u8]) -> Result<Request, HttpViolation> {
                 "invalid header name {name:?}"
             )));
         }
-        headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
+        let (name, value) = (name.to_ascii_lowercase(), value.trim());
+        if let Some((_, seen)) = SINGLETON_HEADERS
+            .iter()
+            .zip(&mut singletons)
+            .find(|(singleton, _)| **singleton == name)
+        {
+            // The values stay out of the answer: one may be a credential.
+            if seen.is_some_and(|first| first != value) {
+                return Err(HttpViolation::BadRequest(format!(
+                    "{name} repeated with a different value"
+                )));
+            }
+            *seen = Some(value);
+        }
+        headers.push((name, value.to_string()));
     }
     Ok(Request {
         method: method.to_string(),
@@ -933,6 +965,22 @@ mod tests {
     }
 
     #[test]
+    fn header_serves_singletons_and_lists_span_field_lines() {
+        let request = parse_all(
+            b"GET / HTTP/1.1\r\nHost: x\r\nAccept: text/csv\r\nHost: x\r\nAccept: a/b, ,c/d\r\n\r\n",
+        )
+        .unwrap()
+        .unwrap();
+        // A singleton repeated with the same value is that value.
+        assert_eq!(request.header("host"), Some("x"));
+        // A list is read item by item over every field line, never as one
+        // line's value.
+        assert_eq!(request.header("accept"), None);
+        let items: Vec<&str> = request.header_items("accept").collect();
+        assert_eq!(items, ["text/csv", "a/b", "c/d"]);
+    }
+
+    #[test]
     fn byte_by_byte_feeding_matches_one_shot_parsing() {
         let raw = b"GET /v1/analyses/kway?profile=fat&max_k=5 HTTP/1.1\r\nAccept: text/csv\r\n\r\n";
         let oneshot = parse_all(raw).unwrap().unwrap();
@@ -989,6 +1037,12 @@ mod tests {
             b"GET /x?%zz= HTTP/1.1\r\n\r\n",
             b"GET /x%e0%80 HTTP/1.1\r\n\r\n",
             b"GET /x HTTP/1.1\r\nA: 1\r\n folded\r\n\r\n",
+            // A singleton repeated with a different value: which one a hop
+            // acts on would depend on which line it reads.
+            b"GET /x HTTP/1.1\r\nAuthorization: Bearer a\r\nAuthorization: Bearer b\r\n\r\n",
+            b"GET /x HTTP/1.1\r\nHost: a\r\nhost: b\r\n\r\n",
+            b"POST /x HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 25\r\n\r\n",
+            b"POST /x HTTP/1.1\r\nContent-Length: 25\r\nContent-Length: 0\r\n\r\n",
         ] {
             let err = parse_all(raw).unwrap_err();
             assert_eq!(
@@ -1287,10 +1341,28 @@ mod tests {
 
     #[test]
     fn unsupported_transfer_codings_are_400() {
-        let request = parse_all(b"POST /x HTTP/1.1\r\nTransfer-Encoding: gzip\r\n\r\n")
+        // `Transfer-Encoding` is a list over all its field lines, and the
+        // only one this server accepts is exactly `chunked`, once.
+        for codings in [
+            "gzip",
+            "gzip, chunked",
+            "gzip\r\nTransfer-Encoding: chunked",
+            "chunked\r\nTransfer-Encoding: chunked",
+            "",
+        ] {
+            let head = format!("POST /x HTTP/1.1\r\nTransfer-Encoding: {codings}\r\n\r\n");
+            let request = parse_all(head.as_bytes()).unwrap().unwrap();
+            let framing = request.body_framing();
+            assert_eq!(
+                framing.as_ref().map_err(HttpViolation::status),
+                Err(400),
+                "{head:?} -> {framing:?}"
+            );
+        }
+        let request = parse_all(b"POST /x HTTP/1.1\r\nTransfer-Encoding: Chunked\r\n\r\n")
             .unwrap()
             .unwrap();
-        assert_eq!(request.body_framing().unwrap_err().status(), 400);
+        assert_eq!(request.body_framing().unwrap(), BodyFraming::Chunked);
     }
 
     #[test]
@@ -1301,9 +1373,6 @@ mod tests {
             // Chunked ends the body at `0\r\n\r\n`; the length 44 bytes on.
             &b"POST /v1/report HTTP/1.1\r\nContent-Length: 44\r\nTransfer-Encoding: chunked\r\n\r\n"[..],
             b"POST /v1/report HTTP/1.1\r\nTransfer-Encoding: chunked\r\nContent-Length: 44\r\n\r\n",
-            // Which length wins would depend on header order.
-            b"POST /x HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 25\r\n\r\n",
-            b"POST /x HTTP/1.1\r\nContent-Length: 25\r\nContent-Length: 0\r\n\r\n",
             // Not all ASCII digits.
             b"POST /x HTTP/1.1\r\nContent-Length: +5\r\n\r\n",
         ] {

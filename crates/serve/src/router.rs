@@ -912,25 +912,33 @@ fn negotiate(request: &Request) -> Result<(Format, String, Params), Response> {
             Err(error) => Err(Response::text(400, format!("error: {error}"))),
         };
     }
-    match request.header("accept") {
-        None => Ok((Format::Text, dataset, params)),
-        Some(accept) => match accepted_format(accept) {
-            Some(format) => Ok((format, dataset, params)),
-            None => Err(Response::text(
+    if request.header_lines("accept").next().is_none() {
+        return Ok((Format::Text, dataset, params));
+    }
+    // `Accept` is a list over all its field lines.
+    match accepted_format(request.header_items("accept")) {
+        Some(format) => Ok((format, dataset, params)),
+        None => {
+            let accept = request
+                .header_lines("accept")
+                .collect::<Vec<_>>()
+                .join(", ");
+            Err(Response::text(
                 406,
                 format!(
                     "none of {accept:?} is supported (offered: text/plain, text/csv, application/json)"
                 ),
-            )),
-        },
+            ))
+        }
     }
 }
 
 /// Picks the supported media type with the highest quality value (ties:
-/// first listed). An unparsable `q=` counts as 1.
-fn accepted_format(accept: &str) -> Option<Format> {
+/// first listed) among the items of an `Accept` list. An unparsable `q=`
+/// counts as 1.
+fn accepted_format<'a>(accept: impl Iterator<Item = &'a str>) -> Option<Format> {
     let mut best: Option<(Format, f64)> = None;
-    for item in accept.split(',') {
+    for item in accept {
         let mut pieces = item.split(';');
         let media_type = pieces.next().unwrap_or("").trim();
         let mut quality = 1.0_f64;
@@ -1060,18 +1068,23 @@ mod tests {
 
     #[test]
     fn accept_header_quality_values_pick_the_best_supported_type() {
-        assert_eq!(accepted_format("application/json"), Some(Format::Json));
+        let accepted = |accept: &str| accepted_format(accept.split(','));
+        assert_eq!(accepted("application/json"), Some(Format::Json));
         assert_eq!(
-            accepted_format("text/csv;q=0.5, application/json;q=0.9"),
+            accepted("text/csv;q=0.5, application/json;q=0.9"),
             Some(Format::Json)
         );
-        assert_eq!(
-            accepted_format("image/png, text/csv;q=0.1"),
-            Some(Format::Csv)
-        );
-        assert_eq!(accepted_format("*/*"), Some(Format::Text));
-        assert_eq!(accepted_format("application/json;q=0"), None);
-        assert_eq!(accepted_format("image/png"), None);
+        assert_eq!(accepted("image/png, text/csv;q=0.1"), Some(Format::Csv));
+        assert_eq!(accepted("*/*"), Some(Format::Text));
+        assert_eq!(accepted("application/json;q=0"), None);
+        assert_eq!(accepted("image/png"), None);
+        // `Accept` is one list over all its field lines.
+        let router = test_router();
+        let split = router.handle(&request(
+            "GET /v1/analyses/validity HTTP/1.1\r\nAccept: text/csv\r\nAccept: image/png\r\n\r\n",
+        ));
+        assert_eq!(split.status(), 200);
+        assert_eq!(split.header("content-type"), Some(tabular::mime::TEXT_CSV));
     }
 
     #[test]

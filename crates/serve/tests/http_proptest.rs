@@ -1,14 +1,19 @@
 //! Property tests of the incremental HTTP request parser and the chunked
 //! body decoder: arbitrary header splits and torn reads across buffer
 //! boundaries must parse exactly like one contiguous read, torn and
-//! pipelined chunked bodies must decode exactly like contiguous ones, and
+//! pipelined chunked bodies must decode exactly like contiguous ones,
 //! malformed or oversized input must map to 400/431 violations — never a
-//! panic.
+//! panic — and a list header split over several field lines must be
+//! answered exactly like the same list on one line.
 
+use std::sync::{Arc, OnceLock};
+
+use osdiv_core::Study;
 use osdiv_serve::http::{
     ChunkedDecoder, HttpViolation, Request, RequestParser, MAX_CHUNK_LINE_BYTES,
     MAX_REQUEST_LINE_BYTES,
 };
+use osdiv_serve::{Router, RouterOptions};
 use proptest::prelude::*;
 
 /// Parses a whole byte string in a single feed.
@@ -29,7 +34,64 @@ fn torn(raw: &[u8], chunk: usize) -> Result<Option<Request>, HttpViolation> {
     Ok(None)
 }
 
+/// The router the split-invariance cases ask, over a small calibrated
+/// study, with the ETag of the text document they request.
+fn router() -> &'static (Router, String) {
+    static ROUTER: OnceLock<(Router, String)> = OnceLock::new();
+    ROUTER.get_or_init(|| {
+        let dataset = datagen::CalibratedGenerator::new(1).generate();
+        let router = Router::with_study(
+            Arc::new(Study::from_entries(dataset.entries())),
+            RouterOptions {
+                seed: 1,
+                ..RouterOptions::default()
+            },
+        );
+        let head = oneshot(b"GET /v1/analyses/validity HTTP/1.1\r\n\r\n")
+            .unwrap()
+            .unwrap();
+        let etag = router.handle(&head).header("etag").unwrap().to_string();
+        (router, etag)
+    })
+}
+
 proptest! {
+    #[test]
+    fn list_headers_split_over_field_lines_answer_like_one_line(
+        kind in 0usize..3,
+        picks in proptest::collection::vec(0usize..4, 1..5),
+        lines in 1usize..4,
+        http11 in 0usize..2,
+    ) {
+        let (router, etag) = router();
+        let (name, choices) = match kind {
+            0 => ("Accept", ["text/csv", "application/json;q=0.5", "image/png", "*/*;q=0.1"].map(String::from)),
+            1 => ("Connection", ["close", "keep-alive", "te", "upgrade"].map(String::from)),
+            _ => ("If-None-Match", ["\"nope\"".to_string(), format!("W/{etag}"), etag.clone(), "*".to_string()]),
+        };
+        let items: Vec<&str> = picks.iter().map(|&i| choices[i].as_str()).collect();
+        let version = if http11 == 1 { "1.1" } else { "1.0" };
+        let request = |field_lines: Vec<String>| {
+            let mut raw = format!("GET /v1/analyses/validity HTTP/{version}\r\n");
+            for value in field_lines {
+                raw.push_str(&format!("{name}: {value}\r\n"));
+            }
+            raw.push_str("\r\n");
+            oneshot(raw.as_bytes()).unwrap().expect("request is complete")
+        };
+        // The same items, in the same order, on one line and on 1-3 lines.
+        let joined = request(vec![items.join(", ")]);
+        let per_line = items.len().div_ceil(lines.min(items.len()));
+        let split = request(items.chunks(per_line).map(|group| group.join(", ")).collect());
+        prop_assert_eq!(split.keep_alive(), joined.keep_alive());
+        prop_assert_eq!(split.body_framing(), joined.body_framing());
+        // `X-Request-Id` differs per request; everything else must not.
+        let (one, many) = (router.handle(&joined), router.handle(&split));
+        prop_assert_eq!(one.status(), many.status(), "{:?}", items);
+        prop_assert_eq!(one.header("etag"), many.header("etag"));
+        prop_assert_eq!(one.body(), many.body());
+    }
+
     #[test]
     fn torn_reads_parse_exactly_like_contiguous_reads(
         path in "[a-z0-9/]{1,24}",

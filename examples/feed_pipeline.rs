@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .filter_map(|entry| {
             let truth = entry.part()?;
-            let predicted = classifier.classify_entry(entry).part;
+            let predicted = classifier.classify_summary(entry.summary());
             Some((truth, predicted))
         })
         .collect();

@@ -72,7 +72,7 @@ fn classifier_recovers_most_ground_truth_classes() {
             // The named multi-OS vulnerabilities have hand-written summaries;
             // they go through the same path as everything else.
             let truth = entry.part()?;
-            Some((truth, classifier.classify_entry(entry).part))
+            Some((truth, classifier.classify_summary(entry.summary())))
         })
         .collect();
     assert!(pairs.len() > 1500);
