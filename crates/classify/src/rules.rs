@@ -161,6 +161,19 @@ mod tests {
     }
 
     #[test]
+    fn empty_ruleset_scores_zero() {
+        // A score is a sum over the rules a description matches; when that
+        // set is empty, every class scores zero.
+        for description in [
+            "",
+            "anything",
+            "An unusual flaw with no recognisable wording",
+        ] {
+            assert_eq!(scores(description), [0, 0, 0, 0], "{description:?}");
+        }
+    }
+
+    #[test]
     fn scores_accumulate_multiple_matches() {
         // Driver is index 0 in OsPart::ALL: "driver" 6 + "wireless" 3.
         assert_eq!(scores("wireless driver flaw"), [9, 0, 0, 0]);
