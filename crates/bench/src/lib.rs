@@ -11,7 +11,8 @@
 //!   analysis pipeline, each individual experiment, and the `Study`
 //!   session warm-up.
 //!
-//! The library portion only re-exports small helpers shared by the CLI and
-//! the benches.
+//! The library portion holds small helpers shared by the binaries, the
+//! benches and the tests: the experiment seed and the `/metrics` lint.
 
+pub mod exposition;
 pub mod harness;

@@ -116,6 +116,8 @@ impl Params {
 
     /// A stable `key=value&…` form of the **effective** configuration: the
     /// last value of every key (matching [`Params::get`]), sorted by key.
+    /// Keys and values escape `%`, `&` and `=` as `%25`, `%26` and `%3D`,
+    /// so a value holding a separator cannot spell another list's form.
     /// Two lists selecting the same configuration canonicalize
     /// identically — and two selecting different ones never do — so the
     /// result is usable as a cache key.
@@ -128,8 +130,16 @@ impl Params {
             }
         }
         effective.sort();
-        let encoded: Vec<String> = effective.iter().map(|(k, v)| format!("{k}={v}")).collect();
-        encoded.join("&")
+        let mut canonical = String::new();
+        for (i, (key, value)) in effective.into_iter().enumerate() {
+            if i > 0 {
+                canonical.push('&');
+            }
+            escape_into(&mut canonical, key);
+            canonical.push('=');
+            escape_into(&mut canonical, value);
+        }
+        canonical
     }
 
     /// Rejects any key outside `keys` with [`AnalysisError::UnknownParam`].
@@ -192,6 +202,18 @@ impl Params {
             items.push(item);
         }
         Ok(Some(items))
+    }
+}
+
+/// Appends `text` with the separators of [`Params::canonical`] escaped.
+fn escape_into(out: &mut String, text: &str) {
+    for c in text.chars() {
+        match c {
+            '%' => out.push_str("%25"),
+            '&' => out.push_str("%26"),
+            '=' => out.push_str("%3D"),
+            c => out.push(c),
+        }
     }
 }
 
@@ -464,6 +486,9 @@ mod tests {
         assert_eq!(flipped.get("last_year"), Some("2008"));
         assert_ne!(flipped.canonical(), params.canonical());
         assert_eq!(Params::new().canonical(), "");
+        // A value holding the separators stays one escaped value.
+        let spelled = Params::from_pairs([("first_year", "2000&last_year=2005%")]);
+        assert_eq!(spelled.canonical(), "first_year=2000%26last_year%3D2005%25");
     }
 
     #[test]

@@ -238,14 +238,15 @@ mod tests {
 
     #[test]
     fn write_to_path_and_read_back() {
-        let dir = std::env::temp_dir().join("osdiv-feed-writer-test");
+        let dir =
+            std::env::temp_dir().join(format!("osdiv-feed-writer-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("feed.xml");
         let entries = sample_entries();
         FeedWriter::new().write_to_path(&path, &entries).unwrap();
         let parsed = FeedReader::new().read_from_path(&path).unwrap();
         assert_eq!(parsed.len(), entries.len());
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

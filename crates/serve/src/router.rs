@@ -1455,6 +1455,32 @@ mod tests {
     }
 
     #[test]
+    fn an_escaped_separator_in_a_value_never_hits_another_querys_cached_body() {
+        let router = test_router();
+        let plain = router.handle(&request(
+            "GET /v1/analyses/temporal?first_year=2000&last_year=2005&format=csv HTTP/1.1\r\n\r\n",
+        ));
+        assert_eq!(plain.status(), 200);
+        let body = String::from_utf8_lossy(plain.body()).to_string();
+        let years: Vec<u16> = body
+            .lines()
+            .filter_map(|line| line.split(',').next()?.parse().ok())
+            .collect();
+        assert!(years.contains(&2000) && years.contains(&2005), "{body}");
+        assert!(
+            years.iter().all(|year| (2000..=2005).contains(year)),
+            "{body}"
+        );
+        // Decoded, this is one parameter whose value `2000&last_year=2005`
+        // is no year: a 400, even though the query it spells is cached.
+        let encoded = router.handle(&request(
+            "GET /v1/analyses/temporal?first_year=2000%26last_year%3D2005&format=csv HTTP/1.1\r\n\r\n",
+        ));
+        assert_eq!(encoded.status(), 400);
+        assert_eq!(router.cache_hit_count(), 0);
+    }
+
+    #[test]
     fn metrics_route_reports_counters_in_exposition_format() {
         let router = test_router();
         // Miss, then hit, on the render cache.

@@ -18,7 +18,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Materialize the synthetic dataset as yearly NVD 2.0-style feeds,
     //    exactly like the files the paper's pipeline downloaded.
     let dataset = CalibratedGenerator::new(2011).generate();
-    let feed_dir = std::env::temp_dir().join("osdiv-feeds");
+    // Named with the process id, so two runs at once never share it.
+    let feed_dir = std::env::temp_dir().join(format!("osdiv-feeds-{}", std::process::id()));
     std::fs::create_dir_all(&feed_dir)?;
     let mut feed_paths = Vec::new();
     for year in 2002..=2010u16 {
@@ -92,8 +93,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Clean up the temporary feeds.
-    for (path, _) in feed_paths {
-        std::fs::remove_file(path).ok();
-    }
+    std::fs::remove_dir_all(&feed_dir).ok();
     Ok(())
 }
