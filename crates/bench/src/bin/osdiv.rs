@@ -3,7 +3,8 @@
 //!
 //! ```text
 //! osdiv <command> [--format text|csv|json] [--seed N] [--profile fat|thin|isolated]
-//!                 [--first-year Y] [--last-year Y] [--oses a,b,..] [--max-k N] [--trials N]
+//!                 [--first-year Y] [--last-year Y] [--oses a,b,..] [--max-k N]
+//!                 [--criterion C] [--group-size N] [--top N] [--trials N]
 //! ```
 //!
 //! Every **registry analysis id** (`validity`, `pairwise`, `kway`, …) is a
@@ -11,7 +12,8 @@
 //! byte-identical to what `osdiv serve` answers at `GET /v1/analyses/{id}`.
 //! The paper's commands (`table1`…`table6`, `figure2`, `figure3`,
 //! `summary`) are aliases: each picks sections of one analysis and renders
-//! them the same way. The five analysis flags reach the analysis as a raw
+//! them the same way. The analysis flags are the registry's parameter keys
+//! (`--group-size` is `group_size`) and reach the analysis as a raw
 //! [`Params`] list, like an HTTP query string, so only its `FromParams`
 //! accepts or rejects them; every other command takes none. `osdiv list`
 //! prints the registry, so newly registered analyses appear in `report`,
@@ -121,15 +123,29 @@ const COMMANDS: &[(&str, &str)] = &[
     ("help", "show this help"),
 ];
 
-/// The flags that carry an analysis parameter, each stored under its
-/// query-string key (`--first-year` → `first_year`).
-const ANALYSIS_FLAGS: [&str; 5] = [
-    "--profile",
-    "--first-year",
-    "--last-year",
-    "--oses",
-    "--max-k",
-];
+/// The help lines of the analysis flags. The flags themselves are the
+/// registry's keys (see [`analysis_key`]); a unit test requires one line
+/// per key.
+const ANALYSIS_FLAG_HELP: &str = "  \
+    --profile <fat|thin|isolated>    split, releases, kway, selection: server profile\n  \
+    --first-year <Y>                 temporal: first year of the series (default: 1993)\n  \
+    --last-year <Y>                  temporal: last year of the series (default: 2010)\n  \
+    --oses <a,b,..>                  pairwise, split, releases, selection: restrict the OS pool\n  \
+    --max-k <N>                      kway: largest group size\n  \
+    --criterion <C>                  selection: rank groups by distinct-shared (default) or pairwise-sum\n  \
+    --group-size <N>                 selection: size of the ranked groups (default: 4)\n  \
+    --top <N>                        selection: ranked groups to keep (default: 5)\n";
+
+/// The parameter key an analysis flag carries (`--first-year` →
+/// `first_year`): a key some registered analysis accepts, so the CLI takes
+/// the parameters `GET /v1/analyses/{id}` takes.
+fn analysis_key(flag: &str) -> Option<&'static str> {
+    let name = flag.strip_prefix("--")?;
+    osdiv_core::registry()
+        .iter()
+        .flat_map(|entry| entry.keys.iter().copied())
+        .find(|key| key.replace('_', "-") == name)
+}
 
 #[derive(Debug, Clone)]
 struct Options {
@@ -691,10 +707,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
                     .parse()
                     .map_err(|_| CliError::Usage(format!("invalid --seed {raw:?}")))?;
             }
-            analysis if ANALYSIS_FLAGS.contains(&analysis) => {
-                let key = analysis.trim_start_matches("--").replace('-', "_");
-                opts.params.insert(key, value(analysis)?);
-            }
             "--trials" => {
                 let raw = value("--trials")?;
                 opts.trials = raw
@@ -760,12 +772,15 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
                     })?);
             }
             other if !other.starts_with('-') => opts.files.push(other.to_string()),
-            other => {
-                return Err(CliError::Usage(format!(
-                    "unknown option {other:?}\n\n{}",
-                    usage()
-                )));
-            }
+            other => match analysis_key(other) {
+                Some(key) => opts.params.insert(key, value(other)?),
+                None => {
+                    return Err(CliError::Usage(format!(
+                        "unknown option {other:?}\n\n{}",
+                        usage()
+                    )));
+                }
+            },
         }
     }
     Ok(opts)
@@ -791,14 +806,12 @@ fn usage() -> String {
     out.push_str(
         "\nOptions:\n  \
          --format <text|csv|json>         output format (default: text)\n  \
-         --seed <N>                       dataset generator seed (default: 2011)\n  \
-         --profile <fat|thin|isolated>    split, releases, kway, selection: server profile\n  \
-         --first-year <Y>                 temporal: first year of the series (default: 1993)\n  \
-         --last-year <Y>                  temporal: last year of the series (default: 2010)\n  \
-         --oses <a,b,..>                  pairwise, split, releases, selection: restrict the OS pool\n  \
-         --max-k <N>                      kway: largest group size\n                                   \
-         (the five flags above are analysis parameters; every\n                                   \
-         command that is not an analysis or alias rejects them)\n  \
+         --seed <N>                       dataset generator seed (default: 2011)\n",
+    );
+    out.push_str(ANALYSIS_FLAG_HELP);
+    out.push_str(
+        "                                   (the analysis flags above pass through as parameters;\n                                   \
+         every command that is not an analysis or alias rejects them)\n  \
          --trials <N>                     survival: Monte-Carlo trials (default: 400)\n  \
          --addr <host:port>               serve: bind address (default: 127.0.0.1:8080; port 0 = ephemeral)\n  \
          --threads <N>                    serve: worker threads\n  \
@@ -880,10 +893,13 @@ fn survival(study: &Study, opts: &Options) -> String {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
-    fn options(args: &[&str]) -> Options {
-        let args: Vec<String> = args.iter().map(|arg| arg.to_string()).collect();
+    /// Parses a space-separated flag list.
+    fn options(args: &str) -> Options {
+        let args: Vec<String> = args.split(' ').map(str::to_string).collect();
         match parse_options(&args) {
             Ok(opts) => opts,
             Err(_) => panic!("{args:?} should parse"),
@@ -891,11 +907,34 @@ mod tests {
     }
 
     #[test]
+    fn the_analysis_flags_are_the_registry_keys() {
+        let keys: BTreeSet<&str> = osdiv_core::registry()
+            .iter()
+            .flat_map(|entry| entry.keys.iter().copied())
+            .collect();
+        let documented: BTreeSet<Option<&str>> = ANALYSIS_FLAG_HELP
+            .lines()
+            .map(|line| line.split_whitespace().next().and_then(analysis_key))
+            .collect();
+        assert_eq!(documented, keys.iter().copied().map(Some).collect());
+        for key in keys {
+            let flag = format!("--{}", key.replace('_', "-"));
+            assert_eq!(options(&format!("{flag} v")).params.get(key), Some("v"));
+        }
+        let unknown = parse_options(&["--bogus".into(), "v".into()]);
+        assert!(matches!(unknown, Err(CliError::Usage(_))));
+    }
+
+    #[test]
     fn the_shed_depth_defaults_to_sixteen_per_configured_thread() {
-        let tuned = server_options(&options(&["--threads", "64"]));
+        let tuned = server_options(&options("--threads 64"));
         assert_eq!(tuned.threads, 64);
         assert_eq!(tuned.shed_queue_depth, 1024);
-        let explicit = server_options(&options(&["--threads", "64", "--shed-queue-depth", "5"]));
-        assert_eq!(explicit.shed_queue_depth, 5);
+        assert_eq!(tuned.io_timeout, std::time::Duration::from_secs(10));
+        let drill = "--threads 2 --io-timeout-ms 500 --shed-queue-depth 4";
+        let explicit = server_options(&options(drill));
+        assert_eq!(explicit.threads, 2);
+        assert_eq!(explicit.io_timeout, std::time::Duration::from_millis(500));
+        assert_eq!(explicit.shed_queue_depth, 4);
     }
 }

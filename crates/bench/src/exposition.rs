@@ -1,6 +1,7 @@
 //! A lint for the Prometheus text exposition `osdiv serve` writes at
-//! `GET /metrics`, shared by the smoke client's `loadgen` and `chaos`
-//! legs and the kill-and-restart test (`tests/serve_restart.rs`).
+//! `GET /metrics`, shared by the smoke client's `loadgen` leg, the
+//! kill-and-restart test (`tests/serve_restart.rs`) and the
+//! adversarial-client test (`tests/adversarial_clients.rs`).
 //!
 //! [`lint_exposition`] checks the format: every line is a HELP/TYPE
 //! comment or a parseable sample, every histogram's `le` boundaries

@@ -12,7 +12,8 @@
 //!   session warm-up.
 //!
 //! The library portion holds small helpers shared by the binaries, the
-//! benches and the tests: the experiment seed and the `/metrics` lint.
+//! benches and the tests: the experiment seed, the tests' temporary
+//! directory and the `/metrics` lint.
 
 pub mod exposition;
 pub mod harness;

@@ -2,12 +2,15 @@
 //! renders the sections `analysis_sections(study, Split, params)` builds,
 //! through the same renderer, in every format — and the analysis flags
 //! reach it as the same parameters, so a flag the analysis cannot use is
-//! an error instead of being ignored.
+//! an error instead of being ignored. The offline `osdiv debug`
+//! subcommands read a data directory without writing to it.
 
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::sync::OnceLock;
+use std::time::SystemTime;
 
-use osdiv_bench::harness::EXPERIMENT_SEED;
+use osdiv_bench::harness::{TempDir, EXPERIMENT_SEED};
 use osdiv_core::{analysis_sections, renderer, AnalysisId, Format, Params, Study};
 use osdiv_registry::build_synthetic;
 
@@ -27,7 +30,13 @@ const ALIASES: [(&str, AnalysisId, Option<usize>); 9] = [
 
 /// Runs the real `osdiv` binary on a space-separated command line.
 fn osdiv(command: &str) -> Output {
+    osdiv_in(Path::new("."), command)
+}
+
+/// [`osdiv`], run in `dir`.
+fn osdiv_in(dir: &Path, command: &str) -> Output {
     Command::new(env!("CARGO_BIN_EXE_osdiv"))
+        .current_dir(dir)
         .args(command.split(' '))
         .output()
         .expect("the osdiv binary runs")
@@ -35,7 +44,12 @@ fn osdiv(command: &str) -> Output {
 
 /// The stdout of a successful `osdiv` run.
 fn stdout(command: &str) -> String {
-    let output = osdiv(command);
+    stdout_in(Path::new("."), command)
+}
+
+/// [`stdout`], run in `dir`.
+fn stdout_in(dir: &Path, command: &str) -> String {
+    let output = osdiv_in(dir, command);
     assert!(
         output.status.success(),
         "osdiv {command} failed: {}",
@@ -163,4 +177,47 @@ fn table5_honours_oses_like_split() {
     let table5 = stdout(&format!("table5 {flags}"));
     assert_eq!(table5, stdout(&format!("split {flags}")));
     assert_ne!(table5, stdout("table5 --format csv"));
+}
+
+/// Each file in `dir` with its length and modification time, sorted.
+fn listing(dir: &Path) -> Vec<(PathBuf, u64, SystemTime)> {
+    let entries = std::fs::read_dir(dir).expect("the data dir lists");
+    let mut files: Vec<_> = entries
+        .map(|entry| {
+            let path = entry.expect("a listed entry reads").path();
+            let meta = path.metadata().expect("a listed file has metadata");
+            (path, meta.len(), meta.modified().expect("mtimes are kept"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn debug_registry_and_spans_read_a_data_dir_without_writing_to_it() {
+    let dir = TempDir::new("debug");
+    stdout_in(dir.path(), "snapshot save --seed 7 --out t.osdv");
+    let before = listing(dir.path());
+
+    let registry = stdout_in(dir.path(), "debug registry --data-dir .");
+    let tenant = registry
+        .split(r#"{"name":"#)
+        .find(|t| t.starts_with(r#""t","#));
+    let tenant = tenant.unwrap_or_else(|| panic!("t is not listed: {registry}"));
+    assert!(tenant.contains(r#""state":"spilled""#), "{registry}");
+    assert!(
+        tenant.contains(r#""source":"synthetic","seed":7"#),
+        "{registry}"
+    );
+
+    let spans = stdout_in(dir.path(), "debug spans --data-dir .");
+    assert!(spans.starts_with(r#"{"displayTimeUnit":"ms","traceEvents":["#));
+    assert!(spans.contains(r#""name":"recovery:boot""#), "{spans}");
+    for id in AnalysisId::ALL {
+        let span = format!(r#""name":"analysis:{id}""#);
+        assert!(spans.contains(&span), "no {span}: {spans}");
+    }
+    assert_eq!(spans.matches(r#""name":"analysis:"#).count(), 8, "{spans}");
+
+    assert_eq!(listing(dir.path()), before, "a read-only recovery wrote");
 }

@@ -91,52 +91,29 @@ fn the_report_endpoint_matches_the_cli_report() {
 
 #[test]
 fn parameterized_requests_match_parameterized_cli_flags() {
-    let addr = server().addr();
-    let cli = osdiv(&[
-        "temporal",
-        "--first-year",
-        "2000",
-        "--last-year",
-        "2005",
-        "--format",
-        "csv",
-    ]);
-    let http = loadgen::get(
-        addr,
-        "/v1/analyses/temporal?first_year=2000&last_year=2005&format=csv",
-    )
-    .unwrap();
-    assert_eq!(http.body_string(), cli);
-
-    let cli = osdiv(&[
-        "kway",
-        "--profile",
-        "isolated",
-        "--max-k",
-        "4",
-        "--format",
-        "json",
-    ]);
-    let http = loadgen::get(
-        addr,
-        "/v1/analyses/kway?profile=isolated&max_k=4&format=json",
-    )
-    .unwrap();
-    assert_eq!(http.body_string(), cli);
-
-    let cli = osdiv(&[
-        "split",
-        "--oses",
-        "debian,redhat,openbsd",
-        "--format",
-        "csv",
-    ]);
-    let http = loadgen::get(
-        addr,
-        "/v1/analyses/split?oses=debian,redhat,openbsd&format=csv",
-    )
-    .unwrap();
-    assert_eq!(http.body_string(), cli);
+    for (command, path) in [
+        (
+            "temporal --first-year 2000 --last-year 2005 --format csv",
+            "/v1/analyses/temporal?first_year=2000&last_year=2005&format=csv",
+        ),
+        (
+            "kway --profile isolated --max-k 4 --format json",
+            "/v1/analyses/kway?profile=isolated&max_k=4&format=json",
+        ),
+        (
+            "split --oses debian,redhat,openbsd --format csv",
+            "/v1/analyses/split?oses=debian,redhat,openbsd&format=csv",
+        ),
+        (
+            "selection --criterion pairwise-sum --top 3 --group-size 3 --format csv",
+            "/v1/analyses/selection?criterion=pairwise-sum&top=3&group_size=3&format=csv",
+        ),
+    ] {
+        let cli = osdiv(&command.split(' ').collect::<Vec<_>>());
+        let http = loadgen::get(server().addr(), path).unwrap();
+        assert_eq!(http.status, 200, "{path}");
+        assert_eq!(http.body_string(), cli, "{path}");
+    }
 }
 
 #[test]

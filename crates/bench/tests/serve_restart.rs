@@ -9,7 +9,7 @@
 
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::mpsc;
 use std::thread::JoinHandle;
@@ -17,6 +17,7 @@ use std::time::{Duration, Instant};
 
 use datagen::{ParametricConfig, ParametricGenerator};
 use osdiv_bench::exposition::{lint_exposition, scrape_value};
+use osdiv_bench::harness::TempDir;
 use osdiv_serve::loadgen::{self, ClientResponse};
 
 /// How long a boot may take to print its address, and a shutdown to exit.
@@ -57,24 +58,6 @@ const FAMILIES: [(&str, &str); 26] = [
     ("osdiv_snapshot_writes", "counter"),
     ("osdiv_snapshot_loads", "counter"),
 ];
-
-/// A data directory named with the process id, removed when dropped
-/// (also when an assertion fails).
-struct DataDir(PathBuf);
-
-impl DataDir {
-    fn new() -> DataDir {
-        let dir = std::env::temp_dir().join(format!("osdiv-serve-restart-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        DataDir(dir)
-    }
-}
-
-impl Drop for DataDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// A running `osdiv serve --data-dir`. Dropping it kills and reaps the
 /// process, so a failed assertion leaves no server behind.
@@ -177,7 +160,7 @@ fn value(exposition: &str, name: &str) -> f64 {
 
 #[test]
 fn an_ingested_tenant_survives_kill_9_with_its_bytes_and_etag() {
-    let dir = DataDir::new();
+    let dir = TempDir::new("serve-restart");
     let feed = ParametricGenerator::new(ParametricConfig {
         vulnerability_count: 200,
         seed: 11,
@@ -188,7 +171,7 @@ fn an_ingested_tenant_survives_kill_9_with_its_bytes_and_etag() {
     .expect("the generated feed serializes");
 
     // Upload the tenant and note its document.
-    let server = Server::boot(&dir.0);
+    let server = Server::boot(dir.path());
     let chunks: Vec<&[u8]> = feed.as_bytes().chunks(1024).collect();
     let created =
         loadgen::request_chunked(server.addr, "PUT", "/v1/datasets/persist", &[], &chunks)
@@ -246,7 +229,7 @@ fn an_ingested_tenant_survives_kill_9_with_its_bytes_and_etag() {
     server.kill();
 
     // Boot again on the same directory: listed, but not yet decoded.
-    let server = Server::boot(&dir.0);
+    let server = Server::boot(dir.path());
     let list = server.get("/v1/datasets?format=json");
     assert!(
         list.body_string().contains("persist"),
@@ -278,7 +261,7 @@ fn an_ingested_tenant_survives_kill_9_with_its_bytes_and_etag() {
     );
 
     // The file on disk reads clean, and DELETE removes it.
-    let snapshot = dir.0.join("persist.osdv");
+    let snapshot = dir.path().join("persist.osdv");
     let inspect = Command::new(env!("CARGO_BIN_EXE_osdiv"))
         .args(["snapshot", "inspect", "--format", "csv"])
         .arg(&snapshot)

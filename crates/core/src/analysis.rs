@@ -288,6 +288,14 @@ pub struct AnalysisEntry {
     /// A section appended after every body section (the pairwise analysis
     /// closes the report with the Section IV-E summary).
     pub epilogue: Option<SectionFn>,
+    /// The parameter keys the analysis accepts: its configuration's
+    /// [`FromParams::KEYS`].
+    pub keys: &'static [&'static str],
+}
+
+/// The parameter keys of an analysis's configuration.
+const fn keys<A: Analysis>() -> &'static [&'static str] {
+    A::Config::KEYS
 }
 
 fn prime<A: Analysis>(study: &Study) -> Result<(), AnalysisError> {
@@ -326,6 +334,7 @@ pub fn registry() -> &'static [AnalysisEntry] {
             sections_with: sections_with::<classes::ValidityDistribution>,
             report_sections: Some(default_sections::<classes::ValidityDistribution>),
             epilogue: None,
+            keys: keys::<classes::ValidityDistribution>(),
         },
         AnalysisEntry {
             id: AnalysisId::Classes,
@@ -333,6 +342,7 @@ pub fn registry() -> &'static [AnalysisEntry] {
             sections_with: sections_with::<classes::ClassDistribution>,
             report_sections: Some(default_sections::<classes::ClassDistribution>),
             epilogue: None,
+            keys: keys::<classes::ClassDistribution>(),
         },
         AnalysisEntry {
             id: AnalysisId::Pairwise,
@@ -340,6 +350,7 @@ pub fn registry() -> &'static [AnalysisEntry] {
             sections_with: sections_with::<pairwise::PairwiseAnalysis>,
             report_sections: Some(pairwise::table_sections),
             epilogue: Some(pairwise::summary_section),
+            keys: keys::<pairwise::PairwiseAnalysis>(),
         },
         AnalysisEntry {
             id: AnalysisId::Split,
@@ -347,6 +358,7 @@ pub fn registry() -> &'static [AnalysisEntry] {
             sections_with: sections_with::<split::SplitMatrix>,
             report_sections: Some(default_sections::<split::SplitMatrix>),
             epilogue: None,
+            keys: keys::<split::SplitMatrix>(),
         },
         AnalysisEntry {
             id: AnalysisId::Releases,
@@ -354,6 +366,7 @@ pub fn registry() -> &'static [AnalysisEntry] {
             sections_with: sections_with::<releases::ReleaseAnalysis>,
             report_sections: Some(default_sections::<releases::ReleaseAnalysis>),
             epilogue: None,
+            keys: keys::<releases::ReleaseAnalysis>(),
         },
         AnalysisEntry {
             id: AnalysisId::Temporal,
@@ -361,6 +374,7 @@ pub fn registry() -> &'static [AnalysisEntry] {
             sections_with: sections_with::<temporal::TemporalAnalysis>,
             report_sections: Some(default_sections::<temporal::TemporalAnalysis>),
             epilogue: None,
+            keys: keys::<temporal::TemporalAnalysis>(),
         },
         AnalysisEntry {
             id: AnalysisId::KWay,
@@ -368,6 +382,7 @@ pub fn registry() -> &'static [AnalysisEntry] {
             sections_with: sections_with::<kway::KWayAnalysis>,
             report_sections: Some(default_sections::<kway::KWayAnalysis>),
             epilogue: None,
+            keys: keys::<kway::KWayAnalysis>(),
         },
         AnalysisEntry {
             id: AnalysisId::Selection,
@@ -375,6 +390,7 @@ pub fn registry() -> &'static [AnalysisEntry] {
             sections_with: sections_with::<selection::SelectionAnalysis>,
             report_sections: None,
             epilogue: None,
+            keys: keys::<selection::SelectionAnalysis>(),
         },
     ];
     REGISTRY

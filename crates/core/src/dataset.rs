@@ -170,11 +170,6 @@ impl StudyDataset {
         &self.store
     }
 
-    /// Consumes the dataset and returns the store.
-    pub fn into_store(self) -> VulnStore {
-        self.store
-    }
-
     /// Classifies every valid vulnerability that does not yet have an
     /// OS-part class, using the given classifier (the automated counterpart
     /// of the paper's manual Section III-B step). Returns how many rows were

@@ -65,11 +65,6 @@ impl Study {
         &self.dataset
     }
 
-    /// Consumes the session and returns the dataset, dropping the cache.
-    pub fn into_dataset(self) -> StudyDataset {
-        self.dataset
-    }
-
     /// Runs an analysis under its **default** configuration, memoizing the
     /// result: the first call computes, every later call returns the same
     /// [`Arc`]. Concurrent first calls may compute twice, but all callers

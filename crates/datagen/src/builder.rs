@@ -33,11 +33,6 @@ impl Dataset {
         &self.entries
     }
 
-    /// Consumes the dataset, returning the entries.
-    pub fn into_entries(self) -> Vec<VulnerabilityEntry> {
-        self.entries
-    }
-
     /// The entries that survive the paper's validity filter.
     pub fn valid_entries(&self) -> impl Iterator<Item = &VulnerabilityEntry> {
         self.entries.iter().filter(|e| e.is_valid())

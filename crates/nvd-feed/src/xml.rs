@@ -38,12 +38,8 @@ pub enum XmlEvent {
     /// `<tag/>`, in which case no matching [`XmlEvent::EndElement`] follows.
     StartElement {
         /// The element name with any namespace prefix stripped
-        /// (`vuln:summary` becomes `summary`); the original prefixed name is
-        /// kept in `qualified_name`.
+        /// (`vuln:summary` becomes `summary`).
         name: String,
-        /// The element name exactly as written, including the namespace
-        /// prefix.
-        qualified_name: String,
         /// Attribute `(name, value)` pairs in document order, with entity
         /// references resolved.
         attributes: Vec<(String, String)>,
@@ -167,7 +163,7 @@ impl<'a> XmlReader<'a> {
                     }
                     self.pos += 1;
                     return Ok(Some(XmlEvent::EndElement {
-                        name: strip_prefix(&name),
+                        name: strip_prefix(name),
                     }));
                 }
                 return self.read_start_element().map(Some);
@@ -189,7 +185,7 @@ impl<'a> XmlReader<'a> {
     fn read_start_element(&mut self) -> Result<XmlEvent, FeedError> {
         debug_assert_eq!(self.peek(), Some(b'<'));
         self.pos += 1;
-        let qualified_name = self.read_name()?;
+        let name = strip_prefix(self.read_name()?);
         let mut attributes = Vec::new();
         loop {
             self.skip_whitespace();
@@ -197,8 +193,7 @@ impl<'a> XmlReader<'a> {
                 Some(b'>') => {
                     self.pos += 1;
                     return Ok(XmlEvent::StartElement {
-                        name: strip_prefix(&qualified_name),
-                        qualified_name,
+                        name,
                         attributes,
                         self_closing: false,
                     });
@@ -210,8 +205,7 @@ impl<'a> XmlReader<'a> {
                     }
                     self.pos += 1;
                     return Ok(XmlEvent::StartElement {
-                        name: strip_prefix(&qualified_name),
-                        qualified_name,
+                        name,
                         attributes,
                         self_closing: true,
                     });
@@ -322,13 +316,13 @@ impl<'a> XmlReader<'a> {
     }
 }
 
-/// Strips an optional namespace prefix from a qualified name
+/// Strips an optional namespace prefix from a qualified name, in place
 /// (`vuln:summary` → `summary`).
-fn strip_prefix(qualified: &str) -> String {
-    match qualified.rsplit_once(':') {
-        Some((_, local)) => local.to_string(),
-        None => qualified.to_string(),
+fn strip_prefix(mut name: String) -> String {
+    if let Some(colon) = name.rfind(':') {
+        name.drain(..=colon);
     }
+    name
 }
 
 /// Resolves the five predefined XML entities and decimal/hex character
@@ -521,19 +515,9 @@ mod tests {
     }
 
     #[test]
-    fn strips_namespace_prefixes_but_keeps_qualified_name() {
+    fn strips_namespace_prefixes() {
         let evs = events("<vuln:summary>DNS flaw</vuln:summary>");
-        match &evs[0] {
-            XmlEvent::StartElement {
-                name,
-                qualified_name,
-                ..
-            } => {
-                assert_eq!(name, "summary");
-                assert_eq!(qualified_name, "vuln:summary");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert!(matches!(&evs[0], XmlEvent::StartElement { name, .. } if name == "summary"));
         assert!(matches!(&evs[2], XmlEvent::EndElement { name } if name == "summary"));
     }
 

@@ -432,14 +432,8 @@ impl VulnerabilityEntryBuilder {
         self
     }
 
-    /// Adds an affected platform from a raw CPE.
-    pub fn affects_cpe(mut self, cpe: Cpe) -> Self {
-        self.affected.push(AffectedProduct::new(cpe));
-        self
-    }
-
-    /// Adds a fully constructed affected-product record (keeps every version
-    /// the record carries, unlike [`Self::affects_cpe`]).
+    /// Adds a fully constructed affected-product record, with every version
+    /// it carries.
     pub fn affects_product(mut self, product: AffectedProduct) -> Self {
         self.affected.push(product);
         self

@@ -869,8 +869,9 @@ impl Response {
     /// Serializes the response, returning the number of bytes written
     /// (head plus body — the unit of the `/metrics` byte counter).
     /// `head_only` suppresses the body (HEAD requests) while keeping the
-    /// `Content-Length` of the full representation; 304 responses never
-    /// carry a body.
+    /// `Content-Length` of the full representation; 304 responses carry
+    /// neither a body nor a `Content-Length`, which would otherwise have
+    /// to equal the 200's (RFC 9110 §8.6).
     ///
     /// Head and body go out in one `write_all`: a socket write can wake
     /// the peer, and one that shares the CPU would otherwise be woken
@@ -897,7 +898,9 @@ impl Response {
         for (name, value) in &self.headers {
             write!(out, "{name}: {value}\r\n")?;
         }
-        write!(out, "Content-Length: {}\r\n", self.body.len())?;
+        if self.status != 304 {
+            write!(out, "Content-Length: {}\r\n", self.body.len())?;
+        }
         out.extend_from_slice(if keep_alive {
             b"Connection: keep-alive\r\n\r\n"
         } else {
@@ -1156,17 +1159,19 @@ mod tests {
         let not_modified = Response::new(304)
             .with_body(tabular::mime::APPLICATION_JSON, b"{}".to_vec())
             .with_header("ETag", "\"abc\"");
-        for (response, head_only, body) in [
-            (&response, false, &b"{}"[..]),
-            (&response, true, &b""[..]),
-            (&not_modified, false, &b""[..]),
+        // A 304 sends no Content-Length at all (RFC 9110 §8.6).
+        for (response, head_only, body, framed) in [
+            (&response, false, &b"{}"[..], true),
+            (&response, true, &b""[..], true),
+            (&not_modified, false, &b""[..], false),
         ] {
             let mut out = CountingWriter::default();
             let written = response.write_to(&mut out, true, head_only).unwrap();
             assert_eq!(out.writes, 1, "{} head_only={head_only}", response.status);
             assert_eq!(written, out.bytes.len());
             let text = String::from_utf8(out.bytes).unwrap();
-            assert!(text.contains("Content-Length: 2\r\n"));
+            assert_eq!(text.contains("Content-Length: 2\r\n"), framed, "{text}");
+            assert_eq!(text.contains("Content-Length"), framed, "{text}");
             let (_, sent_body) = text.split_once("\r\n\r\n").unwrap();
             assert_eq!(sent_body.as_bytes(), body);
         }

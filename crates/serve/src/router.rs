@@ -805,12 +805,15 @@ impl Router {
             }
         };
         // `If-None-Match` lists entity tags, compared weakly: a `W/` prefix
-        // is ignored (RFC 9110 §13.1.2). Our tags never hold a comma.
+        // is ignored (RFC 9110 §13.1.2). Our tags never hold a comma. A
+        // 304 repeats the 200's `Cache-Control` (§15.4.5).
         if request
             .header_items("if-none-match")
             .any(|held| held == "*" || held.strip_prefix("W/").unwrap_or(held) == cached.etag)
         {
-            return Response::new(304).with_header("ETag", cached.etag.clone());
+            return Response::new(304)
+                .with_header("ETag", cached.etag.clone())
+                .with_header("Cache-Control", "no-cache");
         }
         Response::new(200)
             .with_body(format.content_type(), cached.body.clone())
