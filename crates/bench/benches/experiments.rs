@@ -111,10 +111,7 @@ fn bench_figures(c: &mut Criterion) {
 
 fn bench_simulation(c: &mut Criterion) {
     let study = calibrated_study();
-    let simulator = Simulator::new(
-        &study,
-        SimulationConfig::default().with_trials(100).with_threads(4),
-    );
+    let simulator = Simulator::new(&study, SimulationConfig::default().with_trials(100));
     let homogeneous = ReplicaSet::homogeneous(OsDistribution::Debian, 4);
     let diverse = ReplicaSet::new(vec![
         OsDistribution::Windows2003,

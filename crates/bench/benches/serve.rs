@@ -10,14 +10,14 @@
 //! The open-loop leg prints coordinated-omission-immune p50/p99/p999.
 
 use std::io::BufReader;
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use datagen::CalibratedGenerator;
 use osdiv_core::{obs, FlightRecorder, LatencyHistogram, SpanKind, Study};
-use osdiv_serve::loadgen::{read_response, run_open_loop, write_request};
+use osdiv_serve::loadgen::{read_response, run_open_loop, write_request, ClientResponse};
 use osdiv_serve::{OpenLoopConfig, Router, RouterOptions, Server, ServerHandle, ServerOptions};
 
 fn start_server() -> ServerHandle {
@@ -28,20 +28,39 @@ fn start_server() -> ServerHandle {
         Arc::new(study),
         RouterOptions::default(),
     ));
-    let server = Server::bind(
-        "127.0.0.1:0",
-        router,
-        ServerOptions {
-            threads: 4,
-            read_timeout: Duration::from_secs(10),
-            // The latency benches pump far more than the production
-            // default of 1000 requests through one connection.
-            max_keep_alive_requests: usize::MAX,
-            ..ServerOptions::default()
-        },
-    )
-    .expect("an ephemeral loop-back port is bindable");
+    let server = Server::bind("127.0.0.1:0", router, ServerOptions::for_threads(4))
+        .expect("an ephemeral loop-back port is bindable");
     server.spawn()
+}
+
+/// A keep-alive client that reconnects when a response announces
+/// `Connection: close`: the benches pump more requests through one
+/// connection than the server's keep-alive cap of 1,000.
+struct Client {
+    addr: SocketAddr,
+    reader: BufReader<TcpStream>,
+}
+
+impl Client {
+    fn connect(addr: SocketAddr) -> Client {
+        let stream = TcpStream::connect(addr).expect("the bench server accepts");
+        Client {
+            addr,
+            reader: BufReader::new(stream),
+        }
+    }
+
+    fn get(&mut self, path: &str, headers: &[(&str, &str)]) -> ClientResponse {
+        write_request(self.reader.get_mut(), "GET", path, headers).unwrap();
+        let response = read_response(&mut self.reader).unwrap();
+        if response
+            .header("connection")
+            .is_some_and(|value| value.eq_ignore_ascii_case("close"))
+        {
+            *self = Client::connect(self.addr);
+        }
+        response
+    }
 }
 
 fn bench_histogram_record(c: &mut Criterion) {
@@ -87,49 +106,34 @@ fn bench_serving(c: &mut Criterion) {
     let addr = handle.addr();
 
     // Single keep-alive request against the rendered-body cache.
-    let stream = TcpStream::connect(addr).unwrap();
-    let mut reader = BufReader::new(stream);
+    let mut client = Client::connect(addr);
     c.bench_function("serve/cached_report_json_roundtrip", |b| {
-        b.iter(|| {
-            write_request(reader.get_mut(), "GET", "/v1/report?format=json", &[]).unwrap();
-            read_response(&mut reader).unwrap().status
-        })
+        b.iter(|| client.get("/v1/report?format=json", &[]).status)
     });
 
     // ETag revalidation: the 304 path renders and transfers nothing.
-    write_request(reader.get_mut(), "GET", "/v1/report?format=json", &[]).unwrap();
-    let etag = read_response(&mut reader)
-        .unwrap()
+    let etag = client
+        .get("/v1/report?format=json", &[])
         .header("etag")
         .expect("the report carries an ETag")
         .to_string();
     c.bench_function("serve/etag_revalidation_304", |b| {
         b.iter(|| {
-            write_request(
-                reader.get_mut(),
-                "GET",
-                "/v1/report?format=json",
-                &[("If-None-Match", &etag)],
-            )
-            .unwrap();
-            read_response(&mut reader).unwrap().status
+            client
+                .get("/v1/report?format=json", &[("If-None-Match", &etag)])
+                .status
         })
     });
 
     // A non-default configuration served through the LRU cache.
     c.bench_function("serve/cached_parameterized_kway_csv", |b| {
         b.iter(|| {
-            write_request(
-                reader.get_mut(),
-                "GET",
-                "/v1/analyses/kway?profile=isolated&max_k=4&format=csv",
-                &[],
-            )
-            .unwrap();
-            read_response(&mut reader).unwrap().status
+            client
+                .get("/v1/analyses/kway?profile=isolated&max_k=4&format=csv", &[])
+                .status
         })
     });
-    drop(reader);
+    drop(client);
 
     // Open-loop tail latency: arrivals fire on a Poisson schedule whether
     // or not earlier responses came back, so the p99/p999 include any

@@ -19,7 +19,7 @@
 //! prints the registry, so newly registered analyses appear in `report`,
 //! the help text and the HTTP API without touching the dispatcher.
 
-use std::io::{Read as _, Write as _};
+use std::io::{Read as _, Write};
 use std::str::FromStr;
 use std::sync::Arc;
 
@@ -227,20 +227,30 @@ impl From<std::io::Error> for CliError {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
-        Ok(output) => print!("{output}"),
+        Ok(output) => print_to(std::io::stdout(), &output),
         Err(CliError::Usage(message)) => {
-            eprintln!("{message}");
+            print_to(std::io::stderr(), &format!("{message}\n"));
             std::process::exit(2);
         }
         Err(CliError::Analysis(error)) => {
-            eprintln!("error: {error}");
+            print_to(std::io::stderr(), &format!("error: {error}\n"));
             std::process::exit(1);
         }
         Err(CliError::Io(error)) => {
-            eprintln!("error: {error}");
+            print_to(std::io::stderr(), &format!("error: {error}\n"));
             std::process::exit(1);
         }
     }
+}
+
+/// Writes `text` to stdout or stderr and flushes it. Every write this CLI
+/// makes goes through here and ignores errors: a reader that closed the
+/// pipe early (`osdiv report | true`) leaves the exit code 0, 1 or 2
+/// instead of turning it into a panic.
+fn print_to(mut stream: impl Write, text: &str) {
+    let _ = stream
+        .write_all(text.as_bytes())
+        .and_then(|()| stream.flush());
 }
 
 fn run(args: &[String]) -> Result<String, CliError> {
@@ -343,7 +353,6 @@ fn ingest_files(opts: &Options, command: &str) -> Result<IngestOutcome, CliError
     }
     let mut ingester = FeedIngester::new(IngestBudget {
         max_bytes: opts.max_dataset_bytes.max(1),
-        ..IngestBudget::default()
     });
     let mut chunk = vec![0u8; 64 * 1024];
     for path in &opts.files {
@@ -557,7 +566,10 @@ fn debug_boot(opts: &Options, warm: bool) -> Result<StudyRegistry, CliError> {
         registry = registry.with_persistence(Arc::new(store));
         let recovery = registry.recover();
         for (name, error) in &recovery.errors {
-            eprintln!("osdiv debug: recovery of {name:?}: {error}");
+            print_to(
+                std::io::stderr(),
+                &format!("osdiv debug: recovery of {name:?}: {error}\n"),
+            );
         }
     }
     if warm {
@@ -584,7 +596,6 @@ fn serve(study: Study, opts: &Options) -> Result<String, CliError> {
     );
     let ingest_budget = IngestBudget {
         max_bytes: opts.max_dataset_bytes.max(1),
-        ..IngestBudget::default()
     };
     // The structured event log (`--access-log`): `-` streams JSON lines
     // to stdout, anything else appends to the file. Shared by the
@@ -608,7 +619,10 @@ fn serve(study: Study, opts: &Options) -> Result<String, CliError> {
         registry = registry.with_persistence(Arc::new(store));
         let recovery = registry.recover();
         for (name, error) in &recovery.errors {
-            eprintln!("osdiv-serve: recovery of {name:?}: {error}");
+            print_to(
+                std::io::stderr(),
+                &format!("osdiv-serve: recovery of {name:?}: {error}\n"),
+            );
         }
         if let Some(log) = &access_log {
             let emit = |event: &str, dataset: &str, detail: Option<&str>| {
@@ -626,16 +640,18 @@ fn serve(study: Study, opts: &Options) -> Result<String, CliError> {
                 emit("recovery_error", name, Some(&error.to_string()));
             }
         }
-        println!(
-            "osdiv-serve: data dir {dir}: {} tenants recovered",
-            recovery.recovered.len()
+        print_to(
+            std::io::stdout(),
+            &format!(
+                "osdiv-serve: data dir {dir}: {} tenants recovered\n",
+                recovery.recovered.len()
+            ),
         );
     }
     let router = Arc::new(Router::new(
         Arc::new(registry),
         RouterOptions {
             seed: opts.seed,
-            cache_capacity: 128,
             enable_shutdown: opts.enable_shutdown,
             enable_dataset_delete: opts.enable_dataset_delete,
             enable_debug: opts.enable_debug,
@@ -656,15 +672,17 @@ fn serve(study: Study, opts: &Options) -> Result<String, CliError> {
     let server = Server::bind(opts.addr.as_str(), router, server_options(opts))?;
     // Flushed eagerly so wrapper scripts watching a redirected stdout see
     // the bound (possibly ephemeral) port immediately.
-    println!(
-        "osdiv-serve listening on {} (seed {}, {} threads, {} analyses pre-warmed in {:?})",
-        server.local_addr(),
-        opts.seed,
-        opts.threads,
-        AnalysisId::ALL.len(),
-        warmup.elapsed(),
+    print_to(
+        std::io::stdout(),
+        &format!(
+            "osdiv-serve listening on {} (seed {}, {} threads, {} analyses pre-warmed in {:?})\n",
+            server.local_addr(),
+            opts.seed,
+            opts.threads,
+            AnalysisId::ALL.len(),
+            warmup.elapsed(),
+        ),
     );
-    std::io::stdout().flush()?;
     server.run()?;
     Ok("osdiv-serve: shutdown complete\n".to_string())
 }

@@ -90,7 +90,6 @@ fn every_client_shape_leaves_the_server_serving_a_bystander() {
         println!("shape: {shape}");
         let options = RouterOptions {
             seed: EXPERIMENT_SEED,
-            cache_capacity: 128,
             ..RouterOptions::default()
         };
         let router = Arc::new(Router::with_study(Arc::clone(&study), options));

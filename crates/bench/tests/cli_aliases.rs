@@ -3,10 +3,12 @@
 //! through the same renderer, in every format — and the analysis flags
 //! reach it as the same parameters, so a flag the analysis cannot use is
 //! an error instead of being ignored. The offline `osdiv debug`
-//! subcommands read a data directory without writing to it.
+//! subcommands read a data directory without writing to it, `osdiv
+//! survival` prints pinned bytes, and a closed output pipe leaves the
+//! exit code alone.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 use std::sync::OnceLock;
 use std::time::SystemTime;
 
@@ -220,4 +222,51 @@ fn debug_registry_and_spans_read_a_data_dir_without_writing_to_it() {
     assert_eq!(spans.matches(r#""name":"analysis:"#).count(), 8, "{spans}");
 
     assert_eq!(listing(dir.path()), before, "a read-only recovery wrote");
+}
+
+#[test]
+fn survival_prints_the_pinned_monte_carlo_table() {
+    // 400 trials at seed 7, the command's defaults.
+    assert_eq!(
+        stdout("survival --format csv"),
+        "Configuration,P(system compromised),Mean time to failure (days),\
+         Mean peak compromised replicas\n\
+         Debian x4,0.56,438,2.26\n\
+         \"{OpenBSD, Solaris, Debian, Win2003}\",0.50,743,1.81\n\
+         \"{NetBSD, Solaris, Debian, Win2003}\",0.45,774,1.76\n\
+         \"{NetBSD, Solaris, RedHat, Win2003}\",0.55,772,1.92\n\
+         \"{OpenBSD, NetBSD, Debian, RedHat}\",0.61,503,2.06\n"
+    );
+}
+
+/// The exit code of `osdiv command` when the reader of its stdout, or of
+/// its stderr, has gone before it writes: a shell sleeps before it execs
+/// `osdiv`, and the test drops the pipe's read end at once.
+fn exit_code_after_the_reader_left(command: &str, stderr: bool) -> Option<i32> {
+    let (out, err) = if stderr {
+        (Stdio::null(), Stdio::piped())
+    } else {
+        (Stdio::piped(), Stdio::null())
+    };
+    let mut child = Command::new("sh")
+        .arg("-c")
+        .arg(r#"sleep 0.2; exec "$0" "$@""#)
+        .arg(env!("CARGO_BIN_EXE_osdiv"))
+        .args(command.split(' '))
+        .stdout(out)
+        .stderr(err)
+        .spawn()
+        .expect("sh runs");
+    drop(child.stdout.take());
+    drop(child.stderr.take());
+    child.wait().expect("osdiv exits").code()
+}
+
+#[test]
+fn a_closed_output_pipe_keeps_the_exit_code() {
+    assert_eq!(
+        exit_code_after_the_reader_left("table3 --bogus 3", true),
+        Some(2)
+    );
+    assert_eq!(exit_code_after_the_reader_left("report", false), Some(0));
 }

@@ -84,7 +84,7 @@ fn mutate(seed: &[u8], rng: &mut StdRng) -> Vec<u8> {
     bytes
 }
 
-/// One-shot strict read: the outcome fingerprint for comparisons.
+/// One-shot read: the outcome fingerprint for comparisons.
 fn read_oneshot(bytes: &[u8]) -> String {
     let Ok(xml) = std::str::from_utf8(bytes) else {
         return "not-utf8".to_string();

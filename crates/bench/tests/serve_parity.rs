@@ -6,7 +6,6 @@
 
 use std::process::Command;
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 use datagen::CalibratedGenerator;
 use osdiv_core::{AnalysisId, Format, Study};
@@ -42,17 +41,8 @@ fn server() -> &'static ServerHandle {
                 ..RouterOptions::default()
             },
         ));
-        let server = Server::bind(
-            "127.0.0.1:0",
-            router,
-            ServerOptions {
-                threads: 2,
-                read_timeout: Duration::from_secs(5),
-                max_keep_alive_requests: 1000,
-                ..ServerOptions::default()
-            },
-        )
-        .expect("an ephemeral loop-back port is bindable");
+        let server = Server::bind("127.0.0.1:0", router, ServerOptions::for_threads(2))
+            .expect("an ephemeral loop-back port is bindable");
         server.spawn()
     })
 }

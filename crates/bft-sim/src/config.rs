@@ -65,12 +65,6 @@ pub struct SimulationConfig {
     /// to a clean state at every multiple of this period. `None` disables
     /// recovery (a compromised replica stays compromised until patching).
     pub recovery_period_days: Option<f64>,
-    /// First publication year considered (inclusive).
-    pub first_year: u16,
-    /// Last publication year considered (inclusive).
-    pub last_year: u16,
-    /// Number of worker threads for the Monte-Carlo trials.
-    pub threads: usize,
 }
 
 impl Default for SimulationConfig {
@@ -81,9 +75,6 @@ impl Default for SimulationConfig {
             quorum: QuorumModel::ThreeFPlusOne,
             attacker: AttackerModel::default(),
             recovery_period_days: None,
-            first_year: 2006,
-            last_year: 2010,
-            threads: 4,
         }
     }
 }
@@ -119,29 +110,15 @@ impl SimulationConfig {
         self
     }
 
-    /// Restricts the simulated disclosure timeline to a year range.
-    pub fn with_years(mut self, first: u16, last: u16) -> Self {
-        self.first_year = first;
-        self.last_year = last;
-        self
-    }
-
-    /// Sets the number of worker threads.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
     /// Validates the configuration.
     ///
     /// # Panics
     ///
-    /// Panics on invalid attacker parameters, a zero trial count or an
-    /// inverted year range.
+    /// Panics on invalid attacker parameters, a zero trial count or a
+    /// recovery period that is not positive.
     pub fn validate(&self) {
         self.attacker.validate();
         assert!(self.trials > 0, "at least one trial is required");
-        assert!(self.first_year <= self.last_year, "inverted year range");
         if let Some(period) = self.recovery_period_days {
             assert!(period > 0.0, "recovery period must be positive");
         }
@@ -164,18 +141,16 @@ mod tests {
             .with_seed(9)
             .with_quorum(QuorumModel::TwoFPlusOne)
             .with_recovery_period(7.0)
-            .with_years(1994, 2005)
-            .with_threads(0)
             .with_attacker(AttackerModel {
                 exploit_probability: 0.5,
                 exposure_days: 10.0,
             });
         config.validate();
         assert_eq!(config.trials, 10);
+        assert_eq!(config.seed, 9);
         assert_eq!(config.quorum, QuorumModel::TwoFPlusOne);
         assert_eq!(config.recovery_period_days, Some(7.0));
-        assert_eq!(config.first_year, 1994);
-        assert_eq!(config.threads, 1, "thread count is clamped to at least 1");
+        assert_eq!(config.attacker.exploit_probability, 0.5);
         assert_eq!(config.attacker.exposure_days, 10.0);
     }
 
@@ -194,13 +169,5 @@ mod tests {
     #[should_panic(expected = "at least one trial")]
     fn zero_trials_are_rejected() {
         SimulationConfig::default().with_trials(0).validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "inverted year range")]
-    fn inverted_years_are_rejected() {
-        SimulationConfig::default()
-            .with_years(2010, 2006)
-            .validate();
     }
 }

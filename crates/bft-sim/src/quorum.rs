@@ -93,15 +93,6 @@ impl ReplicaSet {
         self.replicas.iter().copied().collect()
     }
 
-    /// Number of replicas whose OS is in `affected` — i.e. how many replicas
-    /// a vulnerability affecting `affected` compromises at once.
-    pub fn replicas_affected_by(&self, affected: OsSet) -> usize {
-        self.replicas
-            .iter()
-            .filter(|os| affected.contains(**os))
-            .count()
-    }
-
     /// Label such as `{Win2003, Solaris, Debian, OpenBSD}` or `Debian x4`.
     pub fn label(&self) -> String {
         let distinct = self.distinct_oses();
@@ -165,22 +156,6 @@ mod tests {
         assert_eq!(diverse.distinct_oses().len(), 4);
         assert!(diverse.label().contains("Solaris"));
         assert_eq!(format!("{diverse}"), diverse.label());
-    }
-
-    #[test]
-    fn replicas_affected_counts_repetitions() {
-        let set = ReplicaSet::new(vec![
-            OsDistribution::Debian,
-            OsDistribution::Debian,
-            OsDistribution::RedHat,
-            OsDistribution::OpenBsd,
-        ]);
-        let affected = OsSet::pair(OsDistribution::Debian, OsDistribution::RedHat);
-        assert_eq!(set.replicas_affected_by(affected), 3);
-        assert_eq!(
-            set.replicas_affected_by(OsSet::singleton(OsDistribution::Solaris)),
-            0
-        );
     }
 
     #[test]

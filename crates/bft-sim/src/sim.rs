@@ -4,7 +4,7 @@
 //! against a replica configuration:
 //!
 //! 1. every base-system, remotely exploitable vulnerability published in the
-//!    configured period is weaponized with probability
+//!    observed period (2006–2010) is weaponized with probability
 //!    `attacker.exploit_probability`;
 //! 2. a weaponized vulnerability compromises every replica whose OS it
 //!    affects, from its disclosure date until patching
@@ -14,10 +14,11 @@
 //!    compromised simultaneously (`f` is derived from the replica count and
 //!    the quorum model).
 //!
-//! Trials are independent and run on a small crossbeam thread pool.
+//! Trials are independent: they split over one scoped thread per CPU, and
+//! the report does not depend on the split.
 
 use nvd_model::Date;
-use osdiv_core::{ServerProfile, StudyDataset};
+use osdiv_core::{Period, ServerProfile, StudyDataset};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -61,51 +62,46 @@ impl<'a> Simulator<'a> {
 
     /// Runs the Monte-Carlo simulation for one replica configuration.
     pub fn run(&self, replicas: &ReplicaSet) -> SurvivalReport {
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        self.run_on(replicas, cpus.min(self.config.trials))
+    }
+
+    /// [`Simulator::run`] with the trials split over `workers` scoped
+    /// threads.
+    fn run_on(&self, replicas: &ReplicaSet, workers: usize) -> SurvivalReport {
         let faults_tolerated = self.config.quorum.faults_tolerated(replicas.len());
         let threats = self.collect_threats(replicas);
         let trials = self.config.trials;
-        let threads = self.config.threads.min(trials).max(1);
-
+        let chunk = trials.div_ceil(workers);
+        let results = std::thread::scope(|scope| {
+            let mut handles = Vec::new();
+            for worker in 0..workers {
+                let start = worker * chunk;
+                let end = (start + chunk).min(trials);
+                let threats = &threats;
+                handles.push(scope.spawn(move || {
+                    let mut local_failures = Vec::new();
+                    let mut local_peak = 0.0f64;
+                    for trial in start..end {
+                        let (failure, peak) = self.run_trial(trial, threats, faults_tolerated);
+                        if let Some(day) = failure {
+                            local_failures.push((trial, day));
+                        }
+                        local_peak += peak as f64;
+                    }
+                    (local_failures, local_peak)
+                }));
+            }
+            handles
+                .into_iter()
+                .map(|handle| handle.join().expect("simulation worker panicked"))
+                .collect::<Vec<_>>()
+        });
         let mut failures: Vec<(usize, f64)> = Vec::new();
         let mut peak_sum = 0.0f64;
-        if threads == 1 {
-            for trial in 0..trials {
-                let (failure, peak) = self.run_trial(trial, &threats, faults_tolerated);
-                if let Some(day) = failure {
-                    failures.push((trial, day));
-                }
-                peak_sum += peak as f64;
-            }
-        } else {
-            let chunk = trials.div_ceil(threads);
-            let results = std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for worker in 0..threads {
-                    let start = worker * chunk;
-                    let end = (start + chunk).min(trials);
-                    let threats = &threats;
-                    handles.push(scope.spawn(move || {
-                        let mut local_failures = Vec::new();
-                        let mut local_peak = 0.0f64;
-                        for trial in start..end {
-                            let (failure, peak) = self.run_trial(trial, threats, faults_tolerated);
-                            if let Some(day) = failure {
-                                local_failures.push((trial, day));
-                            }
-                            local_peak += peak as f64;
-                        }
-                        (local_failures, local_peak)
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .map(|handle| handle.join().expect("simulation worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-            for (local_failures, local_peak) in results {
-                failures.extend(local_failures);
-                peak_sum += local_peak;
-            }
+        for (local_failures, local_peak) in results {
+            failures.extend(local_failures);
+            peak_sum += local_peak;
         }
         // Deterministic ordering regardless of the thread interleaving.
         failures.sort_by_key(|a| a.0);
@@ -122,16 +118,15 @@ impl<'a> Simulator<'a> {
 
     /// Extracts the threat timeline relevant to a replica configuration:
     /// Isolated-Thin-Server-relevant vulnerabilities published in the
-    /// configured period that affect at least one replica.
+    /// observed period that affect at least one replica.
     fn collect_threats(&self, replicas: &ReplicaSet) -> Vec<Threat> {
-        let period_start = Date::from_year(self.config.first_year);
+        let period_start = Date::from_year(Period::Observed.years().0);
         let mut threats = Vec::new();
         for row in self.study.store().rows() {
             if !self.study.retains(row, ServerProfile::IsolatedThinServer) {
                 continue;
             }
-            let year = row.year();
-            if year < self.config.first_year || year > self.config.last_year {
+            if !Period::Observed.contains(row.year()) {
                 continue;
             }
             let affected: Vec<usize> = replicas
@@ -256,8 +251,7 @@ mod tests {
         let study = calibrated_study();
         let config = SimulationConfig::default()
             .with_trials(20)
-            .with_attacker(certain_attacker())
-            .with_threads(2);
+            .with_attacker(certain_attacker());
         let simulator = Simulator::new(&study, config);
         let report = simulator.run(&ReplicaSet::homogeneous(OsDistribution::Debian, 4));
         // Debian had remotely exploitable vulnerabilities in 2006-2010, and
@@ -270,10 +264,7 @@ mod tests {
     #[test]
     fn diverse_configuration_survives_better_than_homogeneous() {
         let study = calibrated_study();
-        let config = SimulationConfig::default()
-            .with_trials(60)
-            .with_seed(3)
-            .with_threads(3);
+        let config = SimulationConfig::default().with_trials(60).with_seed(3);
         let simulator = Simulator::new(&study, config);
         let homogeneous = simulator.run(&ReplicaSet::homogeneous(OsDistribution::Debian, 4));
         let diverse = simulator.run(&ReplicaSet::diverse(OsSet::from_iter([
@@ -308,20 +299,20 @@ mod tests {
     #[test]
     fn results_are_deterministic_for_a_seed_and_thread_count_independent() {
         let study = calibrated_study();
-        let base = SimulationConfig::default().with_trials(30).with_seed(11);
-        let sequential = Simulator::new(&study, base.clone().with_threads(1));
-        let parallel = Simulator::new(&study, base.with_threads(4));
+        let config = SimulationConfig::default().with_trials(30).with_seed(11);
+        let simulator = Simulator::new(&study, config);
         let set = ReplicaSet::diverse(OsSet::from_iter([
             OsDistribution::OpenBsd,
             OsDistribution::NetBsd,
             OsDistribution::Debian,
             OsDistribution::RedHat,
         ]));
-        let a = sequential.run(&set);
-        let b = parallel.run(&set);
-        assert_eq!(a.failures(), b.failures());
-        assert_eq!(a.mean_time_to_failure_days(), b.mean_time_to_failure_days());
-        assert!((a.mean_peak_compromised() - b.mean_peak_compromised()).abs() < 1e-12);
+        // One worker and four split the trials differently; the reports,
+        // failure times included, are identical.
+        let one = simulator.run_on(&set, 1);
+        assert!(one.failures() > 0);
+        assert_eq!(simulator.run_on(&set, 4), one);
+        assert_eq!(simulator.run(&set), one);
     }
 
     #[test]

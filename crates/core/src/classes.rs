@@ -166,12 +166,6 @@ impl ClassDistribution {
             .unwrap_or([0; 4])
     }
 
-    /// The per-OS total (must equal the OS's valid count when every row is
-    /// classified).
-    pub fn total_for_os(&self, os: OsDistribution) -> usize {
-        self.for_os(os).iter().sum()
-    }
-
     /// The percentage of each class over the distinct classified
     /// vulnerabilities (last row of Table II).
     pub fn class_percentages(&self) -> [f64; 4] {
@@ -315,7 +309,8 @@ mod tests {
         let table1 = study.get::<ValidityDistribution>().unwrap();
         let table2 = study.get::<ClassDistribution>().unwrap();
         for os in OsDistribution::ALL {
-            assert_eq!(table2.total_for_os(os), table1.for_os(os)[0], "{os}");
+            let total: usize = table2.for_os(os).iter().sum();
+            assert_eq!(total, table1.for_os(os)[0], "{os}");
         }
     }
 

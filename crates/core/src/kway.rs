@@ -110,17 +110,6 @@ impl KWayAnalysis {
         self.rows.iter().find(|row| row.k == k)
     }
 
-    /// The largest group size for which a group with zero shared
-    /// vulnerabilities exists, if any — i.e. how many diverse replicas can
-    /// be deployed without any common vulnerability at all.
-    pub fn largest_clean_group(&self) -> Option<usize> {
-        self.rows
-            .iter()
-            .filter(|row| matches!(row.best_group, Some((_, 0))))
-            .map(|row| row.k)
-            .max()
-    }
-
     /// Renders the k-OS combination analysis (Section IV-B).
     pub fn to_table(&self) -> TextTable {
         let mut table = TextTable::new([
@@ -258,9 +247,12 @@ mod tests {
         let analysis = kway(&study, ServerProfile::IsolatedThinServer, 6);
         // The paper's Section IV-C finds four-OS groups with zero or one
         // common vulnerability; at least a clean pair must exist.
-        let clean = analysis.largest_clean_group();
-        assert!(clean.is_some());
-        assert!(clean.unwrap() >= 2, "largest clean group {clean:?}");
+        let pair = analysis.row(2).unwrap();
+        assert!(
+            matches!(pair.best_group, Some((_, 0))),
+            "best pair {:?}",
+            pair.best_group
+        );
     }
 
     #[test]

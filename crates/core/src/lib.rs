@@ -21,7 +21,7 @@
 //!   into all three with one entry;
 //! * [`render`] holds the pluggable output sinks: every table and figure
 //!   renders as aligned text, CSV or JSON through the
-//!   [`Render`](render::Render) trait.
+//!   [`Render`] trait.
 //!
 //! The eight analyses map to the paper as follows: [`ValidityDistribution`]
 //! (Table I), [`ClassDistribution`] (Table II), [`PairwiseAnalysis`]

@@ -295,8 +295,8 @@ impl PairwiseAnalysis {
     /// Renders the Section IV-E summary findings. `valid_count` is the
     /// number of distinct valid vulnerabilities of the study and
     /// `driver_share` the driver-class percentage of Table II (both come
-    /// from sibling analyses — see [`summary_section`] for the composed
-    /// variant).
+    /// from sibling analyses; the registry's pairwise sections compose
+    /// them).
     pub fn summary_table(&self, valid_count: usize, driver_share: f64) -> TextTable {
         let summary = self.summary();
         let mut table = TextTable::new(["Finding", "Value"]);

@@ -52,13 +52,6 @@ pub struct ReleasePairRow {
     pub common: usize,
 }
 
-impl ReleasePairRow {
-    /// Whether the two releases belong to the same distribution.
-    pub fn same_distribution(&self) -> bool {
-        self.a.distribution() == self.b.distribution()
-    }
-}
-
 /// The per-release analysis.
 #[derive(Debug, Clone)]
 pub struct ReleaseAnalysis {
@@ -241,18 +234,6 @@ mod tests {
         }
         // 11 of the 15 pairs are disjoint, exactly as in Table VI.
         assert_eq!(analysis.disjoint_pairs(), 11);
-    }
-
-    #[test]
-    fn same_distribution_flag_is_correct() {
-        let study = calibrated_study();
-        let analysis = study.get::<ReleaseAnalysis>().unwrap();
-        for row in analysis.rows() {
-            assert_eq!(
-                row.same_distribution(),
-                row.a.distribution() == row.b.distribution()
-            );
-        }
     }
 
     #[test]

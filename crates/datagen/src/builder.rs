@@ -70,23 +70,12 @@ impl Dataset {
 #[derive(Debug, Clone)]
 pub struct CalibratedGenerator {
     seed: u64,
-    include_invalid: bool,
 }
 
 impl CalibratedGenerator {
     /// Creates a generator with the given seed.
     pub fn new(seed: u64) -> Self {
-        CalibratedGenerator {
-            seed,
-            include_invalid: true,
-        }
-    }
-
-    /// Skips the Unknown / Unspecified / Disputed entries of Table I (useful
-    /// when only the valid data set is needed).
-    pub fn without_invalid_entries(mut self) -> Self {
-        self.include_invalid = false;
-        self
+        CalibratedGenerator { seed }
     }
 
     /// Generates the dataset.
@@ -121,21 +110,19 @@ impl CalibratedGenerator {
             entries.push(entry);
         }
 
-        if self.include_invalid {
-            for row in &TABLE1 {
-                for (validity, count) in [
-                    (Validity::Unknown, row.unknown),
-                    (Validity::Unspecified, row.unspecified),
-                    (Validity::Disputed, row.disputed),
-                ] {
-                    for _ in 0..count {
-                        entries.push(self.build_invalid_entry(
-                            &mut rng,
-                            &mut id_allocator,
-                            row.os,
-                            validity,
-                        ));
-                    }
+        for row in &TABLE1 {
+            for (validity, count) in [
+                (Validity::Unknown, row.unknown),
+                (Validity::Unspecified, row.unspecified),
+                (Validity::Disputed, row.disputed),
+            ] {
+                for _ in 0..count {
+                    entries.push(self.build_invalid_entry(
+                        &mut rng,
+                        &mut id_allocator,
+                        row.os,
+                        validity,
+                    ));
                 }
             }
         }
@@ -316,11 +303,14 @@ mod tests {
     }
 
     #[test]
-    fn without_invalid_entries_keeps_only_valid_ones() {
-        let dataset = CalibratedGenerator::new(3)
-            .without_invalid_entries()
-            .generate();
-        assert_eq!(dataset.valid_entries().count(), dataset.len());
+    fn valid_entries_keeps_only_valid_ones() {
+        let dataset = CalibratedGenerator::new(3).generate();
+        assert!(dataset
+            .valid_entries()
+            .all(|e| e.validity() == Validity::Valid));
+        let invalid = dataset.entries().iter().filter(|e| !e.is_valid()).count();
+        assert!(invalid > 0, "the generator emits Table I's invalid entries");
+        assert_eq!(dataset.valid_entries().count() + invalid, dataset.len());
     }
 
     #[test]
@@ -398,15 +388,16 @@ mod tests {
 
     #[test]
     fn dataset_round_trips_through_the_feed_format() {
-        let dataset = CalibratedGenerator::new(9)
-            .without_invalid_entries()
-            .generate();
+        let dataset = CalibratedGenerator::new(9).generate();
         let xml = dataset.to_feed_xml().unwrap();
-        let parsed = nvd_feed::FeedReader::new()
-            .strict()
-            .read_from_str(&xml)
-            .unwrap();
+        let mut reader = nvd_feed::FeedReader::new();
+        let parsed = reader.read_from_str(&xml).unwrap();
+        assert_eq!(reader.skipped(), 0);
         assert_eq!(parsed.len(), dataset.len());
+        for (original, roundtripped) in dataset.entries().iter().zip(&parsed) {
+            assert_eq!(original.id(), roundtripped.id());
+            assert_eq!(original.affected_os_set(), roundtripped.affected_os_set());
+        }
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //! * [`figure2_year_weights`] — an approximation of the per-OS temporal
 //!   distribution of Figure 2 (the paper only publishes the curves, not the
 //!   values, so the weights encode the visible shape: when the OS started
-//!   receiving reports, where the peaks are);
-//! * [`figure3_sets`] — the replica-set configurations of Figure 3.
+//!   receiving reports, where the peaks are).
 
 use nvd_model::{CveId, OsDistribution, OsPart, OsSet};
 
@@ -1352,49 +1351,6 @@ pub fn figure2_year_weights(os: OsDistribution) -> &'static [(u16, u32)] {
     }
 }
 
-/// A replica-set configuration of Figure 3.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Figure3Set {
-    /// The label used in the figure.
-    pub label: &'static str,
-    /// The replica OSes (four replicas; the homogeneous Debian configuration
-    /// uses the same OS four times, represented here by the singleton set).
-    pub oses: OsSet,
-    /// Whether the configuration is homogeneous (four identical replicas).
-    pub homogeneous: bool,
-}
-
-/// The five configurations of Figure 3.
-pub fn figure3_sets() -> Vec<Figure3Set> {
-    vec![
-        Figure3Set {
-            label: "Debian",
-            oses: OsSet::singleton(Debian),
-            homogeneous: true,
-        },
-        Figure3Set {
-            label: "Set1",
-            oses: OsSet::from_iter([Windows2003, Solaris, Debian, OpenBsd]),
-            homogeneous: false,
-        },
-        Figure3Set {
-            label: "Set2",
-            oses: OsSet::from_iter([Windows2003, Solaris, Debian, NetBsd]),
-            homogeneous: false,
-        },
-        Figure3Set {
-            label: "Set3",
-            oses: OsSet::from_iter([Windows2003, Solaris, RedHat, NetBsd]),
-            homogeneous: false,
-        },
-        Figure3Set {
-            label: "Set4",
-            oses: OsSet::from_iter([OpenBsd, NetBsd, Debian, RedHat]),
-            homogeneous: false,
-        },
-    ]
-}
-
 /// Looks up the Table III row of a pair (in either order).
 pub fn table3_row(a: OsDistribution, b: OsDistribution) -> Option<&'static Table3Row> {
     TABLE3
@@ -1551,16 +1507,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn figure3_sets_match_the_paper() {
-        let sets = figure3_sets();
-        assert_eq!(sets.len(), 5);
-        assert!(sets[0].homogeneous);
-        assert_eq!(sets[1].oses.len(), 4);
-        assert!(sets[1].oses.contains(Windows2003));
-        assert!(sets[4].oses.contains(RedHat));
     }
 
     #[test]

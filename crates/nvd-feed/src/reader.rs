@@ -11,9 +11,9 @@
 //!   </vuln:vulnerable-software-list> <vuln:published-datetime>...
 //!   <vuln:cvss><cvss:base_metrics>... <vuln:summary>...</entry>`
 //!
-//! Entries that cannot be parsed are either skipped (lenient mode, the
-//! default — real feeds contain occasional malformed entries) or reported as
-//! errors (strict mode, used in tests and by the synthetic-feed round-trip).
+//! An entry whose fields do not validate is skipped and counted (real feeds
+//! contain occasional malformed entries), and a product name that is not a
+//! CPE URI is dropped; only malformed XML fails a read.
 
 use std::fs;
 use std::path::Path;
@@ -48,35 +48,18 @@ use crate::FeedError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FeedReader {
-    strict: bool,
     skipped: usize,
 }
 
-impl Default for FeedReader {
-    fn default() -> Self {
-        FeedReader::new()
-    }
-}
-
 impl FeedReader {
-    /// Creates a lenient reader.
+    /// Creates a reader.
     pub fn new() -> Self {
-        FeedReader {
-            strict: false,
-            skipped: 0,
-        }
+        FeedReader::default()
     }
 
-    /// Makes the reader strict: any entry that fails to parse aborts the
-    /// whole read instead of being skipped.
-    pub fn strict(mut self) -> Self {
-        self.strict = true;
-        self
-    }
-
-    /// Number of entries skipped by the last lenient read.
+    /// Number of entries skipped by the last read.
     pub fn skipped(&self) -> usize {
         self.skipped
     }
@@ -99,9 +82,7 @@ impl FeedReader {
     ///
     /// # Errors
     ///
-    /// Returns [`FeedError::Xml`] for malformed XML; in strict mode also
-    /// [`FeedError::Schema`] / [`FeedError::Model`] for entries with invalid
-    /// fields.
+    /// Returns [`FeedError::Xml`] for malformed XML.
     pub fn read_from_str(&mut self, xml: &str) -> Result<Vec<VulnerabilityEntry>, FeedError> {
         self.skipped = 0;
         let mut reader = XmlReader::new(xml);
@@ -115,8 +96,8 @@ impl FeedReader {
             } = event
             {
                 if name == "entry" {
-                    let raw = self.read_entry(&mut reader, &attributes, self_closing)?;
-                    entries.extend(self.convert(&raw)?);
+                    let raw = read_entry(&mut reader, &attributes, self_closing)?;
+                    entries.extend(self.convert(&raw));
                 }
             }
         }
@@ -129,16 +110,14 @@ impl FeedReader {
     /// of the byte stream as it arrives and hands them over one at a time.
     ///
     /// Any prologue before the entry (XML declaration, comments, enclosing
-    /// `<nvd>` open tag) is skipped. In lenient mode an entry with invalid
-    /// fields returns `Ok(None)` and is counted by [`FeedReader::skipped`]
-    /// (which, unlike the whole-document reads, accumulates across
-    /// fragments); strict mode returns the error.
+    /// `<nvd>` open tag) is skipped. An entry with invalid fields returns
+    /// `Ok(None)` and is counted by [`FeedReader::skipped`] (which, unlike
+    /// the whole-document reads, accumulates across fragments).
     ///
     /// # Errors
     ///
-    /// Returns [`FeedError::Xml`] for malformed XML, [`FeedError::Schema`]
-    /// if the fragment contains no `<entry>` element, and in strict mode
-    /// any field-validation error.
+    /// Returns [`FeedError::Xml`] for malformed XML and
+    /// [`FeedError::Schema`] if the fragment contains no `<entry>` element.
     pub fn read_entry_str(
         &mut self,
         fragment: &str,
@@ -153,8 +132,8 @@ impl FeedReader {
             } = event
             {
                 if name == "entry" {
-                    let raw = self.read_entry(&mut reader, &attributes, self_closing)?;
-                    return self.convert(&raw);
+                    let raw = read_entry(&mut reader, &attributes, self_closing)?;
+                    return Ok(self.convert(&raw));
                 }
             }
         }
@@ -164,54 +143,48 @@ impl FeedReader {
         ))
     }
 
-    /// Validates a raw entry: an invalid one is an error in strict mode
-    /// and is skipped (and counted) otherwise.
-    fn convert(&mut self, raw: &RawEntry) -> Result<Option<VulnerabilityEntry>, FeedError> {
-        match raw.to_entry() {
-            Ok(entry) => Ok(Some(entry)),
-            Err(err) if self.strict => Err(err),
-            Err(_) => {
-                self.skipped += 1;
-                Ok(None)
-            }
+    /// Validates a raw entry: an invalid one is skipped and counted.
+    fn convert(&mut self, raw: &RawEntry) -> Option<VulnerabilityEntry> {
+        let entry = raw.to_entry().ok();
+        self.skipped += usize::from(entry.is_none());
+        entry
+    }
+}
+
+/// Parses a single `<entry>` element (either layout) into a [`RawEntry`].
+fn read_entry(
+    reader: &mut XmlReader<'_>,
+    attributes: &[(String, String)],
+    self_closing: bool,
+) -> Result<RawEntry, FeedError> {
+    let mut raw = RawEntry::default();
+    for (key, value) in attributes {
+        match key.as_str() {
+            // 2.0 layout uses id=, 1.2 layout uses name=.
+            "id" | "name" => raw.name = value.clone(),
+            "published" => raw.published = Some(value.clone()),
+            "CVSS_vector" => raw.cvss_vector = Some(value.clone()),
+            _ => {}
         }
     }
-
-    /// Parses a single `<entry>` element (either layout) into a [`RawEntry`].
-    fn read_entry(
-        &self,
-        reader: &mut XmlReader<'_>,
-        attributes: &[(String, String)],
-        self_closing: bool,
-    ) -> Result<RawEntry, FeedError> {
-        let mut raw = RawEntry::default();
-        for (key, value) in attributes {
-            match key.as_str() {
-                // 2.0 layout uses id=, 1.2 layout uses name=.
-                "id" | "name" => raw.name = value.clone(),
-                "published" => raw.published = Some(value.clone()),
-                "CVSS_vector" => raw.cvss_vector = Some(value.clone()),
-                _ => {}
-            }
-        }
-        if self_closing {
-            return Ok(raw);
-        }
-        // CVSS 2.0 metrics are assembled from individual elements.
-        let mut access_vector: Option<String> = None;
-        let mut access_complexity: Option<String> = None;
-        let mut authentication: Option<String> = None;
-        let mut conf = None;
-        let mut integ = None;
-        let mut avail = None;
-        loop {
-            match reader.next_event()? {
-                Some(XmlEvent::StartElement {
-                    name,
-                    self_closing,
-                    attributes,
-                    ..
-                }) => match name.as_str() {
+    if self_closing {
+        return Ok(raw);
+    }
+    // CVSS 2.0 metrics are assembled from individual elements.
+    let mut access_vector: Option<String> = None;
+    let mut access_complexity: Option<String> = None;
+    let mut authentication: Option<String> = None;
+    let mut conf = None;
+    let mut integ = None;
+    let mut avail = None;
+    loop {
+        match reader.next_event()? {
+            Some(XmlEvent::StartElement {
+                name,
+                self_closing,
+                attributes,
+                ..
+            }) => match name.as_str() {
                     "summary" | "descript"
                         if !self_closing => {
                             let text = reader.read_element_text(&name)?;
@@ -234,10 +207,8 @@ impl FeedReader {
                         // 2.0 layout: <vuln:product>cpe:/o:...</vuln:product>
                         if !self_closing => {
                             let uri = reader.read_element_text(&name)?;
-                            match RawProduct::from_cpe_uri(uri.trim()) {
-                                Ok(product) => raw.products.push(product),
-                                Err(err) if self.strict => return Err(err),
-                                Err(_) => {}
+                            if let Ok(product) = RawProduct::from_cpe_uri(uri.trim()) {
+                                raw.products.push(product);
                             }
                         }
                     "prod" => {
@@ -319,38 +290,37 @@ impl FeedReader {
                         // children are still visited.
                     }
                 },
-                Some(XmlEvent::EndElement { name }) if name == "entry" => break,
-                Some(_) => {}
-                None => {
-                    return Err(FeedError::schema(
-                        Some(&raw.name),
-                        "unterminated <entry> element",
-                    ))
-                }
+            Some(XmlEvent::EndElement { name }) if name == "entry" => break,
+            Some(_) => {}
+            None => {
+                return Err(FeedError::schema(
+                    Some(&raw.name),
+                    "unterminated <entry> element",
+                ))
             }
         }
-        if raw.cvss_vector.is_none() {
-            if let (Some(av), Some(ac), Some(au), Some(c), Some(i), Some(a)) = (
-                &access_vector,
-                &access_complexity,
-                &authentication,
-                &conf,
-                &integ,
-                &avail,
-            ) {
-                raw.cvss_vector = Some(format!(
-                    "AV:{}/AC:{}/Au:{}/C:{}/I:{}/A:{}",
-                    metric_code(av),
-                    metric_code(ac),
-                    metric_code(au),
-                    metric_code(c),
-                    metric_code(i),
-                    metric_code(a)
-                ));
-            }
-        }
-        Ok(raw)
     }
+    if raw.cvss_vector.is_none() {
+        if let (Some(av), Some(ac), Some(au), Some(c), Some(i), Some(a)) = (
+            &access_vector,
+            &access_complexity,
+            &authentication,
+            &conf,
+            &integ,
+            &avail,
+        ) {
+            raw.cvss_vector = Some(format!(
+                "AV:{}/AC:{}/Au:{}/C:{}/I:{}/A:{}",
+                metric_code(av),
+                metric_code(ac),
+                metric_code(au),
+                metric_code(c),
+                metric_code(i),
+                metric_code(a)
+            ));
+        }
+    }
+    Ok(raw)
 }
 
 /// Converts a spelled-out CVSS metric value (`NETWORK`, `SINGLE_INSTANCE`,
@@ -482,8 +452,7 @@ mod tests {
         assert!(entry.affects(OsDistribution::Debian));
 
         // Prologue before the entry is skipped; self-closing entries parse.
-        let mut strict = FeedReader::new().strict();
-        let fine = strict
+        let fine = FeedReader::new()
             .read_entry_str(
                 "<?xml version=\"1.0\"?><nvd>\
                  <entry id=\"CVE-2005-0001\"><vuln:summary>fine</vuln:summary></entry>",
@@ -520,10 +489,17 @@ mod tests {
     }
 
     #[test]
-    fn strict_reader_rejects_bad_entries() {
-        let xml = r#"<nvd><entry id="NOT-A-CVE"/></nvd>"#;
-        let mut reader = FeedReader::new().strict();
-        assert!(reader.read_from_str(xml).is_err());
+    fn a_product_that_is_not_a_cpe_uri_is_dropped_without_a_skip() {
+        let xml = r#"<nvd><entry id="CVE-2005-0001">
+            <vuln:product>cpe:/o:debian:debian_linux:4.0</vuln:product>
+            <vuln:product>not a cpe</vuln:product>
+            <vuln:summary>fine</vuln:summary>
+        </entry></nvd>"#;
+        let mut reader = FeedReader::new();
+        let entries = reader.read_from_str(xml).unwrap();
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].affected().len(), 1);
+        assert_eq!(reader.skipped(), 0);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! The paper's third data filter (*Isolated Thin Server*) keeps only
 //! vulnerabilities whose `CVSS_ACCESS_VECTOR` is `Network` or
 //! `Adjacent Network`, i.e. remotely exploitable ones (Section IV-B). The
-//! full base vector and score are modelled so the store can also expose
-//! severity information.
+//! full base vector and score are modelled.
 
 use std::fmt;
 use std::str::FromStr;
@@ -174,39 +173,16 @@ impl ImpactMetric {
     }
 }
 
-/// Qualitative severity rating derived from the CVSS v2 base score using the
-/// NVD thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Severity {
-    /// Base score in `[0.0, 4.0)`.
-    Low,
-    /// Base score in `[4.0, 7.0)`.
-    Medium,
-    /// Base score in `[7.0, 10.0]`.
-    High,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Severity::Low => f.write_str("LOW"),
-            Severity::Medium => f.write_str("MEDIUM"),
-            Severity::High => f.write_str("HIGH"),
-        }
-    }
-}
-
 /// A CVSS version 2 base vector, e.g. `AV:N/AC:L/Au:N/C:P/I:P/A:P`.
 ///
 /// # Example
 ///
 /// ```
-/// use nvd_model::{CvssV2, Severity};
+/// use nvd_model::CvssV2;
 ///
 /// # fn main() -> Result<(), nvd_model::ModelError> {
 /// let cvss: CvssV2 = "AV:N/AC:L/Au:N/C:P/I:P/A:P".parse()?;
 /// assert_eq!(cvss.base_score(), 7.5);
-/// assert_eq!(cvss.severity(), Severity::High);
 /// assert!(cvss.access_vector().is_remote());
 /// # Ok(())
 /// # }
@@ -320,18 +296,6 @@ impl CvssV2 {
         let f_impact = if impact == 0.0 { 0.0 } else { 1.176 };
         let raw = ((0.6 * impact) + (0.4 * exploitability) - 1.5) * f_impact;
         (raw * 10.0).round() / 10.0
-    }
-
-    /// The qualitative severity of the base score.
-    pub fn severity(&self) -> Severity {
-        let score = self.base_score();
-        if score < 4.0 {
-            Severity::Low
-        } else if score < 7.0 {
-            Severity::Medium
-        } else {
-            Severity::High
-        }
     }
 }
 
@@ -458,16 +422,6 @@ mod tests {
                 v.base_score()
             );
         }
-    }
-
-    #[test]
-    fn severity_thresholds() {
-        let low: CvssV2 = "AV:L/AC:H/Au:S/C:N/I:N/A:P".parse().unwrap();
-        assert_eq!(low.severity(), Severity::Low);
-        let medium: CvssV2 = "AV:L/AC:L/Au:N/C:P/I:P/A:P".parse().unwrap();
-        assert_eq!(medium.severity(), Severity::Medium);
-        let high: CvssV2 = "AV:N/AC:L/Au:N/C:C/I:C/A:C".parse().unwrap();
-        assert_eq!(high.severity(), Severity::High);
     }
 
     #[test]

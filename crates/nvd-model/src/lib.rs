@@ -54,7 +54,7 @@ mod os;
 
 pub use cpe::{Cpe, CpePart};
 pub use cve::CveId;
-pub use cvss::{AccessComplexity, AccessVector, Authentication, CvssV2, ImpactMetric, Severity};
+pub use cvss::{AccessComplexity, AccessVector, Authentication, CvssV2, ImpactMetric};
 pub use date::Date;
 pub use entry::{AffectedProduct, OsPart, Validity, VulnerabilityEntry, VulnerabilityEntryBuilder};
 pub use error::ModelError;

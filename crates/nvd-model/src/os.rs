@@ -523,12 +523,6 @@ impl OsSet {
         OsSet(self.0 & !other.0)
     }
 
-    /// Complement with respect to the full 11-OS universe.
-    #[must_use]
-    pub fn complement(self) -> OsSet {
-        OsSet(!self.0 & Self::FULL_MASK)
-    }
-
     /// Whether every member of `self` is also in `other`.
     pub fn is_subset_of(&self, other: &OsSet) -> bool {
         self.0 & other.0 == self.0
@@ -848,10 +842,9 @@ mod tests {
         assert!(bsd.intersection(linux).is_empty());
         assert_eq!(bsd.union(linux).len(), 6);
         assert_eq!(OsSet::all().len(), 11);
-        assert_eq!(bsd.complement().len(), 8);
+        assert_eq!(OsSet::all().difference(bsd).len(), 8);
         assert!(bsd.is_subset_of(&OsSet::all()));
         assert!(!OsSet::all().is_subset_of(&bsd));
-        assert_eq!(OsSet::all().difference(bsd), bsd.complement());
     }
 
     #[test]
@@ -927,13 +920,6 @@ mod tests {
                 a.union(b).len() + a.intersection(b).len(),
                 a.len() + b.len()
             );
-        }
-
-        #[test]
-        fn complement_laws(a in osset_strategy()) {
-            prop_assert!(a.intersection(a.complement()).is_empty());
-            prop_assert_eq!(a.union(a.complement()), OsSet::all());
-            prop_assert_eq!(a.complement().complement(), a);
         }
 
         #[test]

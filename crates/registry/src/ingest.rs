@@ -7,8 +7,8 @@
 //! normalizes product names exactly like the batch reader), inserts the
 //! parsed entry into a [`VulnStore`] (merging duplicate CVEs), and drops
 //! the consumed bytes. The transient buffer is bounded by the size of one
-//! entry ([`IngestBudget::max_entry_bytes`]); the whole ingestion is
-//! bounded by [`IngestBudget::max_bytes`] and [`IngestBudget::max_entries`].
+//! entry (1 MiB); the whole ingestion is bounded by
+//! [`IngestBudget::max_bytes`] and by 100,000 entries.
 //!
 //! [`finish`](FeedIngester::finish) classifies still-unlabelled rows with
 //! the default rule engine (the automated stand-in for the paper's manual
@@ -38,23 +38,25 @@ use osdiv_core::obs::{self, SpanKind};
 use osdiv_core::{Study, StudyDataset};
 use vulnstore::VulnStore;
 
-/// Bounds on one streaming ingestion.
+/// Entry elements one ingestion processes (parsed *or* skipped) before
+/// aborting.
+const MAX_ENTRIES: usize = 100_000;
+
+/// Size of a single `<entry>` element — the transient buffer bound.
+const MAX_ENTRY_BYTES: usize = 1024 * 1024;
+
+/// The bound on one streaming ingestion that a caller sets. Every
+/// ingestion also stops at 100,000 entries and at an entry over 1 MiB.
 #[derive(Debug, Clone)]
 pub struct IngestBudget {
     /// Total feed bytes accepted before the ingestion is aborted.
     pub max_bytes: usize,
-    /// Entry elements processed (parsed *or* skipped) before aborting.
-    pub max_entries: usize,
-    /// Size of a single `<entry>` element — the transient buffer bound.
-    pub max_entry_bytes: usize,
 }
 
 impl Default for IngestBudget {
     fn default() -> Self {
         IngestBudget {
             max_bytes: 64 * 1024 * 1024,
-            max_entries: 100_000,
-            max_entry_bytes: 1024 * 1024,
         }
     }
 }
@@ -63,21 +65,21 @@ impl Default for IngestBudget {
 /// maps each cause to the status the serving layer answers.
 #[derive(Debug)]
 pub enum IngestError {
-    /// Malformed XML or (strict-mode) invalid entry fields.
+    /// Malformed XML, or an entry that is not UTF-8.
     Feed(FeedError),
     /// The feed exceeded [`IngestBudget::max_bytes`].
     BodyTooLarge {
         /// The configured byte budget.
         limit: usize,
     },
-    /// The feed exceeded [`IngestBudget::max_entries`].
+    /// The feed held more than 100,000 entries.
     TooManyEntries {
-        /// The configured entry budget.
+        /// The entry budget.
         limit: usize,
     },
-    /// A single entry exceeded [`IngestBudget::max_entry_bytes`].
+    /// A single entry was larger than 1 MiB.
     EntryTooLarge {
-        /// The configured per-entry bound.
+        /// The per-entry bound in bytes.
         limit: usize,
     },
     /// The feed ended in the middle of an entry element.
@@ -364,19 +366,15 @@ impl FeedIngester {
                 ScanState::InEntry(mut entry_scan) => {
                     let end = find_entry_end(&self.buffer, &mut entry_scan, &mut self.scan_work);
                     self.state = ScanState::InEntry(entry_scan);
-                    let Some(end) = end else {
-                        if self.buffer.len() > self.budget.max_entry_bytes {
-                            return Err(IngestError::EntryTooLarge {
-                                limit: self.budget.max_entry_bytes,
-                            });
-                        }
-                        return Ok(());
-                    };
-                    if end > self.budget.max_entry_bytes {
+                    // An unfinished entry is as long as the buffer so far.
+                    if end.unwrap_or(self.buffer.len()) > MAX_ENTRY_BYTES {
                         return Err(IngestError::EntryTooLarge {
-                            limit: self.budget.max_entry_bytes,
+                            limit: MAX_ENTRY_BYTES,
                         });
                     }
+                    let Some(end) = end else {
+                        return Ok(());
+                    };
                     self.process_fragment(end)?;
                     self.buffer.drain(..end);
                     self.state = ScanState::Scanning;
@@ -389,10 +387,8 @@ impl FeedIngester {
     /// into the store (or counts it skipped, when the lenient reader drops
     /// it).
     fn process_fragment(&mut self, end: usize) -> Result<(), IngestError> {
-        if self.seen >= self.budget.max_entries {
-            return Err(IngestError::TooManyEntries {
-                limit: self.budget.max_entries,
-            });
+        if self.seen >= MAX_ENTRIES {
+            return Err(IngestError::TooManyEntries { limit: MAX_ENTRIES });
         }
         let Ok(fragment) = std::str::from_utf8(self.buffer.get(..end).unwrap_or_default()) else {
             return Err(IngestError::Feed(FeedError::schema(
@@ -617,34 +613,52 @@ mod tests {
         assert_eq!(ingester.finish().unwrap().entries, 200);
     }
 
+    /// The smallest entry element: CVE-2007-`number`, no fields.
+    fn entry(number: usize) -> String {
+        format!("<entry id=\"CVE-2007-{number}\"/>")
+    }
+
     #[test]
     fn byte_and_entry_budgets_abort_ingestion() {
         let xml = feed(10);
-        let mut ingester = FeedIngester::new(IngestBudget {
-            max_bytes: 100,
-            ..IngestBudget::default()
-        });
+        let mut ingester = FeedIngester::new(IngestBudget { max_bytes: 100 });
         assert!(matches!(
             ingester.push(xml.as_bytes()).unwrap_err(),
             IngestError::BodyTooLarge { limit: 100 }
         ));
 
-        let mut ingester = FeedIngester::new(IngestBudget {
-            max_entries: 4,
-            ..IngestBudget::default()
-        });
-        let error = ingester.push(xml.as_bytes()).unwrap_err();
-        assert!(matches!(error, IngestError::TooManyEntries { limit: 4 }));
+        // 100,000 entries ingest; the 100,001st aborts the ingestion.
+        let mut ingester = FeedIngester::new(IngestBudget::default());
+        for number in 1..=100_000 {
+            ingester.push(entry(number).as_bytes()).unwrap();
+        }
+        let error = ingester.push(entry(100_001).as_bytes()).unwrap_err();
+        assert!(matches!(
+            error,
+            IngestError::TooManyEntries { limit: 100_000 }
+        ));
         assert_eq!(error.http_status(), 413);
 
-        let mut ingester = FeedIngester::new(IngestBudget {
-            max_entry_bytes: 64,
-            ..IngestBudget::default()
-        });
-        assert!(matches!(
-            ingester.push(xml.as_bytes()).unwrap_err(),
-            IngestError::EntryTooLarge { limit: 64 }
-        ));
+        // An entry of exactly 1 MiB ingests. One byte more aborts, also
+        // before its close tag has arrived.
+        let sized = |len: usize| {
+            let (open, close) = ("<entry id=\"CVE-2007-1\">", "</entry>");
+            let filler = " ".repeat(len - open.len() - close.len());
+            format!("{open}{filler}{close}")
+        };
+        let mut ingester = FeedIngester::new(IngestBudget::default());
+        ingester.push(sized(1024 * 1024).as_bytes()).unwrap();
+        assert_eq!(ingester.finish().unwrap().parsed, 1);
+        let longer = sized(1024 * 1024 + 100);
+        for piece in [&sized(1024 * 1024 + 1)[..], &longer[..1024 * 1024 + 1]] {
+            let mut ingester = FeedIngester::new(IngestBudget::default());
+            let error = ingester.push(piece.as_bytes()).unwrap_err();
+            assert!(
+                matches!(error, IngestError::EntryTooLarge { limit: 1_048_576 }),
+                "{error}"
+            );
+            assert_eq!(error.http_status(), 413);
+        }
     }
 
     #[test]
@@ -719,17 +733,11 @@ mod tests {
         // budget: the ingestion reports the parse error (400), never the
         // budget violation (413).
         let mut xml = String::from("<nvd><entry id=unquoted>broken</entry>");
-        for i in 0..10 {
-            xml.push_str(&format!(
-                "<entry id=\"CVE-2007-{}\"><vuln:summary>fine</vuln:summary></entry>",
-                i + 1
-            ));
+        for number in 1..=100_001 {
+            xml.push_str(&entry(number));
         }
         xml.push_str("</nvd>");
-        let mut ingester = FeedIngester::new(IngestBudget {
-            max_entries: 4,
-            ..IngestBudget::default()
-        });
+        let mut ingester = FeedIngester::new(IngestBudget::default());
         let error = ingester.push(xml.as_bytes()).unwrap_err();
         assert!(
             matches!(error, IngestError::Feed(_)),

@@ -57,8 +57,6 @@ pub struct RouterOptions {
     /// The seed the default dataset was generated from (keys the ETags and
     /// is reported by `/v1/healthz`).
     pub seed: u64,
-    /// Capacity of the rendered-response LRU cache.
-    pub cache_capacity: usize,
     /// Whether `POST /v1/shutdown` is honoured (403 otherwise).
     pub enable_shutdown: bool,
     /// Whether `DELETE /v1/datasets/{name}` is honoured (403 otherwise —
@@ -93,7 +91,6 @@ impl Default for RouterOptions {
     fn default() -> Self {
         RouterOptions {
             seed: 2011,
-            cache_capacity: 128,
             enable_shutdown: false,
             enable_dataset_delete: false,
             ingest_budget: IngestBudget::default(),
@@ -154,7 +151,6 @@ struct CachedBody {
 /// crafted request series pin unbounded memory.
 #[derive(Debug)]
 struct LruCache {
-    capacity: usize,
     byte_budget: usize,
     bytes: usize,
     map: HashMap<String, Arc<CachedBody>>,
@@ -162,12 +158,13 @@ struct LruCache {
 }
 
 impl LruCache {
+    /// Rendered bodies the cache may hold.
+    const CAPACITY: usize = 128;
     /// Total body bytes the cache may hold.
     const BYTE_BUDGET: usize = 32 * 1024 * 1024;
 
-    fn new(capacity: usize) -> Self {
+    fn new() -> Self {
         LruCache {
-            capacity,
             byte_budget: Self::BYTE_BUDGET,
             bytes: 0,
             map: HashMap::new(),
@@ -186,7 +183,7 @@ impl LruCache {
 
     fn insert(&mut self, key: String, value: Arc<CachedBody>) {
         // A body that would monopolize the budget is served uncached.
-        if self.capacity == 0 || value.body.len() > self.byte_budget / 4 {
+        if value.body.len() > self.byte_budget / 4 {
             return;
         }
         if let Some(replaced) = self.map.insert(key.clone(), Arc::clone(&value)) {
@@ -195,7 +192,7 @@ impl LruCache {
             self.bytes += value.body.len();
             self.order.push_back(key);
         }
-        while self.order.len() > self.capacity || self.bytes > self.byte_budget {
+        while self.order.len() > Self::CAPACITY || self.bytes > self.byte_budget {
             let Some(evicted) = self.order.pop_front() else {
                 break;
             };
@@ -224,7 +221,7 @@ impl Router {
     /// Wraps a dataset registry (whose [`DEFAULT_DATASET`] should be
     /// registered and pre-warmed).
     pub fn new(registry: Arc<StudyRegistry>, options: RouterOptions) -> Self {
-        let cache = Mutex::new(LruCache::new(options.cache_capacity));
+        let cache = Mutex::new(LruCache::new());
         Router {
             registry,
             options,
@@ -996,7 +993,6 @@ mod tests {
             study,
             RouterOptions {
                 seed: 1,
-                cache_capacity: 4,
                 enable_shutdown: true,
                 enable_dataset_delete: true,
                 ..RouterOptions::default()
@@ -1029,15 +1025,16 @@ mod tests {
                 body: data,
             })
         };
-        let mut lru = LruCache::new(2);
-        lru.insert("a".to_string(), entry(vec![1]));
-        lru.insert("b".to_string(), entry(vec![2]));
-        assert!(lru.get("a").is_some()); // refresh a
-        lru.insert("c".to_string(), entry(vec![3]));
-        assert!(lru.get("a").is_some());
-        assert!(lru.get("b").is_none(), "b was least recently used");
-        assert!(lru.get("c").is_some());
-        assert_eq!(lru.len(), 2);
+        let mut lru = LruCache::new();
+        for i in 0..128 {
+            lru.insert(format!("k{i}"), entry(vec![1]));
+        }
+        assert!(lru.get("k0").is_some()); // refresh k0
+        lru.insert("new".to_string(), entry(vec![2]));
+        assert!(lru.get("k0").is_some());
+        assert!(lru.get("k1").is_none(), "k1 was least recently used");
+        assert!(lru.get("new").is_some());
+        assert_eq!(lru.len(), 128);
     }
 
     #[test]
@@ -1048,7 +1045,7 @@ mod tests {
                 body: data,
             })
         };
-        let mut lru = LruCache::new(1000);
+        let mut lru = LruCache::new();
         lru.byte_budget = 100;
         // Oversized bodies (over a quarter of the budget) are never cached.
         lru.insert("huge".to_string(), entry(vec![0; 26]));

@@ -27,10 +27,6 @@ use crate::router::{micros_since, Router};
 pub struct ServerOptions {
     /// Worker threads (each serves one connection at a time).
     pub threads: usize,
-    /// Idle-read timeout of a keep-alive connection.
-    pub read_timeout: Duration,
-    /// Requests served on one connection before it is closed.
-    pub max_keep_alive_requests: usize,
     /// Wall-clock budget for receiving one request head: a client that
     /// trickles bytes (slow loris) is answered 408 and closed once the
     /// budget is spent, no matter how regularly it keeps the socket warm.
@@ -50,8 +46,6 @@ impl ServerOptions {
     pub fn for_threads(threads: usize) -> Self {
         ServerOptions {
             threads,
-            read_timeout: Duration::from_secs(5),
-            max_keep_alive_requests: 1000,
             io_timeout: Duration::from_secs(10),
             shed_queue_depth: threads.saturating_mul(16),
         }
@@ -63,6 +57,12 @@ impl Default for ServerOptions {
         ServerOptions::for_threads(default_threads())
     }
 }
+
+/// Idle-read timeout of a keep-alive connection.
+const READ_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Requests served on one connection before it is closed.
+const MAX_KEEP_ALIVE_REQUESTS: usize = 1000;
 
 /// The default worker count: the machine's parallelism, clamped to 2–8.
 pub fn default_threads() -> usize {
@@ -270,7 +270,7 @@ fn handle_connection(
     shutdown: &AtomicBool,
     addr: SocketAddr,
 ) {
-    let _ = stream.set_read_timeout(Some(options.read_timeout));
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let _ = stream.set_write_timeout(Some(options.io_timeout));
     let _ = stream.set_nodelay(true);
     let metrics = Arc::clone(router.metrics());
@@ -314,13 +314,13 @@ fn handle_connection(
             // per read keeps every *individual* read under the idle
             // timeout, so each read's deadline shrinks to whatever
             // budget remains — total pin time is bounded by
-            // `io_timeout`, not by bytes × read_timeout.
+            // `io_timeout`, not by bytes × `READ_TIMEOUT`.
             let remaining =
                 request_started.map(|started| options.io_timeout.saturating_sub(started.elapsed()));
             let read = match remaining {
                 Some(remaining) if remaining.is_zero() => Err(ErrorKind::TimedOut.into()),
                 Some(remaining) => {
-                    let _ = stream.set_read_timeout(Some(options.read_timeout.min(remaining)));
+                    let _ = stream.set_read_timeout(Some(READ_TIMEOUT.min(remaining)));
                     stream.read(&mut chunk)
                 }
                 None => stream.read(&mut chunk),
@@ -355,8 +355,8 @@ fn handle_connection(
         };
         // Restore the idle timeout the budget tracking above may have
         // shrunk — body reads and the next keep-alive request start
-        // from the configured value.
-        let _ = stream.set_read_timeout(Some(options.read_timeout));
+        // from `READ_TIMEOUT`.
+        let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
         let request_started = request_started.unwrap_or_else(Instant::now);
         let mut trace = router.begin_trace();
         trace.route = RouteClass::classify(&request.method, &request.path);
@@ -426,7 +426,7 @@ fn handle_connection(
             }
         };
         let mut keep_alive = request.keep_alive()
-            && served < options.max_keep_alive_requests
+            && served < MAX_KEEP_ALIVE_REQUESTS
             && !shutdown.load(Ordering::SeqCst)
             && !rejected_before_routing;
         // Whether unread body bytes remain when the response is written —

@@ -34,7 +34,6 @@ fn start_server(enable_shutdown: bool) -> (Arc<Router>, ServerHandle) {
         study(),
         RouterOptions {
             seed: SEED,
-            cache_capacity: 8,
             enable_shutdown,
             enable_dataset_delete: true,
             ..RouterOptions::default()
@@ -43,12 +42,7 @@ fn start_server(enable_shutdown: bool) -> (Arc<Router>, ServerHandle) {
     let server = Server::bind(
         "127.0.0.1:0",
         Arc::clone(&router),
-        ServerOptions {
-            threads: 2,
-            read_timeout: Duration::from_secs(1),
-            max_keep_alive_requests: 100,
-            ..ServerOptions::default()
-        },
+        ServerOptions::for_threads(2),
     )
     .expect("an ephemeral loop-back port is bindable");
     let handle = server.spawn();
@@ -291,23 +285,12 @@ fn ingest_token_gates_mutating_dataset_routes() {
         study(),
         RouterOptions {
             seed: SEED,
-            cache_capacity: 8,
             enable_dataset_delete: true,
             ingest_token: Some("s3cret".to_string()),
             ..RouterOptions::default()
         },
     ));
-    let server = Server::bind(
-        "127.0.0.1:0",
-        router,
-        ServerOptions {
-            threads: 2,
-            read_timeout: Duration::from_secs(1),
-            max_keep_alive_requests: 100,
-            ..ServerOptions::default()
-        },
-    )
-    .unwrap();
+    let server = Server::bind("127.0.0.1:0", router, ServerOptions::for_threads(2)).unwrap();
     let handle = server.spawn();
     let addr = handle.addr();
 
@@ -709,24 +692,13 @@ fn server_access_log_records_every_request() {
         study(),
         RouterOptions {
             seed: SEED,
-            cache_capacity: 8,
             access_log: Some(Arc::clone(&log)),
             // A zero threshold promotes every request to `slow_request`.
             slow_request_us: 0,
             ..RouterOptions::default()
         },
     ));
-    let server = Server::bind(
-        "127.0.0.1:0",
-        router,
-        ServerOptions {
-            threads: 2,
-            read_timeout: Duration::from_secs(1),
-            max_keep_alive_requests: 100,
-            ..ServerOptions::default()
-        },
-    )
-    .unwrap();
+    let server = Server::bind("127.0.0.1:0", router, ServerOptions::for_threads(2)).unwrap();
     let handle = server.spawn();
     let addr = handle.addr();
 
@@ -758,23 +730,13 @@ fn start_debug_server(ingest_token: Option<&str>) -> ServerHandle {
         study(),
         RouterOptions {
             seed: SEED,
-            cache_capacity: 8,
             enable_debug: true,
             ingest_token: ingest_token.map(str::to_string),
             ..RouterOptions::default()
         },
     ));
-    let server = Server::bind(
-        "127.0.0.1:0",
-        router,
-        ServerOptions {
-            threads: 2,
-            read_timeout: Duration::from_secs(1),
-            max_keep_alive_requests: 100,
-            ..ServerOptions::default()
-        },
-    )
-    .expect("an ephemeral loop-back port is bindable");
+    let server = Server::bind("127.0.0.1:0", router, ServerOptions::for_threads(2))
+        .expect("an ephemeral loop-back port is bindable");
     server.spawn()
 }
 
@@ -911,41 +873,51 @@ fn open_loop_loadgen_completes_against_a_live_server() {
 }
 
 #[test]
+fn exactly_the_thousandth_response_on_a_connection_closes_it() {
+    let (_, handle) = start_server(false);
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut reader = BufReader::new(stream);
+    for served in 1..=1000 {
+        write_request(reader.get_mut(), "GET", "/v1/healthz", &[]).unwrap();
+        let response = read_response(&mut reader).unwrap();
+        assert_eq!(response.status, 200);
+        let closes = response.header("connection") == Some("close");
+        assert_eq!(closes, served == 1000, "response {served}");
+    }
+    // The server closed its end after the 1,000th response.
+    assert_eq!(reader.read(&mut [0u8; 1]).unwrap(), 0);
+    handle.shutdown().unwrap();
+}
+
+#[test]
 fn open_loop_reconnects_at_once_after_the_keep_alive_cap() {
-    // The server answers every 4th request on a connection with
+    // The server answers the 1,000th request on a connection with
     // `Connection: close`. That close is planned, so the client must
-    // reconnect for the next request at once instead of treating it as
+    // reconnect for the 1,001st request at once instead of treating it as
     // a transport error and sleeping through a retry backoff (≥ 20 ms).
-    let router = Arc::new(Router::with_study(
-        study(),
-        RouterOptions {
-            seed: SEED,
-            ..RouterOptions::default()
-        },
-    ));
-    let server = Server::bind(
-        "127.0.0.1:0",
-        router,
-        ServerOptions {
-            threads: 2,
-            max_keep_alive_requests: 4,
-            ..ServerOptions::default()
-        },
-    )
-    .expect("an ephemeral loop-back port is bindable");
-    let handle = server.spawn();
-    let report = loadgen::run_open_loop(
-        handle.addr(),
-        &OpenLoopConfig {
-            rate_per_sec: 400.0,
-            duration: Duration::from_millis(250),
-            connections: 1,
-            path: "/v1/healthz".to_string(),
-            ..OpenLoopConfig::default()
-        },
-    );
+    // The schedule ends at the 1,001st arrival, so the run ends right
+    // after it only if the client did not sleep.
+    let (_, handle) = start_server(false);
+    let mut config = OpenLoopConfig {
+        rate_per_sec: 2_000.0,
+        duration: Duration::from_secs(1),
+        connections: 1,
+        path: "/v1/healthz".to_string(),
+        ..OpenLoopConfig::default()
+    };
+    config.duration = loadgen::poisson_schedule(&config)[1000] + Duration::from_micros(1);
+    assert_eq!(loadgen::poisson_schedule(&config).len(), 1001);
+    let report = loadgen::run_open_loop(handle.addr(), &config);
     assert_eq!(report.errors, 0, "{}", report.summary());
-    assert!(report.quantile_us(0.50) < 20_000, "{}", report.summary());
+    let tail = report.elapsed.saturating_sub(config.duration);
+    assert!(
+        tail < Duration::from_millis(10),
+        "the run ended {tail:?} after its last arrival: {}",
+        report.summary()
+    );
     handle.shutdown().unwrap();
 }
 

@@ -5,23 +5,45 @@
 use classify::{ClassificationReport, Classifier};
 use datagen::CalibratedGenerator;
 use nvd_feed::{FeedReader, FeedWriter};
-use nvd_model::{OsDistribution, OsSet};
+use nvd_model::{OsDistribution, OsSet, VulnerabilityEntry};
 use osdiv_core::{PairwiseAnalysis, ServerProfile, Study, StudyDataset};
+
+/// The valid entries of the calibrated dataset generated from `seed`.
+fn valid_entries(seed: u64) -> Vec<VulnerabilityEntry> {
+    let dataset = CalibratedGenerator::new(seed).generate();
+    dataset.valid_entries().cloned().collect()
+}
+
+/// `entries` written as an NVD feed and read back. Reading skips an entry
+/// that does not validate and drops a product that is not a CPE URI, so
+/// the round trip must skip nothing and keep every affected OS set.
+fn feed_roundtrip(entries: &[VulnerabilityEntry]) -> Vec<VulnerabilityEntry> {
+    let xml = FeedWriter::new().write_to_string(entries).unwrap();
+    let mut reader = FeedReader::new();
+    let parsed = reader.read_from_str(&xml).unwrap();
+    assert_eq!(reader.skipped(), 0);
+    assert_eq!(parsed.len(), entries.len());
+    for (original, roundtripped) in entries.iter().zip(&parsed) {
+        assert_eq!(original.id(), roundtripped.id());
+        assert_eq!(
+            original.affected_os_set(),
+            roundtripped.affected_os_set(),
+            "{}",
+            original.id()
+        );
+    }
+    parsed
+}
 
 #[test]
 fn feed_roundtrip_preserves_the_analysis_results() {
-    let dataset = CalibratedGenerator::new(77)
-        .without_invalid_entries()
-        .generate();
+    let entries = valid_entries(77);
 
     // Direct ingestion.
-    let direct = Study::from_entries(dataset.entries());
+    let direct = Study::from_entries(&entries);
 
     // Ingestion through the XML feed format.
-    let xml = FeedWriter::new()
-        .write_to_string(dataset.entries())
-        .unwrap();
-    let parsed = FeedReader::new().strict().read_from_str(&xml).unwrap();
+    let parsed = feed_roundtrip(&entries);
     let roundtripped = Study::from_entries(&parsed);
 
     assert_eq!(
@@ -48,25 +70,19 @@ fn feed_roundtrip_preserves_the_analysis_results() {
 
 #[test]
 fn duplicated_feed_entries_are_merged_not_double_counted() {
-    let dataset = CalibratedGenerator::new(78)
-        .without_invalid_entries()
-        .generate();
+    let entries = valid_entries(78);
     // Simulate the same entries appearing in two yearly feeds; ingestion
     // merges them by CVE identifier.
-    let mut duplicated = dataset.entries().to_vec();
-    duplicated.extend(dataset.entries().iter().cloned());
+    let mut duplicated = entries.clone();
+    duplicated.extend(entries.iter().cloned());
     let study = StudyDataset::from_entries(&duplicated);
-    assert_eq!(study.store().vulnerability_count(), dataset.entries().len());
+    assert_eq!(study.store().vulnerability_count(), entries.len());
 }
 
 #[test]
 fn classifier_recovers_most_ground_truth_classes() {
-    let dataset = CalibratedGenerator::new(79)
-        .without_invalid_entries()
-        .generate();
     let classifier = Classifier::with_default_rules();
-    let pairs: Vec<_> = dataset
-        .entries()
+    let pairs: Vec<_> = valid_entries(79)
         .iter()
         .filter_map(|entry| {
             // The named multi-OS vulnerabilities have hand-written summaries;
@@ -91,15 +107,9 @@ fn classifier_recovers_most_ground_truth_classes() {
 
 #[test]
 fn classification_via_store_matches_direct_classification() {
-    let dataset = CalibratedGenerator::new(80)
-        .without_invalid_entries()
-        .generate();
     // Re-ingest through the feed (which drops the ground-truth class), then
     // classify inside the store.
-    let xml = FeedWriter::new()
-        .write_to_string(dataset.entries())
-        .unwrap();
-    let parsed = FeedReader::new().strict().read_from_str(&xml).unwrap();
+    let parsed = feed_roundtrip(&valid_entries(80));
     let mut study = StudyDataset::from_entries(&parsed);
     let classified = study.classify_unlabelled(&Classifier::with_default_rules());
     assert_eq!(classified, parsed.len());
