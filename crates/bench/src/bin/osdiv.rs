@@ -19,13 +19,14 @@
 //! prints the registry, so newly registered analyses appear in `report`,
 //! the help text and the HTTP API without touching the dispatcher.
 
-use std::io::{Read as _, Write};
+use std::io::Read as _;
 use std::str::FromStr;
 use std::sync::Arc;
 
 use bft_sim::{ReplicaSet, SimulationConfig, Simulator};
 use nvd_model::OsDistribution;
 use osdiv_bench::harness::EXPERIMENT_SEED;
+use osdiv_bench::print_to;
 use osdiv_core::{
     analysis_sections, figure3_configurations, registry_section, renderer, AnalysisError,
     AnalysisId, Format, Params, Section, Snapshot, Study,
@@ -241,16 +242,6 @@ fn main() {
             std::process::exit(1);
         }
     }
-}
-
-/// Writes `text` to stdout or stderr and flushes it. Every write this CLI
-/// makes goes through here and ignores errors: a reader that closed the
-/// pipe early (`osdiv report | true`) leaves the exit code 0, 1 or 2
-/// instead of turning it into a panic.
-fn print_to(mut stream: impl Write, text: &str) {
-    let _ = stream
-        .write_all(text.as_bytes())
-        .and_then(|()| stream.flush());
 }
 
 fn run(args: &[String]) -> Result<String, CliError> {

@@ -13,7 +13,9 @@
 //! p50/p90/p99/p999 and the cache-hit ratio scraped from `/metrics` —
 //! then shuts the server down. A missing or unknown mode exits 2; a
 //! failed expectation exits 1 with a diagnostic, and the workflow then
-//! waits on the server process to assert a clean exit. The
+//! waits on the server process to assert a clean exit. Every write
+//! ignores errors, so a closed output pipe leaves the exit code as it
+//! is. The
 //! kill-and-restart drill is the `serve_restart` test and the
 //! adversarial-client drill the `adversarial_clients` test, both under
 //! `cargo test`.
@@ -25,12 +27,13 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use osdiv_bench::exposition::{lint_exposition, scrape_value};
+use osdiv_bench::print_to;
 use osdiv_core::JsonLine;
 use osdiv_serve::loadgen::{self, OpenLoopConfig};
 
 fn check(condition: bool, label: &str) -> Result<(), String> {
     if condition {
-        println!("ok: {label}");
+        print_to(std::io::stdout(), &format!("ok: {label}\n"));
         Ok(())
     } else {
         Err(format!("FAILED: {label}"))
@@ -60,7 +63,10 @@ fn run_loadgen_bench(
         ..OpenLoopConfig::default()
     };
     let report = loadgen::run_open_loop(addr, &config);
-    println!("open-loop: {}", report.summary());
+    print_to(
+        std::io::stdout(),
+        &format!("open-loop: {}\n", report.summary()),
+    );
     check(report.ok > 0, "open-loop run completed requests")?;
     check(
         report.errors == 0,
@@ -71,7 +77,10 @@ fn run_loadgen_bench(
     check(metrics.status == 200, "GET /metrics answers 200")?;
     let exposition = metrics.body_string();
     let histogram_series = lint_exposition(&exposition)?;
-    println!("ok: /metrics exposition lints clean ({histogram_series} histogram series)");
+    print_to(
+        std::io::stdout(),
+        &format!("ok: /metrics exposition lints clean ({histogram_series} histogram series)\n"),
+    );
     let hits = scrape_value(&exposition, "osdiv_cache_hits").unwrap_or(0.0);
     let misses = scrape_value(&exposition, "osdiv_cache_misses").unwrap_or(0.0);
     let lookups = hits + misses;
@@ -97,7 +106,7 @@ fn run_loadgen_bench(
     let mut payload = line.finish();
     payload.push('\n');
     std::fs::write(out_file, payload).map_err(io)?;
-    println!("ok: wrote {out_file}");
+    print_to(std::io::stdout(), &format!("ok: wrote {out_file}\n"));
     let shutdown = loadgen::request(addr, "POST", "/v1/shutdown", &[]).map_err(io)?;
     check(shutdown.status == 200, "POST /v1/shutdown answers 200")
 }
@@ -105,15 +114,21 @@ fn run_loadgen_bench(
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (Some(addr), Some(mode)) = (args.first(), args.get(1)) else {
-        eprintln!("usage: osdiv-serve-smoke <addr:port> loadgen [out-file] [rate] [seconds]");
+        print_to(
+            std::io::stderr(),
+            "usage: osdiv-serve-smoke <addr:port> loadgen [out-file] [rate] [seconds]\n",
+        );
         return ExitCode::from(2);
     };
     let Ok(addr) = addr.parse::<SocketAddr>() else {
-        eprintln!("invalid address {addr:?}");
+        print_to(std::io::stderr(), &format!("invalid address {addr:?}\n"));
         return ExitCode::from(2);
     };
     if mode != "loadgen" {
-        eprintln!("unknown mode {mode:?} (expected loadgen)");
+        print_to(
+            std::io::stderr(),
+            &format!("unknown mode {mode:?} (expected loadgen)\n"),
+        );
         return ExitCode::from(2);
     }
     let out_file = args
@@ -127,7 +142,10 @@ fn main() -> ExitCode {
             .ok()
             .filter(|value| *value > 0.0)
             .or_else(|| {
-                eprintln!("loadgen {what} must be a positive number");
+                print_to(
+                    std::io::stderr(),
+                    &format!("loadgen {what} must be a positive number\n"),
+                );
                 None
             }),
     };
@@ -138,11 +156,11 @@ fn main() -> ExitCode {
     };
     match run_loadgen_bench(addr, out_file, rate_per_sec, seconds) {
         Ok(()) => {
-            println!("smoke test passed ({mode})");
+            print_to(std::io::stdout(), &format!("smoke test passed ({mode})\n"));
             ExitCode::SUCCESS
         }
         Err(message) => {
-            eprintln!("{message}");
+            print_to(std::io::stderr(), &format!("{message}\n"));
             ExitCode::FAILURE
         }
     }

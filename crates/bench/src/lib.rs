@@ -13,7 +13,21 @@
 //!
 //! The library portion holds small helpers shared by the binaries, the
 //! benches and the tests: the experiment seed, the tests' temporary
-//! directory and the `/metrics` lint.
+//! directory, the `/metrics` lint and the binaries' one way to write
+//! output.
 
 pub mod exposition;
 pub mod harness;
+
+use std::io::Write;
+
+/// Writes `text` to stdout or stderr and flushes it. Every write the
+/// `osdiv` and `osdiv-serve-smoke` binaries make goes through here and
+/// ignores errors: a reader that closed the pipe early (`osdiv report |
+/// true`) leaves the exit code as it is instead of turning it into a
+/// panic.
+pub fn print_to(mut stream: impl Write, text: &str) {
+    let _ = stream
+        .write_all(text.as_bytes())
+        .and_then(|()| stream.flush());
+}

@@ -5,7 +5,7 @@
 //! an error instead of being ignored. The offline `osdiv debug`
 //! subcommands read a data directory without writing to it, `osdiv
 //! survival` prints pinned bytes, and a closed output pipe leaves the
-//! exit code alone.
+//! exit code of `osdiv` and of `osdiv-serve-smoke` alone.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -239,10 +239,10 @@ fn survival_prints_the_pinned_monte_carlo_table() {
     );
 }
 
-/// The exit code of `osdiv command` when the reader of its stdout, or of
+/// The exit code of `binary args` when the reader of its stdout, or of
 /// its stderr, has gone before it writes: a shell sleeps before it execs
-/// `osdiv`, and the test drops the pipe's read end at once.
-fn exit_code_after_the_reader_left(command: &str, stderr: bool) -> Option<i32> {
+/// the binary, and the test drops the pipe's read end at once.
+fn exit_code_after_the_reader_left(binary: &str, args: &[&str], stderr: bool) -> Option<i32> {
     let (out, err) = if stderr {
         (Stdio::null(), Stdio::piped())
     } else {
@@ -251,22 +251,43 @@ fn exit_code_after_the_reader_left(command: &str, stderr: bool) -> Option<i32> {
     let mut child = Command::new("sh")
         .arg("-c")
         .arg(r#"sleep 0.2; exec "$0" "$@""#)
-        .arg(env!("CARGO_BIN_EXE_osdiv"))
-        .args(command.split(' '))
+        .arg(binary)
+        .args(args)
         .stdout(out)
         .stderr(err)
         .spawn()
         .expect("sh runs");
     drop(child.stdout.take());
     drop(child.stderr.take());
-    child.wait().expect("osdiv exits").code()
+    child.wait().expect("the binary exits").code()
 }
 
 #[test]
 fn a_closed_output_pipe_keeps_the_exit_code() {
+    let osdiv = env!("CARGO_BIN_EXE_osdiv");
     assert_eq!(
-        exit_code_after_the_reader_left("table3 --bogus 3", true),
+        exit_code_after_the_reader_left(osdiv, &["table3", "--bogus", "3"], true),
         Some(2)
     );
-    assert_eq!(exit_code_after_the_reader_left("report", false), Some(0));
+    assert_eq!(
+        exit_code_after_the_reader_left(osdiv, &["report"], false),
+        Some(0)
+    );
+}
+
+#[test]
+fn the_smoke_client_keeps_its_exit_code_when_the_output_pipe_is_closed() {
+    // Each usage error writes to stderr before it exits 2.
+    let smoke = env!("CARGO_BIN_EXE_osdiv-serve-smoke");
+    for args in [
+        &[][..],
+        &["127.0.0.1:9", "chaos"],
+        &["not-an-address", "loadgen"],
+    ] {
+        assert_eq!(
+            exit_code_after_the_reader_left(smoke, args, true),
+            Some(2),
+            "{args:?}"
+        );
+    }
 }

@@ -420,6 +420,8 @@ pub enum SpanKind {
     IngestParse,
     /// Ingestion: inserting parsed entries in feed order.
     IngestInsert,
+    /// Ingestion: classifying the unlabelled rows once the feed ends.
+    IngestClassify,
     /// Writing a tenant snapshot to disk.
     SnapshotWrite,
     /// Loading a tenant snapshot from disk.
@@ -442,6 +444,7 @@ impl SpanKind {
             SpanKind::IngestCarve => "ingest_carve",
             SpanKind::IngestParse => "ingest_parse",
             SpanKind::IngestInsert => "ingest_insert",
+            SpanKind::IngestClassify => "ingest_classify",
             SpanKind::SnapshotWrite => "snapshot_write",
             SpanKind::SnapshotLoad => "snapshot_load",
             SpanKind::Recovery => "recovery",
@@ -455,7 +458,10 @@ impl SpanKind {
         match self {
             SpanKind::Request | SpanKind::CacheLookup | SpanKind::Render => "serve",
             SpanKind::Analysis | SpanKind::IndexBuild => "compute",
-            SpanKind::IngestCarve | SpanKind::IngestParse | SpanKind::IngestInsert => "ingest",
+            SpanKind::IngestCarve
+            | SpanKind::IngestParse
+            | SpanKind::IngestInsert
+            | SpanKind::IngestClassify => "ingest",
             SpanKind::SnapshotWrite | SpanKind::SnapshotLoad | SpanKind::Recovery => "persist",
         }
     }

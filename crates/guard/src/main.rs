@@ -4,8 +4,10 @@
 //! osdiv-guard check [--root <dir>] [--format text|json]
 //! ```
 //!
-//! Exit codes: 0 clean, 1 violations found, 2 usage error.
+//! Exit codes: 0 clean, 1 violations found, 2 usage error, also when the
+//! reader of the output has closed the pipe.
 
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -38,7 +40,7 @@ fn main() -> ExitCode {
             }
         }
         Err(message) => {
-            eprintln!("{message}");
+            print_to(std::io::stderr(), &format!("{message}\n"));
             ExitCode::from(2)
         }
     }
@@ -49,7 +51,7 @@ fn run(args: &[String]) -> Result<bool, String> {
     match iter.next().map(String::as_str) {
         Some("check") => {}
         Some("help") | Some("--help") | Some("-h") => {
-            print!("{USAGE}");
+            print_to(std::io::stdout(), USAGE);
             return Ok(true);
         }
         Some(other) => return Err(format!("unknown command {other:?}\n\n{USAGE}")),
@@ -77,11 +79,21 @@ fn run(args: &[String]) -> Result<bool, String> {
     };
     let report = check_tree(&root);
     if json {
-        print!("{}", render_json(&report));
+        print_to(std::io::stdout(), &render_json(&report));
     } else {
-        print!("{}", render_text(&report));
+        print_to(std::io::stdout(), &render_text(&report));
     }
     Ok(report.is_clean())
+}
+
+/// Writes `text` to stdout or stderr and flushes it. Every write goes
+/// through here and ignores errors: a reader that closed the pipe early
+/// (`osdiv-guard check | true`) leaves the exit code as it is instead of
+/// turning it into a panic.
+fn print_to(mut stream: impl Write, text: &str) {
+    let _ = stream
+        .write_all(text.as_bytes())
+        .and_then(|()| stream.flush());
 }
 
 /// Walks up from the current directory to the nearest `Cargo.toml` that

@@ -1,9 +1,10 @@
 //! Binary-level tests: the `osdiv-guard` executable as CI runs it.
-//! Pins the exit-code contract (0 clean / 1 violations / 2 usage), the
-//! real tree staying clean with reasoned waivers, and the JSON format.
+//! Pins the exit-code contract (0 clean / 1 violations / 2 usage), also
+//! when the reader of its output has gone, the real tree staying clean
+//! with reasoned waivers, and the JSON format.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -39,6 +40,45 @@ fn real_tree_is_clean_and_every_waiver_has_a_reason() {
         let reason = line.rsplit('—').next().unwrap_or("").trim();
         assert!(!reason.is_empty(), "waiver without reason: {line}");
     }
+}
+
+/// The exit code of `osdiv-guard args` when the reader of its stdout, or
+/// of its stderr, has gone before it writes: a shell sleeps before it
+/// execs the guard, and the test drops the pipe's read end at once.
+fn exit_code_after_the_reader_left(args: &[&str], stderr: bool) -> Option<i32> {
+    let (out, err) = if stderr {
+        (Stdio::null(), Stdio::piped())
+    } else {
+        (Stdio::piped(), Stdio::null())
+    };
+    let mut child = Command::new("sh")
+        .arg("-c")
+        .arg(r#"sleep 0.2; exec "$0" "$@""#)
+        .arg(env!("CARGO_BIN_EXE_osdiv-guard"))
+        .args(args)
+        .stdout(out)
+        .stderr(err)
+        .spawn()
+        .expect("sh runs");
+    drop(child.stdout.take());
+    drop(child.stderr.take());
+    child.wait().expect("the guard exits").code()
+}
+
+#[test]
+fn a_closed_output_pipe_keeps_the_exit_code() {
+    let root = workspace_root();
+    let root = root.to_str().expect("utf-8 path");
+    assert_eq!(
+        exit_code_after_the_reader_left(&["check", "--root", root], false),
+        Some(0)
+    );
+    assert_eq!(
+        exit_code_after_the_reader_left(&["check", "--root", root, "--format", "json"], false),
+        Some(0)
+    );
+    assert_eq!(exit_code_after_the_reader_left(&["help"], false), Some(0));
+    assert_eq!(exit_code_after_the_reader_left(&["bogus"], true), Some(2));
 }
 
 #[test]

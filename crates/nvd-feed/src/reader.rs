@@ -15,6 +15,7 @@
 //! contain occasional malformed entries), and a product name that is not a
 //! CPE URI is dropped; only malformed XML fails a read.
 
+use std::borrow::Cow;
 use std::fs;
 use std::path::Path;
 
@@ -96,8 +97,8 @@ impl FeedReader {
             } = event
             {
                 if name == "entry" {
-                    let raw = read_entry(&mut reader, &attributes, self_closing)?;
-                    entries.extend(self.convert(&raw));
+                    let raw = read_entry(&mut reader, attributes, self_closing)?;
+                    entries.extend(self.convert(raw));
                 }
             }
         }
@@ -132,8 +133,8 @@ impl FeedReader {
             } = event
             {
                 if name == "entry" {
-                    let raw = read_entry(&mut reader, &attributes, self_closing)?;
-                    return Ok(self.convert(&raw));
+                    let raw = read_entry(&mut reader, attributes, self_closing)?;
+                    return Ok(self.convert(raw));
                 }
             }
         }
@@ -144,26 +145,26 @@ impl FeedReader {
     }
 
     /// Validates a raw entry: an invalid one is skipped and counted.
-    fn convert(&mut self, raw: &RawEntry) -> Option<VulnerabilityEntry> {
-        let entry = raw.to_entry().ok();
+    fn convert(&mut self, raw: RawEntry) -> Option<VulnerabilityEntry> {
+        let entry = raw.into_entry().ok();
         self.skipped += usize::from(entry.is_none());
         entry
     }
 }
 
 /// Parses a single `<entry>` element (either layout) into a [`RawEntry`].
-fn read_entry(
-    reader: &mut XmlReader<'_>,
-    attributes: &[(String, String)],
+fn read_entry<'a>(
+    reader: &mut XmlReader<'a>,
+    attributes: Vec<(&'a str, Cow<'a, str>)>,
     self_closing: bool,
 ) -> Result<RawEntry, FeedError> {
     let mut raw = RawEntry::default();
     for (key, value) in attributes {
-        match key.as_str() {
+        match key {
             // 2.0 layout uses id=, 1.2 layout uses name=.
-            "id" | "name" => raw.name = value.clone(),
-            "published" => raw.published = Some(value.clone()),
-            "CVSS_vector" => raw.cvss_vector = Some(value.clone()),
+            "id" | "name" => raw.name = value.into_owned(),
+            "published" => raw.published = Some(value.into_owned()),
+            "CVSS_vector" => raw.cvss_vector = Some(value.into_owned()),
             _ => {}
         }
     }
@@ -171,9 +172,9 @@ fn read_entry(
         return Ok(raw);
     }
     // CVSS 2.0 metrics are assembled from individual elements.
-    let mut access_vector: Option<String> = None;
-    let mut access_complexity: Option<String> = None;
-    let mut authentication: Option<String> = None;
+    let mut access_vector = None;
+    let mut access_complexity = None;
+    let mut authentication = None;
     let mut conf = None;
     let mut integ = None;
     let mut avail = None;
@@ -184,29 +185,29 @@ fn read_entry(
                 self_closing,
                 attributes,
                 ..
-            }) => match name.as_str() {
+            }) => match name {
                     "summary" | "descript"
                         if !self_closing => {
-                            let text = reader.read_element_text(&name)?;
+                            let text = reader.read_element_text(name)?;
                             if raw.summary.is_empty() {
-                                raw.summary = text;
+                                raw.summary = text.into_owned();
                             }
                         }
                     "published-datetime"
                         if !self_closing => {
-                            raw.published = Some(reader.read_element_text(&name)?);
+                            raw.published = Some(reader.read_element_text(name)?.into_owned());
                         }
                     "cve-id"
                         if !self_closing => {
-                            let text = reader.read_element_text(&name)?;
+                            let text = reader.read_element_text(name)?;
                             if raw.name.is_empty() {
-                                raw.name = text;
+                                raw.name = text.into_owned();
                             }
                         }
                     "product"
                         // 2.0 layout: <vuln:product>cpe:/o:...</vuln:product>
                         if !self_closing => {
-                            let uri = reader.read_element_text(&name)?;
+                            let uri = reader.read_element_text(name)?;
                             if let Ok(product) = RawProduct::from_cpe_uri(uri.trim()) {
                                 raw.products.push(product);
                             }
@@ -214,10 +215,10 @@ fn read_entry(
                     "prod" => {
                         // 1.2 layout: <prod name="..." vendor="..."><vers num="..."/></prod>
                         let mut product = RawProduct::from_vendor_product("", "");
-                        for (key, value) in &attributes {
-                            match key.as_str() {
-                                "name" => product.product = value.clone(),
-                                "vendor" => product.vendor = value.clone(),
+                        for (key, value) in attributes {
+                            match key {
+                                "name" => product.product = value.into_owned(),
+                                "vendor" => product.vendor = value.into_owned(),
                                 _ => {}
                             }
                         }
@@ -233,20 +234,18 @@ fn read_entry(
                                     }) => {
                                         if child == "vers" {
                                             if let Some((_, num)) =
-                                                child_attrs.iter().find(|(k, _)| k == "num")
+                                                child_attrs.into_iter().find(|(k, _)| *k == "num")
                                             {
-                                                product.versions.push(num.clone());
+                                                product.versions.push(num.into_owned());
                                             }
                                             if !child_closed {
                                                 reader.skip_element("vers")?;
                                             }
                                         } else if !child_closed {
-                                            reader.skip_element(&child)?;
+                                            reader.skip_element(child)?;
                                         }
                                     }
-                                    Some(XmlEvent::EndElement { name: end }) if end == "prod" => {
-                                        break
-                                    }
+                                    Some(XmlEvent::EndElement { name: "prod" }) => break,
                                     Some(_) => {}
                                     None => {
                                         return Err(FeedError::schema(
@@ -261,27 +260,27 @@ fn read_entry(
                     }
                     "access-vector"
                         if !self_closing => {
-                            access_vector = Some(reader.read_element_text(&name)?);
+                            access_vector = Some(reader.read_element_text(name)?);
                         }
                     "access-complexity"
                         if !self_closing => {
-                            access_complexity = Some(reader.read_element_text(&name)?);
+                            access_complexity = Some(reader.read_element_text(name)?);
                         }
                     "authentication"
                         if !self_closing => {
-                            authentication = Some(reader.read_element_text(&name)?);
+                            authentication = Some(reader.read_element_text(name)?);
                         }
                     "confidentiality-impact"
                         if !self_closing => {
-                            conf = Some(reader.read_element_text(&name)?);
+                            conf = Some(reader.read_element_text(name)?);
                         }
                     "integrity-impact"
                         if !self_closing => {
-                            integ = Some(reader.read_element_text(&name)?);
+                            integ = Some(reader.read_element_text(name)?);
                         }
                     "availability-impact"
                         if !self_closing => {
-                            avail = Some(reader.read_element_text(&name)?);
+                            avail = Some(reader.read_element_text(name)?);
                         }
                     _ => {
                         // Unknown container elements (vuln_soft,
@@ -290,7 +289,7 @@ fn read_entry(
                         // children are still visited.
                     }
                 },
-            Some(XmlEvent::EndElement { name }) if name == "entry" => break,
+            Some(XmlEvent::EndElement { name: "entry" }) => break,
             Some(_) => {}
             None => {
                 return Err(FeedError::schema(
@@ -323,26 +322,37 @@ fn read_entry(
     Ok(raw)
 }
 
+/// Spelled-out CVSS metric values and their single-letter vector codes.
+const METRIC_CODES: &[(&str, &str)] = &[
+    ("NETWORK", "N"),
+    ("ADJACENT_NETWORK", "A"),
+    ("ADJACENT NETWORK", "A"),
+    ("LOCAL", "L"),
+    ("LOW", "L"),
+    ("MEDIUM", "M"),
+    ("HIGH", "H"),
+    ("NONE", "N"),
+    ("SINGLE", "S"),
+    ("SINGLE_INSTANCE", "S"),
+    ("MULTIPLE", "M"),
+    ("MULTIPLE_INSTANCES", "M"),
+    ("PARTIAL", "P"),
+    ("COMPLETE", "C"),
+];
+
 /// Converts a spelled-out CVSS metric value (`NETWORK`, `SINGLE_INSTANCE`,
-/// `PARTIAL`, …) to its single-letter vector code. Single letters pass
-/// through unchanged.
-fn metric_code(value: &str) -> String {
-    let upper = value.trim().to_ascii_uppercase();
-    let code = match upper.as_str() {
-        "NETWORK" => "N",
-        "ADJACENT_NETWORK" | "ADJACENT NETWORK" => "A",
-        "LOCAL" => "L",
-        "LOW" => "L",
-        "MEDIUM" => "M",
-        "HIGH" => "H",
-        "NONE" => "N",
-        "SINGLE" | "SINGLE_INSTANCE" => "S",
-        "MULTIPLE" | "MULTIPLE_INSTANCES" => "M",
-        "PARTIAL" => "P",
-        "COMPLETE" => "C",
-        other => other,
-    };
-    code.to_string()
+/// `PARTIAL`, …, in any ASCII case) to its single-letter vector code.
+/// Any other value, single letters included, comes back trimmed and
+/// upper-cased.
+fn metric_code(value: &str) -> Cow<'static, str> {
+    let value = value.trim();
+    METRIC_CODES
+        .iter()
+        .find(|(spelled, _)| spelled.eq_ignore_ascii_case(value))
+        .map_or_else(
+            || Cow::Owned(value.to_ascii_uppercase()),
+            |&(_, code)| Cow::Borrowed(code),
+        )
 }
 
 #[cfg(test)]
@@ -530,5 +540,25 @@ mod tests {
         assert_eq!(metric_code("SINGLE_INSTANCE"), "S");
         assert_eq!(metric_code("PARTIAL"), "P");
         assert_eq!(metric_code("N"), "N");
+        // Matching ignores ASCII case and surrounding whitespace.
+        assert_eq!(metric_code(" partial\n"), "P");
+    }
+
+    #[test]
+    fn metric_code_upper_cases_an_unknown_value() {
+        assert_eq!(metric_code(" sideways "), "SIDEWAYS");
+        assert_eq!(metric_code("n"), "N");
+        // The vector parser, not the reader, rejects the unknown code.
+        let xml = r#"<nvd><entry id="CVE-2005-0001">
+            <cvss:access-vector>sideways</cvss:access-vector>
+            <cvss:access-complexity>LOW</cvss:access-complexity>
+            <cvss:authentication>NONE</cvss:authentication>
+            <cvss:confidentiality-impact>NONE</cvss:confidentiality-impact>
+            <cvss:integrity-impact>NONE</cvss:integrity-impact>
+            <cvss:availability-impact>partial</cvss:availability-impact>
+        </entry></nvd>"#;
+        let mut reader = FeedReader::new();
+        assert!(reader.read_from_str(xml).unwrap().is_empty());
+        assert_eq!(reader.skipped(), 1);
     }
 }

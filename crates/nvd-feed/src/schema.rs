@@ -112,7 +112,8 @@ pub struct RawEntry {
 }
 
 impl RawEntry {
-    /// Converts the raw entry into a validated [`VulnerabilityEntry`].
+    /// Converts the raw entry into a validated [`VulnerabilityEntry`],
+    /// moving its summary into the entry.
     ///
     /// The entry's validity flag (Valid / Unknown / Unspecified / Disputed)
     /// is inferred from the summary, exactly as the paper's manual
@@ -122,25 +123,32 @@ impl RawEntry {
     ///
     /// Returns [`FeedError`] if the CVE name, publication date or CVSS
     /// vector cannot be parsed.
-    pub fn to_entry(&self) -> Result<VulnerabilityEntry, FeedError> {
-        let id: CveId = self.name.parse().map_err(|e| FeedError::Schema {
-            entry: Some(self.name.clone()),
+    pub fn into_entry(self) -> Result<VulnerabilityEntry, FeedError> {
+        let RawEntry {
+            name,
+            published,
+            summary,
+            cvss_vector,
+            products,
+        } = self;
+        let id: CveId = name.parse().map_err(|e| FeedError::Schema {
+            entry: Some(name.clone()),
             reason: format!("bad CVE name: {e}"),
         })?;
-        let mut builder = VulnerabilityEntry::builder(id).summary(self.summary.clone());
-        if let Some(published) = &self.published {
+        let mut builder = VulnerabilityEntry::builder(id).summary(summary);
+        if let Some(published) = published {
             let date: Date = published.parse()?;
             builder = builder.published(date);
         }
-        if let Some(vector) = &self.cvss_vector {
+        if let Some(vector) = cvss_vector {
             let cvss: CvssV2 = vector.parse()?;
             builder = builder.cvss(cvss);
         }
-        for product in &self.products {
+        for product in &products {
             builder = builder.affects_product(product.to_affected());
         }
         builder.build().map_err(|e| FeedError::Schema {
-            entry: Some(self.name.clone()),
+            entry: Some(name),
             reason: e.to_string(),
         })
     }
@@ -181,7 +189,7 @@ mod tests {
                 RawProduct::from_cpe_uri("cpe:/a:isc:bind:9.4").unwrap(),
             ],
         };
-        let entry = raw.to_entry().unwrap();
+        let entry = raw.into_entry().unwrap();
         assert_eq!(entry.id(), CveId::new(2008, 1447));
         assert_eq!(entry.year(), 2008);
         assert_eq!(entry.affected_os_set().len(), 2);
@@ -197,7 +205,7 @@ mod tests {
             summary: "** DISPUTED ** possible issue in cron".to_string(),
             ..RawEntry::default()
         };
-        let entry = raw.to_entry().unwrap();
+        let entry = raw.into_entry().unwrap();
         assert_eq!(entry.validity(), Validity::Disputed);
     }
 
@@ -207,7 +215,7 @@ mod tests {
             name: "NOT-A-CVE".to_string(),
             ..RawEntry::default()
         };
-        assert!(raw.to_entry().is_err());
+        assert!(raw.into_entry().is_err());
     }
 
     #[test]
@@ -217,7 +225,7 @@ mod tests {
             published: Some("last tuesday".to_string()),
             ..RawEntry::default()
         };
-        assert!(raw.to_entry().is_err());
+        assert!(raw.into_entry().is_err());
     }
 
     #[test]
@@ -229,7 +237,7 @@ mod tests {
             products: vec![RawProduct::from_vendor_product("debian", "linux")],
             ..RawEntry::default()
         };
-        let entry = raw.to_entry().unwrap();
+        let entry = raw.into_entry().unwrap();
         assert!(entry.affects(OsDistribution::Debian));
     }
 }

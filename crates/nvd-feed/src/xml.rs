@@ -21,7 +21,8 @@
 //! match reader.next_event()? {
 //!     Some(XmlEvent::StartElement { name, attributes, .. }) => {
 //!         assert_eq!(name, "entry");
-//!         assert_eq!(attributes[0], ("id".to_string(), "CVE-2008-1447".to_string()));
+//!         assert_eq!(attributes[0].0, "id");
+//!         assert_eq!(attributes[0].1, "CVE-2008-1447");
 //!     }
 //!     other => panic!("unexpected event {other:?}"),
 //! }
@@ -29,47 +30,48 @@
 //! # }
 //! ```
 
+use std::borrow::Cow;
+
 use crate::FeedError;
 
-/// An event produced by [`XmlReader`].
+/// An event produced by [`XmlReader`]. Names and entity-free values are
+/// slices of the input; only text or an attribute value that holds an
+/// entity reference is copied, to resolve it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum XmlEvent {
+pub enum XmlEvent<'a> {
     /// An opening tag, e.g. `<entry id="...">`. `self_closing` is true for
     /// `<tag/>`, in which case no matching [`XmlEvent::EndElement`] follows.
     StartElement {
         /// The element name with any namespace prefix stripped
         /// (`vuln:summary` becomes `summary`).
-        name: String,
+        name: &'a str,
         /// Attribute `(name, value)` pairs in document order, with entity
         /// references resolved.
-        attributes: Vec<(String, String)>,
+        attributes: Vec<(&'a str, Cow<'a, str>)>,
         /// Whether the element was written in self-closing form.
         self_closing: bool,
     },
     /// A closing tag, e.g. `</entry>` (name has its prefix stripped).
     EndElement {
         /// The element name with any namespace prefix stripped.
-        name: String,
+        name: &'a str,
     },
     /// Character data between tags, with entity references resolved and
     /// CDATA sections unwrapped. Whitespace-only text is skipped.
-    Text(String),
+    Text(Cow<'a, str>),
 }
 
 /// A pull parser over an XML string.
 #[derive(Debug)]
 pub struct XmlReader<'a> {
-    input: &'a [u8],
+    input: &'a str,
     pos: usize,
 }
 
 impl<'a> XmlReader<'a> {
     /// Creates a reader over the given XML document.
     pub fn new(input: &'a str) -> Self {
-        XmlReader {
-            input: input.as_bytes(),
-            pos: 0,
-        }
+        XmlReader { input, pos: 0 }
     }
 
     /// Current byte offset, used for error reporting.
@@ -81,41 +83,57 @@ impl<'a> XmlReader<'a> {
         FeedError::xml(self.pos, reason)
     }
 
+    /// The bytes from the cursor on.
+    fn rest(&self) -> &'a [u8] {
+        self.input.as_bytes().get(self.pos..).unwrap_or_default()
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.input.get(self.pos).copied()
+        self.rest().first().copied()
     }
 
     fn starts_with(&self, prefix: &[u8]) -> bool {
+        self.rest().starts_with(prefix)
+    }
+
+    /// The input in `start..end`. Every position the reader slices at
+    /// sits next to an ASCII delimiter, so it is a character boundary; a
+    /// miss would be an internal inconsistency and reads as a parse error,
+    /// not a panic.
+    fn slice(&self, start: usize, end: usize) -> Result<&'a str, FeedError> {
         self.input
-            .get(self.pos..)
-            .is_some_and(|rest| rest.starts_with(prefix))
+            .get(start..end)
+            .ok_or_else(|| self.err("slice is not on a character boundary"))
     }
 
-    /// The input bytes in `start..end`. Positions come from the reader's
-    /// own cursor, so the empty fallback is never observed — it exists so
-    /// an internal inconsistency degrades to a parse error, not a panic.
-    fn slice(&self, start: usize, end: usize) -> &'a [u8] {
-        self.input.get(start..end).unwrap_or_default()
-    }
-
+    /// Moves the cursor past the next `marker`.
     fn skip_until(&mut self, marker: &[u8]) -> Result<(), FeedError> {
-        while self.pos < self.input.len() {
-            if self.starts_with(marker) {
-                self.pos += marker.len();
-                return Ok(());
+        match find(self.rest(), marker) {
+            Some(at) => {
+                self.pos += at + marker.len();
+                Ok(())
             }
-            self.pos += 1;
+            None => {
+                self.pos = self.input.len();
+                Err(self.err(format!(
+                    "unexpected end of input while looking for {:?}",
+                    String::from_utf8_lossy(marker)
+                )))
+            }
         }
-        Err(self.err(format!(
-            "unexpected end of input while looking for {:?}",
-            String::from_utf8_lossy(marker)
-        )))
+    }
+
+    /// Moves the cursor past the bytes that satisfy `keep`.
+    fn skip_while(&mut self, keep: impl Fn(u8) -> bool) {
+        let rest = self.rest();
+        self.pos += rest
+            .iter()
+            .position(|&byte| !keep(byte))
+            .unwrap_or(rest.len());
     }
 
     fn skip_whitespace(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
+        self.skip_while(|byte| matches!(byte, b' ' | b'\t' | b'\r' | b'\n'));
     }
 
     /// Returns the next event, or `None` at end of input.
@@ -123,7 +141,7 @@ impl<'a> XmlReader<'a> {
     /// # Errors
     ///
     /// Returns [`FeedError::Xml`] if the document is malformed.
-    pub fn next_event(&mut self) -> Result<Option<XmlEvent>, FeedError> {
+    pub fn next_event(&mut self) -> Result<Option<XmlEvent<'a>>, FeedError> {
         loop {
             if self.pos >= self.input.len() {
                 return Ok(None);
@@ -142,12 +160,11 @@ impl<'a> XmlReader<'a> {
                     self.pos += b"<![CDATA[".len();
                     let start = self.pos;
                     self.skip_until(b"]]>")?;
-                    let text = std::str::from_utf8(self.slice(start, self.pos.saturating_sub(3)))
-                        .map_err(|_| self.err("CDATA section is not valid UTF-8"))?;
+                    let text = self.slice(start, self.pos.saturating_sub(3))?;
                     if text.trim().is_empty() {
                         continue;
                     }
-                    return Ok(Some(XmlEvent::Text(text.to_string())));
+                    return Ok(Some(XmlEvent::Text(Cow::Borrowed(text))));
                 }
                 if self.starts_with(b"<!") {
                     // DOCTYPE or other declaration: skip to the closing '>'.
@@ -168,21 +185,18 @@ impl<'a> XmlReader<'a> {
                 }
                 return self.read_start_element().map(Some);
             }
-            // Character data.
+            // Character data, up to the next tag.
             let start = self.pos;
-            while self.pos < self.input.len() && self.peek() != Some(b'<') {
-                self.pos += 1;
-            }
-            let raw = std::str::from_utf8(self.slice(start, self.pos))
-                .map_err(|_| self.err("character data is not valid UTF-8"))?;
-            if raw.trim().is_empty() {
+            self.pos = find_byte(self.rest(), b'<').map_or(self.input.len(), |at| start + at);
+            let raw = self.slice(start, self.pos)?.trim();
+            if raw.is_empty() {
                 continue;
             }
-            return Ok(Some(XmlEvent::Text(unescape(raw.trim()))));
+            return Ok(Some(XmlEvent::Text(unescape(raw))));
         }
     }
 
-    fn read_start_element(&mut self) -> Result<XmlEvent, FeedError> {
+    fn read_start_element(&mut self) -> Result<XmlEvent<'a>, FeedError> {
         debug_assert_eq!(self.peek(), Some(b'<'));
         self.pos += 1;
         let name = strip_prefix(self.read_name()?);
@@ -224,14 +238,12 @@ impl<'a> XmlReader<'a> {
                     };
                     self.pos += 1;
                     let start = self.pos;
-                    while self.pos < self.input.len() && self.peek() != Some(quote) {
-                        self.pos += 1;
-                    }
-                    if self.pos >= self.input.len() {
+                    let Some(len) = find_byte(self.rest(), quote) else {
+                        self.pos = self.input.len();
                         return Err(self.err("unterminated attribute value"));
-                    }
-                    let raw = std::str::from_utf8(self.slice(start, self.pos))
-                        .map_err(|_| self.err("attribute value is not valid UTF-8"))?;
+                    };
+                    self.pos += len;
+                    let raw = self.slice(start, self.pos)?;
                     self.pos += 1;
                     attributes.push((attr_name, unescape(raw)));
                 }
@@ -240,30 +252,23 @@ impl<'a> XmlReader<'a> {
         }
     }
 
-    fn read_name(&mut self) -> Result<String, FeedError> {
+    fn read_name(&mut self) -> Result<&'a str, FeedError> {
         let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b':') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
+        self.skip_while(|c| c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b':'));
         if self.pos == start {
             return Err(self.err("expected a name"));
         }
-        Ok(std::str::from_utf8(self.slice(start, self.pos))
-            .map_err(|_| self.err("element name is not valid UTF-8"))?
-            .to_string())
+        self.slice(start, self.pos)
     }
 
     /// Collects all the text directly inside the current element, consuming
     /// events until the matching end tag. Nested elements are skipped but
-    /// their text is not collected. Must be called right after the start
-    /// element event for `name` was returned.
-    pub fn read_element_text(&mut self, name: &str) -> Result<String, FeedError> {
+    /// their text is not collected; separate runs are joined with a space.
+    /// A single run without entities is returned borrowed. Must be called
+    /// right after the start element event for `name` was returned.
+    pub fn read_element_text(&mut self, name: &str) -> Result<Cow<'a, str>, FeedError> {
         let mut depth = 0usize;
-        let mut text = String::new();
+        let mut text = Cow::Borrowed("");
         loop {
             match self.next_event()? {
                 Some(XmlEvent::StartElement {
@@ -271,12 +276,15 @@ impl<'a> XmlReader<'a> {
                     ..
                 }) => depth += 1,
                 Some(XmlEvent::StartElement { .. }) => {}
-                Some(XmlEvent::Text(t)) => {
+                Some(XmlEvent::Text(run)) => {
                     if depth == 0 {
-                        if !text.is_empty() {
-                            text.push(' ');
+                        if text.is_empty() {
+                            text = run;
+                        } else {
+                            let joined = text.to_mut();
+                            joined.push(' ');
+                            joined.push_str(&run);
                         }
-                        text.push_str(&t);
                     }
                 }
                 Some(XmlEvent::EndElement { name: end }) => {
@@ -316,20 +324,62 @@ impl<'a> XmlReader<'a> {
     }
 }
 
-/// Strips an optional namespace prefix from a qualified name, in place
+/// Strips an optional namespace prefix from a qualified name
 /// (`vuln:summary` → `summary`).
-fn strip_prefix(mut name: String) -> String {
-    if let Some(colon) = name.rfind(':') {
-        name.drain(..=colon);
+fn strip_prefix(name: &str) -> &str {
+    name.rfind(':')
+        .and_then(|colon| name.get(colon + 1..))
+        .unwrap_or(name)
+}
+
+/// Offset of the first `byte` in `haystack`, examined eight bytes at a
+/// time: a word XORed with `byte` in every lane has a zero lane exactly
+/// where `byte` was, and `(x - 0x01…01) & !x & 0x80…80` sets the high bit
+/// of the lowest zero lane (lanes above it may be set spuriously by the
+/// borrow, which `trailing_zeros` never reaches).
+pub fn find_byte(haystack: &[u8], byte: u8) -> Option<usize> {
+    const LANES: u64 = 0x0101_0101_0101_0101;
+    const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
+    let pattern = u64::from_ne_bytes([byte; 8]);
+    let mut rest = haystack;
+    let mut offset = 0;
+    while let &[b0, b1, b2, b3, b4, b5, b6, b7, ref tail @ ..] = rest {
+        let x = u64::from_le_bytes([b0, b1, b2, b3, b4, b5, b6, b7]) ^ pattern;
+        let zero_lanes = x.wrapping_sub(LANES) & !x & HIGH_BITS;
+        if zero_lanes != 0 {
+            return Some(offset + (zero_lanes.trailing_zeros() / 8) as usize);
+        }
+        offset += 8;
+        rest = tail;
     }
-    name
+    rest.iter()
+        .position(|&candidate| candidate == byte)
+        .map(|at| offset + at)
+}
+
+/// Offset of the first occurrence of `needle` in `haystack`: each
+/// candidate is a [`find_byte`] hit on the needle's first byte.
+pub fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
+    let &first = needle.first()?;
+    let mut from = 0;
+    while let Some(at) = find_byte(haystack.get(from..)?, first) {
+        let candidate = from + at;
+        if haystack
+            .get(candidate..)
+            .is_some_and(|rest| rest.starts_with(needle))
+        {
+            return Some(candidate);
+        }
+        from = candidate + 1;
+    }
+    None
 }
 
 /// Resolves the five predefined XML entities and decimal/hex character
-/// references.
-pub fn unescape(raw: &str) -> String {
+/// references. Text without a `&` comes back borrowed.
+pub fn unescape(raw: &str) -> Cow<'_, str> {
     if !raw.contains('&') {
-        return raw.to_string();
+        return Cow::Borrowed(raw);
     }
     // Every split offset below comes from `find` on `&`/`;` (both ASCII),
     // so the `.get(…)` lookups cannot miss; the empty fallbacks only make
@@ -369,7 +419,7 @@ pub fn unescape(raw: &str) -> String {
         }
     }
     out.push_str(rest);
-    out
+    Cow::Owned(out)
 }
 
 /// Escapes the characters that must not appear literally in XML text or
@@ -485,7 +535,7 @@ impl XmlWriter {
 mod tests {
     use super::*;
 
-    fn events(xml: &str) -> Vec<XmlEvent> {
+    fn events(xml: &str) -> Vec<XmlEvent<'_>> {
         let mut reader = XmlReader::new(xml);
         let mut events = Vec::new();
         while let Some(event) = reader.next_event().unwrap() {
@@ -498,12 +548,17 @@ mod tests {
     fn parses_simple_document() {
         let evs = events("<a><b attr=\"1\">text</b><c/></a>");
         assert_eq!(evs.len(), 6);
-        assert!(matches!(&evs[0], XmlEvent::StartElement { name, .. } if name == "a"));
+        assert!(matches!(&evs[0], XmlEvent::StartElement { name: "a", .. }));
         assert!(matches!(&evs[2], XmlEvent::Text(t) if t == "text"));
-        assert!(
-            matches!(&evs[4], XmlEvent::StartElement { name, self_closing, .. } if name == "c" && *self_closing)
-        );
-        assert!(matches!(&evs[5], XmlEvent::EndElement { name } if name == "a"));
+        assert!(matches!(
+            &evs[4],
+            XmlEvent::StartElement {
+                name: "c",
+                self_closing: true,
+                ..
+            }
+        ));
+        assert!(matches!(&evs[5], XmlEvent::EndElement { name: "a" }));
     }
 
     #[test]
@@ -517,8 +572,14 @@ mod tests {
     #[test]
     fn strips_namespace_prefixes() {
         let evs = events("<vuln:summary>DNS flaw</vuln:summary>");
-        assert!(matches!(&evs[0], XmlEvent::StartElement { name, .. } if name == "summary"));
-        assert!(matches!(&evs[2], XmlEvent::EndElement { name } if name == "summary"));
+        assert!(matches!(
+            &evs[0],
+            XmlEvent::StartElement {
+                name: "summary",
+                ..
+            }
+        ));
+        assert!(matches!(&evs[2], XmlEvent::EndElement { name: "summary" }));
     }
 
     #[test]
@@ -582,6 +643,44 @@ mod tests {
     }
 
     #[test]
+    fn find_byte_matches_a_bytewise_scan_at_every_offset() {
+        for needle in [0x00, b'<', 0x7F, 0x80, 0xFF] {
+            for len in 0..=24 {
+                for at in 0..=len {
+                    // Every other byte is a neighbour of the needle's
+                    // value, which a word-at-a-time test could mistake
+                    // for it; a second needle sits three bytes later.
+                    let mut haystack: Vec<u8> = (0..len)
+                        .map(|i| match i % 3 {
+                            0 => needle ^ 0x80,
+                            1 => needle.wrapping_add(1),
+                            _ => needle.wrapping_sub(1),
+                        })
+                        .collect();
+                    for index in [at, at + 3] {
+                        if let Some(byte) = haystack.get_mut(index) {
+                            *byte = needle;
+                        }
+                    }
+                    assert_eq!(
+                        find_byte(&haystack, needle),
+                        haystack.iter().position(|&byte| byte == needle),
+                        "{haystack:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn find_locates_the_first_whole_needle() {
+        assert_eq!(find(b"<entryset></entry>", b"</entry"), Some(10));
+        assert_eq!(find(b"<<</entr", b"</entry"), None);
+        assert_eq!(find(b"abc", b""), None);
+        assert_eq!(find(b"", b"<"), None);
+    }
+
+    #[test]
     fn escape_unescape_roundtrip() {
         let original = "a < b & c > d \"quoted\" 'single'";
         assert_eq!(unescape(&escape(original)), original);
@@ -603,9 +702,13 @@ mod tests {
         assert!(evs
             .iter()
             .any(|e| matches!(e, XmlEvent::Text(t) if t.contains("<critical>"))));
-        assert!(evs
-            .iter()
-            .any(|e| matches!(e, XmlEvent::StartElement { name, .. } if name == "product")));
+        assert!(evs.iter().any(|e| matches!(
+            e,
+            XmlEvent::StartElement {
+                name: "product",
+                ..
+            }
+        )));
     }
 
     #[test]
@@ -636,10 +739,19 @@ mod tests {
                 let xml = w.finish();
                 let evs = events(&xml);
                 let roundtripped = evs.iter().find_map(|e| match e {
-                    XmlEvent::Text(t) => Some(t.clone()),
+                    XmlEvent::Text(t) => Some(t.to_string()),
                     _ => None,
                 });
                 prop_assert_eq!(roundtripped, Some(text.trim().to_string()));
+            }
+
+            #[test]
+            fn word_search_matches_a_window_scan(haystack in "[<a/e\u{e9}\u{80} ]{0,48}", needle in "[<a/e]{1,3}") {
+                let (haystack, needle) = (haystack.as_bytes(), needle.as_bytes());
+                prop_assert_eq!(
+                    find(haystack, needle),
+                    haystack.windows(needle.len()).position(|window| window == needle)
+                );
             }
 
             #[test]

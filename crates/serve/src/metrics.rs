@@ -115,11 +115,13 @@ pub enum Stage {
     IngestParse,
     /// Ingestion: inserting parsed entries into the store, in feed order.
     IngestInsert,
+    /// Ingestion: classifying the unlabelled rows once the feed ends.
+    IngestClassify,
 }
 
 impl Stage {
     /// Every stage, in exposition order.
-    pub const ALL: [Stage; 7] = [
+    pub const ALL: [Stage; 8] = [
         Stage::Parse,
         Stage::CacheLookup,
         Stage::Render,
@@ -127,6 +129,7 @@ impl Stage {
         Stage::IngestCarve,
         Stage::IngestParse,
         Stage::IngestInsert,
+        Stage::IngestClassify,
     ];
 
     /// The `stage` label value.
@@ -139,6 +142,7 @@ impl Stage {
             Stage::IngestCarve => "ingest_carve",
             Stage::IngestParse => "ingest_parse",
             Stage::IngestInsert => "ingest_insert",
+            Stage::IngestClassify => "ingest_classify",
         }
     }
 }

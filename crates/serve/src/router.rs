@@ -644,6 +644,8 @@ impl Router {
             .record_stage_us(Stage::IngestParse, stages.parse_us);
         self.metrics
             .record_stage_us(Stage::IngestInsert, stages.insert_us);
+        self.metrics
+            .record_stage_us(Stage::IngestClassify, stages.classify_us);
         let study = Arc::new(outcome.into_study());
         let estimated_bytes = study.estimated_bytes();
         let source = DatasetSource::Ingested {
@@ -662,6 +664,7 @@ impl Router {
             line.u64_field("carve_us", stages.carve_us);
             line.u64_field("parse_us", stages.parse_us);
             line.u64_field("insert_us", stages.insert_us);
+            line.u64_field("classify_us", stages.classify_us);
         });
         let mut body = JsonLine::new();
         body.str_field("dataset", name);

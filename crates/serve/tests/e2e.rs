@@ -797,7 +797,8 @@ fn debug_span_dump_joins_ingest_stages_to_the_request_id() {
     let handle = start_debug_server(None);
     let addr = handle.addr();
 
-    // A chunked feed upload leaves carve/parse/insert spans in the ring…
+    // A chunked feed upload leaves carve/parse/insert/classify spans in
+    // the ring…
     let xml = feed_xml();
     let chunks: Vec<&[u8]> = xml.chunks(97).collect();
     let created =
@@ -812,7 +813,12 @@ fn debug_span_dump_joins_ingest_stages_to_the_request_id() {
     // root request span is recorded after the response hits the wire, so
     // poll briefly rather than racing the worker for it.
     let needle = format!("\"request\":\"{put_id}\"");
-    let stages = ["ingest_carve", "ingest_parse", "ingest_insert"];
+    let stages = [
+        "ingest_carve",
+        "ingest_parse",
+        "ingest_insert",
+        "ingest_classify",
+    ];
     let mut body = String::new();
     let mut joined: Vec<String> = Vec::new();
     for _ in 0..100 {
