@@ -1,8 +1,9 @@
 //! The server under adversarial clients. Each client shape runs against a
 //! fresh in-process server tuned as `osdiv serve --threads 2
 //! --io-timeout-ms 500 --shed-queue-depth 4` would be: a malformed upload,
-//! two slow lorises, an overload burst and an open-loop run at twice the
-//! rate such a server absorbs. After each shape the `/metrics` scrape
+//! two slow lorises, an overload burst, an open-loop run at twice the
+//! rate such a server absorbs and two uploads whose product URI ends in a
+//! cut-short escape. After each shape the `/metrics` scrape
 //! passes [`osdiv_bench::exposition::lint_exposition`] and a bystander's
 //! fresh `GET /v1/healthz` is answered 200 within twice the I/O budget.
 //!
@@ -36,11 +37,12 @@ const REPORT: &str = "/v1/report?format=json";
 type Shape = fn(&Drill);
 
 /// The client shapes, in the order they run.
-const SHAPES: [(&str, Shape); 4] = [
+const SHAPES: [(&str, Shape); 5] = [
     ("malformed upload", malformed_upload),
     ("slow loris", slow_loris),
     ("overload", overload),
     ("2x open loop", open_loop_at_twice_the_rate),
+    ("escaped product URI", escaped_product_uri),
 ];
 
 /// One fresh server for one client shape.
@@ -277,4 +279,21 @@ fn open_loop_at_twice_the_rate(drill: &Drill) {
     println!("2x open loop: {}", report.summary());
     assert!(report.ok > 0, "{}", report.summary());
     assert!(report.quantile_us(0.99) < 2_000_000, "{}", report.summary());
+}
+
+/// Two PUTs at once, one per worker, of a one-entry feed whose product
+/// URI ends in `%` and a hex digit followed by a two-byte char. Each is
+/// ingested, and no worker is lost.
+fn escaped_product_uri(drill: &Drill) {
+    let feed = "<nvd><entry id=\"CVE-2010-0001\">\
+                <vuln:product>cpe:/o:sun:solaris:%a\u{e9}</vuln:product>\
+                <vuln:summary>x</vuln:summary></entry></nvd>";
+    thread::scope(|scope| {
+        let puts =
+            ["escaped-1", "escaped-2"].map(|name| scope.spawn(move || drill.put(name, feed)));
+        for put in puts {
+            let created = put.join().expect("the upload gets an answer");
+            assert_eq!(created.status, 201, "{}", created.body_string());
+        }
+    });
 }

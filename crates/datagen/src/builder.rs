@@ -366,9 +366,15 @@ mod tests {
     #[test]
     fn release_tagged_vulnerabilities_reproduce_table6_structure() {
         let dataset = CalibratedGenerator::new(8).generate();
+        // Whether an entry lists the release among its affected versions.
+        let affects_release = |e: &VulnerabilityEntry, os, version: &str| {
+            e.affected()
+                .iter()
+                .any(|p| p.os() == Some(os) && p.versions().iter().any(|v| v == version))
+        };
         let debian_only = dataset.valid_entries().find(|e| {
-            e.affects_release(OsDistribution::Debian, "3.0")
-                && e.affects_release(OsDistribution::Debian, "4.0")
+            affects_release(e, OsDistribution::Debian, "3.0")
+                && affects_release(e, OsDistribution::Debian, "4.0")
                 && e.affected_os_set().len() == 1
         });
         assert!(
@@ -376,9 +382,9 @@ mod tests {
             "missing the Debian 3.0/4.0 vulnerability"
         );
         let cross = dataset.valid_entries().find(|e| {
-            e.affects_release(OsDistribution::Debian, "4.0")
-                && e.affects_release(OsDistribution::RedHat, "4.0")
-                && e.affects_release(OsDistribution::RedHat, "5.0")
+            affects_release(e, OsDistribution::Debian, "4.0")
+                && affects_release(e, OsDistribution::RedHat, "4.0")
+                && affects_release(e, OsDistribution::RedHat, "5.0")
         });
         assert!(
             cross.is_some(),

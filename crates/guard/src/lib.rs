@@ -40,7 +40,7 @@ pub const ATTACKER_SURFACES: &[&str] = &[
     "crates/classify/src/engine.rs",
     "crates/classify/src/rules.rs",
     "crates/nvd-feed/src/schema.rs",
-    "crates/nvd-feed/src/normalize.rs",
+    "crates/nvd-model/src/cpe.rs",
 ];
 
 /// Files that turn HTTP query parameters into numbers: the `clamp` rule

@@ -13,11 +13,12 @@
 //!   legacy 1.2 feed layout (`<entry name=...><vuln_soft>...`) and the 2.0
 //!   layout (`<entry id=...><vuln:vulnerable-software-list>...`);
 //! * [`reader`] — turns feed XML into [`nvd_model::VulnerabilityEntry`]
-//!   values, clustering CPEs into the 11 studied OS distributions;
+//!   values: CPE decoding and OS clustering into the 11 studied
+//!   distributions ([`nvd_model::OsDistribution::from_vendor_product`]
+//!   holds every spelling), reproducing the manual data-cleaning described
+//!   in Section III;
 //! * [`writer`] — serializes entries back into NVD 2.0-style XML, used by the
-//!   synthetic-feed generator and for round-trip testing;
-//! * [`normalize`] — product/vendor alias normalization, reproducing the
-//!   manual data-cleaning described in Section III.
+//!   synthetic-feed generator and for round-trip testing.
 //!
 //! # Example
 //!
@@ -44,7 +45,6 @@
 #![warn(missing_docs)]
 
 pub mod error;
-pub mod normalize;
 pub mod reader;
 pub mod schema;
 pub mod writer;
@@ -52,7 +52,7 @@ pub mod xml;
 
 pub use error::FeedError;
 pub use reader::FeedReader;
-pub use schema::{RawEntry, RawProduct};
+pub use schema::RawEntry;
 pub use writer::FeedWriter;
 
 /// Convenience result alias used across the crate.

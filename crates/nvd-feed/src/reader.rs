@@ -19,9 +19,9 @@ use std::borrow::Cow;
 use std::fs;
 use std::path::Path;
 
-use nvd_model::VulnerabilityEntry;
+use nvd_model::{AffectedProduct, Cpe, VulnerabilityEntry};
 
-use crate::schema::{RawEntry, RawProduct};
+use crate::schema::{product_without_part, RawEntry};
 use crate::xml::{XmlEvent, XmlReader};
 use crate::FeedError;
 
@@ -208,20 +208,21 @@ fn read_entry<'a>(
                         // 2.0 layout: <vuln:product>cpe:/o:...</vuln:product>
                         if !self_closing => {
                             let uri = reader.read_element_text(name)?;
-                            if let Ok(product) = RawProduct::from_cpe_uri(uri.trim()) {
-                                raw.products.push(product);
+                            if let Ok(cpe) = uri.trim().parse::<Cpe>() {
+                                raw.products.push(AffectedProduct::new(cpe));
                             }
                         }
                     "prod" => {
                         // 1.2 layout: <prod name="..." vendor="..."><vers num="..."/></prod>
-                        let mut product = RawProduct::from_vendor_product("", "");
+                        let (mut vendor, mut product) = (Cow::Borrowed(""), Cow::Borrowed(""));
                         for (key, value) in attributes {
                             match key {
-                                "name" => product.product = value.into_owned(),
-                                "vendor" => product.vendor = value.into_owned(),
+                                "name" => product = value,
+                                "vendor" => vendor = value,
                                 _ => {}
                             }
                         }
+                        let mut versions = Vec::new();
                         if !self_closing {
                             // Collect <vers num="..."/> children.
                             loop {
@@ -236,7 +237,7 @@ fn read_entry<'a>(
                                             if let Some((_, num)) =
                                                 child_attrs.into_iter().find(|(k, _)| *k == "num")
                                             {
-                                                product.versions.push(num.into_owned());
+                                                versions.push(num.into_owned());
                                             }
                                             if !child_closed {
                                                 reader.skip_element("vers")?;
@@ -256,7 +257,7 @@ fn read_entry<'a>(
                                 }
                             }
                         }
-                        raw.products.push(product);
+                        raw.products.push(product_without_part(vendor, product, versions));
                     }
                     "access-vector"
                         if !self_closing => {
@@ -440,8 +441,8 @@ mod tests {
         assert_eq!(entry.year(), 2002);
         assert!(entry.affects(OsDistribution::OpenBsd));
         assert!(entry.affects(OsDistribution::FreeBsd));
-        assert!(entry.affects_release(OsDistribution::OpenBsd, "3.1"));
-        assert!(!entry.affects_release(OsDistribution::OpenBsd, "3.5"));
+        let versions: Vec<_> = entry.affected().iter().map(|p| p.versions()).collect();
+        assert_eq!(versions, [&["3.0", "3.1"][..], &[]]);
         let cvss = entry.cvss().unwrap();
         assert_eq!(cvss.base_score(), 10.0);
         assert!(entry.summary().contains("OpenSSH"));
@@ -510,6 +511,19 @@ mod tests {
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].affected().len(), 1);
         assert_eq!(reader.skipped(), 0);
+    }
+
+    #[test]
+    fn a_version_escape_decodes_once() {
+        let xml = r#"<nvd><entry id="CVE-2005-0001">
+            <vuln:product>cpe:/o:sun:solaris:%2541</vuln:product>
+            <vuln:summary>fine</vuln:summary>
+        </entry></nvd>"#;
+        let entries = FeedReader::new().read_from_str(xml).unwrap();
+        let product = &entries[0].affected()[0];
+        assert_eq!(product.os(), Some(OsDistribution::Solaris));
+        assert_eq!(product.versions(), ["%41"]);
+        assert_eq!(product.cpe().version(), Some("%41"));
     }
 
     #[test]

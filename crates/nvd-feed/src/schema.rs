@@ -3,94 +3,43 @@
 //! The feed reader first produces [`RawEntry`] values that mirror the XML
 //! structure, and only then converts them into
 //! [`nvd_model::VulnerabilityEntry`] values (validating identifiers, dates
-//! and CVSS vectors and clustering CPEs into OS distributions). Keeping the
-//! raw layer around makes the data-cleaning steps of Section III of the
-//! paper — name normalization and validity filtering — testable in
+//! and CVSS vectors). Each product is already an [`AffectedProduct`]: its
+//! CPE decoded and clustered into an OS distribution. Keeping the raw
+//! layer around makes the data-cleaning steps of Section III of the paper
+//! — CPE decoding, OS clustering and validity filtering — testable in
 //! isolation.
 
 use nvd_model::{
     AffectedProduct, Cpe, CpePart, CveId, CvssV2, Date, OsDistribution, VulnerabilityEntry,
 };
 
-use crate::normalize::normalize;
 use crate::FeedError;
 
-/// One affected product as it appears in a feed, before clustering.
-///
-/// NVD 2.0 feeds carry full CPE URIs; 1.2 feeds carry `(vendor, product,
-/// versions)` triples. Both are normalized into this struct.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RawProduct {
-    /// The CPE part code if known (`h`, `o` or `a`); 1.2 feeds do not carry
-    /// it, in which case the product is assumed to be an OS when it clusters
-    /// into one of the studied distributions.
-    pub part: Option<char>,
-    /// Vendor name as written in the feed.
-    pub vendor: String,
-    /// Product name as written in the feed.
-    pub product: String,
-    /// Affected version strings (may be empty, meaning all versions).
-    pub versions: Vec<String>,
-}
-
-impl RawProduct {
-    /// Creates a raw product from a full CPE URI string (2.0 feeds).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FeedError::Model`] if the URI cannot be parsed.
-    pub fn from_cpe_uri(uri: &str) -> Result<Self, FeedError> {
-        let cpe: Cpe = uri.parse()?;
-        Ok(RawProduct {
-            part: Some(cpe.part().code()),
-            vendor: cpe.vendor().to_string(),
-            product: cpe.product().to_string(),
-            versions: cpe
-                .version()
-                .map(|v| vec![v.to_string()])
-                .unwrap_or_default(),
-        })
+/// A 1.2 `<prod vendor=".." name="..">` with its `<vers num="..">`
+/// children. 1.2 feeds carry no CPE part, so the product is an operating
+/// system when `(vendor, name)` clusters into one of the studied
+/// distributions and an application otherwise. The names and the first
+/// version are lower-cased, not decoded.
+pub(crate) fn product_without_part(
+    vendor: impl Into<String>,
+    name: impl Into<String>,
+    versions: Vec<String>,
+) -> AffectedProduct {
+    let (vendor, name) = (vendor.into(), name.into());
+    let part = match OsDistribution::from_vendor_product(&vendor, &name) {
+        Some(_) => CpePart::OperatingSystem,
+        None => CpePart::Application,
+    };
+    let mut versions = versions.into_iter();
+    let mut cpe = Cpe::new(part, vendor, name);
+    if let Some(first) = versions.next() {
+        cpe = cpe.with_version(first);
     }
-
-    /// Creates a raw product from a `(vendor, product)` pair (1.2 feeds).
-    pub fn from_vendor_product(vendor: impl Into<String>, product: impl Into<String>) -> Self {
-        RawProduct {
-            part: None,
-            vendor: vendor.into(),
-            product: product.into(),
-            versions: Vec::new(),
-        }
+    let mut affected = AffectedProduct::new(cpe);
+    for version in versions {
+        affected.add_version(version);
     }
-
-    /// Converts this raw product into a model-level [`AffectedProduct`],
-    /// applying alias normalization ([`normalize`]) first.
-    pub fn to_affected(&self) -> AffectedProduct {
-        let (vendor, product) = normalize(&self.vendor, &self.product);
-        let part = match self.part {
-            Some('h') => CpePart::Hardware,
-            Some('a') => CpePart::Application,
-            Some('o') => CpePart::OperatingSystem,
-            // 1.2 feeds do not carry the part: treat products that cluster
-            // into a studied OS as operating systems, everything else as an
-            // application.
-            _ => {
-                if OsDistribution::from_vendor_product(&vendor, &product).is_some() {
-                    CpePart::OperatingSystem
-                } else {
-                    CpePart::Application
-                }
-            }
-        };
-        let mut cpe = Cpe::new(part, vendor, product);
-        if let Some(first) = self.versions.first() {
-            cpe = cpe.with_version(first.clone());
-        }
-        let mut affected = AffectedProduct::new(cpe);
-        for version in self.versions.iter().skip(1) {
-            affected.add_version(version.clone());
-        }
-        affected
-    }
+    affected
 }
 
 /// A raw NVD entry: the fields of interest of Section III of the paper
@@ -108,7 +57,7 @@ pub struct RawEntry {
     /// feeds) or assembled from the individual metric elements (2.0 feeds).
     pub cvss_vector: Option<String>,
     /// Affected products.
-    pub products: Vec<RawProduct>,
+    pub products: Vec<AffectedProduct>,
 }
 
 impl RawEntry {
@@ -144,8 +93,8 @@ impl RawEntry {
             let cvss: CvssV2 = vector.parse()?;
             builder = builder.cvss(cvss);
         }
-        for product in &products {
-            builder = builder.affects_product(product.to_affected());
+        for product in products {
+            builder = builder.affects_product(product);
         }
         builder.build().map_err(|e| FeedError::Schema {
             entry: Some(name),
@@ -160,20 +109,18 @@ mod tests {
     use nvd_model::Validity;
 
     #[test]
-    fn raw_product_from_cpe_uri() {
-        let product = RawProduct::from_cpe_uri("cpe:/o:debian:debian_linux:4.0").unwrap();
-        assert_eq!(product.part, Some('o'));
-        assert_eq!(product.vendor, "debian");
-        assert_eq!(product.versions, vec!["4.0".to_string()]);
-        assert!(RawProduct::from_cpe_uri("not a cpe").is_err());
-    }
-
-    #[test]
     fn raw_product_without_part_uses_clustering() {
-        let os_product = RawProduct::from_vendor_product("openbsd", "openbsd");
-        assert_eq!(os_product.to_affected().os(), Some(OsDistribution::OpenBsd));
-        let app_product = RawProduct::from_vendor_product("mysql", "mysql");
-        assert_eq!(app_product.to_affected().os(), None);
+        let os_product = product_without_part("openbsd", "OpenBSD", vec!["3.1".into()]);
+        assert_eq!(os_product.os(), Some(OsDistribution::OpenBsd));
+        assert_eq!(os_product.cpe().to_string(), "cpe:/o:openbsd:openbsd:3.1");
+        let app_product = product_without_part("mysql", "mysql", Vec::new());
+        assert_eq!(app_product.os(), None);
+        assert_eq!(app_product.cpe().part(), CpePart::Application);
+        // The first version goes into the CPE; every version is listed once.
+        let versions = ["3.0", "3.1", "3.0"].map(String::from).to_vec();
+        let product = product_without_part("freebsd", "freebsd", versions);
+        assert_eq!(product.cpe().version(), Some("3.0"));
+        assert_eq!(product.versions(), ["3.0", "3.1"]);
     }
 
     #[test]
@@ -183,11 +130,13 @@ mod tests {
             published: Some("2008-07-08T19:41:00.000-04:00".to_string()),
             summary: "DNS cache poisoning".to_string(),
             cvss_vector: Some("(AV:N/AC:M/Au:N/C:N/I:P/A:N)".to_string()),
-            products: vec![
-                RawProduct::from_cpe_uri("cpe:/o:debian:debian_linux:4.0").unwrap(),
-                RawProduct::from_cpe_uri("cpe:/o:freebsd:freebsd").unwrap(),
-                RawProduct::from_cpe_uri("cpe:/a:isc:bind:9.4").unwrap(),
-            ],
+            products: [
+                "cpe:/o:debian:debian_linux:4.0",
+                "cpe:/o:freebsd:freebsd",
+                "cpe:/a:isc:bind:9.4",
+            ]
+            .map(|uri| AffectedProduct::new(uri.parse().unwrap()))
+            .to_vec(),
         };
         let entry = raw.into_entry().unwrap();
         assert_eq!(entry.id(), CveId::new(2008, 1447));
@@ -230,11 +179,12 @@ mod tests {
 
     #[test]
     fn normalization_is_applied_during_conversion() {
-        // ("linux", "debian") is one of the alias pairs the paper reports.
+        // ("linux", "debian") is one of the (product, vendor) spellings the
+        // paper reports: it clusters into Debian.
         let raw = RawEntry {
             name: "CVE-2004-0077".to_string(),
             summary: "kernel flaw".to_string(),
-            products: vec![RawProduct::from_vendor_product("debian", "linux")],
+            products: vec![product_without_part("debian", "linux", Vec::new())],
             ..RawEntry::default()
         };
         let entry = raw.into_entry().unwrap();

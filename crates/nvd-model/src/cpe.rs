@@ -56,12 +56,14 @@ impl fmt::Display for CpePart {
     }
 }
 
-/// A parsed CPE 2.2 URI.
+/// A parsed CPE 2.2 URI: the part, vendor, product and version the study
+/// reads.
 ///
 /// The URI grammar is
 /// `cpe:/part:vendor:product[:version[:update[:edition[:language]]]]`; empty
-/// trailing components may be omitted. Components are stored in their decoded
-/// form (lower-cased, `%XX` escapes resolved).
+/// trailing components may be omitted. Parsing checks that there are at most
+/// seven components and keeps the first four. Components are stored
+/// lower-cased; a parsed component also has its `%XX` escapes resolved.
 ///
 /// # Example
 ///
@@ -84,14 +86,11 @@ pub struct Cpe {
     vendor: String,
     product: String,
     version: Option<String>,
-    update: Option<String>,
-    edition: Option<String>,
-    language: Option<String>,
 }
 
 impl Cpe {
     /// Creates a CPE from its part, vendor and product, without version
-    /// information.
+    /// information. The names are lower-cased, not decoded.
     ///
     /// # Example
     ///
@@ -103,16 +102,14 @@ impl Cpe {
     pub fn new(part: CpePart, vendor: impl Into<String>, product: impl Into<String>) -> Self {
         Cpe {
             part,
-            vendor: normalize_component(&vendor.into()),
-            product: normalize_component(&product.into()),
+            vendor: lower_case(vendor),
+            product: lower_case(product),
             version: None,
-            update: None,
-            edition: None,
-            language: None,
         }
     }
 
-    /// Returns a copy of this CPE with the given version component.
+    /// Returns a copy of this CPE with the given version component,
+    /// lower-cased.
     ///
     /// # Example
     ///
@@ -123,7 +120,7 @@ impl Cpe {
     /// assert_eq!(cpe.version(), Some("4.0"));
     /// ```
     pub fn with_version(mut self, version: impl Into<String>) -> Self {
-        self.version = Some(normalize_component(&version.into()));
+        self.version = Some(lower_case(version));
         self
     }
 
@@ -147,84 +144,41 @@ impl Cpe {
         self.version.as_deref()
     }
 
-    /// The update component, if present.
-    pub fn update(&self) -> Option<&str> {
-        self.update.as_deref()
-    }
-
-    /// The edition component, if present.
-    pub fn edition(&self) -> Option<&str> {
-        self.edition.as_deref()
-    }
-
-    /// The language component, if present.
-    pub fn language(&self) -> Option<&str> {
-        self.language.as_deref()
-    }
-
     /// Whether this CPE describes an operating system platform.
     ///
     /// This is the filter applied in Section III-A of the paper.
     pub fn is_operating_system(&self) -> bool {
         self.part == CpePart::OperatingSystem
     }
-
-    /// Whether `other` matches this CPE when this CPE is interpreted as a
-    /// pattern: every component present in `self` must be equal in `other`;
-    /// components absent from `self` match anything.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use nvd_model::Cpe;
-    /// # fn main() -> Result<(), nvd_model::ModelError> {
-    /// let pattern: Cpe = "cpe:/o:debian:debian_linux".parse()?;
-    /// let concrete: Cpe = "cpe:/o:debian:debian_linux:4.0".parse()?;
-    /// assert!(pattern.matches(&concrete));
-    /// assert!(!concrete.matches(&pattern));
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn matches(&self, other: &Cpe) -> bool {
-        fn component_matches(pattern: &Option<String>, value: &Option<String>) -> bool {
-            match pattern {
-                None => true,
-                Some(p) => value.as_deref() == Some(p.as_str()),
-            }
-        }
-        self.part == other.part
-            && self.vendor == other.vendor
-            && self.product == other.product
-            && component_matches(&self.version, &other.version)
-            && component_matches(&self.update, &other.update)
-            && component_matches(&self.edition, &other.edition)
-            && component_matches(&self.language, &other.language)
-    }
 }
 
-/// Lower-cases a component and decodes `%XX` escapes (best-effort; invalid
-/// escapes are kept verbatim).
-fn normalize_component(raw: &str) -> String {
-    let lower = raw.to_ascii_lowercase();
-    if !lower.contains('%') {
-        return lower;
-    }
-    let bytes = lower.as_bytes();
-    let mut out = String::with_capacity(lower.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' && i + 2 < bytes.len() {
-            let hex = &lower[i + 1..i + 3];
-            if let Ok(v) = u8::from_str_radix(hex, 16) {
-                out.push(v as char);
-                i += 3;
+/// ASCII-lower-cases a component in place.
+fn lower_case(component: impl Into<String>) -> String {
+    let mut component = component.into();
+    component.make_ascii_lowercase();
+    component
+}
+
+/// Lower-cases a URI component and resolves its escapes in one pass over
+/// its chars: a `%` followed by two hex digits becomes the char U+00XX,
+/// and every other char is kept, ASCII lower-cased.
+fn decode_component(raw: &str) -> String {
+    let mut decoded = String::with_capacity(raw.len());
+    let mut chars = raw.chars();
+    while let Some(c) = chars.next() {
+        if c == '%' {
+            let mut ahead = chars.clone();
+            let high = ahead.next().and_then(|h| h.to_digit(16));
+            let low = ahead.next().and_then(|l| l.to_digit(16));
+            if let Some(escaped) = high.zip(low).and_then(|(h, l)| char::from_u32(h * 16 + l)) {
+                decoded.push(escaped);
+                chars = ahead;
                 continue;
             }
         }
-        out.push(bytes[i] as char);
-        i += 1;
+        decoded.push(c.to_ascii_lowercase());
     }
-    out
+    decoded
 }
 
 /// Percent-encodes the characters CPE 2.2 reserves (`:` and `%`).
@@ -250,18 +204,10 @@ impl fmt::Display for Cpe {
             encode_component(&self.vendor),
             encode_component(&self.product)
         )?;
-        // Trailing empty components are omitted, as NVD does.
-        let tail = [&self.version, &self.update, &self.edition, &self.language];
-        let last_present = tail.iter().rposition(|c| c.is_some());
-        if let Some(last) = last_present {
-            for component in &tail[..=last] {
-                match component {
-                    Some(value) => write!(f, ":{}", encode_component(value))?,
-                    None => write!(f, ":")?,
-                }
-            }
+        match &self.version {
+            Some(version) => write!(f, ":{}", encode_component(version)),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -277,12 +223,13 @@ impl FromStr for Cpe {
             .strip_prefix("cpe:/")
             .ok_or_else(|| err("missing \"cpe:/\" prefix"))?;
         let mut parts = rest.split(':');
-        let part_code = parts.next().ok_or_else(|| err("missing part"))?;
-        if part_code.len() != 1 {
-            return Err(err("part must be a single character (h, o or a)"));
-        }
-        let part = CpePart::from_code(part_code.chars().next().unwrap())
-            .ok_or_else(|| err("part must be one of h, o, a"))?;
+        let mut code = parts.next().unwrap_or_default().chars();
+        let part = match (code.next(), code.next()) {
+            (Some(letter), None) => {
+                CpePart::from_code(letter).ok_or_else(|| err("part must be one of h, o, a"))?
+            }
+            _ => return Err(err("part must be a single character (h, o or a)")),
+        };
         let vendor = parts.next().ok_or_else(|| err("missing vendor"))?;
         if vendor.is_empty() {
             return Err(err("vendor must not be empty"));
@@ -291,24 +238,16 @@ impl FromStr for Cpe {
         if product.is_empty() {
             return Err(err("product must not be empty"));
         }
-        let optional = |value: Option<&str>| -> Option<String> {
-            value.filter(|v| !v.is_empty()).map(normalize_component)
-        };
-        let version = optional(parts.next());
-        let update = optional(parts.next());
-        let edition = optional(parts.next());
-        let language = optional(parts.next());
-        if parts.next().is_some() {
+        let version = parts.next().filter(|v| !v.is_empty()).map(decode_component);
+        // Update, edition and language may follow; the study reads none.
+        if parts.nth(3).is_some() {
             return Err(err("too many components (CPE 2.2 has at most seven)"));
         }
         Ok(Cpe {
             part,
-            vendor: normalize_component(vendor),
-            product: normalize_component(product),
+            vendor: decode_component(vendor),
+            product: decode_component(product),
             version,
-            update,
-            edition,
-            language,
         })
     }
 }
@@ -329,13 +268,13 @@ mod tests {
 
     #[test]
     fn parse_full() {
-        let cpe: Cpe = "cpe:/o:microsoft:windows_2000::sp4:server:en"
+        // All seven components parse; the study keeps the first four.
+        let cpe: Cpe = "cpe:/o:microsoft:windows_2000:5.0:sp4:server:en"
             .parse()
             .unwrap();
-        assert_eq!(cpe.version(), None);
-        assert_eq!(cpe.update(), Some("sp4"));
-        assert_eq!(cpe.edition(), Some("server"));
-        assert_eq!(cpe.language(), Some("en"));
+        assert_eq!(cpe.product(), "windows_2000");
+        assert_eq!(cpe.version(), Some("5.0"));
+        assert_eq!(cpe.to_string(), "cpe:/o:microsoft:windows_2000:5.0");
     }
 
     #[test]
@@ -349,10 +288,13 @@ mod tests {
     fn rejects_bad_prefix_and_part() {
         assert!("cpe:2.3:o:x:y".parse::<Cpe>().is_err());
         assert!("cpe:/q:x:y".parse::<Cpe>().is_err());
+        assert!("cpe:/oo:x:y".parse::<Cpe>().is_err());
+        assert!("cpe:/\u{e9}:x:y".parse::<Cpe>().is_err());
         assert!("cpe:/o".parse::<Cpe>().is_err());
         assert!("cpe:/o:x".parse::<Cpe>().is_err());
         assert!("cpe:/o::y".parse::<Cpe>().is_err());
         assert!("cpe:/o:v:p:1:2:3:4:5".parse::<Cpe>().is_err());
+        assert!("cpe:/o:v:p:1:2:3:4".parse::<Cpe>().is_ok());
     }
 
     #[test]
@@ -360,36 +302,44 @@ mod tests {
         let cpe: Cpe = "cpe:/o:redhat:enterprise_linux:5.0".parse().unwrap();
         assert_eq!(cpe.to_string(), "cpe:/o:redhat:enterprise_linux:5.0");
         let cpe: Cpe = "cpe:/o:microsoft:windows_2000::sp4".parse().unwrap();
-        assert_eq!(cpe.to_string(), "cpe:/o:microsoft:windows_2000::sp4");
+        assert_eq!(cpe.to_string(), "cpe:/o:microsoft:windows_2000");
     }
 
     #[test]
     fn normalization_lowercases_and_decodes() {
         let cpe: Cpe = "cpe:/o:Microsoft:Windows_2000".parse().unwrap();
         assert_eq!(cpe.vendor(), "microsoft");
-        let cpe: Cpe = "cpe:/o:sun:solaris:9.0%20x86".parse().unwrap();
-        assert_eq!(cpe.version(), Some("9.0 x86"));
-    }
-
-    #[test]
-    fn pattern_matching() {
-        let pattern: Cpe = "cpe:/o:debian:debian_linux".parse().unwrap();
-        let v40: Cpe = "cpe:/o:debian:debian_linux:4.0".parse().unwrap();
-        let other: Cpe = "cpe:/o:canonical:ubuntu_linux:8.04".parse().unwrap();
-        assert!(pattern.matches(&v40));
-        assert!(pattern.matches(&pattern));
-        assert!(!pattern.matches(&other));
-        assert!(!v40.matches(&pattern));
+        // Each escape decodes once; every other char is kept.
+        for (version, decoded) in [
+            ("9.0%20x86", "9.0 x86"),
+            ("%2541", "%41"),
+            ("%41", "A"),
+            ("%C3%A9", "\u{c3}\u{a9}"),
+            ("caf\u{c9}%20X", "caf\u{c9} x"),
+            ("%a\u{e9}", "%a\u{e9}"),
+            ("%\u{e9}a", "%\u{e9}a"),
+            ("%4", "%4"),
+            ("x%", "x%"),
+            ("%+1", "%+1"),
+        ] {
+            let cpe: Cpe = format!("cpe:/o:sun:solaris:{version}").parse().unwrap();
+            assert_eq!(cpe.version(), Some(decoded), "{version}");
+        }
     }
 
     #[test]
     fn builder_style_constructors() {
         let cpe = Cpe::new(CpePart::OperatingSystem, "NetBSD", "NetBSD").with_version("3.0.1");
         assert_eq!(cpe.to_string(), "cpe:/o:netbsd:netbsd:3.0.1");
+        // Names given to the constructors are lower-cased, not decoded.
+        let cpe = Cpe::new(CpePart::Application, "A%41", "b").with_version("%25");
+        assert_eq!((cpe.vendor(), cpe.version()), ("a%41", Some("%25")));
     }
 
+    /// Components holding every char `Display` escapes, upper case and
+    /// multi-byte chars.
     fn component_strategy() -> impl Strategy<Value = String> {
-        "[a-z0-9_.]{1,12}"
+        "[a-zA-Z0-9_.::%% \u{e9}\u{c9}\u{6c34}]{1,12}"
     }
 
     proptest! {
@@ -406,9 +356,11 @@ mod tests {
         }
 
         #[test]
-        fn matches_is_reflexive(vendor in component_strategy(), product in component_strategy()) {
-            let cpe = Cpe::new(CpePart::OperatingSystem, vendor, product);
-            prop_assert!(cpe.matches(&cpe));
+        fn parse_never_panics(tail in "[%%%%%%0-9a-fA-F::x \u{e9}\u{e9}\u{6c34}\u{6c34}\u{1f980}]{0,24}") {
+            if let Ok(cpe) = format!("cpe:/o:v:{tail}").parse::<Cpe>() {
+                prop_assert_eq!(cpe.vendor(), "v");
+                let _ = cpe.to_string();
+            }
         }
     }
 }

@@ -230,12 +230,6 @@ impl AffectedProduct {
             self.versions.push(version);
         }
     }
-
-    /// Whether a given release version is affected. An empty version list is
-    /// interpreted as "all versions affected".
-    pub fn affects_version(&self, version: &str) -> bool {
-        self.versions.is_empty() || self.versions.iter().any(|v| v == version)
-    }
 }
 
 /// A fully parsed NVD vulnerability entry.
@@ -332,13 +326,6 @@ impl VulnerabilityEntry {
     /// Whether the vulnerability affects the given distribution.
     pub fn affects(&self, os: OsDistribution) -> bool {
         self.affected.iter().any(|p| p.os() == Some(os))
-    }
-
-    /// Whether the vulnerability affects the given release of a distribution.
-    pub fn affects_release(&self, os: OsDistribution, version: &str) -> bool {
-        self.affected
-            .iter()
-            .any(|p| p.os() == Some(os) && p.affects_version(version))
     }
 
     /// The access vector, defaulting to [`AccessVector::Network`] when no
@@ -627,10 +614,10 @@ mod tests {
             .affects_os(OsDistribution::RedHat)
             .build()
             .unwrap();
-        assert!(entry.affects_release(OsDistribution::Debian, "4.0"));
-        assert!(!entry.affects_release(OsDistribution::Debian, "3.0"));
-        // RedHat has no version restriction: every release matches.
-        assert!(entry.affects_release(OsDistribution::RedHat, "5.0"));
+        let versions: Vec<_> = entry.affected().iter().map(|p| p.versions()).collect();
+        // RedHat has no version restriction: its list is empty.
+        assert_eq!(versions, [&["4.0"][..], &[]]);
+        assert_eq!(entry.affected()[0].cpe().version(), Some("4.0"));
     }
 
     #[test]

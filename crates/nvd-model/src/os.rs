@@ -253,7 +253,9 @@ impl OsDistribution {
         Self::from_vendor_product(cpe.vendor(), cpe.product())
     }
 
-    /// Clusters a raw `(vendor, product)` pair, see [`OsDistribution::from_cpe`].
+    /// Clusters a raw `(vendor, product)` pair in any ASCII case, see
+    /// [`OsDistribution::from_cpe`]. Its match is the one table of the
+    /// spellings NVD uses for each studied OS.
     pub fn from_vendor_product(vendor: &str, product: &str) -> Option<Self> {
         let vendor = vendor.to_ascii_lowercase();
         let product = product.to_ascii_lowercase();
@@ -263,9 +265,10 @@ impl OsDistribution {
             (_, "freebsd") => Some(OsDistribution::FreeBsd),
             (_, "opensolaris") | (_, "open_solaris") => Some(OsDistribution::OpenSolaris),
             (_, "solaris") | (_, "sunos") => Some(OsDistribution::Solaris),
-            ("debian", "linux") | ("debian", "debian_linux") | (_, "debian_linux") => {
-                Some(OsDistribution::Debian)
-            }
+            ("debian", "linux")
+            | ("linux", "debian")
+            | ("debian", "debian_linux")
+            | (_, "debian_linux") => Some(OsDistribution::Debian),
             ("canonical", "ubuntu_linux")
             | ("canonical", "ubuntu")
             | ("ubuntu", "ubuntu_linux")
@@ -773,6 +776,53 @@ mod tests {
         );
         assert_eq!(
             OsDistribution::from_vendor_product("apple", "mac_os_x"),
+            None
+        );
+    }
+
+    #[test]
+    fn alias_spellings_cluster_as_their_canonical_pairs() {
+        // The spellings NVD uses besides an OS's canonical (vendor,
+        // product) pair, the "by hand" corrections of Section III. Each
+        // canonical pair clusters to its OS (see the next test).
+        use OsDistribution::*;
+        #[rustfmt::skip] // one spelling per line
+        const SPELLINGS: [(&str, &str, OsDistribution); 14] = [
+            ("debian", "linux", Debian),
+            ("linux", "debian", Debian),
+            ("redhat", "linux", RedHat),
+            ("redhat", "redhat_linux", RedHat),
+            ("redhat", "enterprise_linux_server", RedHat),
+            ("redhat", "enterprise_linux_desktop", RedHat),
+            ("ubuntu", "ubuntu_linux", Ubuntu),
+            ("ubuntu", "linux", Ubuntu),
+            ("sun", "sunos", Solaris),
+            ("oracle", "solaris", Solaris),
+            ("oracle", "opensolaris", OpenSolaris),
+            ("microsoft", "windows_2003", Windows2003),
+            ("microsoft", "windows_server_2003", Windows2003),
+            ("microsoft", "windows_2008", Windows2008),
+        ];
+        for (i, &(vendor, product, os)) in SPELLINGS.iter().enumerate() {
+            for (v, p) in [
+                (vendor.to_string(), product.to_string()),
+                (vendor.to_ascii_uppercase(), product.to_ascii_uppercase()),
+            ] {
+                let cpe: Cpe = format!("cpe:/o:{v}:{p}").parse().unwrap();
+                assert_eq!(OsDistribution::from_cpe(&cpe), Some(os), "({v}, {p})");
+                assert_eq!(OsDistribution::from_vendor_product(&v, &p), Some(os));
+            }
+            assert!(
+                SPELLINGS
+                    .iter()
+                    .skip(i + 1)
+                    .all(|(v, p, _)| (*v, *p) != (vendor, product)),
+                "({vendor}, {product}) is listed twice"
+            );
+        }
+        // A pair outside the study clusters nowhere, in any case.
+        assert_eq!(
+            OsDistribution::from_vendor_product("Apple", "Mac_OS_X"),
             None
         );
     }

@@ -4,7 +4,7 @@
 //! HTTP request, a file read loop, …) and never buffers the whole feed: it
 //! carves complete `<entry>…</entry>` elements out of the byte stream,
 //! hands each one to [`nvd_feed::FeedReader::read_entry_str`] (which
-//! normalizes product names exactly like the batch reader), inserts the
+//! decodes and clusters CPEs exactly like the batch reader), inserts the
 //! parsed entry into a [`VulnStore`] (merging duplicate CVEs), and drops
 //! the consumed bytes at the end of each push. The transient buffer is
 //! bounded by the size of one entry (1 MiB); the whole ingestion is
@@ -824,9 +824,9 @@ mod tests {
         // pieces the benchmark replays in process, and 1,000-byte pieces
         // that cut entries and tags at no power of two. Every class the
         // rule table assigns lands in the STORE payload, so its length and
-        // CRC-32 pin carving, parsing, normalization and classification
-        // together; `estimated_bytes` fixes which tenants fit under a
-        // registry's byte budget.
+        // CRC-32 pin carving, parsing, CPE decoding and OS clustering, and
+        // classification together; `estimated_bytes` fixes which tenants
+        // fit under a registry's byte budget.
         let xml = calibrated_feed();
         assert_eq!(xml.len(), 1_974_008);
         for piece in [4096, 64 * 1024, 1000] {

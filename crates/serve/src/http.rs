@@ -139,6 +139,16 @@ impl Request {
         keep_alive
     }
 
+    /// Whether the client holds its body back until the server asks for
+    /// it with `100 Continue`. `Expect` is a list of expectations (RFC 9110
+    /// §10.1.1); one in an HTTP/1.0 request is ignored.
+    pub fn expects_continue(&self) -> bool {
+        self.http11
+            && self
+                .header_items("expect")
+                .any(|expectation| expectation.eq_ignore_ascii_case("100-continue"))
+    }
+
     /// The declared body length (0 when absent). A `Content-Length` that
     /// is not all ASCII digits is a 400 (the parser already refused
     /// differing repeats).
@@ -389,10 +399,12 @@ impl Body for BufferedBody {
 /// the head parser are consumed first (pipelining), further bytes are read
 /// from the socket **through** the parser buffer, so anything past the
 /// body end stays queued for the next request.
-pub struct StreamBody<'a, R: Read> {
+pub struct StreamBody<'a, R: Read + Write> {
     parser: &'a mut RequestParser,
     stream: &'a mut R,
     framing: FramingState,
+    continue_pending: bool,
+    interim_bytes: usize,
 }
 
 #[derive(Debug)]
@@ -401,7 +413,7 @@ enum FramingState {
     Chunked { decoder: ChunkedDecoder },
 }
 
-impl<'a, R: Read> StreamBody<'a, R> {
+impl<'a, R: Read + Write> StreamBody<'a, R> {
     /// Wraps a connection positioned right after a parsed request head.
     pub fn new(parser: &'a mut RequestParser, stream: &'a mut R, framing: BodyFraming) -> Self {
         let framing = match framing {
@@ -414,11 +426,32 @@ impl<'a, R: Read> StreamBody<'a, R> {
             parser,
             stream,
             framing,
+            continue_pending: false,
+            interim_bytes: 0,
         }
+    }
+
+    /// For a request that [expects continue](Request::expects_continue):
+    /// the first read off the socket is preceded by the interim
+    /// `HTTP/1.1 100 Continue`, unless a body byte came with the head.
+    /// A body that is never read is never asked for.
+    pub fn continue_before_reading(mut self, expects_continue: bool) -> Self {
+        self.continue_pending = expects_continue && self.parser.buffered() == 0;
+        self
+    }
+
+    /// The bytes of the interim response written (0 when none was).
+    pub fn interim_bytes(&self) -> usize {
+        self.interim_bytes
     }
 
     /// Reads more bytes off the socket into the parser buffer.
     fn fill(&mut self) -> Result<(), BodyError> {
+        if std::mem::take(&mut self.continue_pending) {
+            const CONTINUE: &[u8] = b"HTTP/1.1 100 Continue\r\n\r\n";
+            self.stream.write_all(CONTINUE)?;
+            self.interim_bytes = CONTINUE.len();
+        }
         let mut chunk = [0u8; 4096];
         let n = self.stream.read(&mut chunk)?;
         if n == 0 {
@@ -432,7 +465,7 @@ impl<'a, R: Read> StreamBody<'a, R> {
     }
 }
 
-impl<R: Read> Body for StreamBody<'_, R> {
+impl<R: Read + Write> Body for StreamBody<'_, R> {
     fn next_chunk(&mut self, out: &mut Vec<u8>) -> Result<bool, BodyError> {
         out.clear();
         loop {
@@ -1329,6 +1362,69 @@ mod tests {
             }
         }
         assert!(matches!(error, Some(BodyError::Io(_))));
+    }
+
+    #[test]
+    fn an_expected_body_is_asked_for_right_before_its_first_read() {
+        /// A client that logs each read of its body and each write to it.
+        struct Client {
+            body: io::Cursor<Vec<u8>>,
+            log: Vec<String>,
+        }
+        impl Read for Client {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.log.push("read".to_string());
+                self.body.read(buf)
+            }
+        }
+        impl Write for Client {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.log.push(String::from_utf8_lossy(buf).into_owned());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        const INTERIM: &str = "HTTP/1.1 100 Continue\r\n\r\n";
+        // (version, Expect field lines, body bytes sent with the head,
+        // whether the body is read, whether `100 Continue` goes out)
+        for (version, expect, early, read, interim) in [
+            ("1.1", "100-continue", "", true, true),
+            ("1.1", "foo, 100-Continue", "", true, true),
+            ("1.1", "foo\r\nExpect: 100-continue", "", true, true),
+            ("1.1", "100-continue", "", false, false),
+            ("1.1", "100-continue", "he", true, false),
+            ("1.1", "foo", "", true, false),
+            ("1.0", "100-continue", "", true, false),
+        ] {
+            let head = format!(
+                "PUT /x HTTP/{version}\r\nExpect: {expect}\r\nContent-Length: 5\r\n\r\n{early}"
+            );
+            let mut parser = RequestParser::new();
+            let request = parser.feed(head.as_bytes()).unwrap().unwrap();
+            assert_eq!(
+                request.expects_continue(),
+                version == "1.1" && expect.contains("100-"),
+                "{head:?}"
+            );
+            let rest = b"hello".get(early.len()..).unwrap().to_vec();
+            let mut client = Client {
+                body: io::Cursor::new(rest),
+                log: Vec::new(),
+            };
+            let mut body = StreamBody::new(&mut parser, &mut client, BodyFraming::Length(5))
+                .continue_before_reading(request.expects_continue());
+            if read {
+                assert_eq!(body.drain(5).unwrap(), 5, "{head:?}");
+            }
+            assert_eq!(body.interim_bytes(), INTERIM.len() * usize::from(interim));
+            // The interim line, if any, goes out once and before any read.
+            let interims = client.log.iter().filter(|line| *line == INTERIM).count();
+            assert_eq!(interims, usize::from(interim), "{head:?}");
+            let first_read = client.log.iter().position(|line| line == "read");
+            assert_eq!(first_read, read.then_some(interims), "{head:?}");
+        }
     }
 
     #[test]

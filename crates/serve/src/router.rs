@@ -1312,7 +1312,7 @@ mod tests {
             let mut parser = RequestParser::new();
             let head = "PUT /v1/datasets/t HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n";
             let put = parser.feed(head.as_bytes()).unwrap().unwrap();
-            let mut stream = std::io::Cursor::new(&wire);
+            let mut stream = std::io::Cursor::new(wire.clone());
             let mut body = StreamBody::new(&mut parser, &mut stream, BodyFraming::Chunked);
             router.handle_with_body(&put, &mut body).status()
         };

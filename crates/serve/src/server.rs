@@ -383,7 +383,9 @@ fn handle_connection(
                 break;
             }
         };
-        let mut body = StreamBody::new(&mut parser, &mut stream, framing);
+        let expects_continue = request.expects_continue();
+        let mut body = StreamBody::new(&mut parser, &mut stream, framing)
+            .continue_before_reading(expects_continue);
         served += 1;
         // Routes that do not consume the body get it drained (bounded)
         // *before* routing: an oversized or malformed upload must be
@@ -403,7 +405,10 @@ fn handle_connection(
                 Response::text(503, "ingestion shedding under load")
                     .with_header("Retry-After", "1"),
             )
-        } else if router.consumes_body(&request) || body.finished() {
+        } else if router.consumes_body(&request) || body.finished() || expects_continue {
+            // A client that expects `100 Continue` holds its body back
+            // until asked: a route that does not read it answers without
+            // asking, and the connection closes with the body unread.
             None
         } else {
             match body.drain(MAX_BODY_BYTES) {
@@ -432,6 +437,7 @@ fn handle_connection(
         // Whether unread body bytes remain when the response is written —
         // closing such a connection needs the lame-duck dance below.
         let mut body_pending = rejected_before_routing;
+        metrics.add(Counter::BytesOut, body.interim_bytes() as u64);
         if !body.finished() && !rejected_before_routing {
             // Only a consuming route (feed ingestion) leaves the body
             // unfinished here, and only by failing partway through it:

@@ -2,8 +2,8 @@
 //! ephemeral port, exercised by the std-`TcpStream` client in
 //! [`osdiv_serve::loadgen`].
 
-use std::io::{BufReader, Read};
-use std::net::TcpStream;
+use std::io::{BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -12,7 +12,9 @@ use nvd_feed::FeedWriter;
 use nvd_model::{CveId, OsDistribution, VulnerabilityEntry};
 use osdiv_core::{analysis_sections, renderer, AnalysisId, Format, Params, Study};
 use osdiv_serve::loadgen::{self, read_response, write_request};
-use osdiv_serve::{OpenLoopConfig, Router, RouterOptions, Server, ServerHandle, ServerOptions};
+use osdiv_serve::{
+    Gauge, OpenLoopConfig, Router, RouterOptions, Server, ServerHandle, ServerOptions,
+};
 
 const SEED: u64 = 1;
 
@@ -279,6 +281,59 @@ fn feed_xml() -> Vec<u8> {
         .into_bytes()
 }
 
+/// Sends the head of a PUT of `body_len` bytes that expects `100
+/// Continue`, holding the body back. The stream reads with a 500 ms
+/// timeout.
+fn put_head_expecting_continue(addr: SocketAddr, name: &str, body_len: usize) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    let head = format!(
+        "PUT /v1/datasets/{name} HTTP/1.1\r\nHost: osdiv-serve\r\n\
+         Expect: 100-continue\r\nContent-Length: {body_len}\r\n\r\n"
+    );
+    stream.write_all(head.as_bytes()).unwrap();
+    stream
+}
+
+#[test]
+fn an_upload_expecting_continue_is_asked_for_its_body() {
+    let (router, handle) = start_server(false);
+    let addr = handle.addr();
+    let xml = feed_xml();
+
+    // The interim line arrives with the body still held back; the body
+    // then goes out and is ingested.
+    let mut stream = put_head_expecting_continue(addr, "expected", xml.len());
+    let mut interim = [0u8; 25];
+    stream
+        .read_exact(&mut interim)
+        .expect("100 Continue within 500 ms");
+    assert_eq!(&interim, b"HTTP/1.1 100 Continue\r\n\r\n");
+    stream.write_all(&xml).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let created = read_response(&mut BufReader::new(&stream)).unwrap();
+    assert_eq!(created.status, 201, "{}", created.body_string());
+    assert_eq!(
+        loadgen::get(addr, "/v1/datasets/expected").unwrap().status,
+        200
+    );
+
+    // A shed upload is answered without its body being asked for.
+    let soft_watermark = ServerOptions::for_threads(2).shed_queue_depth / 2;
+    let metrics = router.metrics();
+    (0..=soft_watermark).for_each(|_| metrics.raise(Gauge::DispatchQueueDepth));
+    let stream = put_head_expecting_continue(addr, "shed", xml.len());
+    let shed = read_response(&mut BufReader::new(&stream)).unwrap();
+    (0..=soft_watermark).for_each(|_| metrics.lower(Gauge::DispatchQueueDepth));
+    assert_eq!(shed.status, 503, "{}", shed.body_string());
+
+    handle.shutdown().unwrap();
+}
+
 #[test]
 fn ingest_token_gates_mutating_dataset_routes() {
     let router = Arc::new(Router::with_study(
@@ -317,6 +372,12 @@ fn ingest_token_gates_mutating_dataset_routes() {
         404,
         "nothing was ingested"
     );
+
+    // An upload that expects `100 Continue` is refused without its body
+    // being asked for.
+    let stream = put_head_expecting_continue(addr, "feed", xml.len());
+    let unasked = read_response(&mut BufReader::new(&stream)).unwrap();
+    assert_eq!(unasked.status, 401, "{}", unasked.body_string());
 
     // Wrong token over chunked framing: same refusal, same clean state.
     let chunks: Vec<&[u8]> = xml.chunks(97).collect();

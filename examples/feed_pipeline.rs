@@ -1,5 +1,5 @@
 //! The full data pipeline the paper describes in Section III: write NVD XML
-//! feeds to disk, parse them back, normalize product names, load everything
+//! feeds to disk, parse them back (CPE decoding and OS clustering), load everything
 //! into the relational store, classify every entry into an OS part, and
 //! report how well the automated classification matches the ground truth.
 //!

@@ -1,6 +1,6 @@
 //! End-to-end integration test of the full pipeline the paper describes in
-//! Section III: generate → serialize as NVD feeds → parse → normalize →
-//! ingest into the relational store → classify → analyze.
+//! Section III: generate → serialize as NVD feeds → parse (CPE decoding and
+//! OS clustering) → ingest into the relational store → classify → analyze.
 
 use classify::{ClassificationReport, Classifier};
 use datagen::CalibratedGenerator;
